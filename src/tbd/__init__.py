@@ -34,7 +34,6 @@ from .longitudinal import (
 from .mcmc import Block, McmcConfig, McmcResult, ModelSpec, ess, rhat, run_chains
 from .metrics import (
     BiasCoverage,
-    ReplicateMetrics,
     bias_and_coverage,
     brier_scores,
     cdauc,

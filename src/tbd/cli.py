@@ -13,19 +13,6 @@ import click
 import numpy as np
 
 from . import estimators, longitudinal, science, simulate, study, survival
-from .mcmc import McmcConfig
-
-
-def _mcmc_config(doc: dict, seed: int) -> McmcConfig:
-    return McmcConfig(
-        chains=int(doc.get("chains", 4)),
-        warmup=int(doc.get("warmup", 1000)),
-        samples=int(doc.get("samples", 1000)),
-        seed=seed,
-        target_accept=doc.get("target_accept"),
-        rhat_threshold=float(doc.get("rhat_threshold", 1.05)),
-        min_ess=float(doc.get("min_ess", 400.0)),
-    )
 
 
 @click.group()
@@ -69,14 +56,7 @@ def simulate_cmd(scenario: str, seed: int, out: str, n: int | None) -> None:
 
 
 def _cell(v) -> str:
-    if v is None:
-        return "-"
-    f = float(v)
-    if math.isnan(f):
-        return "-"
-    if math.isinf(f):
-        return "inf" if f > 0 else "-inf"
-    return f"{f:.6g}"
+    return study.fmt(v, ".6g")
 
 
 main.add_command(simulate_cmd, name="simulate")
@@ -89,31 +69,29 @@ main.add_command(simulate_cmd, name="simulate")
               help="JSON with optional mcmc / survival_priors / long_priors / grid_cutpoints.")
 @click.option("--seed", type=int, default=0, show_default=True)
 def fit(data_path: str, out: str, config_path: str | None, seed: int) -> None:
-    """Fit the survival model and the per-visit longitudinal models."""
+    """Fit the survival model and the per-visit longitudinal models.
+
+    A visit whose longitudinal model cannot be fitted (an arm with nobody
+    alive and measured there) is reported on stderr and left out of the
+    output; ``tbd estimate`` covers the visits that are present."""
     doc = json.loads(Path(config_path).read_text()) if config_path else {}
     data = science.observed_from_json(science.load_json(data_path))
     if not data.visit_times:
         raise click.ClickException("dataset must carry visit_times")
-    grid = (
-        survival.HazardGrid(cutpoints=tuple(doc["grid_cutpoints"]))
-        if "grid_cutpoints" in doc
-        else survival.default_grid(data.follow_up, data.visit_times)
-    )
-    spriors = survival.SurvivalPriors(**doc.get("survival_priors", {}))
-    lpriors = longitudinal.LongPriors(**doc.get("long_priors", {}))
-    scfg = _mcmc_config(doc.get("mcmc", {}), seed)
-    spost = survival.fit_survival(data, grid, spriors, scfg)
+    cfg = study.build_config({**doc, "scenarios": []})
+    grid = cfg.grid_for(data.follow_up, data.visit_times)
+    spost = survival.fit_survival(data, grid, cfg.survival_priors, replace(cfg.mcmc, seed=seed))
     if not spost.converged:
         click.echo("warning: survival fit flagged by convergence diagnostics", err=True)
     fits = {"survival": spost.to_json(), "longitudinal": {}}
     for ti, t in enumerate(data.visit_times):
-        s_mean = spost.s_mis_matrix(data, t).mean(axis=0)
-        weights = np.array(
-            [s if (p.alive_at(t) and t in p.y_obs) else 0.0
-             for p, s in zip(data.patients, s_mean)]
-        )
-        lcfg = _mcmc_config(doc.get("mcmc", {}), seed + 1 + ti)
-        lpost = longitudinal.fit_longitudinal(data, t, weights, lpriors, lcfg)
+        weights = longitudinal.compute_weights(spost.s_mis_matrix(data, t).mean(axis=0), data, t)
+        lcfg = replace(cfg.mcmc, seed=seed + 1 + ti)
+        try:
+            lpost = longitudinal.fit_longitudinal(data, t, weights, cfg.long_priors, lcfg)
+        except longitudinal.LongitudinalFitError as exc:
+            click.echo(f"warning: no longitudinal fit at t={t}, left out: {exc}", err=True)
+            continue
         if not lpost.converged:
             click.echo(f"warning: longitudinal fit at t={t} flagged by diagnostics", err=True)
         fits["longitudinal"][science._fmt_month(t)] = lpost.to_json()
@@ -164,29 +142,13 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
                     "median": _cell(summ.median),
                     "lo95": _cell(summ.lo95),
                     "hi95": _cell(summ.hi95),
-                    "frac_undefined": f"{summ.frac_undefined:.4f}",
+                    "frac_undefined": study.fmt(summ.frac_undefined),
                 }
             )
-        summary_rows.append(
-            {
-                "estimand": "naive_reference_biased",
-                "time": t,
-                "median": _cell(result.naive),
-                "lo95": "-",
-                "hi95": "-",
-                "frac_undefined": "-",
-            }
-        )
-        summary_rows.append(
-            {
-                "estimand": "wmw_reference",
-                "time": t,
-                "median": _cell(result.wmw),
-                "lo95": "-",
-                "hi95": "-",
-                "frac_undefined": "-",
-            }
-        )
+        for reference, value in (("naive_reference_biased", result.naive),
+                                 ("wmw_reference", result.wmw)):
+            summary_rows.append({"estimand": reference, "time": t, "median": _cell(value),
+                                 "lo95": "-", "hi95": "-", "frac_undefined": "-"})
     _write_rows(out_dir / "estimates.csv", est_rows)
     _write_rows(out_dir / "summary.csv", summary_rows)
     click.echo(f"wrote estimates.csv and summary.csv to {out_dir}")
@@ -229,14 +191,16 @@ def study_cmd(config_path: str | None, out: str, seed: int | None, workers: int 
 @click.option("--out", type=click.Path(), required=True)
 def report(results_dir: str, out: str) -> None:
     """Regenerate report CSVs from a study output directory."""
-    cells_dir = Path(results_dir) / "cells"
-    cells = []
-    for path in sorted(cells_dir.glob("*.json")):
-        doc = json.loads(path.read_text())
-        cells.append(study.CellResult.from_doc(doc["cell"]))
-    if not cells:
-        raise click.ClickException(f"no cells found under {cells_dir}")
-    results = study.StudyResults(config_hash="-", cells=cells)
+    loaded = study.load_cells(results_dir)
+    if not loaded:
+        raise click.ClickException(f"no cells found under {Path(results_dir) / 'cells'}")
+    hashes = sorted({cell_hash for cell_hash, _ in loaded})
+    if len(hashes) > 1:
+        raise click.ClickException(
+            f"cells under {results_dir} come from different study configs "
+            f"(config_hash {', '.join(hashes)}); report one study at a time"
+        )
+    results = study.StudyResults(config_hash=hashes[0], cells=[cell for _, cell in loaded])
     written = study.emit_report(results, out)
     click.echo("wrote " + ", ".join(str(p) for p in written))
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import mcmc
 from .science import ObservedDataset, ObservedPatient
-from .survival import SurvivalParams, predict_s_mis
 
 
 class LongitudinalFitError(RuntimeError):
@@ -62,19 +61,15 @@ class LongParams:
         return float(self.beta0[w] + np.dot(np.asarray(x, dtype=float), self.beta1[w]))
 
 
-def compute_weights(
-    spost_draw: SurvivalParams, data: ObservedDataset, t: float
-) -> np.ndarray:
-    """Always-survivor membership probabilities p_{i,t} under one draw.
+def compute_weights(s_mis, data: ObservedDataset, t: float) -> np.ndarray:
+    """Always-survivor membership probabilities p_{i,t}.
 
-    Zero for patients dead at or before t or without a measurement at t;
-    otherwise the counterfactual survival probability at t.
+    ``s_mis`` holds each patient's counterfactual survival probability at t
+    (from one survival draw or the posterior mean). The weight is that
+    probability for patients alive and measured at t, and zero otherwise.
     """
-    weights = np.zeros(len(data))
-    for i, p in enumerate(data.patients):
-        if p.alive_at(t) and t in p.y_obs:
-            weights[i] = predict_s_mis(spost_draw, p, t)
-    return weights
+    measured = np.array([p.alive_at(t) and t in p.y_obs for p in data.patients])
+    return np.where(measured, s_mis, 0.0)
 
 
 def weighted_loglik(
@@ -124,9 +119,7 @@ class LongitudinalPosterior:
         return LongParams(beta0=self.beta0[k], beta1=self.beta1[k], sigma=float(self.sigma[k]))
 
     def subsample_indices(self, k: int) -> np.ndarray:
-        if k > self.n_draws:
-            raise ValueError(f"requested {k} draws but only {self.n_draws} available")
-        return np.linspace(0, self.n_draws - 1, k).round().astype(int)
+        return mcmc.even_indices(self.n_draws, k)
 
     def to_json(self) -> dict:
         return {

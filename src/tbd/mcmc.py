@@ -60,6 +60,21 @@ class McmcConfig:
     rhat_threshold: float = 1.05
     min_ess: float = 400.0
 
+    @classmethod
+    def from_doc(cls, doc: dict) -> "McmcConfig":
+        """Settings from a JSON ``mcmc`` object; absent keys keep their
+        defaults. The casts keep ``content_hash`` independent of whether a
+        number was written as an int or a float."""
+        return cls(
+            chains=int(doc.get("chains", cls.chains)),
+            warmup=int(doc.get("warmup", cls.warmup)),
+            samples=int(doc.get("samples", cls.samples)),
+            seed=int(doc.get("seed", cls.seed)),
+            target_accept=doc.get("target_accept"),
+            rhat_threshold=float(doc.get("rhat_threshold", cls.rhat_threshold)),
+            min_ess=float(doc.get("min_ess", cls.min_ess)),
+        )
+
     def __post_init__(self) -> None:
         if self.chains < 2:
             raise ValueError("at least 2 chains are required for diagnostics")
@@ -95,13 +110,20 @@ class McmcResult:
         first = next(iter(self.draws.values()))
         return first.shape[0] * first.shape[1]
 
-    def worst_rhat(self) -> float:
-        vals = [d["rhat"] for d in self.diagnostics.values() if not math.isnan(d["rhat"])]
-        return max(vals) if vals else float("nan")
 
-    def min_ess(self) -> float:
-        vals = [d["ess"] for d in self.diagnostics.values() if not math.isnan(d["ess"])]
-        return min(vals) if vals else float("nan")
+def diagnostic_extremes(diagnostics: dict[str, dict[str, float]]) -> tuple[float, float]:
+    """Worst R-hat and smallest ESS over the coordinates where each is
+    defined; NaN when no coordinate defines it."""
+    rhats = [d["rhat"] for d in diagnostics.values() if not math.isnan(d["rhat"])]
+    esss = [d["ess"] for d in diagnostics.values() if not math.isnan(d["ess"])]
+    return max(rhats, default=math.nan), min(esss, default=math.nan)
+
+
+def even_indices(n: int, k: int) -> np.ndarray:
+    """k evenly spaced indices into n pooled draws, for pairing posteriors."""
+    if k > n:
+        raise ValueError(f"requested {k} draws but only {n} available")
+    return np.linspace(0, n - 1, k).round().astype(int)
 
 
 def _to_sampling_scale(theta: np.ndarray, block: Block) -> np.ndarray:

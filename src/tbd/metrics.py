@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,17 +228,3 @@ def cdauc(risk, data: ObservedDataset, times) -> float:
     if weights.sum() <= 0:
         return float(np.mean(aucs))
     return float(np.average(aucs, weights=weights))
-
-
-@dataclass
-class ReplicateMetrics:
-    """All performance measures for one (scenario, replicate, time) cell."""
-
-    scenario: str
-    replicate: int
-    time: float
-    estimands: dict[str, BiasCoverage] = field(default_factory=dict)
-    death_pct: float | None = None
-    mae: float | None = None
-    ibs: float | None = None
-    cdauc: float | None = None

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -38,16 +38,14 @@ class ScenarioParams:
     """Data-generating parameters for one simulated trial scenario.
 
     Longitudinal slopes (score units per month) and Weibull scales (months)
-    are affine in the measured covariate x and, optionally, an unmeasured
-    covariate u: by default the arm-0 row gives the control arm's total
-    coefficients and the arm-1 row the treated arm's totals. With
-    ``treated_as_increment`` the arm-1 row is added on top of the arm-0 row
-    instead.
+    are affine in the measured covariate x ~ N(0, 1) and, optionally, an
+    unmeasured covariate u ~ N(0, 1): the arm-0 row gives the control arm's
+    coefficients and the arm-1 row the treated arm's.
 
     Fields
     ------
     a0_0, a0_x, a0_u : control-arm slope intercept and covariate loadings
-    a1_0, a1_x, a1_u : treated-arm slope row (total or increment)
+    a1_0, a1_x, a1_u : treated-arm slope row
     th0_0, th0_x, th0_u : control-arm Weibull scale row
     th1_0, th1_x, th1_u : treated-arm Weibull scale row
     sigma : residual scale of the shared longitudinal noise, > 0
@@ -72,8 +70,6 @@ class ScenarioParams:
     follow_up: float
     visit_times: tuple[float, ...]
     n: int
-    covariate_dist: str = "standard_normal"
-    treated_as_increment: bool = False
 
     def __post_init__(self) -> None:
         if self.sigma <= 0:
@@ -87,8 +83,6 @@ class ScenarioParams:
         for v in self.visit_times:
             if not (0 < v <= self.follow_up):
                 raise ScenarioError(f"visit time {v} outside (0, follow_up]")
-        if self.covariate_dist != "standard_normal":
-            raise ScenarioError(f"unsupported covariate_dist {self.covariate_dist!r}")
 
     def with_updates(self, **kwargs) -> "ScenarioParams":
         return replace(self, **kwargs)
@@ -97,16 +91,12 @@ class ScenarioParams:
         """Longitudinal slope (per month) under control and treatment."""
         slope0 = self.a0_0 + self.a0_x * x + self.a0_u * u
         slope1 = self.a1_0 + self.a1_x * x + self.a1_u * u
-        if self.treated_as_increment:
-            slope1 += slope0
         return slope0, slope1
 
     def scales(self, x: float, u: float = 0.0) -> tuple[float, float]:
         """Weibull scale (months) under control and treatment."""
         scale0 = self.th0_0 + self.th0_x * x + self.th0_u * u
         scale1 = self.th1_0 + self.th1_x * x + self.th1_u * u
-        if self.treated_as_increment:
-            scale1 += scale0
         return scale0, scale1
 
     @property
@@ -296,13 +286,15 @@ _FIELD_NAMES = (
 
 
 def _params_from_dict(name: str, doc: dict) -> ScenarioParams:
-    kwargs = {k: doc[k] for k in _FIELD_NAMES}
+    """Scenario from a JSON object; a key that is neither a parameter nor
+    ``description`` is refused rather than silently ignored."""
+    unknown = sorted(set(doc) - {f.name for f in fields(ScenarioParams)} - {"description"})
+    if unknown:
+        raise ScenarioError(f"scenario {name!r}: unknown keys {unknown}")
     return ScenarioParams(
         name=name,
         visit_times=tuple(float(v) for v in doc["visit_times"]),
-        covariate_dist=doc.get("covariate_dist", "standard_normal"),
-        treated_as_increment=bool(doc.get("treated_as_increment", False)),
-        **kwargs,
+        **{k: doc[k] for k in _FIELD_NAMES},
     )
 
 

@@ -15,12 +15,16 @@ cells.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
 import os
+import types
+import typing
+import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,14 +39,17 @@ from .estimators import (
 )
 from .longitudinal import (
     LongitudinalFitError,
+    LongitudinalPosterior,
     LongPriors,
+    compute_weights,
     fit_longitudinal,
 )
-from .mcmc import McmcConfig
+from .mcmc import McmcConfig, diagnostic_extremes
 from .metrics import BiasCoverage, bias_and_coverage, cdauc, ibs, mae_reconstruction
 from .simulate import (
     ScenarioParams,
     TruthRecord,
+    _params_from_dict,
     child_seed,
     load_scenarios,
     observe,
@@ -74,10 +81,10 @@ class StudyConfig:
         if len(set(names)) != len(names):
             raise ValueError("scenario names must be unique")
 
-    def grid_for(self, scenario: ScenarioParams) -> HazardGrid:
+    def grid_for(self, follow_up: float, visit_times) -> HazardGrid:
         if self.grid_cutpoints is not None:
             return HazardGrid(cutpoints=self.grid_cutpoints)
-        return default_grid(scenario.follow_up, scenario.visit_times)
+        return default_grid(follow_up, visit_times)
 
     def content_hash(self) -> str:
         doc = asdict(replace(self))
@@ -85,11 +92,20 @@ class StudyConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+_NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def _enc(v):
-    """JSON-safe encoding of floats that may be non-finite or missing."""
-    if v is None:
-        return None
-    if isinstance(v, bool):
+    """JSON form of a cell value: dataclasses become objects of their
+    fields, and non-finite floats become "nan", "inf" or "-inf"."""
+    if is_dataclass(v):
+        return {f.name: _enc(getattr(v, f.name)) for f in fields(v)}
+    if isinstance(v, dict):
+        return {k: _enc(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_enc(x) for x in v]
+    if v is None or isinstance(v, (bool, str)):
         return v
     if isinstance(v, (int, np.integer)):
         return int(v)
@@ -101,78 +117,25 @@ def _enc(v):
     return f
 
 
-def _dec(v):
-    if v is None or isinstance(v, bool):
-        return v
-    if isinstance(v, str):
-        return {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}[v]
+def _dec(hint, v):
+    """Inverse of ``_enc`` for a value of type ``hint``. Only float-typed
+    values turn the strings "nan", "inf" and "-inf" back into floats."""
+    if v is None:
+        return None
+    origin = typing.get_origin(hint)
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    if origin is list:
+        return [_dec(args[0], x) for x in v]
+    if origin is dict:
+        return {k: _dec(args[1], x) for k, x in v.items()}
+    if origin in (typing.Union, types.UnionType):
+        return _dec(args[0], v)
+    if is_dataclass(hint):
+        hints = _type_hints(hint)
+        return hint(**{f.name: _dec(hints[f.name], v[f.name]) for f in fields(hint)})
+    if hint is float and isinstance(v, str):
+        return _NONFINITE[v]
     return v
-
-
-def _summary_doc(s: EstimandSummary) -> dict:
-    return {
-        "median": _enc(s.median),
-        "lo95": _enc(s.lo95),
-        "hi95": _enc(s.hi95),
-        "frac_undefined": s.frac_undefined,
-        "n_draws": s.n_draws,
-    }
-
-
-def _summary_from_doc(d: dict) -> EstimandSummary:
-    return EstimandSummary(
-        median=_dec(d["median"]),
-        lo95=_dec(d["lo95"]),
-        hi95=_dec(d["hi95"]),
-        frac_undefined=d["frac_undefined"],
-        n_draws=d["n_draws"],
-    )
-
-
-def _truth_doc(tr: TruthRecord) -> dict:
-    return {
-        "time": tr.time,
-        "sace": _enc(tr.sace),
-        "pc": tr.pc,
-        "sim": _enc(tr.sim),
-        "rmst": tr.rmst,
-        "death_frac_control": tr.death_frac_control,
-        "death_frac_treated": tr.death_frac_treated,
-        "n_ll": tr.n_ll,
-    }
-
-
-def _truth_from_doc(d: dict) -> TruthRecord:
-    return TruthRecord(
-        time=d["time"],
-        sace=_dec(d["sace"]),
-        pc=d["pc"],
-        sim=_dec(d["sim"]),
-        rmst=d["rmst"],
-        death_frac_control=d["death_frac_control"],
-        death_frac_treated=d["death_frac_treated"],
-        n_ll=d["n_ll"],
-    )
-
-
-def _bc_doc(bc: BiasCoverage) -> dict:
-    return {
-        "defined": bc.defined,
-        "truth": _enc(bc.truth),
-        "bias": _enc(bc.bias),
-        "covered": bc.covered,
-        "reason": bc.reason,
-    }
-
-
-def _bc_from_doc(d: dict) -> BiasCoverage:
-    return BiasCoverage(
-        defined=d["defined"],
-        truth=_dec(d["truth"]),
-        bias=_dec(d["bias"]),
-        covered=d["covered"],
-        reason=d["reason"],
-    )
 
 
 @dataclass
@@ -203,58 +166,11 @@ class CellResult:
     failure: str | None = None
 
     def to_doc(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "replicate": self.replicate,
-            "failed": self.failed,
-            "failure": self.failure,
-            "ibs": _enc(self.ibs),
-            "cdauc": _enc(self.cdauc),
-            "survival_rhat": _enc(self.survival_rhat),
-            "times": [
-                {
-                    "time": ct.time,
-                    "truth": _truth_doc(ct.truth),
-                    "summaries": {k: _summary_doc(v) for k, v in ct.summaries.items()},
-                    "bias_coverage": {k: _bc_doc(v) for k, v in ct.bias_coverage.items()},
-                    "naive": _enc(ct.naive),
-                    "wmw": _enc(ct.wmw),
-                    "death_pct": ct.death_pct,
-                    "mae": _enc(ct.mae),
-                    "failed": ct.failed,
-                    "failure": ct.failure,
-                }
-                for ct in self.times
-            ],
-        }
+        return _enc(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CellResult":
-        times = [
-            CellTimeResult(
-                time=d["time"],
-                truth=_truth_from_doc(d["truth"]),
-                summaries={k: _summary_from_doc(v) for k, v in d["summaries"].items()},
-                bias_coverage={k: _bc_from_doc(v) for k, v in d["bias_coverage"].items()},
-                naive=_dec(d["naive"]),
-                wmw=_dec(d["wmw"]),
-                death_pct=d["death_pct"],
-                mae=_dec(d["mae"]),
-                failed=d["failed"],
-                failure=d["failure"],
-            )
-            for d in doc["times"]
-        ]
-        return cls(
-            scenario=doc["scenario"],
-            replicate=doc["replicate"],
-            times=times,
-            ibs=_dec(doc["ibs"]),
-            cdauc=_dec(doc["cdauc"]),
-            survival_rhat=_dec(doc["survival_rhat"]),
-            failed=doc["failed"],
-            failure=doc["failure"],
-        )
+        return _dec(cls, doc)
 
 
 @dataclass
@@ -268,10 +184,6 @@ class StudyResults:
             ct.failed for c in self.cells for ct in c.times
         )
 
-    def cells_for(self, scenario: str) -> list[CellResult]:
-        return sorted(
-            (c for c in self.cells if c.scenario == scenario), key=lambda c: c.replicate
-        )
 
 
 def _seed_int(master_seed: int, *parts) -> int:
@@ -288,14 +200,7 @@ def _fit_with_retry(fit_fn, cfg: McmcConfig):
     post = fit_fn(retry_cfg)
     if post.converged:
         return post, None
-    worst = max(
-        (d["rhat"] for d in post.diagnostics.values() if not math.isnan(d["rhat"])),
-        default=math.nan,
-    )
-    least = min(
-        (d["ess"] for d in post.diagnostics.values() if not math.isnan(d["ess"])),
-        default=math.nan,
-    )
+    worst, least = diagnostic_extremes(post.diagnostics)
     return post, f"convergence failure after retry (worst rhat {worst:.3f}, min ess {least:.0f})"
 
 
@@ -306,7 +211,7 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
         scenario, child_seed(seed, scenario.name, replicate, "sim")
     )
     data = observe(science)
-    grid = config.grid_for(scenario)
+    grid = config.grid_for(scenario.follow_up, scenario.visit_times)
     truths = {t: true_estimands(science, t) for t in scenario.visit_times}
 
     scfg = replace(config.mcmc, seed=_seed_int(seed, scenario.name, replicate, "surv"))
@@ -322,9 +227,6 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
             failure=f"survival fit: {err}",
         )
 
-    alive_obs = np.array(
-        [[p.alive_at(t) and t in p.y_obs for p in data.patients] for t in scenario.visit_times]
-    )
     x = np.array([p.x for p in data.patients], dtype=float)
     w = np.array([p.w for p in data.patients])
 
@@ -334,8 +236,7 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
         death_pct = 100.0 * float(
             np.mean([p.d_obs == 1 and p.t_obs <= t for p in data.patients])
         )
-        s_mis_mean = spost.s_mis_matrix(data, t).mean(axis=0)
-        weights = np.where(alive_obs[ti], s_mis_mean, 0.0)
+        weights = compute_weights(spost.s_mis_matrix(data, t).mean(axis=0), data, t)
         try:
             lcfg = replace(
                 config.mcmc, seed=_seed_int(seed, scenario.name, replicate, "long", ti)
@@ -369,8 +270,7 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
         rng = np.random.default_rng(child_seed(seed, scenario.name, replicate, "est", ti))
         if config.refit_weights_per_draw:
             draws = _estimand_draws_refit(
-                config, spost, data, t, alive_obs[ti], rng,
-                seed_parts=(scenario.name, replicate, "refit", ti),
+                config, spost, data, t, rng, seed_parts=(scenario.name, replicate, "refit", ti)
             )
         else:
             draws = estimand_draws(spost, lpost, data, t, config.k_draws, rng)
@@ -413,49 +313,35 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
         cell_ibs = None
         cell_cdauc = None
 
-    worst_rhat = max(
-        (d["rhat"] for d in spost.diagnostics.values() if not math.isnan(d["rhat"])),
-        default=None,
-    )
+    worst_rhat, _ = diagnostic_extremes(spost.diagnostics)
     return CellResult(
         scenario=scenario.name,
         replicate=replicate,
         times=results,
         ibs=cell_ibs,
         cdauc=cell_cdauc,
-        survival_rhat=worst_rhat,
+        survival_rhat=None if math.isnan(worst_rhat) else worst_rhat,
     )
 
 
-def _estimand_draws_refit(config, spost, data, t, alive_obs_t, rng, seed_parts):
+def _estimand_draws_refit(config, spost, data, t, rng, seed_parts):
     """Slow integration variant: refit the longitudinal model once per
-    survival draw, with weights from that draw, and take one longitudinal
-    draw from each refit."""
-    from .estimators import EstimandDraws, naive_effect, pc_draw, rmst_draw, sace_draw, sim_draw, wmw
-
+    survival draw, with weights from that draw, take one longitudinal draw
+    from each refit, and evaluate the k pairs in one batch."""
     k = config.k_draws
-    s_idx = spost.subsample_indices(k)
-    s_mis = spost.s_mis_matrix(data, t, s_idx)
-    sace = np.empty(k)
-    pc = np.empty(k)
-    sim = np.empty(k)
-    rmst = np.empty(k)
+    s_mis = spost.s_mis_matrix(data, t, spost.subsample_indices(k))
+    picked = []
     for kk in range(k):
-        s_params = spost.draw(int(s_idx[kk]))
-        weights = np.where(alive_obs_t, s_mis[kk], 0.0)
-        lcfg = replace(
-            config.mcmc, seed=_seed_int(config.master_seed, *seed_parts, kk)
-        )
+        lcfg = replace(config.mcmc, seed=_seed_int(config.master_seed, *seed_parts, kk))
+        weights = compute_weights(s_mis[kk], data, t)
         lpost_k = fit_longitudinal(data, t, weights, config.long_priors, lcfg)
-        l_params = lpost_k.draw(int(rng.integers(lpost_k.n_draws)))
-        sace[kk] = sace_draw(s_params, l_params, data, t)
-        pc[kk] = pc_draw(s_params, l_params, data, t)
-        sim[kk] = sim_draw(s_params, l_params, data, t, rng)
-        rmst[kk] = rmst_draw(s_params, data, t)
-    return EstimandDraws(
-        time=t, sace=sace, pc=pc, sim=sim, rmst=rmst,
-        naive=naive_effect(data, t), wmw=wmw(data, t),
-    )
+        j = int(rng.integers(lpost_k.n_draws))
+        picked.append((lpost_k.beta0[j], lpost_k.beta1[j], lpost_k.sigma[j]))
+    # k of k evenly spaced indices is the identity, so refit kk stays
+    # paired with survival draw kk
+    beta0, beta1, sigma = (np.array(a) for a in zip(*picked))
+    lpost = LongitudinalPosterior(t, beta0, beta1, sigma, diagnostics={}, converged=True)
+    return estimand_draws(spost, lpost, data, t, k, rng)
 
 
 def _cell_path(out_dir: Path, scenario: str, replicate: int) -> Path:
@@ -479,17 +365,17 @@ def run_study(config: StudyConfig, out_dir, workers: int | None = None) -> Study
     (out_dir / "cells").mkdir(parents=True, exist_ok=True)
     chash = config.content_hash()
 
-    pending = []
-    cells: dict[tuple[str, int], CellResult] = {}
-    for scenario in config.scenarios:
-        for rep in range(config.replicates):
-            path = _cell_path(out_dir, scenario.name, rep)
-            if path.exists():
-                doc = json.loads(path.read_text())
-                if doc.get("config_hash") == chash:
-                    cells[(scenario.name, rep)] = CellResult.from_doc(doc["cell"])
-                    continue
-            pending.append((scenario, rep))
+    cells = {
+        (cell.scenario, cell.replicate): cell
+        for cell_hash, cell in load_cells(out_dir)
+        if cell_hash == chash
+    }
+    pending = [
+        (scenario, rep)
+        for scenario in config.scenarios
+        for rep in range(config.replicates)
+        if (scenario.name, rep) not in cells
+    ]
 
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
@@ -514,15 +400,34 @@ def run_study(config: StudyConfig, out_dir, workers: int | None = None) -> Study
 
 
 def _write_cell(out_dir: Path, chash: str, cell: CellResult) -> None:
+    """Write through a temporary file so a killed run leaves either the old
+    cell file or the new one, never a truncated one."""
     path = _cell_path(out_dir, cell.scenario, cell.replicate)
+    tmp = path.with_name(path.name + ".tmp")
     doc = {"config_hash": chash, "cell": cell.to_doc()}
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    tmp.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    os.replace(tmp, path)
+
+
+def load_cells(out_dir) -> list[tuple[str, CellResult]]:
+    """(config hash, cell) for every readable cell file under ``out_dir``,
+    in file-name order. An unreadable or truncated file is skipped with a
+    warning, so a study recomputes that cell."""
+    loaded = []
+    for path in sorted((Path(out_dir) / "cells").glob("*.json")):
+        try:
+            doc = json.loads(path.read_text())
+            loaded.append((doc["config_hash"], CellResult.from_doc(doc["cell"])))
+        except (ValueError, KeyError, TypeError) as exc:
+            warnings.warn(f"ignoring unreadable cell file {path}: {exc!r}")
+    return loaded
 
 
 # --- aggregation and report files ---------------------------------------------
 
 
-def _fmt(v, digits: int = 4) -> str:
+def fmt(v, spec: str = ".4f") -> str:
+    """Report-file text of a number: "-" for missing or NaN values."""
     if v is None:
         return "-"
     if isinstance(v, bool):
@@ -532,7 +437,7 @@ def _fmt(v, digits: int = 4) -> str:
         return "-"
     if math.isinf(f):
         return "inf" if f > 0 else "-inf"
-    return f"{f:.{digits}f}"
+    return format(f, spec)
 
 
 def _slices_by_key(results: StudyResults) -> dict[tuple[str, float], list[CellTimeResult]]:
@@ -580,35 +485,25 @@ def bias_rows(results: StudyResults) -> list[dict]:
     rows = []
     for (scenario, t), slices in sorted(_slices_by_key(results).items()):
         for name in ESTIMANDS:
-            biases = [
-                ct.bias_coverage[name].bias
+            defined = [
+                ct.bias_coverage[name]
                 for ct in slices
                 if name in ct.bias_coverage and ct.bias_coverage[name].defined
             ]
+            biases = [bc.bias for bc in defined]
+            row = {"scenario": scenario, "time": t, "estimand": name, "truth": None,
+                   "bias_lo": None, "bias_hi": None, "bias_min": None,
+                   "bias_max": None, "bias_mean": None, "n_cells": len(biases)}
             if biases:
                 lo, hi = np.percentile(biases, [2.5, 97.5])
-                row = {
-                    "scenario": scenario,
-                    "time": t,
-                    "estimand": name,
-                    "truth": float(
-                        np.mean([ct.bias_coverage[name].truth for ct in slices
-                                 if name in ct.bias_coverage
-                                 and ct.bias_coverage[name].defined])
-                    ),
-                    "bias_lo": float(lo),
-                    "bias_hi": float(hi),
-                    "bias_min": float(min(biases)),
-                    "bias_max": float(max(biases)),
-                    "bias_mean": float(np.mean(biases)),
-                    "n_cells": len(biases),
-                }
-            else:
-                row = {
-                    "scenario": scenario, "time": t, "estimand": name, "truth": None,
-                    "bias_lo": None, "bias_hi": None, "bias_min": None,
-                    "bias_max": None, "bias_mean": None, "n_cells": 0,
-                }
+                row.update(
+                    truth=float(np.mean([bc.truth for bc in defined])),
+                    bias_lo=float(lo),
+                    bias_hi=float(hi),
+                    bias_min=float(min(biases)),
+                    bias_max=float(max(biases)),
+                    bias_mean=float(np.mean(biases)),
+                )
             rows.append(row)
     return rows
 
@@ -656,49 +551,30 @@ def metrics_rows(results: StudyResults) -> list[dict]:
     rows = []
     for cell in results.cells:
         for ct in cell.times:
+            key = {"scenario": cell.scenario, "replicate": cell.replicate, "time": ct.time}
+            tail = {"death_pct": ct.death_pct, "mae": ct.mae, "ibs": cell.ibs, "cdauc": cell.cdauc}
             for name in ESTIMANDS:
                 bc = ct.bias_coverage.get(name)
                 summ = ct.summaries.get(name)
-                rows.append(
-                    {
-                        "scenario": cell.scenario,
-                        "replicate": cell.replicate,
-                        "time": ct.time,
-                        "estimand": name,
-                        "truth": None if bc is None else bc.truth,
-                        "median": None if summ is None else summ.median,
-                        "lo95": None if summ is None else summ.lo95,
-                        "hi95": None if summ is None else summ.hi95,
-                        "bias": None if bc is None else bc.bias,
-                        "covered": None if bc is None else bc.covered,
-                        "death_pct": ct.death_pct,
-                        "mae": ct.mae,
-                        "ibs": cell.ibs,
-                        "cdauc": cell.cdauc,
-                    }
-                )
+                rows.append({
+                    **key,
+                    "estimand": name,
+                    "truth": getattr(bc, "truth", None),
+                    "median": getattr(summ, "median", None),
+                    "lo95": getattr(summ, "lo95", None),
+                    "hi95": getattr(summ, "hi95", None),
+                    "bias": getattr(bc, "bias", None),
+                    "covered": getattr(bc, "covered", None),
+                    **tail,
+                })
             for label, value in (
                 ("naive_reference_biased", ct.naive),
                 ("wmw_reference", ct.wmw),
             ):
-                rows.append(
-                    {
-                        "scenario": cell.scenario,
-                        "replicate": cell.replicate,
-                        "time": ct.time,
-                        "estimand": label,
-                        "truth": None,
-                        "median": value,
-                        "lo95": None,
-                        "hi95": None,
-                        "bias": None,
-                        "covered": None,
-                        "death_pct": ct.death_pct,
-                        "mae": ct.mae,
-                        "ibs": cell.ibs,
-                        "cdauc": cell.cdauc,
-                    }
-                )
+                rows.append({
+                    **key, "estimand": label, "truth": None, "median": value, "lo95": None,
+                    "hi95": None, "bias": None, "covered": None, **tail,
+                })
     return rows
 
 
@@ -710,7 +586,7 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: _fmt(v) if not isinstance(v, str) else v for k, v in row.items()})
+            writer.writerow({k: fmt(v) if not isinstance(v, str) else v for k, v in row.items()})
 
 
 def emit_report(results: StudyResults, out_dir) -> list[Path]:
@@ -742,30 +618,16 @@ def build_config(doc: dict) -> StudyConfig:
         if isinstance(item, str):
             scenario = library[item]
         else:
-            from .simulate import _params_from_dict
-
             scenario = _params_from_dict(item["name"], item)
-        overrides = {}
         if "n" in doc:
-            overrides["n"] = int(doc["n"])
-        if overrides:
-            scenario = scenario.with_updates(**overrides)
+            scenario = scenario.with_updates(n=int(doc["n"]))
         scenarios.append(scenario)
-    mcmc_doc = doc.get("mcmc", {})
     return StudyConfig(
         scenarios=tuple(scenarios),
         replicates=int(doc.get("replicates", 20)),
         k_draws=int(doc.get("k_draws", 100)),
         master_seed=int(doc.get("master_seed", 20240901)),
-        mcmc=McmcConfig(
-            chains=int(mcmc_doc.get("chains", 4)),
-            warmup=int(mcmc_doc.get("warmup", 1000)),
-            samples=int(mcmc_doc.get("samples", 1000)),
-            seed=int(mcmc_doc.get("seed", 0)),
-            target_accept=mcmc_doc.get("target_accept"),
-            rhat_threshold=float(mcmc_doc.get("rhat_threshold", 1.05)),
-            min_ess=float(mcmc_doc.get("min_ess", 400.0)),
-        ),
+        mcmc=McmcConfig.from_doc(doc.get("mcmc", {})),
         survival_priors=SurvivalPriors(**doc.get("survival_priors", {})),
         long_priors=LongPriors(**doc.get("long_priors", {})),
         grid_cutpoints=tuple(doc["grid_cutpoints"]) if "grid_cutpoints" in doc else None,

@@ -11,7 +11,7 @@ test suite. Beyond the last cutpoint the final segment rate is extended.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -284,9 +284,7 @@ class SurvivalPosterior:
 
     def subsample_indices(self, k: int) -> np.ndarray:
         """Evenly spaced draw indices for pairing with another posterior."""
-        if k > self.n_draws:
-            raise ValueError(f"requested {k} draws but only {self.n_draws} available")
-        return np.linspace(0, self.n_draws - 1, k).round().astype(int)
+        return mcmc.even_indices(self.n_draws, k)
 
     def s_mis_matrix(self, data: ObservedDataset, t: float, indices=None) -> np.ndarray:
         """Counterfactual survival probabilities, shape (draws, patients)."""
@@ -423,14 +421,8 @@ def fit_survival(
     accept: dict[str, float] = {}
     converged = True
     for w in (0, 1):
-        arm_cfg = cfg if w == 0 else mcmc.McmcConfig(
-            chains=cfg.chains,
-            warmup=cfg.warmup,
-            samples=cfg.samples,
-            seed=cfg.seed + 0x5F3759DF,  # distinct, deterministic stream per arm
-            rhat_threshold=cfg.rhat_threshold,
-            min_ess=cfg.min_ess,
-        )
+        # distinct, deterministic stream per arm
+        arm_cfg = cfg if w == 0 else replace(cfg, seed=cfg.seed + 0x5F3759DF)
         lam, alpha, result = _fit_one_arm(
             _arm_stats(table, w, j), j, p_dim, priors, arm_cfg
         )

@@ -1,6 +1,8 @@
 """End-to-end command-line workflows on tiny configurations."""
 
+import csv
 import json
+from importlib import resources
 
 import pytest
 from click.testing import CliRunner
@@ -82,6 +84,34 @@ def test_estimate_outputs(runner, sim_dir, fits_path, tmp_path):
     assert any("naive_reference_biased" in line for line in summary)
 
 
+def test_fit_leaves_out_visits_it_cannot_fit(runner, tmp_path):
+    # the treated arm dies out early, so late visits have no treated patient
+    library = json.loads(resources.files("tbd").joinpath("scenarios.json").read_text())
+    scenario = tmp_path / "killed.json"
+    scenario.write_text(json.dumps({"killed": {**library["mixed"], "th1_0": 4, "th1_x": 0}}))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"mcmc": FAST_MCMC}))
+    sim = tmp_path / "sim"
+    result = runner.invoke(main, ["simulate", "--scenario", str(scenario), "--seed", "1",
+                                  "--out", str(sim), "--n", "30"])
+    assert result.exit_code == 0, result.output
+    fits = tmp_path / "fits.json"
+    result = runner.invoke(main, ["fit", "--data", str(sim / "observed.json"), "--out", str(fits),
+                                  "--config", str(cfg), "--seed", "2"])
+    assert result.exit_code == 0, result.output
+    assert "no longitudinal fit at t=15.0" in result.output
+    visits = set(json.loads(fits.read_text())["longitudinal"])
+    assert "3" in visits and not visits & {"12", "15"}
+
+    est = tmp_path / "est"
+    result = runner.invoke(main, ["estimate", "--data", str(sim / "observed.json"),
+                                  "--fits", str(fits), "--out", str(est), "--draws", "5"])
+    assert result.exit_code == 0, result.output
+    with open(est / "estimates.csv", newline="") as fh:
+        times = {row["time"] for row in csv.DictReader(fh)}
+    assert times == {f"{float(v)}" for v in visits}
+
+
 def test_study_and_report_round_trip(runner, tmp_path):
     cfg = tmp_path / "study.json"
     cfg.write_text(
@@ -106,3 +136,12 @@ def test_study_and_report_round_trip(runner, tmp_path):
     result = runner.invoke(main, ["report", "--results", str(out), "--out", str(rep)])
     assert result.exit_code == 0, result.output
     assert (rep / "coverage_table.csv").read_text() == (out / "coverage_table.csv").read_text()
+
+    # a cell from another study config is refused, naming both hashes
+    cell_file = sorted((out / "cells").glob("*.json"))[0]
+    doc = json.loads(cell_file.read_text())
+    other = dict(doc, config_hash="0123456789abcdef")
+    (out / "cells" / "other__r0000.json").write_text(json.dumps(other))
+    result = runner.invoke(main, ["report", "--results", str(out), "--out", str(rep)])
+    assert result.exit_code != 0
+    assert doc["config_hash"] in result.output and "0123456789abcdef" in result.output

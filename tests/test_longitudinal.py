@@ -18,7 +18,7 @@ from tbd.longitudinal import (
 from tbd.mcmc import Block, McmcConfig, ModelSpec, run_chains
 from tbd.science import ObservedDataset, ObservedPatient
 from tbd.simulate import get_scenario, observe, simulate_science_table
-from tbd.survival import HazardGrid, SurvivalParams
+from tbd.survival import HazardGrid, SurvivalParams, predict_s_mis
 
 
 def _sparams(lam0, lam1, grid=HazardGrid((0.0, 15.0))):
@@ -44,24 +44,28 @@ class TestComputeWeights:
         data = ObservedDataset(
             patients=(_obs(w=1, t_obs=8.0, d_obs=1, y_obs={3.0: -1.0}),), follow_up=15.0
         )
-        w = compute_weights(_sparams(0.05, 0.05), data, 12.0)
+        draw = _sparams(0.05, 0.05)
+        w = compute_weights([predict_s_mis(draw, p, 12.0) for p in data.patients], data, 12.0)
         assert w.tolist() == [0.0]
 
     def test_survivor_gets_counterfactual_probability(self):
         data = ObservedDataset(patients=(_obs(w=1),), follow_up=15.0)
-        w = compute_weights(_sparams(0.05, 0.1), data, 12.0)
+        draw = _sparams(0.05, 0.1)
+        w = compute_weights([predict_s_mis(draw, p, 12.0) for p in data.patients], data, 12.0)
         assert w[0] == pytest.approx(math.exp(-0.05 * 12))
 
     def test_zero_counterfactual_hazard_gives_weight_one(self):
         data = ObservedDataset(patients=(_obs(w=1),), follow_up=15.0)
-        w = compute_weights(_sparams(1e-300, 0.1), data, 12.0)
+        draw = _sparams(1e-300, 0.1)
+        w = compute_weights([predict_s_mis(draw, p, 12.0) for p in data.patients], data, 12.0)
         assert w[0] == pytest.approx(1.0)
 
     def test_missing_measurement_gets_zero(self):
         data = ObservedDataset(
             patients=(_obs(w=0, y_obs={3.0: -1.0}),), follow_up=15.0
         )
-        w = compute_weights(_sparams(0.05, 0.05), data, 12.0)
+        draw = _sparams(0.05, 0.05)
+        w = compute_weights([predict_s_mis(draw, p, 12.0) for p in data.patients], data, 12.0)
         assert w.tolist() == [0.0]
 
 

@@ -1,6 +1,8 @@
 """Simulator ground truths, rank preservation, and reproducibility."""
 
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from tbd.science import Stratum, classify_stratum
 from tbd.simulate import (
     ScenarioError,
+    _params_from_dict,
     child_seed,
     extended_median,
     load_scenarios,
@@ -95,6 +98,13 @@ def test_nonpositive_scale_rejected(scenarios):
     bad = scenarios["no_effect"].with_updates(th0_0=0.5, th0_x=1.0, n=500)
     with pytest.raises(ScenarioError):
         simulate_science_table(bad, seed=1)
+
+
+def test_unknown_scenario_key_rejected():
+    doc = json.loads(resources.files("tbd").joinpath("scenarios.json").read_text())["mixed"]
+    assert _params_from_dict("mixed", doc).th1_0 == 10.0  # "description" is allowed
+    with pytest.raises(ScenarioError, match="treated_as_increment"):
+        _params_from_dict("mixed", {**doc, "treated_as_increment": True})
 
 
 class TestObserve:

@@ -1,12 +1,21 @@
 """Study driver: determinism, caching, failure isolation, and reports."""
 
 import json
+import math
+import shutil
+from pathlib import Path
 
 import pytest
 
+from tbd import study
+from tbd.estimators import EstimandSummary
+from tbd.metrics import BiasCoverage
+
 from tbd.mcmc import McmcConfig
-from tbd.simulate import get_scenario
+from tbd.simulate import TruthRecord, get_scenario
 from tbd.study import (
+    CellResult,
+    CellTimeResult,
     StudyConfig,
     build_config,
     coverage_rows,
@@ -73,7 +82,32 @@ class TestRunStudy:
         results = run_study(changed, out2, workers=1)
         docs = [json.loads(p.read_text()) for p in (out2 / "cells").glob("*.json")]
         assert all(d["config_hash"] == changed.content_hash() for d in docs)
-        assert results.config_hash != _config().content_hash() or True
+        assert results.config_hash == changed.content_hash() != _config().content_hash()
+
+    def test_cell_files_are_replaced_atomically(self, tmp_path, monkeypatch):
+        moves = []
+        real = study.os.replace
+
+        def spy(src, dst):
+            moves.append((Path(src), Path(dst)))
+            real(src, dst)
+
+        monkeypatch.setattr(study.os, "replace", spy)
+        run_study(_config(replicates=1), tmp_path, workers=1)
+        cell_file = tmp_path / "cells" / "no_effect__r0000.json"
+        assert moves == [(cell_file.with_name(cell_file.name + ".tmp"), cell_file)]
+        assert [p.name for p in (tmp_path / "cells").iterdir()] == [cell_file.name]
+
+    def test_truncated_cell_file_is_recomputed(self, study_dir, tmp_path):
+        cfg, out, _ = study_dir
+        out2 = tmp_path / "copy"
+        shutil.copytree(out / "cells", out2 / "cells")
+        victim = out2 / "cells" / "no_effect__r0001.json"
+        intact = victim.read_bytes()
+        victim.write_bytes(intact[: len(intact) // 2])
+        with pytest.warns(UserWarning, match="unreadable cell file"):
+            run_study(cfg, out2, workers=1)
+        assert victim.read_bytes() == intact
 
     def test_truths_recorded_exactly(self, study_dir):
         _, _, results = study_dir
@@ -82,6 +116,36 @@ class TestRunStudy:
                 assert ct.truth.sace == 0.0
                 assert ct.truth.pc == 0.5
                 assert ct.truth.rmst == 0.0
+
+
+class TestCellDoc:
+    def test_round_trip_keeps_non_finite_and_missing_values(self):
+        nan, inf = math.nan, math.inf
+        cell = CellResult(
+            scenario="s", replicate=3, ibs=nan, cdauc=None, survival_rhat=inf,
+            failed=True, failure="nan",
+            times=[
+                CellTimeResult(
+                    time=9.0,
+                    truth=TruthRecord(9.0, None, 0.5, -inf, 0.0, 0.1, 0.2, 0),
+                    summaries={"sim": EstimandSummary(None, -inf, inf, 1.0, 10)},
+                    bias_coverage={"sim": BiasCoverage(False, truth=-inf, reason="inf")},
+                    naive=nan, wmw=None, death_pct=12.5, mae=None,
+                    failed=True, failure="-inf",
+                )
+            ],
+        )
+        doc = json.loads(json.dumps(cell.to_doc()))
+        back = CellResult.from_doc(doc)
+        assert math.isnan(back.ibs) and back.cdauc is None and back.survival_rhat == inf
+        ct = back.times[0]
+        assert ct.truth.sace is None and ct.truth.sim == -inf
+        assert ct.summaries["sim"] == EstimandSummary(None, -inf, inf, 1.0, 10)
+        assert ct.bias_coverage["sim"] == BiasCoverage(False, truth=-inf, reason="inf")
+        assert math.isnan(ct.naive) and ct.wmw is None and ct.mae is None
+        # strings that spell a non-finite float stay strings
+        assert (back.failure, ct.failure) == ("nan", "-inf")
+        assert back.to_doc() == cell.to_doc()
 
 
 class TestRefitVariant:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from tbd import mcmc
 from tbd.mcmc import McmcConfig
 from tbd.science import ObservedDataset, ObservedPatient
 from tbd.simulate import get_scenario, observe, simulate_science_table
@@ -256,6 +257,23 @@ class TestFitSurvival:
         b = fit_survival(data, grid, SurvivalPriors(), cfg)
         assert np.array_equal(a.lambda0, b.lambda0)
         assert np.array_equal(a.alpha1, b.alpha1)
+
+    def test_both_arms_get_the_callers_target_accept(self, monkeypatch):
+        seen = []
+        real = mcmc.run_chains
+
+        def spy(model, cfg):
+            seen.append((cfg.target_accept, cfg.seed))
+            return real(model, cfg)
+
+        monkeypatch.setattr(mcmc, "run_chains", spy)
+        data = observe(
+            simulate_science_table(get_scenario("no_effect").with_updates(n=30), seed=3)
+        )
+        cfg = McmcConfig(chains=2, warmup=20, samples=20, seed=5, target_accept=0.3)
+        fit_survival(data, default_grid(15.0), SurvivalPriors(), cfg)
+        assert [ta for ta, _ in seen] == [0.3, 0.3]
+        assert seen[0][1] != seen[1][1]  # each arm keeps its own stream
 
     def test_posterior_json_round_trip(self):
         rng = np.random.default_rng(1)
