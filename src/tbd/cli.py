@@ -74,11 +74,10 @@ def fit(data_path: str, out: str, config_path: str | None, seed: int) -> None:
     A visit whose longitudinal model cannot be fitted (an arm with nobody
     alive and measured there) is reported on stderr and left out of the
     output; ``tbd estimate`` covers the visits that are present."""
-    doc = json.loads(Path(config_path).read_text()) if config_path else {}
+    cfg = _load_config(config_path, scenarios=[])
     data = science.observed_from_json(science.load_json(data_path))
     if not data.visit_times:
         raise click.ClickException("dataset must carry visit_times")
-    cfg = study.build_config({**doc, "scenarios": []})
     grid = cfg.grid_for(data.follow_up, data.visit_times)
     spost = survival.fit_survival(data, grid, cfg.survival_priors, replace(cfg.mcmc, seed=seed))
     if not spost.converged:
@@ -110,14 +109,22 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
     """Compute per-draw estimand values and their posterior summaries."""
     data = science.observed_from_json(science.load_json(data_path))
     fits = science.load_json(fits_path)
-    spost = survival.SurvivalPosterior.from_json(fits["survival"])
+    try:
+        spost = survival.SurvivalPosterior.from_json(fits["survival"])
+        lposts = {key: longitudinal.LongitudinalPosterior.from_json(ldoc)
+                  for key, ldoc in fits["longitudinal"].items()}
+    except (KeyError, ValueError) as exc:
+        raise click.ClickException(f"posteriors {fits_path} refused: {exc}; rerun `tbd fit`") from exc
+    if not spost.converged:
+        click.echo("warning: survival fit flagged by convergence diagnostics", err=True)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     est_rows = []
     summary_rows = []
-    for key, ldoc in fits["longitudinal"].items():
+    for key, lpost in lposts.items():
         t = float(key)
-        lpost = longitudinal.LongitudinalPosterior.from_json(ldoc)
+        if not lpost.converged:
+            click.echo(f"warning: longitudinal fit at t={t} flagged by diagnostics", err=True)
         rng = np.random.default_rng(simulate.child_seed(seed, "estimate", key))
         result = estimators.estimand_draws(spost, lpost, data, t, draws, rng)
         for name in ("sace", "pc", "sim", "rmst"):
@@ -172,8 +179,7 @@ def _write_rows(path: Path, rows: list[dict]) -> None:
 @click.option("--workers", type=int, default=None, help="Worker processes (default: TBD_WORKERS or 1).")
 def study_cmd(config_path: str | None, out: str, seed: int | None, workers: int | None) -> None:
     """Run the scenario x replicate study and write report CSVs."""
-    doc = json.loads(Path(config_path).read_text()) if config_path else {}
-    cfg = study.build_config(doc)
+    cfg = _load_config(config_path)
     if seed is not None:
         cfg = replace(cfg, master_seed=seed)
     results = study.run_study(cfg, out, workers=workers)
@@ -184,6 +190,15 @@ def study_cmd(config_path: str | None, out: str, seed: int | None, workers: int 
     )
     if n_failed:
         sys.exit(1)
+
+
+def _load_config(path: str | None, **overrides) -> study.StudyConfig:
+    """``study.build_config`` of a JSON file (or ``{}``); a refused one is a one-line error."""
+    try:
+        doc = json.loads(Path(path).read_text()) if path else {}
+        return study.build_config({**doc, **overrides})
+    except (KeyError, ValueError) as exc:
+        raise click.ClickException(f"config {path} refused: {exc}") from exc
 
 
 @main.command()

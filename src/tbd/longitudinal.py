@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mcmc
+from .codec import decode, encode
 from .science import ObservedDataset, ObservedPatient
 
 
@@ -122,35 +123,11 @@ class LongitudinalPosterior:
         return mcmc.even_indices(self.n_draws, k)
 
     def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "draws": [
-                {
-                    "beta0_0": float(self.beta0[k, 0]),
-                    "beta0_1": float(self.beta0[k, 1]),
-                    "beta1_0": self.beta1[k, 0].tolist(),
-                    "beta1_1": self.beta1[k, 1].tolist(),
-                    "sigma": float(self.sigma[k]),
-                }
-                for k in range(self.n_draws)
-            ],
-            "diagnostics": self.diagnostics,
-            "converged": self.converged,
-        }
+        return encode(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "LongitudinalPosterior":
-        draws = doc["draws"]
-        beta0 = np.array([[d["beta0_0"], d["beta0_1"]] for d in draws])
-        beta1 = np.array([[d["beta1_0"], d["beta1_1"]] for d in draws])
-        return cls(
-            t=float(doc["t"]),
-            beta0=beta0,
-            beta1=beta1,
-            sigma=np.array([d["sigma"] for d in draws]),
-            diagnostics=doc.get("diagnostics", {}),
-            converged=bool(doc.get("converged", True)),
-        )
+        return decode(cls, doc)
 
 
 def fit_longitudinal(

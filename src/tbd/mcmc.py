@@ -60,21 +60,6 @@ class McmcConfig:
     rhat_threshold: float = 1.05
     min_ess: float = 400.0
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "McmcConfig":
-        """Settings from a JSON ``mcmc`` object; absent keys keep their
-        defaults. The casts keep ``content_hash`` independent of whether a
-        number was written as an int or a float."""
-        return cls(
-            chains=int(doc.get("chains", cls.chains)),
-            warmup=int(doc.get("warmup", cls.warmup)),
-            samples=int(doc.get("samples", cls.samples)),
-            seed=int(doc.get("seed", cls.seed)),
-            target_accept=doc.get("target_accept"),
-            rhat_threshold=float(doc.get("rhat_threshold", cls.rhat_threshold)),
-            min_ess=float(doc.get("min_ess", cls.min_ess)),
-        )
-
     def __post_init__(self) -> None:
         if self.chains < 2:
             raise ValueError("at least 2 chains are required for diagnostics")

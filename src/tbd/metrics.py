@@ -171,22 +171,10 @@ def _weighted_auc_at(risk: np.ndarray, case: np.ndarray, control: np.ndarray,
     if n_ctrl == 0 or len(w_case) == 0 or w_case.sum() <= 0:
         return None
     r = np.asarray(risk, dtype=float)
-    order = np.argsort(r, kind="stable")
-    r_sorted = r[order]
-    is_ctrl = control[order].astype(float)
-    below = np.concatenate([[0.0], np.cumsum(is_ctrl)])  # controls strictly before index
-    # group ties: for each position, controls with the same risk value
-    wins = np.zeros(len(r))
-    i = 0
-    while i < len(r):
-        j = i
-        while j + 1 < len(r) and r_sorted[j + 1] == r_sorted[i]:
-            j += 1
-        ctrl_in_tie = below[j + 1] - below[i]
-        wins_here = below[i] + 0.5 * ctrl_in_tie
-        wins[order[i : j + 1]] = wins_here
-        i = j + 1
-    total = float(np.sum(case_w[case] * wins[case]))
+    ctrl_sorted = np.sort(r[control])
+    below = np.searchsorted(ctrl_sorted, r[case], side="left")
+    tied = np.searchsorted(ctrl_sorted, r[case], side="right") - below
+    total = float(np.sum(w_case * (below + 0.5 * tied)))
     return total / (float(w_case.sum()) * n_ctrl)
 
 

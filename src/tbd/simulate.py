@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
+from .codec import decode
 from .science import (
     ObservedDataset,
     ObservedPatient,
@@ -278,24 +279,14 @@ def true_estimands(science: ScienceTable, t: float) -> TruthRecord:
 
 # --- scenario library --------------------------------------------------------
 
-_FIELD_NAMES = (
-    "a0_0", "a1_0", "a0_x", "a1_x", "a0_u", "a1_u",
-    "th0_0", "th1_0", "th0_x", "th1_x", "th0_u", "th1_u",
-    "sigma", "rho", "follow_up", "n",
-)
-
-
 def _params_from_dict(name: str, doc: dict) -> ScenarioParams:
     """Scenario from a JSON object; a key that is neither a parameter nor
     ``description`` is refused rather than silently ignored."""
-    unknown = sorted(set(doc) - {f.name for f in fields(ScenarioParams)} - {"description"})
-    if unknown:
-        raise ScenarioError(f"scenario {name!r}: unknown keys {unknown}")
-    return ScenarioParams(
-        name=name,
-        visit_times=tuple(float(v) for v in doc["visit_times"]),
-        **{k: doc[k] for k in _FIELD_NAMES},
-    )
+    params = {k: v for k, v in doc.items() if k != "description"}
+    try:
+        return decode(ScenarioParams, {**params, "name": name})
+    except ValueError as exc:
+        raise ScenarioError(f"scenario {name!r}: {exc}") from exc
 
 
 def load_scenarios(path=None) -> dict[str, ScenarioParams]:

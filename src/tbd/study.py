@@ -15,20 +15,19 @@ cells.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import math
 import os
-import types
-import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .codec import decode, encode
 from .estimators import (
     EstimandSummary,
     estimand_draws,
@@ -87,55 +86,8 @@ class StudyConfig:
         return default_grid(follow_up, visit_times)
 
     def content_hash(self) -> str:
-        doc = asdict(replace(self))
-        blob = json.dumps(doc, sort_keys=True, default=str).encode("utf8")
+        blob = json.dumps(encode(self), sort_keys=True).encode("utf8")
         return hashlib.sha256(blob).hexdigest()[:16]
-
-
-_NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
-_type_hints = functools.cache(typing.get_type_hints)
-
-
-def _enc(v):
-    """JSON form of a cell value: dataclasses become objects of their
-    fields, and non-finite floats become "nan", "inf" or "-inf"."""
-    if is_dataclass(v):
-        return {f.name: _enc(getattr(v, f.name)) for f in fields(v)}
-    if isinstance(v, dict):
-        return {k: _enc(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_enc(x) for x in v]
-    if v is None or isinstance(v, (bool, str)):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    f = float(v)
-    if math.isnan(f):
-        return "nan"
-    if math.isinf(f):
-        return "inf" if f > 0 else "-inf"
-    return f
-
-
-def _dec(hint, v):
-    """Inverse of ``_enc`` for a value of type ``hint``. Only float-typed
-    values turn the strings "nan", "inf" and "-inf" back into floats."""
-    if v is None:
-        return None
-    origin = typing.get_origin(hint)
-    args = [a for a in typing.get_args(hint) if a is not type(None)]
-    if origin is list:
-        return [_dec(args[0], x) for x in v]
-    if origin is dict:
-        return {k: _dec(args[1], x) for k, x in v.items()}
-    if origin in (typing.Union, types.UnionType):
-        return _dec(args[0], v)
-    if is_dataclass(hint):
-        hints = _type_hints(hint)
-        return hint(**{f.name: _dec(hints[f.name], v[f.name]) for f in fields(hint)})
-    if hint is float and isinstance(v, str):
-        return _NONFINITE[v]
-    return v
 
 
 @dataclass
@@ -166,11 +118,11 @@ class CellResult:
     failure: str | None = None
 
     def to_doc(self) -> dict:
-        return _enc(self)
+        return encode(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CellResult":
-        return _dec(cls, doc)
+        return decode(cls, doc)
 
 
 @dataclass
@@ -379,15 +331,11 @@ def run_study(config: StudyConfig, out_dir, workers: int | None = None) -> Study
 
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers > 1 and pending:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = [(config, s, r) for s, r in pending]
-            for (scenario, rep), cell in zip(pending, pool.map(_run_cell_job, jobs)):
-                cells[(scenario.name, rep)] = cell
-                _write_cell(out_dir, chash, cell)
-    else:
-        for scenario, rep in pending:
-            cell = run_cell(config, scenario, rep)
+    jobs = [(config, s, r) for s, r in pending]
+    parallel = workers > 1 and bool(jobs)
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        done = (pool.map if parallel else map)(_run_cell_job, jobs)
+        for (scenario, rep), cell in zip(pending, done):
             cells[(scenario.name, rep)] = cell
             _write_cell(out_dir, chash, cell)
 
@@ -609,8 +557,9 @@ def emit_report(results: StudyResults, out_dir) -> list[Path]:
 def build_config(doc: dict) -> StudyConfig:
     """Build a StudyConfig from a plain JSON document.
 
-    ``scenarios`` may list library names or inline parameter objects;
-    other keys override defaults.
+    ``scenarios`` may list library names or inline parameter objects; ``n``
+    sets every scenario's size; other keys override defaults, and a key
+    that names no field raises ``ValueError``.
     """
     library = load_scenarios()
     scenarios = []
@@ -622,14 +571,5 @@ def build_config(doc: dict) -> StudyConfig:
         if "n" in doc:
             scenario = scenario.with_updates(n=int(doc["n"]))
         scenarios.append(scenario)
-    return StudyConfig(
-        scenarios=tuple(scenarios),
-        replicates=int(doc.get("replicates", 20)),
-        k_draws=int(doc.get("k_draws", 100)),
-        master_seed=int(doc.get("master_seed", 20240901)),
-        mcmc=McmcConfig.from_doc(doc.get("mcmc", {})),
-        survival_priors=SurvivalPriors(**doc.get("survival_priors", {})),
-        long_priors=LongPriors(**doc.get("long_priors", {})),
-        grid_cutpoints=tuple(doc["grid_cutpoints"]) if "grid_cutpoints" in doc else None,
-        refit_weights_per_draw=bool(doc.get("refit_weights_per_draw", False)),
-    )
+    rest = {k: v for k, v in doc.items() if k != "n"}
+    return replace(decode(StudyConfig, {**rest, "scenarios": []}), scenarios=tuple(scenarios))

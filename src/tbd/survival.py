@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import mcmc
+from .codec import decode, encode
 from .science import ObservedDataset, ObservedPatient
 
 
@@ -303,33 +304,11 @@ class SurvivalPosterior:
         return np.exp(-cum)
 
     def to_json(self) -> dict:
-        return {
-            "grid": list(self.grid.cutpoints),
-            "draws": [
-                {
-                    "lambda0": self.lambda0[k].tolist(),
-                    "lambda1": self.lambda1[k].tolist(),
-                    "alpha0": self.alpha0[k].tolist(),
-                    "alpha1": self.alpha1[k].tolist(),
-                }
-                for k in range(self.n_draws)
-            ],
-            "diagnostics": self.diagnostics,
-            "converged": self.converged,
-        }
+        return encode(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "SurvivalPosterior":
-        draws = doc["draws"]
-        return cls(
-            grid=HazardGrid(cutpoints=tuple(doc["grid"])),
-            lambda0=np.array([d["lambda0"] for d in draws]),
-            lambda1=np.array([d["lambda1"] for d in draws]),
-            alpha0=np.array([d["alpha0"] for d in draws]),
-            alpha1=np.array([d["alpha1"] for d in draws]),
-            diagnostics=doc.get("diagnostics", {}),
-            converged=bool(doc.get("converged", True)),
-        )
+        return decode(cls, doc)
 
 
 def _arm_stats(table: PersonIntervalTable, w: int, n_segments: int):

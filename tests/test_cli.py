@@ -4,6 +4,7 @@ import csv
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -58,14 +59,22 @@ def fits_path(runner, sim_dir, tmp_path_factory):
 
 
 def test_fit_output_schema(fits_path):
-    doc = json.loads(fits_path.read_text())
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    doc = json.loads(fits_path.read_text(), parse_constant=refuse)
     assert set(doc) == {"survival", "longitudinal"}
     surv = doc["survival"]
-    assert {"grid", "draws", "diagnostics"} <= set(surv)
-    assert {"lambda0", "lambda1", "alpha0", "alpha1"} == set(surv["draws"][0])
+    assert {"grid", "lambda0", "lambda1", "alpha0", "alpha1", "diagnostics", "converged"} <= set(surv)
+    n_draws = FAST_MCMC["chains"] * FAST_MCMC["samples"]
+    assert np.shape(surv["lambda0"]) == (n_draws, len(surv["grid"]["cutpoints"]) - 1)
+    assert np.shape(surv["alpha1"]) == (n_draws, 1)
     assert set(doc["longitudinal"]) == {"3", "6", "9", "12", "15"}
-    ldraw = doc["longitudinal"]["9"]["draws"][0]
-    assert {"beta0_0", "beta0_1", "beta1_0", "beta1_1", "sigma"} == set(ldraw)
+    long9 = doc["longitudinal"]["9"]
+    assert {"t", "beta0", "beta1", "sigma", "diagnostics", "converged"} <= set(long9)
+    assert np.shape(long9["beta0"]) == (n_draws, 2)
+    assert np.shape(long9["beta1"]) == (n_draws, 2, 1)
+    assert np.shape(long9["sigma"]) == (n_draws,)
 
 
 def test_estimate_outputs(runner, sim_dir, fits_path, tmp_path):
@@ -82,6 +91,57 @@ def test_estimate_outputs(runner, sim_dir, fits_path, tmp_path):
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     assert summary[0] == "estimand,time,median,lo95,hi95,frac_undefined"
     assert any("naive_reference_biased" in line for line in summary)
+
+
+def test_estimate_warns_about_unconverged_fits(runner, sim_dir, fits_path, tmp_path):
+    doc = json.loads(fits_path.read_text())
+    assert doc["survival"]["converged"]
+    assert all(ldoc["converged"] for ldoc in doc["longitudinal"].values())
+    doc["longitudinal"]["9"]["converged"] = False
+    flagged = tmp_path / "flagged.json"
+    flagged.write_text(json.dumps(doc))
+    outputs = {}
+    for name, path in (("clean", fits_path), ("flagged", flagged)):
+        result = runner.invoke(main, ["estimate", "--data", str(sim_dir / "observed.json"),
+                                      "--fits", str(path), "--out", str(tmp_path / name),
+                                      "--draws", "5"])
+        assert result.exit_code == 0, result.output
+        outputs[name] = [line for line in result.output.splitlines() if "warning" in line]
+    assert outputs == {"clean": [],
+                       "flagged": ["warning: longitudinal fit at t=9.0 flagged by diagnostics"]}
+    for csv_name in ("estimates.csv", "summary.csv"):
+        assert (tmp_path / "flagged" / csv_name).read_bytes() == (
+            tmp_path / "clean" / csv_name
+        ).read_bytes()
+
+
+def test_estimate_refuses_per_draw_fits_file(runner, sim_dir, tmp_path):
+    # the layout tbd fit wrote before posteriors became columnar
+    old = {"survival": {"grid": [0.0, 15.0], "converged": True, "diagnostics": {},
+                        "draws": [{"lambda0": [0.1], "lambda1": [0.1],
+                                   "alpha0": [0.0], "alpha1": [0.0]}]},
+           "longitudinal": {}}
+    fits = tmp_path / "fits.json"
+    fits.write_text(json.dumps(old))
+    result = runner.invoke(main, ["estimate", "--data", str(sim_dir / "observed.json"),
+                                  "--fits", str(fits), "--out", str(tmp_path / "est")])
+    assert result.exit_code == 1
+    assert len(result.output.strip().splitlines()) == 1
+    assert "unknown keys ['draws']" in result.output and "rerun `tbd fit`" in result.output
+
+
+@pytest.mark.parametrize("doc, refused", [
+    ({"replicate": 3}, "StudyConfig: unknown keys ['replicate']"),
+    ({"mcmc": {"warmpu": 3}}, "McmcConfig: unknown keys ['warmpu']"),
+], ids=["top-level", "mcmc"])
+def test_refused_study_config_is_a_one_line_error(runner, tmp_path, doc, refused):
+    cfg = tmp_path / "study.json"
+    # no scenarios: were the key ignored, the study would finish at once with no cells
+    cfg.write_text(json.dumps({"scenarios": [], **doc}))
+    result = runner.invoke(main, ["study", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [f"Error: config {cfg} refused: {refused}"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_fit_leaves_out_visits_it_cannot_fit(runner, tmp_path):

@@ -209,7 +209,8 @@ class TestCdAuc:
         b = cdauc(np.exp(2.0 * risk), data, np.array([4.0, 8.0]))
         assert a == pytest.approx(b, abs=1e-12)
 
-    def test_reference_implementation_agreement(self):
+    @pytest.mark.parametrize("tied", [False, True], ids=["continuous", "ties"])
+    def test_reference_implementation_agreement(self, tied):
         rng = np.random.default_rng(6)
         n = 120
         pats = []
@@ -220,6 +221,8 @@ class TestCdAuc:
                                         follow_up=t if d == 0 else 20.0))
         data = ObservedDataset(patients=tuple(pats), follow_up=20.0)
         risk = rng.normal(size=n)
+        if tied:
+            risk = np.round(risk, 1)
         tau = 7.0
         times = np.array([p.t_obs for p in pats])
         events = np.array([p.d_obs for p in pats])

@@ -84,6 +84,14 @@ class TestRunStudy:
         assert all(d["config_hash"] == changed.content_hash() for d in docs)
         assert results.config_hash == changed.content_hash() != _config().content_hash()
 
+    def test_worker_processes_write_the_same_cells(self, study_dir, tmp_path):
+        cfg, out, _ = study_dir
+        run_study(cfg, tmp_path, workers=2)
+        names = sorted(p.name for p in (out / "cells").glob("*.json"))
+        assert names == sorted(p.name for p in (tmp_path / "cells").glob("*.json"))
+        for name in names:
+            assert (tmp_path / "cells" / name).read_bytes() == (out / "cells" / name).read_bytes()
+
     def test_cell_files_are_replaced_atomically(self, tmp_path, monkeypatch):
         moves = []
         real = study.os.replace
@@ -264,3 +272,26 @@ class TestBuildConfig:
         cfg = build_config(doc)
         assert cfg.scenarios[0].name == "custom"
         assert cfg.scenarios[0].th0_0 == 30.0
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"replicate": 3}, "replicate"),
+            ({"mcmc": {"warmpu": 3}}, "warmpu"),
+            ({"survival_priors": {"lamda_mean": 0.1}}, "lamda_mean"),
+            ({"long_priors": {"beta0_men": -1.0}}, "beta0_men"),
+        ],
+        ids=["top-level", "mcmc", "survival_priors", "long_priors"],
+    )
+    def test_unknown_key_refused(self, doc, key):
+        with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
+            build_config(doc)
+
+    def test_int_and_float_spellings_hash_alike(self):
+        def chash(doc):
+            return build_config(doc).content_hash()
+
+        assert chash({"mcmc": {"min_ess": 5}}) == chash({"mcmc": {"min_ess": 5.0}})
+        assert chash({"grid_cutpoints": [0, 3, 6, 9, 12, 15]}) == chash(
+            {"grid_cutpoints": [0.0, 3.0, 6.0, 9.0, 12.0, 15.0]}
+        )

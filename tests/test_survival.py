@@ -1,5 +1,6 @@
 """Poisson expansion, closed-form survival quantities, and fit oracles."""
 
+import json
 import math
 
 import numpy as np
@@ -283,13 +284,19 @@ class TestFitSurvival:
             lambda1=rng.uniform(0.01, 0.1, size=(3, 5)),
             alpha0=rng.normal(size=(3, 1)),
             alpha1=rng.normal(size=(3, 1)),
-            diagnostics={"lambda0_0[0]": {"rhat": 1.0, "ess": 400.0}},
+            diagnostics={"lambda0_0[0]": {"rhat": 1.0, "ess": 400.0},
+                         "alpha0[0]": {"rhat": math.nan, "ess": math.nan}},
             converged=True,
         )
-        back = SurvivalPosterior.from_json(post.to_json())
-        assert np.allclose(back.lambda0, post.lambda0)
+        # a NaN diagnostic is written as a string, so the file is standard JSON
+        text = json.dumps(post.to_json(), allow_nan=False)
+        back = SurvivalPosterior.from_json(json.loads(text))
+        assert np.array_equal(back.lambda0, post.lambda0)
+        assert np.array_equal(back.alpha1, post.alpha1)
         assert back.grid == post.grid
         assert back.converged
+        assert math.isnan(back.diagnostics["alpha0[0]"]["rhat"])
+        assert back.diagnostics["lambda0_0[0]"] == {"rhat": 1.0, "ess": 400.0}
 
 
 @pytest.mark.slow
