@@ -31,7 +31,10 @@ def simulate_cmd(scenario: str, seed: int, out: str, n: int | None) -> None:
         lib = simulate.load_scenarios(scenario)
         params = next(iter(lib.values())) if len(lib) == 1 else lib[Path(scenario).stem]
     else:
-        params = simulate.get_scenario(scenario)
+        try:
+            params = simulate.get_scenario(scenario)
+        except simulate.ScenarioError as exc:
+            raise click.ClickException(str(exc)) from exc
     if n is not None:
         params = params.with_updates(n=n)
     table = simulate.simulate_science_table(params, simulate.child_seed(seed, params.name, "sim"))

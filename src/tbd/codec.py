@@ -2,13 +2,15 @@
 files keep their own format in ``science``). Non-finite floats are written as
 "nan", "inf" and "-inf" and read back only into float-typed fields and arrays.
 ``decode`` casts numbers to the hinted int or float, so ``5`` and ``5.0`` read
-alike, gives absent fields their defaults and refuses keys that name no field.
+alike, gives absent fields their defaults and refuses keys that name no field;
+a value that does not fit is refused naming its dataclass and field.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import types
 import typing
 from dataclasses import fields, is_dataclass
@@ -41,6 +43,11 @@ def encode(v):
     return f
 
 
+class DecodeError(ValueError):
+    """A document that does not fit its type; the message starts with the
+    dataclass and field it was read into, as in ``StudyConfig.replicates:``."""
+
+
 def decode(hint, v):
     """Inverse of ``encode`` for a value of type ``hint``; ``ValueError``
     for a document that does not fit the type."""
@@ -58,13 +65,27 @@ def decode(hint, v):
         hints = _type_hints(hint)
         unknown = sorted(set(v) - set(hints))
         if unknown:
-            raise ValueError(f"{hint.__name__}: unknown keys {unknown}")
+            raise DecodeError(f"{hint.__name__}: unknown keys {unknown}")
+        values = {}
+        for k, x in v.items():
+            try:
+                values[k] = decode(hints[k], x)
+            except DecodeError:
+                raise
+            except (TypeError, ValueError) as exc:
+                raise DecodeError(f"{hint.__name__}.{k}: {exc}") from exc
         try:
-            return hint(**{k: decode(hints[k], x) for k, x in v.items()})
-        except TypeError as exc:  # a required field is absent or a value has the wrong type
-            raise ValueError(f"{hint.__name__}: {exc}") from exc
+            return hint(**values)
+        except TypeError as exc:  # a required field is absent
+            raise DecodeError(f"{hint.__name__}: {exc}") from exc
     if hint is np.ndarray:
         return np.asarray(v, dtype=float)
-    if hint is int and v != int(v):
-        raise ValueError(f"expected an integer, got {v!r}")
-    return hint(v) if hint in (int, float) else v
+    if hint is int:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or v != int(v):
+            raise ValueError(f"expected an integer, got {v!r}")
+        return int(v)
+    if hint is float:
+        if isinstance(v, bool) or not isinstance(v, (numbers.Real, str)):
+            raise ValueError(f"expected a number, got {v!r}")
+        return float(v)
+    return v

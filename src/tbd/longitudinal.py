@@ -6,6 +6,9 @@ patient's log-likelihood contribution is weighted by the probability that
 the patient belongs to the always-survivor stratum at t: zero for patients
 dead or unmeasured at t, and the counterfactual survival probability for
 patients observed alive.
+
+Given sigma the coefficients are Gaussian, so the fit draws sigma from its
+closed-form marginal on a log grid and then the coefficients exactly.
 """
 
 from __future__ import annotations
@@ -130,6 +133,92 @@ class LongitudinalPosterior:
         return decode(cls, doc)
 
 
+# log-spaced sigma grid of the griddy sampler; each point is the centre of a cell
+LOG_SIGMA_GRID = np.linspace(math.log(1e-2), math.log(1e3), 3000)
+_LOG_SIGMA_STEP = LOG_SIGMA_GRID[1] - LOG_SIGMA_GRID[0]
+END_MASS_TOL = 1e-6  # posterior mass an end cell of the grid may hold
+
+
+@dataclass(frozen=True)
+class _ArmRegression:
+    """One arm's weighted regression, diagonalised against its prior.
+
+    With prior sds S and precision L0 = S^-2, the eigendecomposition
+    S X'WX S = V diag(d) V' gives, for the basis G = S V, the posterior
+    precision X'WX / sigma^2 + L0 = G^-T diag(1 + d / sigma^2) G^-1. So the
+    sigma marginal and beta | sigma need no matrix solve per sigma."""
+
+    basis: np.ndarray  # G, (k, k)
+    eig: np.ndarray  # d, (k,)
+    r_data: np.ndarray  # G' X'Wy, (k,)
+    r_prior: np.ndarray  # G' L0 m0, (k,)
+    yy: float  # y'Wy
+
+    @classmethod
+    def build(cls, x, y, wgt, priors: LongPriors) -> "_ArmRegression":
+        design = np.column_stack([np.ones(len(y)), x])
+        k = design.shape[1]
+        sd = np.array([priors.beta0_sd] + [priors.beta1_sd] * (k - 1))
+        mean0 = np.array([priors.beta0_mean] + [priors.beta1_mean] * (k - 1))
+        xtwx = design.T @ (wgt[:, None] * design)
+        eig, vecs = np.linalg.eigh(sd[:, None] * xtwx * sd[None, :])
+        basis = sd[:, None] * vecs
+        return cls(
+            basis=basis,
+            eig=np.clip(eig, 0.0, None),
+            r_data=basis.T @ (design.T @ (wgt * y)),
+            r_prior=basis.T @ (mean0 / sd**2),
+            yy=float(wgt @ y**2),
+        )
+
+    def _parts(self, sigma):
+        s2 = np.asarray(sigma, dtype=float)[..., None] ** 2
+        shrink = s2 / (s2 + self.eig)  # (..., k): (1 + d / sigma^2)^-1
+        return shrink, self.r_data / s2 + self.r_prior
+
+    def log_evidence(self, sigma) -> np.ndarray:
+        """log of the integral over beta of this arm's likelihood times its
+        prior at each sigma, up to a constant and leaving out the likelihood's
+        sigma^-sum(W) factor, which ``VisitModel`` adds once for both arms."""
+        shrink, r = self._parts(sigma)
+        s2 = np.asarray(sigma, dtype=float) ** 2
+        return 0.5 * np.sum(np.log(shrink) + r**2 * shrink, axis=-1) - 0.5 * self.yy / s2
+
+    def draw(self, sigma, rng: np.random.Generator) -> np.ndarray:
+        """One beta = (intercept, coefficients) draw per sigma; (K, k)."""
+        shrink, r = self._parts(sigma)
+        z = rng.standard_normal(shrink.shape)
+        return (r * shrink + z * np.sqrt(shrink)) @ self.basis.T
+
+
+@dataclass(frozen=True)
+class VisitModel:
+    """The weighted per-visit model with the coefficients integrated out:
+    the closed-form marginal of sigma and exact beta | sigma draws."""
+
+    arms: tuple[_ArmRegression, _ArmRegression]
+    sum_w: float
+    sigma_sd: float
+
+    @classmethod
+    def build(cls, x, y, arm, wgt, priors: LongPriors) -> "VisitModel":
+        arms = tuple(
+            _ArmRegression.build(x[arm == w], y[arm == w], wgt[arm == w], priors) for w in (0, 1)
+        )
+        return cls(arms=arms, sum_w=float(wgt.sum()), sigma_sd=priors.sigma_sd)
+
+    def log_sigma_marginal(self, sigma) -> np.ndarray:
+        """log p(sigma | data) up to a constant, for sigma > 0."""
+        sigma = np.asarray(sigma, dtype=float)
+        lp = -0.5 * (sigma / self.sigma_sd) ** 2 - self.sum_w * np.log(sigma)
+        return lp + sum(a.log_evidence(sigma) for a in self.arms)
+
+    def draw_beta(self, sigma, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """beta | sigma for each sigma: intercepts (K, 2), coefficients (K, 2, p)."""
+        beta = np.stack([a.draw(sigma, rng) for a in self.arms], axis=1)
+        return beta[:, :, 0], beta[:, :, 1:]
+
+
 def fit_longitudinal(
     data: ObservedDataset,
     t: float,
@@ -137,7 +226,16 @@ def fit_longitudinal(
     priors: LongPriors,
     cfg: mcmc.McmcConfig,
 ) -> LongitudinalPosterior:
-    """Fit the weighted per-visit model; requires positive weight in each arm."""
+    """Fit the weighted per-visit model; requires positive weight in each arm.
+
+    Griddy sampling: sigma is drawn from its closed-form marginal evaluated
+    on ``LOG_SIGMA_GRID`` (inverse CDF, uniform within the drawn cell), then
+    beta | sigma exactly. The draws form ``cfg.chains`` independent streams
+    of ``cfg.samples`` (``warmup`` and ``target_accept`` are not used), over
+    which R-hat and ESS are computed. The fit is flagged unconverged when
+    diagnostics fail or an end cell of the grid holds more than
+    ``END_MASS_TOL`` of the posterior mass, where the grid would truncate it.
+    """
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(data):
         raise ValueError("weights must align with the dataset")
@@ -147,74 +245,38 @@ def fit_longitudinal(
             raise LongitudinalFitError(
                 f"arm {arm} has zero total weight at t={t}; cannot fit"
             )
-    y = np.array([p.y_obs[t] for p, _ in rows])
-    x = np.array([p.x for p, _ in rows], dtype=float)
-    arm = np.array([p.w for p, _ in rows], dtype=int)
-    wgt = np.array([w_i for _, w_i in rows])
-    p_dim = x.shape[1]
-    sum_w = wgt.sum()
-    sigma_guess = max(float(np.std(y)), 0.1)
-
-    # scalar blocks per coefficient mix noticeably better here than joint
-    # per-arm proposals; the shared scale couples the arms
-    rows_by_arm = {w: arm == w for w in (0, 1)}
-    x_by_arm = {w: x[rows_by_arm[w]] for w in (0, 1)}
-    y_by_arm = {w: y[rows_by_arm[w]] for w in (0, 1)}
-    w_by_arm = {w: wgt[rows_by_arm[w]] for w in (0, 1)}
-
-    def log_prior(params: mcmc.ParamDict) -> np.ndarray:
-        sig = params["sigma"][:, 0]  # (C,)
-        lp = -0.5 * (sig / priors.sigma_sd) ** 2  # half-Normal kernel
-        for w in (0, 1):
-            b0 = params[f"beta0_{w}"][:, 0]
-            b1 = params[f"beta1_{w}"]
-            lp = lp - 0.5 * ((b0 - priors.beta0_mean) / priors.beta0_sd) ** 2
-            lp = lp + np.sum(
-                -0.5 * ((b1 - priors.beta1_mean) / priors.beta1_sd) ** 2, axis=1
-            )
-        return lp
-
-    def log_likelihood(params: mcmc.ParamDict) -> np.ndarray:
-        sig = params["sigma"][:, 0]  # (C,)
-        quad = 0.0
-        for w in (0, 1):
-            mu = params[f"beta0_{w}"].T + x_by_arm[w] @ params[f"beta1_{w}"].T  # (R_w, C)
-            resid2 = (y_by_arm[w][:, None] - mu) ** 2
-            quad = quad + (w_by_arm[w][:, None] * resid2).sum(axis=0)
-        return -sum_w * np.log(sig * math.sqrt(2 * math.pi)) - quad / (2 * sig**2)
-
-    def initial(rng: np.random.Generator, chains: int) -> mcmc.ParamDict:
-        return {
-            "beta0_0": priors.beta0_mean + rng.normal(0, 2.0, size=(chains, 1)),
-            "beta0_1": priors.beta0_mean + rng.normal(0, 2.0, size=(chains, 1)),
-            "beta1_0": rng.normal(0, 1.0, size=(chains, p_dim)),
-            "beta1_1": rng.normal(0, 1.0, size=(chains, p_dim)),
-            "sigma": sigma_guess * np.exp(rng.normal(0, 0.5, size=(chains, 1))),
-        }
-
-    model = mcmc.ModelSpec(
-        blocks=(
-            mcmc.Block("beta0_0", 1),
-            mcmc.Block("beta0_1", 1),
-            mcmc.Block("beta1_0", p_dim),
-            mcmc.Block("beta1_1", p_dim),
-            mcmc.Block("sigma", 1, positive=True),
-        ),
-        log_prior=log_prior,
-        log_likelihood=log_likelihood,
-        initial=initial,
+    model = VisitModel.build(
+        x=np.array([p.x for p, _ in rows], dtype=float),
+        y=np.array([p.y_obs[t] for p, _ in rows]),
+        arm=np.array([p.w for p, _ in rows], dtype=int),
+        wgt=np.array([w_i for _, w_i in rows]),
+        priors=priors,
     )
-    result = mcmc.run_chains(model, cfg)
-    beta0 = np.stack(
-        [result.pooled("beta0_0")[:, 0], result.pooled("beta0_1")[:, 0]], axis=1
+    log_dens = model.log_sigma_marginal(np.exp(LOG_SIGMA_GRID)) + LOG_SIGMA_GRID
+    mass = np.exp(log_dens - log_dens.max())
+    mass /= mass.sum()
+    cdf = np.cumsum(mass)
+
+    sigma, beta0, beta1 = [], [], []
+    for rng in mcmc.streams(cfg.seed, cfg.chains):
+        cell = np.minimum(np.searchsorted(cdf, rng.uniform(size=cfg.samples), side="right"),
+                          len(cdf) - 1)
+        jitter = rng.uniform(-0.5, 0.5, size=cfg.samples)
+        sigma.append(np.exp(LOG_SIGMA_GRID[cell] + _LOG_SIGMA_STEP * jitter))
+        b0, b1 = model.draw_beta(sigma[-1], rng)
+        beta0.append(b0)
+        beta1.append(b1)
+    sigma, beta0, beta1 = np.stack(sigma), np.stack(beta0), np.stack(beta1)
+    diagnostics, converged = mcmc.stream_diagnostics(
+        {"beta0_0": beta0[..., :1], "beta0_1": beta0[..., 1:], "beta1_0": beta1[:, :, 0],
+         "beta1_1": beta1[:, :, 1], "sigma": sigma[..., None]},
+        cfg,
     )
-    beta1 = np.stack([result.pooled("beta1_0"), result.pooled("beta1_1")], axis=1)
     return LongitudinalPosterior(
         t=t,
-        beta0=beta0,
-        beta1=beta1,
-        sigma=result.pooled("sigma")[:, 0],
-        diagnostics=result.diagnostics,
-        converged=result.converged,
-        accept_rates=result.accept_rates,
+        beta0=beta0.reshape(-1, 2),
+        beta1=beta1.reshape(-1, *beta1.shape[2:]),
+        sigma=sigma.reshape(-1),
+        diagnostics=diagnostics,
+        converged=converged and max(mass[0], mass[-1]) <= END_MASS_TOL,
     )

@@ -1,13 +1,18 @@
-"""Block-adaptive random-walk Metropolis-within-Gibbs sampler.
+"""Draw streams, convergence diagnostics, and a generic block-adaptive
+random-walk Metropolis-within-Gibbs sampler.
 
-The models in this package are low-dimensional (a dozen or so parameters),
-so a carefully tuned random-walk sampler with per-block step-size adaptation
-is sufficient; correctness is enforced by conjugate-posterior oracles in the
-test suite rather than by the choice of kernel. Positive parameters are
-sampled on the log scale with the Jacobian correction, step sizes adapt
-toward a target acceptance rate during warmup only (frozen afterwards, which
-preserves detailed balance of the sampling phase), and all chains advance in
-lock-step through one seeded generator so runs are bit-reproducible.
+The package's two models are fitted by their own exact or near-exact
+samplers (``survival`` and ``longitudinal``); they draw ``chains``
+independent streams from ``streams`` and report split R-hat and ESS over
+them through ``stream_diagnostics``, as ``run_chains`` does for its chains.
+
+``run_chains`` remains the general tool for any low-dimensional target
+given as a ``ModelSpec``; correctness is enforced by conjugate-posterior
+oracles in the test suite. Positive parameters are sampled on the log scale
+with the Jacobian correction, step sizes adapt toward a target acceptance
+rate during warmup only (frozen afterwards, which preserves detailed
+balance of the sampling phase), and all chains advance in lock-step through
+one seeded generator so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -111,6 +116,33 @@ def even_indices(n: int, k: int) -> np.ndarray:
     return np.linspace(0, n - 1, k).round().astype(int)
 
 
+def streams(seed, chains: int) -> list[np.random.Generator]:
+    """``chains`` independent generators spawned from ``seed`` (an int or a
+    ``SeedSequence``), one per draw stream."""
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return [np.random.default_rng(s) for s in seq.spawn(chains)]
+
+
+def stream_diagnostics(
+    draws: dict[str, np.ndarray], cfg: McmcConfig
+) -> tuple[dict[str, dict[str, float]], bool]:
+    """Split R-hat and ESS of every coordinate of ``draws`` (name -> (chains,
+    samples, size) array), keyed like "alpha0[0]", and whether every defined
+    value passes ``cfg``'s thresholds."""
+    diagnostics: dict[str, dict[str, float]] = {}
+    ok = True
+    for name, arr in draws.items():
+        for j in range(arr.shape[-1]):
+            r = rhat(arr[:, :, j])
+            e = ess(arr[:, :, j])
+            diagnostics[f"{name}[{j}]"] = {"rhat": r, "ess": e}
+            if not math.isnan(r) and r > cfg.rhat_threshold:
+                ok = False
+            if not math.isnan(e) and e < cfg.min_ess:
+                ok = False
+    return diagnostics, ok
+
+
 def _to_sampling_scale(theta: np.ndarray, block: Block) -> np.ndarray:
     return np.log(theta) if block.positive else np.array(theta, dtype=float)
 
@@ -189,18 +221,7 @@ def run_chains(model: ModelSpec, cfg: McmcConfig) -> McmcResult:
             for b in model.blocks:
                 out[b.name][:, k, :] = natural[b.name]
 
-    diagnostics: dict[str, dict[str, float]] = {}
-    ok = True
-    for b in model.blocks:
-        for j in range(b.size):
-            coord = out[b.name][:, :, j]
-            r = rhat(coord)
-            e = ess(coord)
-            diagnostics[f"{b.name}[{j}]"] = {"rhat": r, "ess": e}
-            if not math.isnan(r) and r > cfg.rhat_threshold:
-                ok = False
-            if not math.isnan(e) and e < cfg.min_ess:
-                ok = False
+    diagnostics, ok = stream_diagnostics(out, cfg)
     accept_rates = {
         name: count / (cfg.samples * chains) for name, count in accepted.items()
     }

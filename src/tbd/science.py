@@ -338,8 +338,9 @@ def science_from_json(doc: Mapping) -> ScienceTable:
 
 
 def dump_json(doc: dict, path) -> None:
+    """Write ``doc`` as one line of JSON with sorted keys."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 
 

@@ -31,7 +31,8 @@ from .science import (
 
 
 class ScenarioError(ValueError):
-    """Scenario parameters produce an invalid data-generating process."""
+    """An unknown scenario name, or parameters that produce an invalid
+    data-generating process."""
 
 
 @dataclass(frozen=True)
@@ -300,8 +301,9 @@ def load_scenarios(path=None) -> dict[str, ScenarioParams]:
     return {name: _params_from_dict(name, d) for name, d in doc.items()}
 
 
-def get_scenario(name: str) -> ScenarioParams:
-    lib = load_scenarios()
+def get_scenario(name: str, library: dict[str, ScenarioParams] | None = None) -> ScenarioParams:
+    """Scenario ``name`` from ``library`` (the packaged one by default)."""
+    lib = load_scenarios() if library is None else library
     if name not in lib:
-        raise KeyError(f"unknown scenario {name!r}; known: {sorted(lib)}")
+        raise ScenarioError(f"unknown scenario {name!r}; known: {sorted(lib)}")
     return lib[name]

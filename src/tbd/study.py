@@ -50,6 +50,7 @@ from .simulate import (
     TruthRecord,
     _params_from_dict,
     child_seed,
+    get_scenario,
     load_scenarios,
     observe,
     simulate_science_table,
@@ -253,11 +254,9 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
     # stops a month short of the censoring horizon where controls run out
     mean_params = spost.mean_params()
     months = np.arange(2.0, scenario.follow_up)
-    surv_pred = np.empty((len(data), len(months)))
-    for i, p in enumerate(data.patients):
-        base = grid.overlaps(months) @ mean_params.rates(p.w)
-        scale = math.exp(float(np.dot(mean_params.covariate_effect(p.w), p.x)))
-        surv_pred[i] = np.exp(-base * scale)
+    base = np.stack([grid.overlaps(months) @ mean_params.rates(arm) for arm in (0, 1)])
+    scale = np.exp(np.where(w == 1, x @ mean_params.alpha1, x @ mean_params.alpha0))
+    surv_pred = np.exp(-base[w] * scale[:, None])
     try:
         cell_ibs = ibs(surv_pred, data, months)
         cell_cdauc = cdauc(1.0 - surv_pred, data, months)
@@ -565,7 +564,7 @@ def build_config(doc: dict) -> StudyConfig:
     scenarios = []
     for item in doc.get("scenarios", list(library)):
         if isinstance(item, str):
-            scenario = library[item]
+            scenario = get_scenario(item, library)
         else:
             scenario = _params_from_dict(item["name"], item)
         if "n" in doc:

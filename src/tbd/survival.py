@@ -6,15 +6,19 @@ The hazard for a patient with covariates x under arm w is
 restricted-mean integrals have closed forms under piecewise-constant
 hazards; both are implemented here and checked against quadrature in the
 test suite. Beyond the last cutpoint the final segment rate is extended.
+
+The posterior is sampled collapsed: with the Gamma-prior segment rates
+integrated out, alpha has a concave log marginal, sampled by independence
+Metropolis-Hastings from a multivariate t at its mode; the rates are then
+drawn exactly given alpha.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import mcmc
 from .codec import decode, encode
@@ -296,12 +300,15 @@ class SurvivalPosterior:
             [p.t_obs if (p.d_obs == 1 and p.t_obs <= t) else t for p in data.patients]
         )
         overlaps = self.grid.overlaps(horizon)  # (n, J)
-        base0 = self.lambda0[idx] @ overlaps.T  # (K, n)
-        base1 = self.lambda1[idx] @ overlaps.T
-        scale0 = np.exp(self.alpha0[idx] @ x.T)
-        scale1 = np.exp(self.alpha1[idx] @ x.T)
-        cum = np.where(arm[None, :] == 1, base1 * scale1, base0 * scale0)
-        return np.exp(-cum)
+        treated = arm[None, :] == 1
+        # Pick each patient's counterfactual arm first: one exp over (K, n).
+        # The result is allocated before the temporaries: the heap memory
+        # they free is then returned here, not when the caller drops it.
+        cum = self.lambda0[idx] @ overlaps.T
+        np.copyto(cum, self.lambda1[idx] @ overlaps.T, where=treated)
+        lin = np.where(treated, self.alpha1[idx] @ x.T, self.alpha0[idx] @ x.T)
+        cum *= np.exp(lin, out=lin)
+        return np.exp(np.negative(cum, out=cum), out=cum)
 
     def to_json(self) -> dict:
         return encode(self)
@@ -311,72 +318,118 @@ class SurvivalPosterior:
         return decode(cls, doc)
 
 
-def _arm_stats(table: PersonIntervalTable, w: int, n_segments: int):
-    """Sufficient pieces of the arm-w likelihood for vectorized evaluation."""
+T_DF = 4.0  # degrees of freedom of the independence proposal for alpha
+
+
+@dataclass(frozen=True)
+class _Arm:
+    """What one arm's likelihood depends on, with lambda integrated out."""
+
+    x: np.ndarray  # (patients, p)
+    overlap: np.ndarray  # (patients, J): exposure of each patient in each segment
+    events: np.ndarray  # (J,) deaths per segment
+    sum_dx: np.ndarray  # (p,) covariates summed over deaths
+
+
+def _arm(table: PersonIntervalTable, w: int, n_segments: int) -> _Arm:
     sel = table.w == w
-    seg = table.segment[sel]
-    x = table.x[sel]
-    expo = table.exposure[sel]
-    d = table.event[sel]
-    d_per_seg = np.bincount(seg, weights=d, minlength=n_segments)
-    sum_dx = d @ x
-    with np.errstate(divide="ignore"):
-        sum_d_logexpo = float(np.sum(np.where(d == 1, np.log(expo), 0.0)))
-    return seg, x, expo, d_per_seg, sum_dx, sum_d_logexpo
+    patients, row_of = np.unique(table.patient[sel], return_inverse=True)
+    x = np.zeros((len(patients), table.x.shape[1]))
+    x[row_of] = table.x[sel]
+    overlap = np.zeros((len(patients), n_segments))
+    overlap[row_of, table.segment[sel]] = table.exposure[sel]
+    events = np.bincount(table.segment[sel], weights=table.event[sel], minlength=n_segments)
+    return _Arm(x=x, overlap=overlap, events=events, sum_dx=table.event[sel] @ table.x[sel])
 
 
-def _fit_one_arm(
-    stats, j: int, p_dim: int, priors: SurvivalPriors, cfg: mcmc.McmcConfig
-):
-    seg, x, expo, d_per_seg, sum_dx, sum_d_logexpo = stats
-    a_shape, a_rate = priors.gamma_shape, priors.gamma_rate
-    lgam = gammaln(a_shape)
+def _exposures(arm: _Arm, alpha: np.ndarray) -> np.ndarray:
+    """E_j(alpha) = sum_i overlap_ij exp(alpha . x_i) for each row of
+    ``alpha`` (K, p); shape (K, J)."""
+    return np.exp(alpha @ arm.x.T) @ arm.overlap
 
-    # Segment rates get scalar blocks: their posterior scales differ by
-    # orders of magnitude between sparse and event-rich segments, so each
-    # needs its own adapted step size.
-    lam_names = [f"lambda_{s}" for s in range(j)]
 
-    def _lam_matrix(params: mcmc.ParamDict) -> np.ndarray:
-        return np.concatenate([params[name] for name in lam_names], axis=1)
-
-    def log_prior(params: mcmc.ParamDict) -> np.ndarray:
-        lam = _lam_matrix(params)
-        lp = np.sum(
-            a_shape * math.log(a_rate) - lgam + (a_shape - 1) * np.log(lam) - a_rate * lam,
-            axis=1,
-        )
-        a = params["alpha"]
-        return lp + np.sum(
-            -0.5 * ((a - priors.alpha_mean) / priors.alpha_sd) ** 2
-            - math.log(priors.alpha_sd * math.sqrt(2 * math.pi)),
-            axis=1,
-        )
-
-    def log_likelihood(params: mcmc.ParamDict) -> np.ndarray:
-        lam = _lam_matrix(params)  # (C, J)
-        alpha = params["alpha"]  # (C, p)
-        lin = x @ alpha.T  # (R, C)
-        mu_total = (lam[:, seg].T * np.exp(lin) * expo[:, None]).sum(axis=0)  # (C,)
-        return np.log(lam) @ d_per_seg + alpha @ sum_dx + sum_d_logexpo - mu_total
-
-    def initial(rng: np.random.Generator, chains: int) -> mcmc.ParamDict:
-        init: mcmc.ParamDict = {
-            name: priors.lambda_mean * np.exp(rng.normal(0, 1, size=(chains, 1)))
-            for name in lam_names
-        }
-        init["alpha"] = rng.normal(0, 0.5, size=(chains, p_dim))
-        return init
-
-    blocks = tuple(mcmc.Block(name, 1, positive=True) for name in lam_names) + (
-        mcmc.Block("alpha", p_dim),
+def _log_marginal(arm: _Arm, priors: SurvivalPriors, alpha: np.ndarray, expo: np.ndarray):
+    """Log posterior of alpha (K, p) with the segment rates integrated out,
+    up to a constant, given ``expo = _exposures(arm, alpha)``."""
+    z = (alpha - priors.alpha_mean) / priors.alpha_sd
+    return (
+        -0.5 * np.sum(z**2, axis=1)
+        + alpha @ arm.sum_dx
+        - np.log(priors.gamma_rate + expo) @ (priors.gamma_shape + arm.events)
     )
-    model = mcmc.ModelSpec(
-        blocks=blocks, log_prior=log_prior, log_likelihood=log_likelihood, initial=initial
-    )
-    result = mcmc.run_chains(model, cfg)
-    lam = np.concatenate([result.pooled(name) for name in lam_names], axis=1)
-    return lam, result.pooled("alpha"), result
+
+
+def _alpha_mode(arm: _Arm, priors: SurvivalPriors) -> tuple[np.ndarray, np.ndarray]:
+    """Mode of the (concave) alpha marginal by damped Newton, and the
+    negative Hessian there."""
+    p = arm.x.shape[1]
+    shape = priors.gamma_shape + arm.events
+    prior_prec = np.eye(p) / priors.alpha_sd**2
+
+    def grad_neg_hess(alpha):
+        scaled = arm.overlap * np.exp(arm.x @ alpha)[:, None]  # (n, J)
+        e0 = scaled.sum(axis=0)  # (J,)
+        e1 = scaled.T @ arm.x  # (J, p)
+        e2 = np.einsum("nj,nk,nl->jkl", scaled, arm.x, arm.x)
+        c = shape / (priors.gamma_rate + e0)
+        grad = -prior_prec @ (alpha - priors.alpha_mean) + arm.sum_dx - c @ e1
+        outer = e1[:, :, None] * e1[:, None, :] / (priors.gamma_rate + e0)[:, None, None]
+        return grad, prior_prec + np.einsum("j,jkl->kl", c, e2 - outer)
+
+    def value(alpha):
+        return float(_log_marginal(arm, priors, alpha[None], _exposures(arm, alpha[None]))[0])
+
+    alpha = np.full(p, priors.alpha_mean)
+    current = value(alpha)
+    for _ in range(100):
+        grad, neg_hess = grad_neg_hess(alpha)
+        step = np.linalg.solve(neg_hess, grad)
+        if grad @ step < 1e-10:  # squared distance to the mode in posterior sds
+            break
+        scale = 1.0
+        while (trial := value(alpha + scale * step)) < current and scale > 1e-8:
+            scale /= 2
+        if trial < current:  # no ascent left at float precision: at the mode
+            break
+        alpha, current = alpha + scale * step, trial
+    else:
+        raise FitError("Newton search for the alpha mode did not converge")
+    if not np.all(np.isfinite(alpha)):
+        raise FitError("non-finite alpha mode")
+    return alpha, neg_hess
+
+
+def _sample_arm(arm: _Arm, priors: SurvivalPriors, rngs, samples: int):
+    """Draw (chains, samples, .) arrays of lambda and alpha for one arm.
+
+    alpha moves by independence Metropolis-Hastings with a multivariate t
+    proposal at the Laplace fit of its marginal; each lambda_j is then drawn
+    exactly from Gamma(a + d_j, b + E_j(alpha)). Each chain starts at a
+    proposal draw; the proposal is close to the target, so there is no
+    warmup."""
+    mode, neg_hess = _alpha_mode(arm, priors)
+    chol = np.linalg.cholesky(np.linalg.inv(neg_hess))
+    p = len(mode)
+    lam, alpha, accepted = [], [], 0
+    for rng in rngs:
+        z = rng.standard_normal((samples + 1, p))
+        mix = rng.gamma(T_DF / 2, 2 / T_DF, size=samples + 1)  # chi2_df / df
+        props = mode + (z @ chol.T) / np.sqrt(mix)[:, None]
+        expo = _exposures(arm, props)
+        log_q = -0.5 * (T_DF + p) * np.log1p(np.sum(z**2, axis=1) / mix / T_DF)
+        log_w = _log_marginal(arm, priors, props, expo) - log_q
+        log_u = np.log(rng.uniform(size=samples))
+        state = np.empty(samples, dtype=int)
+        cur = 0
+        for k in range(samples):
+            if log_u[k] < log_w[k + 1] - log_w[cur]:
+                cur = k + 1
+                accepted += 1
+            state[k] = cur
+        rates = priors.gamma_rate + expo[state]
+        lam.append(rng.gamma(priors.gamma_shape + arm.events, size=rates.shape) / rates)
+        alpha.append(props[state])
+    return np.stack(lam), np.stack(alpha), accepted / (samples * len(rngs))
 
 
 def fit_survival(
@@ -388,35 +441,27 @@ def fit_survival(
     """Fit the piecewise-exponential model, one independent posterior per arm.
 
     The arms share no parameters, so separate fits are identical in
-    distribution to one joint fit. Returns a flagged (``converged=False``)
-    posterior rather than raising when diagnostics fail.
+    distribution to one joint fit. Each arm draws ``cfg.chains`` streams of
+    ``cfg.samples`` draws (``warmup`` and ``target_accept`` are not used);
+    R-hat and ESS are computed over the streams. Returns a flagged
+    (``converged=False``) posterior rather than raising when diagnostics
+    fail.
     """
     table = poisson_expand(data, grid)
-    j = grid.n_segments
-    p_dim = table.x.shape[1]
-
-    out = {}
-    diagnostics: dict[str, dict[str, float]] = {}
+    arm_seeds = np.random.SeedSequence(cfg.seed).spawn(2)
+    draws: dict[str, np.ndarray] = {}
     accept: dict[str, float] = {}
-    converged = True
     for w in (0, 1):
-        # distinct, deterministic stream per arm
-        arm_cfg = cfg if w == 0 else replace(cfg, seed=cfg.seed + 0x5F3759DF)
-        lam, alpha, result = _fit_one_arm(
-            _arm_stats(table, w, j), j, p_dim, priors, arm_cfg
+        rngs = mcmc.streams(arm_seeds[w], cfg.chains)
+        arm = _arm(table, w, grid.n_segments)
+        draws[f"lambda{w}"], draws[f"alpha{w}"], accept[f"alpha{w}"] = _sample_arm(
+            arm, priors, rngs, cfg.samples
         )
-        out[w] = (lam, alpha)
-        for name, d in result.diagnostics.items():
-            diagnostics[name.replace("lambda_", f"lambda{w}_").replace("alpha", f"alpha{w}")] = d
-        for name, r in result.accept_rates.items():
-            accept[name.replace("lambda_", f"lambda{w}_").replace("alpha", f"alpha{w}")] = r
-        converged = converged and result.converged
+    diagnostics, converged = mcmc.stream_diagnostics(draws, cfg)
+    pooled = {name: d.reshape(-1, d.shape[-1]) for name, d in draws.items()}
     return SurvivalPosterior(
         grid=grid,
-        lambda0=out[0][0],
-        lambda1=out[1][0],
-        alpha0=out[0][1],
-        alpha1=out[1][1],
+        **pooled,
         diagnostics=diagnostics,
         converged=converged,
         accept_rates=accept,

@@ -2,13 +2,17 @@
 
 import csv
 import json
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from tbd import science, simulate
 from tbd.cli import main
+from tbd.study import build_config
+from tbd.survival import fit_survival
 
 FAST_MCMC = {"chains": 2, "warmup": 200, "samples": 200, "min_ess": 5, "rhat_threshold": 2.0}
 
@@ -77,6 +81,31 @@ def test_fit_output_schema(fits_path):
     assert np.shape(long9["sigma"]) == (n_draws,)
 
 
+def test_written_json_is_one_line_and_parses_as_before(sim_dir, fits_path):
+    # the files drop the one-key-per-line layout, not any content: each
+    # parses to the document an indented dump of the same data parses to
+    table = simulate.simulate_science_table(
+        simulate.get_scenario("no_effect").with_updates(n=40),
+        simulate.child_seed(3, "no_effect", "sim"),
+    )
+    data = simulate.observe(table)
+    cfg = build_config({"mcmc": FAST_MCMC, "scenarios": []})
+    spost = fit_survival(data, cfg.grid_for(data.follow_up, data.visit_times),
+                         cfg.survival_priors, replace(cfg.mcmc, seed=11))
+    expected = {
+        sim_dir / "science.json": science.science_to_json(table),
+        sim_dir / "observed.json": science.observed_to_json(data),
+        fits_path: spost.to_json(),
+    }
+    for path, doc in expected.items():
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        parsed = json.loads(text)
+        if path == fits_path:
+            parsed = parsed["survival"]
+        assert parsed == json.loads(json.dumps(doc, sort_keys=True, indent=1))
+
+
 def test_estimate_outputs(runner, sim_dir, fits_path, tmp_path):
     result = runner.invoke(
         main,
@@ -133,7 +162,8 @@ def test_estimate_refuses_per_draw_fits_file(runner, sim_dir, tmp_path):
 @pytest.mark.parametrize("doc, refused", [
     ({"replicate": 3}, "StudyConfig: unknown keys ['replicate']"),
     ({"mcmc": {"warmpu": 3}}, "McmcConfig: unknown keys ['warmpu']"),
-], ids=["top-level", "mcmc"])
+    ({"replicates": None}, "StudyConfig.replicates: expected an integer, got None"),
+], ids=["top-level", "mcmc", "null-value"])
 def test_refused_study_config_is_a_one_line_error(runner, tmp_path, doc, refused):
     cfg = tmp_path / "study.json"
     # no scenarios: were the key ignored, the study would finish at once with no cells

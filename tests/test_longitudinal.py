@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from tbd.longitudinal import (
     LongitudinalFitError,
@@ -14,6 +15,7 @@ from tbd.longitudinal import (
     predict_y_mis,
     weighted_loglik,
     LongitudinalPosterior,
+    VisitModel,
 )
 from tbd.mcmc import Block, McmcConfig, ModelSpec, run_chains
 from tbd.science import ObservedDataset, ObservedPatient
@@ -192,6 +194,113 @@ class TestFitLongitudinal:
         assert np.allclose(back.beta0, post.beta0)
         assert np.allclose(back.beta1, post.beta1)
         assert back.t == 9.0
+
+
+class TestGriddySampler:
+    """Oracles for the closed-form pieces behind ``fit_longitudinal``."""
+
+    PRIORS = LongPriors(beta0_mean=-1.0, beta0_sd=2.0, beta1_mean=0.5, beta1_sd=1.5, sigma_sd=5.0)
+
+    def _data(self, n=24, seed=4):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 1))
+        arm = np.arange(n) % 2
+        y = np.where(arm == 1, -0.5, -2.0) + 1.2 * x[:, 0] + rng.normal(0, 1.4, size=n)
+        wgt = rng.uniform(0.2, 1.0, size=n)
+        return x, y, arm, wgt
+
+    def _prior(self):
+        pr = self.PRIORS
+        return np.array([pr.beta0_mean, pr.beta1_mean]), np.array([pr.beta0_sd, pr.beta1_sd])
+
+    def test_beta_given_sigma_matches_closed_form_gaussian(self):
+        x, y, arm, wgt = self._data()
+        model = VisitModel.build(x, y, arm, wgt, self.PRIORS)
+        sigma = 1.7
+        k = 40_000
+        beta0, beta1 = model.draw_beta(np.full(k, sigma), np.random.default_rng(0))
+        m0, s0 = self._prior()
+        for w in (0, 1):
+            sel = arm == w
+            design = np.column_stack([np.ones(sel.sum()), x[sel]])
+            prec = design.T @ (wgt[sel, None] * design) / sigma**2 + np.diag(s0**-2.0)
+            cov = np.linalg.inv(prec)
+            mean = cov @ (design.T @ (wgt[sel] * y[sel]) / sigma**2 + m0 / s0**2)
+            draws = np.column_stack([beta0[:, w], beta1[:, w, 0]])
+            se = np.sqrt(np.diag(cov) / k)
+            assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)
+            scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+            assert np.all(np.abs(np.cov(draws.T) - cov) < 0.03 * scale)
+
+    def _log_joint_marginal(self, x, y, arm, wgt, sigma):
+        """log of the unnormalised joint integrated over each arm's
+        coefficients by 2-D quadrature, up to a sigma-free constant."""
+        m0, s0 = self._prior()
+        total = -0.5 * (sigma / self.PRIORS.sigma_sd) ** 2
+        for w in (0, 1):
+            sel = arm == w
+            xs, ys, ws = x[sel, 0], y[sel], wgt[sel]
+            design = np.column_stack([np.ones(sel.sum()), xs])
+            prec = design.T @ (ws[:, None] * design) / sigma**2 + np.diag(s0**-2.0)
+            centre = np.linalg.solve(prec, design.T @ (ws * ys) / sigma**2 + m0 / s0**2)
+            half = 10 * np.sqrt(np.diag(np.linalg.inv(prec)))
+
+            def log_f(b0, b1):
+                resid = ys - b0 - b1 * xs
+                loglik = np.sum(ws * (-np.log(sigma) - resid**2 / (2 * sigma**2)))
+                logprior = -0.5 * (((b0 - m0[0]) / s0[0]) ** 2 + ((b1 - m0[1]) / s0[1]) ** 2)
+                return loglik + logprior
+
+            offset = log_f(*centre)
+            value, _ = integrate.dblquad(
+                lambda b1, b0: math.exp(log_f(b0, b1) - offset),
+                centre[0] - half[0], centre[0] + half[0],
+                centre[1] - half[1], centre[1] + half[1],
+                epsabs=0, epsrel=1e-8,
+            )
+            total += offset + math.log(value)
+        return total
+
+    def test_sigma_marginal_matches_quadrature_of_the_joint(self):
+        x, y, arm, wgt = self._data(n=12)
+        model = VisitModel.build(x, y, arm, wgt, self.PRIORS)
+        sigmas = [0.7, 1.5, 3.0]
+        closed = model.log_sigma_marginal(np.array(sigmas))
+        quad = np.array([self._log_joint_marginal(x, y, arm, wgt, s) for s in sigmas])
+        assert np.allclose(closed - closed[0], quad - quad[0], atol=1e-6)
+
+    def test_sigma_draws_match_quadrature_moments(self):
+        x, y, arm, wgt = self._data()
+        model = VisitModel.build(x, y, arm, wgt, self.PRIORS)
+        lo, hi = 0.05, 50.0
+        peak = model.log_sigma_marginal(np.exp(np.linspace(math.log(lo), math.log(hi), 2001))).max()
+
+        def moment(k):
+            f = lambda s: s**k * math.exp(float(model.log_sigma_marginal(s)) - peak)
+            return integrate.quad(f, lo, hi, points=[1.0, 2.0], limit=200, epsrel=1e-10)[0]
+
+        mass = moment(0)
+        mean = moment(1) / mass
+        sd = math.sqrt(moment(2) / mass - mean**2)
+        data = ObservedDataset(
+            patients=tuple(
+                _obs(id=i, w=int(arm[i]), y_obs={9.0: float(y[i])}, x=(float(x[i, 0]),))
+                for i in range(len(y))
+            ),
+            follow_up=15.0,
+        )
+        post = fit_longitudinal(data, 9.0, wgt, self.PRIORS, McmcConfig(samples=10_000, seed=3))
+        k = post.n_draws
+        assert post.converged
+        assert post.sigma.mean() == pytest.approx(mean, abs=4 * sd / math.sqrt(k))
+        assert post.sigma.std() == pytest.approx(sd, rel=0.03)
+
+    def test_sigma_mass_at_grid_end_is_flagged(self):
+        # noiseless outcomes: the sigma posterior piles up below the grid
+        pats = [_obs(id=i, w=i % 2, y_obs={6.0: -2.0 + 0.5 * i}, x=(float(i),)) for i in range(40)]
+        data = ObservedDataset(patients=tuple(pats), follow_up=15.0)
+        post = fit_longitudinal(data, 6.0, np.ones(40), LongPriors(), McmcConfig(seed=1))
+        assert not post.converged
 
 
 def test_intercept_prior_sensitivity_is_negligible_with_data():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -274,17 +275,33 @@ class TestBuildConfig:
         assert cfg.scenarios[0].th0_0 == 30.0
 
     @pytest.mark.parametrize(
-        "doc, key",
+        "doc, refused",
         [
-            ({"replicate": 3}, "replicate"),
-            ({"mcmc": {"warmpu": 3}}, "warmpu"),
-            ({"survival_priors": {"lamda_mean": 0.1}}, "lamda_mean"),
-            ({"long_priors": {"beta0_men": -1.0}}, "beta0_men"),
+            ({"replicate": 3}, "StudyConfig: unknown keys ['replicate']"),
+            ({"mcmc": {"warmpu": 3}}, "McmcConfig: unknown keys ['warmpu']"),
+            ({"survival_priors": {"lamda_mean": 0.1}}, "SurvivalPriors: unknown keys ['lamda_mean']"),
+            ({"long_priors": {"beta0_men": -1.0}}, "LongPriors: unknown keys ['beta0_men']"),
+            ({"scenarios": ["nope"]}, "unknown scenario 'nope'; known: ['beneficial', 'mixed', "
+                                      "'no_effect', 'no_effect_no_censoring']"),
         ],
-        ids=["top-level", "mcmc", "survival_priors", "long_priors"],
+        ids=["top-level", "mcmc", "survival_priors", "long_priors", "scenario-name"],
     )
-    def test_unknown_key_refused(self, doc, key):
-        with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
+    def test_unknown_key_refused(self, doc, refused):
+        with pytest.raises(ValueError, match=re.escape(refused)):
+            build_config(doc)
+
+    @pytest.mark.parametrize(
+        "doc, refused",
+        [
+            ({"replicates": 2.5}, "StudyConfig.replicates: expected an integer, got 2.5"),
+            ({"replicates": None}, "StudyConfig.replicates: expected an integer, got None"),
+            ({"mcmc": {"min_ess": "many"}}, "McmcConfig.min_ess: could not convert string"),
+            ({"long_priors": {"sigma_sd": None}}, "LongPriors.sigma_sd: expected a number, got None"),
+        ],
+        ids=["fraction", "null", "nested-string", "nested-null"],
+    )
+    def test_bad_value_names_its_field(self, doc, refused):
+        with pytest.raises(ValueError, match=re.escape(refused)):
             build_config(doc)
 
     def test_int_and_float_spellings_hash_alike(self):

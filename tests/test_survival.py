@@ -2,12 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from tbd import mcmc
 from tbd.mcmc import McmcConfig
 from tbd.science import ObservedDataset, ObservedPatient
 from tbd.simulate import get_scenario, observe, simulate_science_table
@@ -259,22 +259,50 @@ class TestFitSurvival:
         assert np.array_equal(a.lambda0, b.lambda0)
         assert np.array_equal(a.alpha1, b.alpha1)
 
-    def test_both_arms_get_the_callers_target_accept(self, monkeypatch):
-        seen = []
-        real = mcmc.run_chains
-
-        def spy(model, cfg):
-            seen.append((cfg.target_accept, cfg.seed))
-            return real(model, cfg)
-
-        monkeypatch.setattr(mcmc, "run_chains", spy)
+    def test_arms_draw_from_distinct_streams(self):
+        # both arms hold the same patients, so shared streams would give
+        # identical draws; distinct streams give two samples of one law
         data = observe(
-            simulate_science_table(get_scenario("no_effect").with_updates(n=30), seed=3)
+            simulate_science_table(get_scenario("no_effect").with_updates(n=100), seed=3)
         )
-        cfg = McmcConfig(chains=2, warmup=20, samples=20, seed=5, target_accept=0.3)
-        fit_survival(data, default_grid(15.0), SurvivalPriors(), cfg)
-        assert [ta for ta, _ in seen] == [0.3, 0.3]
-        assert seen[0][1] != seen[1][1]  # each arm keeps its own stream
+        twins = ObservedDataset(
+            patients=tuple(replace(p, w=w) for p in data.patients for w in (0, 1)),
+            follow_up=data.follow_up,
+        )
+        post = fit_survival(twins, default_grid(15.0), SurvivalPriors(), McmcConfig(seed=5))
+        assert not np.array_equal(post.alpha0, post.alpha1)
+        assert not np.array_equal(post.lambda0, post.lambda1)
+        sd = post.alpha0.std()
+        assert post.alpha0.mean() == pytest.approx(post.alpha1.mean(), abs=0.1 * sd)
+        assert post.alpha1.std() == pytest.approx(sd, rel=0.1)
+
+    def test_covariate_free_segments_match_exact_gamma(self):
+        # with x = 0 the rates do not depend on alpha, so each segment's
+        # posterior is exactly Gamma(a + d_j, b + E_j)
+        data = observe(simulate_science_table(get_scenario("mixed"), seed=8))
+        stripped = ObservedDataset(
+            patients=tuple(replace(p, x=(0.0,)) for p in data.patients),
+            follow_up=data.follow_up,
+        )
+        grid = default_grid(15.0)
+        priors = SurvivalPriors(lambda_mean=0.035, lambda_sd=0.035)
+        post = fit_survival(stripped, grid, priors, McmcConfig(samples=5000, seed=12))
+        table = poisson_expand(stripped, grid)
+        k = post.n_draws
+        for w, lam in ((0, post.lambda0), (1, post.lambda1)):
+            rows = table.w == w
+            for j in range(grid.n_segments):
+                seg = rows & (table.segment == j)
+                shape = priors.gamma_shape + table.event[seg].sum()
+                rate = priors.gamma_rate + table.exposure[seg].sum()
+                mean, sd = shape / rate, math.sqrt(shape) / rate
+                assert lam[:, j].mean() == pytest.approx(mean, abs=4 * sd / math.sqrt(k))
+                # sampling sd of a Gamma sample's sd: kurtosis 3 + 6 / shape
+                assert lam[:, j].std() == pytest.approx(
+                    sd, rel=4 * math.sqrt((2 + 6 / shape) / (4 * k))
+                )
+        assert post.converged
+        assert np.allclose(post.alpha0.mean(), priors.alpha_mean, atol=0.05)
 
     def test_posterior_json_round_trip(self):
         rng = np.random.default_rng(1)
