@@ -29,7 +29,6 @@ from .longitudinal import (
     compute_weights,
     fit_longitudinal,
     predict_y_mis,
-    weighted_loglik,
 )
 from .mcmc import Block, McmcConfig, McmcResult, ModelSpec, ess, rhat, run_chains
 from .metrics import (
@@ -78,7 +77,6 @@ from .survival import (
     poisson_expand,
     predict_s_mis,
     rmst_integral,
-    survival_loglik,
     survival_prob,
 )
 

@@ -74,30 +74,28 @@ main.add_command(simulate_cmd, name="simulate")
 def fit(data_path: str, out: str, config_path: str | None, seed: int) -> None:
     """Fit the survival model and the per-visit longitudinal models.
 
-    A visit whose longitudinal model cannot be fitted (an arm with nobody
-    alive and measured there) is reported on stderr and left out of the
-    output; ``tbd estimate`` covers the visits that are present."""
+    The fits are a study cell's (``study.fit_posteriors``), seeded from
+    ``--seed`` and each retried once with doubled samples; a fit still
+    flagged after that is written with a warning on stderr. A visit whose
+    longitudinal model cannot be fitted (an arm with nobody alive and
+    measured there) is reported on stderr and left out of the output;
+    ``tbd estimate`` covers the visits that are present."""
     cfg = _load_config(config_path, scenarios=[])
     data = science.observed_from_json(science.load_json(data_path))
     if not data.visit_times:
         raise click.ClickException("dataset must carry visit_times")
-    grid = cfg.grid_for(data.follow_up, data.visit_times)
-    spost = survival.fit_survival(data, grid, cfg.survival_priors, replace(cfg.mcmc, seed=seed))
-    if not spost.converged:
-        click.echo("warning: survival fit flagged by convergence diagnostics", err=True)
-    fits = {"survival": spost.to_json(), "longitudinal": {}}
-    for ti, t in enumerate(data.visit_times):
-        weights = longitudinal.compute_weights(spost.s_mis_matrix(data, t).mean(axis=0), data, t)
-        lcfg = replace(cfg.mcmc, seed=seed + 1 + ti)
-        try:
-            lpost = longitudinal.fit_longitudinal(data, t, weights, cfg.long_priors, lcfg)
-        except longitudinal.LongitudinalFitError as exc:
-            click.echo(f"warning: no longitudinal fit at t={t}, left out: {exc}", err=True)
-            continue
-        if not lpost.converged:
-            click.echo(f"warning: longitudinal fit at t={t} flagged by diagnostics", err=True)
-        fits["longitudinal"][science._fmt_month(t)] = lpost.to_json()
-    science.dump_json(fits, out)
+    fits = study.fit_posteriors(data, replace(cfg, master_seed=seed))
+    if fits.survival_failure is not None:
+        click.echo(f"warning: survival fit: {fits.survival_failure}", err=True)
+    for t, reason in fits.failures.items():
+        if t in fits.longitudinal:
+            click.echo(f"warning: longitudinal fit at t={t}: {reason}", err=True)
+        else:
+            click.echo(f"warning: no longitudinal fit at t={t}, left out: {reason}", err=True)
+    doc = {"survival": fits.survival.to_json(),
+           "longitudinal": {science._fmt_month(t): lpost.to_json()
+                            for t, lpost in fits.longitudinal.items()}}
+    science.dump_json(doc, out)
     click.echo(f"wrote posteriors to {out}")
 
 

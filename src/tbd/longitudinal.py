@@ -76,28 +76,6 @@ def compute_weights(s_mis, data: ObservedDataset, t: float) -> np.ndarray:
     return np.where(measured, s_mis, 0.0)
 
 
-def weighted_loglik(
-    params: LongParams, data: ObservedDataset, weights: np.ndarray, t: float
-) -> float:
-    """Stratum-weighted Gaussian log likelihood at visit time t.
-
-    Reduces to the ordinary log likelihood when all weights are 1 and is
-    linear in the weights.
-    """
-    if len(weights) != len(data):
-        raise ValueError("weights must align with the dataset")
-    const = math.log(params.sigma * math.sqrt(2 * math.pi))
-    total = 0.0
-    for p, w_i in zip(data.patients, weights):
-        if w_i == 0.0:
-            continue
-        if t not in p.y_obs:
-            raise ValueError(f"patient {p.id} has positive weight but no value at t={t}")
-        resid = p.y_obs[t] - params.mean(p.x, p.w)
-        total += w_i * (-const - resid**2 / (2 * params.sigma**2))
-    return total
-
-
 def predict_y_mis(params: LongParams, patient: ObservedPatient, t: float) -> tuple[float, float]:
     """Counterfactual predictive mean and residual scale for one patient."""
     return params.mean(patient.x, 1 - patient.w), params.sigma
@@ -231,10 +209,10 @@ def fit_longitudinal(
     Griddy sampling: sigma is drawn from its closed-form marginal evaluated
     on ``LOG_SIGMA_GRID`` (inverse CDF, uniform within the drawn cell), then
     beta | sigma exactly. The draws form ``cfg.chains`` independent streams
-    of ``cfg.samples`` (``warmup`` and ``target_accept`` are not used), over
-    which R-hat and ESS are computed. The fit is flagged unconverged when
-    diagnostics fail or an end cell of the grid holds more than
-    ``END_MASS_TOL`` of the posterior mass, where the grid would truncate it.
+    of ``cfg.samples``, over which R-hat and ESS are computed. The fit is
+    flagged unconverged when diagnostics fail or an end cell of the grid
+    holds more than ``END_MASS_TOL`` of the posterior mass, where the grid
+    would truncate it.
     """
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(data):

@@ -58,20 +58,16 @@ class ModelSpec:
 @dataclass(frozen=True)
 class McmcConfig:
     chains: int = 4
-    warmup: int = 1000
     samples: int = 1000
     seed: int = 0
-    target_accept: float | None = None  # None: 0.44 for scalar blocks, 0.234 otherwise
     rhat_threshold: float = 1.05
     min_ess: float = 400.0
 
     def __post_init__(self) -> None:
         if self.chains < 2:
             raise ValueError("at least 2 chains are required for diagnostics")
-        if self.warmup < 0 or self.samples <= 0:
-            raise ValueError("warmup must be >= 0 and samples > 0")
-        if self.target_accept is not None and not (0.0 < self.target_accept < 1.0):
-            raise ValueError("target_accept must lie in (0, 1)")
+        if self.samples <= 0:
+            raise ValueError("samples must be > 0")
 
 
 @dataclass
@@ -159,8 +155,15 @@ def _log_post(model: ModelSpec, natural: ParamDict, sampling: ParamDict) -> np.n
     return lp
 
 
-def run_chains(model: ModelSpec, cfg: McmcConfig) -> McmcResult:
-    """Sample the posterior with adaptive random-walk Metropolis-within-Gibbs."""
+def run_chains(model: ModelSpec, cfg: McmcConfig, *, warmup: int = 1000,
+               target_accept: float | None = None) -> McmcResult:
+    """Sample the posterior with adaptive random-walk Metropolis-within-Gibbs:
+    ``warmup`` adapting iterations, then ``cfg.samples`` kept ones per chain.
+    ``target_accept`` None means 0.44 for scalar blocks, 0.234 otherwise."""
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
+    if target_accept is not None and not (0.0 < target_accept < 1.0):
+        raise ValueError("target_accept must lie in (0, 1)")
     rng = np.random.default_rng(cfg.seed)
     chains = cfg.chains
 
@@ -182,19 +185,14 @@ def run_chains(model: ModelSpec, cfg: McmcConfig) -> McmcResult:
 
     # Per-(block, chain) log step sizes, Robbins-Monro adapted during warmup.
     log_step = {b.name: np.full(chains, math.log(0.5)) for b in model.blocks}
-    target = {
-        b.name: cfg.target_accept
-        if cfg.target_accept is not None
-        else (0.44 if b.size == 1 else 0.234)
-        for b in model.blocks
-    }
+    target = {b.name: target_accept or (0.44 if b.size == 1 else 0.234) for b in model.blocks}
     accepted = {b.name: 0 for b in model.blocks}
-    total = cfg.warmup + cfg.samples
+    total = warmup + cfg.samples
 
     out = {b.name: np.empty((chains, cfg.samples, b.size)) for b in model.blocks}
 
     for it in range(total):
-        adapt = it < cfg.warmup
+        adapt = it < warmup
         for b in model.blocks:
             z = sampling[b.name]
             step = np.exp(log_step[b.name])[:, None]
@@ -217,7 +215,7 @@ def run_chains(model: ModelSpec, cfg: McmcConfig) -> McmcResult:
             else:
                 accepted[b.name] += int(accept.sum())
         if not adapt:
-            k = it - cfg.warmup
+            k = it - warmup
             for b in model.blocks:
                 out[b.name][:, k, :] = natural[b.name]
 

@@ -6,19 +6,22 @@ longitudinal model at every visit time, evaluates the estimators over paired
 posterior draws, and scores bias/coverage against the exact finite-sample
 truths. Cells are independent work units with self-contained seed streams
 derived from the master seed, so results do not depend on scheduling order;
-completed cells are cached on disk keyed by a config hash and skipped on
-re-runs. A cell whose fit fails convergence diagnostics is retried once with
-doubled warmup and then recorded as failed; aggregates count only successful
-cells.
+completed cells are cached on disk keyed by a hash of the config and of the
+package's code, and skipped on re-runs. ``fit_posteriors`` is the one fitting
+path, shared with ``tbd fit``: a fit that fails convergence diagnostics is
+retried once with doubled samples and then recorded as failed; aggregates
+count only successful cells.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
 import os
+import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -56,7 +59,7 @@ from .simulate import (
     simulate_science_table,
     true_estimands,
 )
-from .survival import HazardGrid, SurvivalPriors, default_grid, fit_survival
+from .survival import HazardGrid, SurvivalPosterior, SurvivalPriors, default_grid, fit_survival
 
 ESTIMANDS = ("sace", "pc", "sim", "rmst")
 WORKERS_ENV = "TBD_WORKERS"
@@ -87,8 +90,20 @@ class StudyConfig:
         return default_grid(follow_up, visit_times)
 
     def content_hash(self) -> str:
-        blob = json.dumps(encode(self), sort_keys=True).encode("utf8")
-        return hashlib.sha256(blob).hexdigest()[:16]
+        """Cache key of the cells: this config and the code that computes them."""
+        doc = {"config": encode(self), "code": code_fingerprint()}
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf8")).hexdigest()[:16]
+
+
+@functools.cache
+def code_fingerprint() -> str:
+    """sha256 of the package's sources and scenario library, so cells cached
+    by other code are recomputed rather than resumed."""
+    h = hashlib.sha256()
+    pkg = Path(__file__).parent
+    for path in [*sorted(pkg.glob("*.py")), pkg / "scenarios.json"]:
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
 
 
 @dataclass
@@ -144,17 +159,55 @@ def _seed_int(master_seed: int, *parts) -> int:
 
 
 def _fit_with_retry(fit_fn, cfg: McmcConfig):
-    """Run a fit; on diagnostic failure retry once with doubled warmup (and
-    doubled sampling, so low-ESS flags can actually recover)."""
+    """Run a fit; on diagnostic failure retry once with doubled samples."""
     post = fit_fn(cfg)
     if post.converged:
         return post, None
-    retry_cfg = replace(cfg, warmup=2 * cfg.warmup, samples=2 * cfg.samples, seed=cfg.seed + 1)
-    post = fit_fn(retry_cfg)
+    post = fit_fn(replace(cfg, samples=2 * cfg.samples, seed=cfg.seed + 1))
     if post.converged:
         return post, None
     worst, least = diagnostic_extremes(post.diagnostics)
     return post, f"convergence failure after retry (worst rhat {worst:.3f}, min ess {least:.0f})"
+
+
+@dataclass
+class Posteriors:
+    """The two-step fit of one dataset. ``longitudinal`` holds every visit's
+    posterior that could be drawn, flagged or not; ``failures`` names each
+    visit whose fit is not usable and why."""
+
+    survival: SurvivalPosterior
+    survival_failure: str | None
+    longitudinal: dict[float, LongitudinalPosterior]
+    failures: dict[float, str]
+
+
+def fit_posteriors(data, config: StudyConfig, *seed_parts) -> Posteriors:
+    """Fit the survival model, then at each visit the longitudinal model
+    weighted by the posterior-mean counterfactual survival. Fit seeds derive
+    from ``config.master_seed`` and ``seed_parts``; each fit is retried once
+    on diagnostic failure."""
+    seed = config.master_seed
+    grid = config.grid_for(data.follow_up, data.visit_times)
+    spost, serr = _fit_with_retry(
+        lambda c: fit_survival(data, grid, config.survival_priors, c),
+        replace(config.mcmc, seed=_seed_int(seed, *seed_parts, "surv")),
+    )
+    fits = Posteriors(survival=spost, survival_failure=serr, longitudinal={}, failures={})
+    for ti, t in enumerate(data.visit_times):
+        weights = compute_weights(spost.s_mis_matrix(data, t).mean(axis=0), data, t)
+        try:
+            lpost, lerr = _fit_with_retry(
+                lambda c: fit_longitudinal(data, t, weights, config.long_priors, c),
+                replace(config.mcmc, seed=_seed_int(seed, *seed_parts, "long", ti)),
+            )
+        except LongitudinalFitError as exc:
+            fits.failures[t] = str(exc)
+            continue
+        fits.longitudinal[t] = lpost
+        if lerr is not None:
+            fits.failures[t] = lerr
+    return fits
 
 
 def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> CellResult:
@@ -164,21 +217,13 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
         scenario, child_seed(seed, scenario.name, replicate, "sim")
     )
     data = observe(science)
-    grid = config.grid_for(scenario.follow_up, scenario.visit_times)
     truths = {t: true_estimands(science, t) for t in scenario.visit_times}
 
-    scfg = replace(config.mcmc, seed=_seed_int(seed, scenario.name, replicate, "surv"))
-    spost, err = _fit_with_retry(
-        lambda c: fit_survival(data, grid, config.survival_priors, c), scfg
-    )
-    if err is not None:
-        return CellResult(
-            scenario=scenario.name,
-            replicate=replicate,
-            times=[],
-            failed=True,
-            failure=f"survival fit: {err}",
-        )
+    fits = fit_posteriors(data, config, scenario.name, replicate)
+    if fits.survival_failure is not None:
+        failure = f"survival fit: {fits.survival_failure}"
+        return CellResult(scenario.name, replicate, times=[], failed=True, failure=failure)
+    spost = fits.survival
 
     x = np.array([p.x for p in data.patients], dtype=float)
     w = np.array([p.w for p in data.patients])
@@ -189,17 +234,7 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
         death_pct = 100.0 * float(
             np.mean([p.d_obs == 1 and p.t_obs <= t for p in data.patients])
         )
-        weights = compute_weights(spost.s_mis_matrix(data, t).mean(axis=0), data, t)
-        try:
-            lcfg = replace(
-                config.mcmc, seed=_seed_int(seed, scenario.name, replicate, "long", ti)
-            )
-            lpost, lerr = _fit_with_retry(
-                lambda c: fit_longitudinal(data, t, weights, config.long_priors, c), lcfg
-            )
-            if lerr is not None:
-                raise LongitudinalFitError(lerr)
-        except LongitudinalFitError as exc:
+        if t in fits.failures:
             # the restricted-mean contrast and the data-only references do
             # not need the longitudinal fit; keep them
             rmst = rmst_estimand_draws(spost, data, t, config.k_draws)
@@ -215,10 +250,11 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
                     death_pct=death_pct,
                     mae=None,
                     failed=True,
-                    failure=f"longitudinal fit: {exc}",
+                    failure=f"longitudinal fit: {fits.failures[t]}",
                 )
             )
             continue
+        lpost = fits.longitudinal[t]
 
         rng = np.random.default_rng(child_seed(seed, scenario.name, replicate, "est", ti))
         if config.refit_weights_per_draw:
@@ -254,7 +290,7 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
     # stops a month short of the censoring horizon where controls run out
     mean_params = spost.mean_params()
     months = np.arange(2.0, scenario.follow_up)
-    base = np.stack([grid.overlaps(months) @ mean_params.rates(arm) for arm in (0, 1)])
+    base = np.stack([spost.grid.overlaps(months) @ mean_params.rates(arm) for arm in (0, 1)])
     scale = np.exp(np.where(w == 1, x @ mean_params.alpha1, x @ mean_params.alpha0))
     surv_pred = np.exp(-base[w] * scale[:, None])
     try:
@@ -300,8 +336,15 @@ def _cell_path(out_dir: Path, scenario: str, replicate: int) -> Path:
 
 
 def _run_cell_job(args):
+    """``run_cell``, with a crash recorded as a failed cell so that it costs
+    this cell only; its traceback goes to stderr."""
     config, scenario, replicate = args
-    return run_cell(config, scenario, replicate)
+    try:
+        return run_cell(config, scenario, replicate)
+    except Exception as exc:
+        traceback.print_exc()
+        failure = f"crashed: {type(exc).__name__}: {exc}"
+        return CellResult(scenario.name, replicate, times=[], failed=True, failure=failure)
 
 
 def run_study(config: StudyConfig, out_dir, workers: int | None = None) -> StudyResults:

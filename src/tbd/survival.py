@@ -183,21 +183,6 @@ def poisson_expand(data: ObservedDataset, grid: HazardGrid) -> PersonIntervalTab
     )
 
 
-def survival_loglik(params: SurvivalParams, table: PersonIntervalTable) -> float:
-    """Poisson log likelihood of the expanded table, up to the d! constant."""
-    lam = np.where(table.w == 1, params.lambda1[table.segment], params.lambda0[table.segment])
-    lin = np.where(
-        table.w == 1, table.x @ np.asarray(params.alpha1), table.x @ np.asarray(params.alpha0)
-    )
-    mu = lam * np.exp(lin) * table.exposure
-    with np.errstate(divide="ignore"):
-        terms = np.where(table.event == 1, np.log(mu), 0.0)
-    ll = float(np.sum(terms) - np.sum(mu))
-    if not math.isfinite(ll):
-        raise FitError("non-finite survival log likelihood")
-    return ll
-
-
 # --- closed-form survival quantities ----------------------------------------
 
 
@@ -442,10 +427,9 @@ def fit_survival(
 
     The arms share no parameters, so separate fits are identical in
     distribution to one joint fit. Each arm draws ``cfg.chains`` streams of
-    ``cfg.samples`` draws (``warmup`` and ``target_accept`` are not used);
-    R-hat and ESS are computed over the streams. Returns a flagged
-    (``converged=False``) posterior rather than raising when diagnostics
-    fail.
+    ``cfg.samples`` draws; R-hat and ESS are computed over the streams.
+    Returns a flagged (``converged=False``) posterior rather than raising
+    when diagnostics fail.
     """
     table = poisson_expand(data, grid)
     arm_seeds = np.random.SeedSequence(cfg.seed).spawn(2)

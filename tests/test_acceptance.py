@@ -101,7 +101,7 @@ def test_criterion_2_order_metric_partition():
 
 
 def test_criterion_3_sampler_oracles():
-    cfg = McmcConfig(chains=4, warmup=1000, samples=1000, seed=317)
+    cfg = McmcConfig(chains=4, samples=1000, seed=317)
 
     rng = np.random.default_rng(8)
     exposure = rng.uniform(0.5, 3.0, size=40)
@@ -113,7 +113,7 @@ def test_criterion_3_sampler_oracles():
         log_likelihood=lambda p: d.sum() * np.log(p["lam"][:, 0]) - exposure.sum() * p["lam"][:, 0],
         initial=lambda r, c: {"lam": np.exp(r.normal(0, 1, size=(c, 1)))},
     )
-    res = run_chains(gp, cfg)
+    res = run_chains(gp, cfg, warmup=1000)
     lam = res.pooled("lam")[:, 0]
     post = stats.gamma(a=a0 + d.sum(), scale=1.0 / (b0 + exposure.sum()))
     ok = abs(lam.mean() - post.mean()) / post.mean() < 0.02
@@ -127,7 +127,7 @@ def test_criterion_3_sampler_oracles():
         log_likelihood=lambda p: -0.5 * ((y[None, :] - p["mu"]) ** 2).sum(axis=1) / sigma**2,
         initial=lambda r, c: {"mu": r.normal(0, 3, size=(c, 1))},
     )
-    res_nn = run_chains(nn, cfg)
+    res_nn = run_chains(nn, cfg, warmup=1000)
     mu = res_nn.pooled("mu")[:, 0]
     prec = 1 / s0**2 + len(y) / sigma**2
     post_mean = (y.sum() / sigma**2) / prec
@@ -135,7 +135,7 @@ def test_criterion_3_sampler_oracles():
     ok &= abs(mu.mean() - post_mean) / abs(post_mean) < 0.02
     ok &= abs(mu.std() - post_sd) / post_sd < 0.05
 
-    res2 = run_chains(gp, cfg)
+    res2 = run_chains(gp, cfg, warmup=1000)
     ok &= np.array_equal(res.pooled("lam"), res2.pooled("lam"))
     assert _verdict("criterion 3 (conjugate oracles, bit-identical reruns)", bool(ok))
 

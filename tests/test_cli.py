@@ -11,10 +11,10 @@ from click.testing import CliRunner
 
 from tbd import science, simulate
 from tbd.cli import main
-from tbd.study import build_config
+from tbd.study import _seed_int, build_config
 from tbd.survival import fit_survival
 
-FAST_MCMC = {"chains": 2, "warmup": 200, "samples": 200, "min_ess": 5, "rhat_threshold": 2.0}
+FAST_MCMC = {"chains": 2, "samples": 200, "min_ess": 5, "rhat_threshold": 2.0}
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +91,7 @@ def test_written_json_is_one_line_and_parses_as_before(sim_dir, fits_path):
     data = simulate.observe(table)
     cfg = build_config({"mcmc": FAST_MCMC, "scenarios": []})
     spost = fit_survival(data, cfg.grid_for(data.follow_up, data.visit_times),
-                         cfg.survival_priors, replace(cfg.mcmc, seed=11))
+                         cfg.survival_priors, replace(cfg.mcmc, seed=_seed_int(11, "surv")))
     expected = {
         sim_dir / "science.json": science.science_to_json(table),
         sim_dir / "observed.json": science.observed_to_json(data),
@@ -104,6 +104,20 @@ def test_written_json_is_one_line_and_parses_as_before(sim_dir, fits_path):
         if path == fits_path:
             parsed = parsed["survival"]
         assert parsed == json.loads(json.dumps(doc, sort_keys=True, indent=1))
+
+
+def test_fit_retries_like_a_study_cell(runner, sim_dir, tmp_path):
+    # 2 x 200 draws cannot reach an ESS of 500; the retry's 2 x 400 can
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"mcmc": {"chains": 2, "samples": 200, "min_ess": 500}}))
+    out = tmp_path / "fits.json"
+    result = runner.invoke(main, ["fit", "--data", str(sim_dir / "observed.json"),
+                                  "--out", str(out), "--config", str(cfg), "--seed", "11"])
+    assert result.exit_code == 0, result.output
+    assert "warning" not in result.output
+    doc = json.loads(out.read_text())
+    assert len(doc["survival"]["lambda0"]) == 800
+    assert {len(ldoc["sigma"]) for ldoc in doc["longitudinal"].values()} == {800}
 
 
 def test_estimate_outputs(runner, sim_dir, fits_path, tmp_path):

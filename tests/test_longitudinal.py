@@ -1,4 +1,4 @@
-"""Stratum weights, weighted likelihood, and longitudinal fit oracles."""
+"""Stratum weights, counterfactual prediction, and longitudinal fit oracles."""
 
 import math
 
@@ -13,7 +13,6 @@ from tbd.longitudinal import (
     compute_weights,
     fit_longitudinal,
     predict_y_mis,
-    weighted_loglik,
     LongitudinalPosterior,
     VisitModel,
 )
@@ -69,48 +68,6 @@ class TestComputeWeights:
         draw = _sparams(0.05, 0.05)
         w = compute_weights([predict_s_mis(draw, p, 12.0) for p in data.patients], data, 12.0)
         assert w.tolist() == [0.0]
-
-
-class TestWeightedLoglik:
-    def _data(self, n=30, seed=0):
-        rng = np.random.default_rng(seed)
-        pats = []
-        for i in range(n):
-            x = rng.normal()
-            w = i % 2
-            y = -2.0 + 1.5 * x + (0.5 if w else 0.0) + rng.normal(0, 1.1)
-            pats.append(_obs(id=i, w=w, y_obs={12.0: y}, x=(x,)))
-        return ObservedDataset(patients=tuple(pats), follow_up=15.0)
-
-    def test_unit_weights_reduce_to_plain_gaussian_loglik(self):
-        data = self._data()
-        params = LongParams(beta0=np.array([-2.0, -1.5]), beta1=np.array([[1.5], [1.5]]), sigma=1.1)
-        expected = 0.0
-        for p in data.patients:
-            mu = params.mean(p.x, p.w)
-            expected += -math.log(1.1 * math.sqrt(2 * math.pi)) - (p.y_obs[12.0] - mu) ** 2 / (2 * 1.1**2)
-        got = weighted_loglik(params, data, np.ones(len(data)), 12.0)
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_zero_weights_give_zero(self):
-        data = self._data()
-        params = LongParams(beta0=np.array([0.0, 0.0]), beta1=np.array([[0.0], [0.0]]), sigma=1.0)
-        assert weighted_loglik(params, data, np.zeros(len(data)), 12.0) == 0.0
-
-    def test_linear_in_weights(self):
-        data = self._data()
-        params = LongParams(beta0=np.array([-2.0, -1.0]), beta1=np.array([[1.0], [2.0]]), sigma=0.9)
-        rng = np.random.default_rng(3)
-        w = rng.uniform(0.0, 1.0, size=len(data))
-        full = weighted_loglik(params, data, w, 12.0)
-        half = weighted_loglik(params, data, w / 2, 12.0)
-        assert half == pytest.approx(full / 2, rel=1e-12)
-
-    def test_misaligned_weights_rejected(self):
-        data = self._data()
-        params = LongParams(beta0=np.zeros(2), beta1=np.zeros((2, 1)), sigma=1.0)
-        with pytest.raises(ValueError):
-            weighted_loglik(params, data, np.ones(3), 12.0)
 
 
 class TestPredictYMis:
@@ -172,7 +129,7 @@ class TestFitLongitudinal:
                 "sigma": np.exp(rng.normal(3, 1, size=(c, 1))),
             },
         )
-        res = run_chains(model, McmcConfig(chains=4, warmup=2000, samples=4000, seed=13))
+        res = run_chains(model, McmcConfig(chains=4, samples=4000, seed=13), warmup=2000)
         beta0 = res.pooled("beta0")[:, 0]
         sigma = res.pooled("sigma")[:, 0]
         assert beta0.mean() == pytest.approx(-2.0, abs=0.05 * 3)

@@ -8,7 +8,7 @@ from scipy import stats
 
 from tbd.mcmc import Block, McmcConfig, McmcError, ModelSpec, ess, rhat, run_chains
 
-CFG = McmcConfig(chains=4, warmup=1000, samples=1000, seed=317)
+CFG = McmcConfig(chains=4, samples=1000, seed=317)
 
 
 def _model(blocks, log_prior, log_likelihood, initial):
@@ -54,7 +54,7 @@ def test_seeded_runs_are_bit_identical():
     a = run_chains(model, CFG)
     b = run_chains(model, CFG)
     assert np.array_equal(a.pooled("mu"), b.pooled("mu"))
-    c = run_chains(model, McmcConfig(chains=4, warmup=1000, samples=1000, seed=99))
+    c = run_chains(model, McmcConfig(chains=4, samples=1000, seed=99), warmup=1000)
     assert not np.array_equal(a.pooled("mu"), c.pooled("mu"))
 
 
@@ -105,7 +105,7 @@ def test_positive_support_never_violated():
         lambda p: -(p["lam"].sum(axis=1)),
         lambda rng, c: {"lam": np.exp(rng.normal(0, 1, size=(c, 3)))},
     )
-    res = run_chains(model, McmcConfig(chains=2, warmup=200, samples=300, seed=0))
+    res = run_chains(model, McmcConfig(chains=2, samples=300, seed=0), warmup=200)
     assert np.all(res.pooled("lam") > 0)
 
 
@@ -117,7 +117,7 @@ def test_invalid_initialization_raises_with_block_name():
         lambda rng, c: {"lam": np.zeros((c, 1))},  # outside the positive support
     )
     with pytest.raises(McmcError, match="lam"):
-        run_chains(model, McmcConfig(chains=2, warmup=10, samples=10, seed=0))
+        run_chains(model, McmcConfig(chains=2, samples=10, seed=0), warmup=10)
 
 
 def test_nonfinite_density_at_init_raises():
@@ -128,7 +128,7 @@ def test_nonfinite_density_at_init_raises():
         lambda rng, c: {"mu": rng.normal(size=(c, 1))},
     )
     with pytest.raises(McmcError, match="non-finite"):
-        run_chains(model, McmcConfig(chains=2, warmup=10, samples=10, seed=0))
+        run_chains(model, McmcConfig(chains=2, samples=10, seed=0), warmup=10)
 
 
 class TestDiagnostics:

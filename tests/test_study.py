@@ -25,7 +25,7 @@ from tbd.study import (
     run_study,
 )
 
-SMALL_MCMC = McmcConfig(chains=2, warmup=250, samples=250, seed=0, min_ess=30)
+SMALL_MCMC = McmcConfig(chains=2, samples=250, seed=0, min_ess=30)
 
 
 def _config(**kwargs):
@@ -84,6 +84,37 @@ class TestRunStudy:
         docs = [json.loads(p.read_text()) for p in (out2 / "cells").glob("*.json")]
         assert all(d["config_hash"] == changed.content_hash() for d in docs)
         assert results.config_hash == changed.content_hash() != _config().content_hash()
+
+    def test_code_change_invalidates_cache(self, study_dir, tmp_path, monkeypatch):
+        cfg, out, _ = study_dir
+        out2 = tmp_path / "copy"
+        shutil.copytree(out / "cells", out2 / "cells")
+        old_hash = cfg.content_hash()
+        monkeypatch.setattr(study, "code_fingerprint", lambda: "other code")
+        new_hash = cfg.content_hash()
+        assert new_hash != old_hash
+        run_study(cfg, out2, workers=1)
+        for path in sorted((out / "cells").glob("*.json")):
+            old_doc = json.loads(path.read_text())
+            new_doc = json.loads((out2 / "cells" / path.name).read_text())
+            assert (old_doc["config_hash"], new_doc["config_hash"]) == (old_hash, new_hash)
+            assert new_doc["cell"] == old_doc["cell"]
+
+    def test_crashing_cell_costs_only_itself(self, tmp_path, monkeypatch, capsys):
+        real = study.run_cell
+
+        def crash_on_second(config, scenario, replicate):
+            if replicate == 1:
+                raise RuntimeError("boom")
+            return real(config, scenario, replicate)
+
+        monkeypatch.setattr(study, "run_cell", crash_on_second)
+        results = run_study(_config(replicates=3), tmp_path, workers=1)
+        assert results.n_failed == 1
+        assert [c.failure for c in results.cells] == [None, "crashed: RuntimeError: boom", None]
+        assert "RuntimeError: boom" in capsys.readouterr().err
+        for rep in (0, 2):
+            assert (tmp_path / "cells" / f"no_effect__r{rep:04d}.json").exists()
 
     def test_worker_processes_write_the_same_cells(self, study_dir, tmp_path):
         cfg, out, _ = study_dir
@@ -248,7 +279,7 @@ class TestBuildConfig:
                 "scenarios": ["no_effect"],
                 "replicates": 3,
                 "n": 50,
-                "mcmc": {"chains": 2, "warmup": 100, "samples": 150},
+                "mcmc": {"chains": 2, "samples": 150},
                 "long_priors": {"beta0_mean": -1.0},
             }
         )
@@ -279,12 +310,14 @@ class TestBuildConfig:
         [
             ({"replicate": 3}, "StudyConfig: unknown keys ['replicate']"),
             ({"mcmc": {"warmpu": 3}}, "McmcConfig: unknown keys ['warmpu']"),
+            ({"mcmc": {"warmup": 2000}}, "McmcConfig: unknown keys ['warmup']"),
             ({"survival_priors": {"lamda_mean": 0.1}}, "SurvivalPriors: unknown keys ['lamda_mean']"),
             ({"long_priors": {"beta0_men": -1.0}}, "LongPriors: unknown keys ['beta0_men']"),
             ({"scenarios": ["nope"]}, "unknown scenario 'nope'; known: ['beneficial', 'mixed', "
                                       "'no_effect', 'no_effect_no_censoring']"),
         ],
-        ids=["top-level", "mcmc", "survival_priors", "long_priors", "scenario-name"],
+        ids=["top-level", "mcmc", "retired-warmup", "survival_priors", "long_priors",
+             "scenario-name"],
     )
     def test_unknown_key_refused(self, doc, refused):
         with pytest.raises(ValueError, match=re.escape(refused)):

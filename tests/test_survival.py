@@ -21,7 +21,6 @@ from tbd.survival import (
     poisson_expand,
     predict_s_mis,
     rmst_integral,
-    survival_loglik,
     survival_prob,
 )
 
@@ -80,28 +79,6 @@ class TestPoissonExpand:
     def test_grid_must_cover_follow_up(self):
         with pytest.raises(ValueError):
             poisson_expand(_dataset([_patient(15.0, 0)]), HazardGrid((0.0, 10.0)))
-
-
-class TestSurvivalLoglik:
-    def test_censored_row_is_minus_mu(self):
-        table = poisson_expand(_dataset([_patient(1.0, 0, w=0)]), HazardGrid((0.0, 1.0)))
-        p = _params(0.5, grid=HazardGrid((0.0, 1.0)))
-        assert survival_loglik(p, table) == pytest.approx(-0.5)
-
-    def test_event_row_with_unit_mean(self):
-        table = poisson_expand(_dataset([_patient(1.0, 1, follow_up=1.0)]), HazardGrid((0.0, 1.0)))
-        p = _params(1.0, grid=HazardGrid((0.0, 1.0)))
-        # d*log(mu) - mu with mu = 1
-        assert survival_loglik(p, table) == pytest.approx(-1.0)
-
-    def test_invariance_to_exposure_rate_tradeoff(self):
-        grid_a = HazardGrid((0.0, 2.0))
-        grid_b = HazardGrid((0.0, 4.0))
-        table_a = poisson_expand(_dataset([_patient(2.0, 1, follow_up=2.0)]), grid_a)
-        table_b_rows = poisson_expand(_dataset([_patient(4.0, 1, follow_up=4.0)]), grid_b)
-        ll_a = survival_loglik(_params(0.5, grid=grid_a), table_a)
-        ll_b = survival_loglik(_params(0.25, grid=grid_b), table_b_rows)
-        assert ll_a == pytest.approx(ll_b)
 
 
 class TestClosedForms:
@@ -253,7 +230,7 @@ class TestFitSurvival:
             simulate_science_table(get_scenario("no_effect").with_updates(n=60), seed=2)
         )
         grid = default_grid(15.0)
-        cfg = McmcConfig(chains=2, warmup=300, samples=300, seed=5)
+        cfg = McmcConfig(chains=2, samples=300, seed=5)
         a = fit_survival(data, grid, SurvivalPriors(), cfg)
         b = fit_survival(data, grid, SurvivalPriors(), cfg)
         assert np.array_equal(a.lambda0, b.lambda0)
@@ -338,7 +315,7 @@ def test_alpha_interval_covers_zero_effect_truth():
     for rep in range(reps):
         data = observe(simulate_science_table(params, seed=900 + rep))
         post = fit_survival(
-            data, grid, SurvivalPriors(), McmcConfig(chains=2, warmup=500, samples=500, seed=rep)
+            data, grid, SurvivalPriors(), McmcConfig(chains=2, samples=500, seed=rep)
         )
         for alpha in (post.alpha0, post.alpha1):
             lo, hi = np.percentile(alpha[:, 0], [2.5, 97.5])
