@@ -99,6 +99,11 @@ def fit(data_path: str, out: str, config_path: str | None, seed: int) -> None:
     click.echo(f"wrote posteriors to {out}")
 
 
+ESTIMATE_COLUMNS = ("scenario", "replicate", "time", "estimand", "draw_index", "value",
+                    "is_infinite")
+SUMMARY_COLUMNS = ("estimand", "time", "median", "lo95", "hi95", "frac_undefined")
+
+
 @main.command()
 @click.option("--data", "data_path", type=click.Path(exists=True), required=True)
 @click.option("--fits", "fits_path", type=click.Path(exists=True), required=True)
@@ -128,47 +133,29 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
             click.echo(f"warning: longitudinal fit at t={t} flagged by diagnostics", err=True)
         rng = np.random.default_rng(simulate.child_seed(seed, "estimate", key))
         result = estimators.estimand_draws(spost, lpost, data, t, draws, rng)
-        for name in ("sace", "pc", "sim", "rmst"):
-            values = result.values(name)
-            for k, v in enumerate(values):
-                est_rows.append(
-                    {
-                        "scenario": label,
-                        "replicate": 0,
-                        "time": t,
-                        "estimand": name,
-                        "draw_index": k,
-                        "value": _cell(v),
-                        "is_infinite": int(math.isinf(v)),
-                    }
-                )
-            summ = estimators.summarize(values)
-            summary_rows.append(
-                {
-                    "estimand": name,
-                    "time": t,
-                    "median": _cell(summ.median),
-                    "lo95": _cell(summ.lo95),
-                    "hi95": _cell(summ.hi95),
-                    "frac_undefined": study.fmt(summ.frac_undefined),
-                }
+        for name, summ in result.summaries().items():
+            est_rows.extend(
+                (label, 0, t, name, k, _cell(v), int(math.isinf(v)))
+                for k, v in enumerate(result.values(name).tolist())
             )
+            summary_rows.append((name, t, _cell(summ.median), _cell(summ.lo95),
+                                 _cell(summ.hi95), study.fmt(summ.frac_undefined)))
         for reference, value in (("naive_reference_biased", result.naive),
                                  ("wmw_reference", result.wmw)):
-            summary_rows.append({"estimand": reference, "time": t, "median": _cell(value),
-                                 "lo95": "-", "hi95": "-", "frac_undefined": "-"})
-    _write_rows(out_dir / "estimates.csv", est_rows)
-    _write_rows(out_dir / "summary.csv", summary_rows)
+            summary_rows.append((reference, t, _cell(value), "-", "-", "-"))
+    _write_rows(out_dir / "estimates.csv", ESTIMATE_COLUMNS, est_rows)
+    _write_rows(out_dir / "summary.csv", SUMMARY_COLUMNS, summary_rows)
     click.echo(f"wrote estimates.csv and summary.csv to {out_dir}")
 
 
-def _write_rows(path: Path, rows: list[dict]) -> None:
+def _write_rows(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
+    """CSV of ``rows`` under ``header``; an empty file when there are no rows."""
     if not rows:
         path.write_text("")
         return
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(header)
         writer.writerows(rows)
 
 

@@ -21,6 +21,14 @@ behind ``impute_noise``.
 Two reference estimators are included for contrast only: the naive
 observed-survivor contrast (biased by selection) and the across-arm rank
 statistic computed on observed composites.
+
+The per-patient ``*_draw`` functions state the definitions and serve as
+oracles. ``estimand_draws`` evaluates every paired draw at once, as array
+code that keeps the floating-point operations and their order of the
+per-draw evaluation: one pooled median per draw for SIM, and each patient's
+integral under both arms for RMST, of which one is kept. Its draws
+therefore carry the same bits, and the tests compare them bit for bit
+against those per-draw loops.
 """
 
 from __future__ import annotations
@@ -32,10 +40,14 @@ import numpy as np
 from scipy.special import ndtr
 
 from .longitudinal import LongParams, LongitudinalPosterior, predict_y_mis
-from .science import ObservedDataset, ObservedPatient, composite_order, observed_composite
+from .science import ObservedDataset, ObservedPatient
 from .survival import SurvivalParams, SurvivalPosterior, predict_s_mis, rmst_integral
 
 _MASS_TOL = 1e-12
+# SIM takes its draws in blocks of about this many atoms. Whole-batch
+# (draws, atoms) arrays of a few MB left that much free but unreturned heap
+# behind each call, raising the peak memory of the next fit.
+_SIM_BLOCK_ATOMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -195,28 +207,47 @@ def rmst_draw(s_draw: SurvivalParams, data: ObservedDataset, t: float) -> float:
 def naive_effect(data: ObservedDataset, t: float) -> float | None:
     """Observed-survivor arm contrast (biased reference; conditions on
     post-randomization survival)."""
-    by_arm: dict[int, list[float]] = {0: [], 1: []}
-    for p in data.patients:
-        if p.alive_at(t) and t in p.y_obs:
-            by_arm[p.w].append(p.y_obs[t])
-    if not by_arm[0] or not by_arm[1]:
+    cols = data.columns
+    at = cols.at(t)
+    treated = at.y[at.measured & (cols.w == 1)]
+    control = at.y[at.measured & (cols.w == 0)]
+    if not len(treated) or not len(control):
         return None
-    return float(np.mean(by_arm[1]) - np.mean(by_arm[0]))
+    return float(np.mean(treated) - np.mean(control))
+
+
+def _wins_and_ties(mine: np.ndarray, theirs: np.ndarray) -> tuple[int, int]:
+    """Pairs (i, j) with mine[i] > theirs[j], and with mine[i] == theirs[j]."""
+    theirs = np.sort(theirs)
+    below = np.searchsorted(theirs, mine, side="left")
+    tied = np.searchsorted(theirs, mine, side="right") - below
+    return int(below.sum()), int(tied.sum())
 
 
 def wmw(data: ObservedDataset, t: float) -> float | None:
     """Across-arm win fraction of observed composites with half credit for
-    ties (rank-statistic reference; differs from the pairwise estimand)."""
-    treated = [observed_composite(p, t) for p in data.patients if p.w == 1]
-    control = [observed_composite(p, t) for p in data.patients if p.w == 0]
-    if not treated or not control:
+    ties (rank-statistic reference; differs from the pairwise estimand).
+
+    A survivor beats a death, two deaths compare by death time and two
+    survivors by outcome (``composite_order``); the pairs are counted by
+    sorting, not enumerated. The count of wins plus half the ties is exact
+    in floating point, so the fraction equals the pairwise sum's."""
+    cols = data.columns
+    at = cols.at(t)
+    unmeasured = np.flatnonzero(at.alive & np.isnan(at.y))
+    if len(unmeasured):
+        pid = data.patients[unmeasured[0]].id
+        raise KeyError(f"patient {pid} has no measurement at month {t}")
+    treated, control = cols.w == 1, cols.w == 0
+    n1, n0 = int(treated.sum()), int(control.sum())
+    if not n1 or not n0:
         return None
-    total = 0.0
-    for zi in treated:
-        for zj in control:
-            o = composite_order(zi, zj)
-            total += 1.0 if o > 0 else (0.5 if o == 0 else 0.0)
-    return total / (len(treated) * len(control))
+    alive, dead = at.alive, ~at.alive
+    y_wins, y_ties = _wins_and_ties(at.y[treated & alive], at.y[control & alive])
+    t_wins, t_ties = _wins_and_ties(cols.t_obs[treated & dead], cols.t_obs[control & dead])
+    survivor_over_death = int((treated & alive).sum()) * int((control & dead).sum())
+    total = (y_wins + t_wins + survivor_over_death) + 0.5 * (y_ties + t_ties)
+    return total / (n1 * n0)
 
 
 # --- batched evaluation over paired posterior draws --------------------------
@@ -266,41 +297,84 @@ class EstimandDraws:
         return getattr(self, name)
 
     def summaries(self) -> dict[str, EstimandSummary]:
-        return {name: summarize(getattr(self, name)) for name in ("sace", "pc", "sim", "rmst")}
+        """``summarize`` of each estimand. Those whose draws are all finite
+        share one percentile call, which takes each row's order statistics
+        and interpolates them as a one-row call does."""
+        names = ("sace", "pc", "sim", "rmst")
+        rows = np.stack([np.asarray(getattr(self, name), dtype=float) for name in names])
+        whole = np.isfinite(rows).all(axis=1) & (rows.shape[1] > 0)
+        batched = {}
+        if whole.any():
+            lo, med, hi = np.percentile(rows[whole], [2.5, 50.0, 97.5], axis=1)
+            batched = {
+                name: EstimandSummary(float(m), float(l), float(h), 0.0, rows.shape[1])
+                for name, l, m, h in zip(np.array(names)[whole], lo, med, hi)
+            }
+        return {name: batched[name] if name in batched else summarize(row)
+                for name, row in zip(names, rows)}
 
 
 def _rmst_batch(lam: np.ndarray, scale: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
     """Vectorized restricted-mean integral.
 
     lam (K, J) segment rates, scale (K, n) covariate multipliers, overlaps
-    (J,) segment lengths inside [0, t]; returns (K, n).
+    (J,) segment lengths inside [0, t]; returns (K, n). A segment past t
+    adds an exact zero, so only the others are evaluated; the zeros stay in
+    the (K, n, J) sum, which therefore adds in the same order for any J.
     """
-    r = lam[:, None, :] * scale[:, :, None]  # (K, n, J)
-    seg_haz = r * overlaps[None, None, :]
+    live = overlaps > 0
+    r = lam[:, None, live] * scale[:, :, None]  # (K, n, live segments)
+    seg_haz = r * overlaps[None, None, live]
     prefix = np.concatenate(
         [np.zeros_like(seg_haz[..., :1]), np.cumsum(seg_haz, axis=2)[..., :-1]], axis=2
     )
     with np.errstate(invalid="ignore", divide="ignore"):
-        piece = np.where(r > 0, -np.expm1(-seg_haz) / np.where(r > 0, r, 1.0), overlaps)
-    return np.sum(np.exp(-prefix) * piece, axis=2)
+        piece = np.where(r > 0, -np.expm1(-seg_haz) / np.where(r > 0, r, 1.0), overlaps[live])
+    terms = np.zeros(scale.shape + overlaps.shape)
+    terms[..., live] = np.exp(-prefix) * piece
+    return np.sum(terms, axis=2)
 
 
 def rmst_estimand_draws(
     spost: SurvivalPosterior, data: ObservedDataset, t: float, k: int
 ) -> np.ndarray:
-    """Restricted-mean contrast draws; needs only the survival posterior."""
-    w = np.array([p.w for p in data.patients])
-    sign = 2 * w - 1
-    x = np.array([p.x for p in data.patients], dtype=float)
-    t_obs = np.array([p.t_obs for p in data.patients])
+    """Restricted-mean contrast draws; needs only the survival posterior.
+
+    Each patient's integral runs under the unassigned arm only; the
+    covariate scales are still one product over all patients per arm."""
+    cols = data.columns
     s_idx = spost.subsample_indices(k)
     overlaps = spost.grid.overlaps(float(t))
-    scale0 = np.exp(spost.alpha0[s_idx] @ x.T)
-    scale1 = np.exp(spost.alpha1[s_idx] @ x.T)
-    integral0 = _rmst_batch(spost.lambda0[s_idx], scale0, overlaps)
-    integral1 = _rmst_batch(spost.lambda1[s_idx], scale1, overlaps)
-    integral = np.where((1 - w)[None, :] == 1, integral1, integral0)
-    return (sign[None, :] * (np.minimum(t_obs, t)[None, :] - integral)).mean(axis=1)
+    integral = np.empty((len(s_idx), len(data)))
+    for arm, lam, alpha in ((0, spost.lambda0, spost.alpha0), (1, spost.lambda1, spost.alpha1)):
+        scale = np.exp(alpha[s_idx] @ cols.x.T)
+        unassigned = cols.w != arm
+        integral[:, unassigned] = _rmst_batch(lam[s_idx], scale[:, unassigned], overlaps)
+    sign = 2 * cols.w - 1
+    return (sign[None, :] * (np.minimum(cols.t_obs, t)[None, :] - integral)).mean(axis=1)
+
+
+def _sim_batch(values: np.ndarray, masses: np.ndarray, half: float) -> np.ndarray:
+    """``_pooled_median`` of every row of ``values`` / ``masses`` (draws,
+    atoms), with the same floating-point operations in the same order.
+
+    Zero-mass atoms stay in the rows, where ``_pooled_median``'s callers drop
+    them: adding 0.0 leaves each cumulative sum as it was, and such an atom
+    is never the one picked nor the neighbour at a boundary."""
+    order = np.argsort(values, axis=1, kind="stable")
+    m = np.take_along_axis(masses, order, axis=1)
+    cum = np.cumsum(m, axis=1)
+    rows = np.arange(len(m))
+    # the first atom reaching half; there is one, as the masses add up to 2 * half
+    idx = (cum < half - _MASS_TOL).sum(axis=1)
+    later = (m > 0) & (np.arange(m.shape[1])[None, :] > idx[:, None])
+    at_boundary = np.abs(cum[rows, idx] - half) <= _MASS_TOL  # half the mass is later
+    lo = values[rows, order[rows, idx]]
+    hi = values[rows, order[rows, np.argmax(later, axis=1)]]
+    with np.errstate(invalid="ignore"):
+        mid = np.where(np.isinf(lo), lo, np.where(np.isinf(hi), hi, 0.5 * (lo + hi)))
+    mid[np.isinf(lo) & np.isinf(hi) & (lo != hi)] = np.nan
+    return np.where(at_boundary, mid, lo)
 
 
 def estimand_draws(
@@ -321,12 +395,11 @@ def estimand_draws(
     if impute_noise and rng is None:
         raise ValueError("impute_noise requires a generator")
     n = len(data)
-    w = np.array([p.w for p in data.patients])
+    cols = data.columns
+    w, x = cols.w, cols.x
     sign = 2 * w - 1
-    x = np.array([p.x for p in data.patients], dtype=float)
-    alive = np.array([p.alive_at(t) for p in data.patients])
-    t_obs = np.array([p.t_obs for p in data.patients])
-    y = np.array([p.y_obs.get(t, np.nan) for p in data.patients])
+    at = cols.at(t)
+    alive, y = at.alive, at.y
     if np.any(alive & np.isnan(y)):
         bad = [p.id for p, a in zip(data.patients, alive) if a and t not in p.y_obs]
         raise ValueError(f"patients alive at t={t} without a measurement: {bad}")
@@ -345,8 +418,9 @@ def estimand_draws(
 
     # SACE
     diff = sign[None, :] * (y[None, :] - mu_mis)
-    den = s_mis[:, surv].sum(axis=1)
-    num = (s_mis[:, surv] * diff[:, surv]).sum(axis=1)
+    s_surv = s_mis[:, surv]
+    den = s_surv.sum(axis=1)
+    num = (s_surv * diff[:, surv]).sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         sace = np.where(den > 0, num / den, np.nan)
 
@@ -360,28 +434,27 @@ def estimand_draws(
     # RMST
     rmst = rmst_estimand_draws(spost, data, t, k)
 
-    # SIM: three atom families per draw; finite atoms at the predictive mean
-    # unless the Monte Carlo imputation variant is requested
+    # SIM: each patient's atoms as in composite_diff_dist; finite atoms at
+    # the predictive mean unless the Monte Carlo imputation variant is
+    # requested. The infinite atoms sit where they do for every draw.
     if impute_noise:
         y_mis = mu_mis + sigma[:, None] * rng.standard_normal((k, n))
     else:
         y_mis = mu_mis
+    v_inf = np.concatenate([np.where(sign[surv] > 0, np.inf, -np.inf),
+                            np.where(sign[dead] > 0, -np.inf, np.inf),
+                            np.where(sign[dead] > 0, np.inf, -np.inf)])
+    m_dead = s_mis[:, dead]
     sim = np.empty(k)
-    half = n / 2.0
-    inf = np.inf
-    for kk in range(k):
-        v_fin = sign[surv] * (y[surv] - y_mis[kk, surv])
-        m_fin = s_mis[kk, surv]
-        v_inf_surv = np.where(sign[surv] > 0, inf, -inf)
-        m_inf_surv = 1.0 - m_fin
-        v_dead_lo = np.where(sign[dead] > 0, -inf, inf)
-        m_dead_lo = s_mis[kk, dead]
-        v_dead_hi = np.where(sign[dead] > 0, inf, -inf)
-        m_dead_hi = 1.0 - m_dead_lo
-        values = np.concatenate([v_fin, v_inf_surv, v_dead_lo, v_dead_hi])
-        masses = np.concatenate([m_fin, m_inf_surv, m_dead_lo, m_dead_hi])
-        keep = masses > 0
-        sim[kk] = _pooled_median(values[keep], masses[keep], half)
+    step = max(1, _SIM_BLOCK_ATOMS // (2 * n))
+    for start in range(0, k, step):
+        b = slice(start, start + step)
+        v_fin = sign[surv] * (y[surv] - y_mis[b][:, surv])
+        sim[b] = _sim_batch(
+            np.concatenate([v_fin, np.broadcast_to(v_inf, (len(v_fin), len(v_inf)))], axis=1),
+            np.concatenate([s_surv[b], 1.0 - s_surv[b], m_dead[b], 1.0 - m_dead[b]], axis=1),
+            n / 2.0,
+        )
 
     return EstimandDraws(
         time=t,

@@ -72,8 +72,7 @@ def compute_weights(s_mis, data: ObservedDataset, t: float) -> np.ndarray:
     (from one survival draw or the posterior mean). The weight is that
     probability for patients alive and measured at t, and zero otherwise.
     """
-    measured = np.array([p.alive_at(t) and t in p.y_obs for p in data.patients])
-    return np.where(measured, s_mis, 0.0)
+    return np.where(data.columns.at(t).measured, s_mis, 0.0)
 
 
 def predict_y_mis(params: LongParams, patient: ObservedPatient, t: float) -> tuple[float, float]:

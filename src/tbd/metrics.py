@@ -112,8 +112,7 @@ def km_survival(times: np.ndarray, events: np.ndarray):
 
 
 def _censoring_weights(data: ObservedDataset):
-    times = np.array([p.t_obs for p in data.patients])
-    events = np.array([p.d_obs for p in data.patients])
+    times, events = data.columns.t_obs, data.columns.d_obs
     g = km_survival(times, 1 - events)
     return times, events, g
 

@@ -13,11 +13,14 @@ All times are in months; longitudinal values are in score units.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
+
+import numpy as np
 
 
 class InvariantError(ValueError):
@@ -228,6 +231,45 @@ class ScienceTable:
 
 
 @dataclass(frozen=True)
+class VisitColumns:
+    """Per-patient status at one visit time, in patient order."""
+
+    alive: np.ndarray  # bool: known alive at t (``ObservedPatient.alive_at``)
+    measured: np.ndarray  # bool: alive with a measurement at t
+    y: np.ndarray  # float: outcome at t, NaN where there is none
+
+
+class ObservedColumns:
+    """Read-only array view of an ``ObservedDataset``, one entry per patient
+    in patient order: arm ``w``, covariates ``x`` (patients, p), ``t_obs``
+    and ``d_obs``, plus ``at(t)`` for each visit, built once per time."""
+
+    def __init__(self, patients: tuple[ObservedPatient, ...]) -> None:
+        self._patients = patients
+        self.w = _frozen(np.array([p.w for p in patients]))
+        self.x = _frozen(np.array([p.x for p in patients], dtype=float))
+        self.t_obs = _frozen(np.array([p.t_obs for p in patients]))
+        self.d_obs = _frozen(np.array([p.d_obs for p in patients]))
+        self._visits: dict[float, VisitColumns] = {}
+
+    def at(self, t: float) -> VisitColumns:
+        if t not in self._visits:
+            # alive_at, vectorised; measured values are finite (checked on
+            # construction), so NaN marks exactly the missing ones
+            alive = (self.d_obs == 0) | (self.t_obs > t)
+            y = np.array([p.y_obs.get(t, np.nan) for p in self._patients])
+            self._visits[t] = VisitColumns(
+                alive=_frozen(alive), measured=_frozen(alive & ~np.isnan(y)), y=_frozen(y)
+            )
+        return self._visits[t]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class ObservedDataset:
     """Observed trial data: one realized arm per patient."""
 
@@ -237,6 +279,11 @@ class ObservedDataset:
 
     def __len__(self) -> int:
         return len(self.patients)
+
+    @functools.cached_property
+    def columns(self) -> ObservedColumns:
+        """The patients as arrays; not a field, so not serialized or compared."""
+        return ObservedColumns(self.patients)
 
 
 # --- JSON round-trip -------------------------------------------------------

@@ -225,15 +225,13 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
         return CellResult(scenario.name, replicate, times=[], failed=True, failure=failure)
     spost = fits.survival
 
-    x = np.array([p.x for p in data.patients], dtype=float)
-    w = np.array([p.w for p in data.patients])
+    cols = data.columns
+    x, w = cols.x, cols.w
 
     results: list[CellTimeResult] = []
     for ti, t in enumerate(scenario.visit_times):
         truth = truths[t]
-        death_pct = 100.0 * float(
-            np.mean([p.d_obs == 1 and p.t_obs <= t for p in data.patients])
-        )
+        death_pct = 100.0 * float(np.mean((cols.d_obs == 1) & (cols.t_obs <= t)))
         if t in fits.failures:
             # the restricted-mean contrast and the data-only references do
             # not need the longitudinal fit; keep them

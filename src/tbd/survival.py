@@ -279,11 +279,9 @@ class SurvivalPosterior:
     def s_mis_matrix(self, data: ObservedDataset, t: float, indices=None) -> np.ndarray:
         """Counterfactual survival probabilities, shape (draws, patients)."""
         idx = np.arange(self.n_draws) if indices is None else np.asarray(indices)
-        arm = np.array([1 - p.w for p in data.patients])
-        x = np.array([p.x for p in data.patients], dtype=float)
-        horizon = np.array(
-            [p.t_obs if (p.d_obs == 1 and p.t_obs <= t) else t for p in data.patients]
-        )
+        cols = data.columns
+        arm, x = 1 - cols.w, cols.x
+        horizon = np.where((cols.d_obs == 1) & (cols.t_obs <= t), cols.t_obs, t)
         overlaps = self.grid.overlaps(horizon)  # (n, J)
         treated = arm[None, :] == 1
         # Pick each patient's counterfactual arm first: one exp over (K, n).

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from dataclasses import replace
 from importlib import resources
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tbd import science, simulate
+from tbd import cli, science, simulate
 from tbd.cli import main
 from tbd.study import _seed_int, build_config
 from tbd.survival import fit_survival
@@ -249,3 +250,23 @@ def test_study_and_report_round_trip(runner, tmp_path):
     result = runner.invoke(main, ["report", "--results", str(out), "--out", str(rep)])
     assert result.exit_code != 0
     assert doc["config_hash"] in result.output and "0123456789abcdef" in result.output
+
+
+def test_estimate_csv_writer_matches_dictwriter_bytes(tmp_path):
+    # the rows tbd estimate writes, with every value the formatter special-cases
+    values = [math.inf, -math.inf, math.nan, 0.1, -2.5e-7, 3.0, 123456789.0]
+    est = [("bench", 0, 3.0, "sim", k, cli._cell(v), int(math.isinf(v)))
+           for k, v in enumerate(values)]
+    summ = [("sace", 6.0, cli._cell(None), cli._cell(math.nan), cli._cell(-math.inf), "0.5000"),
+            ("wmw_reference", 6.0, cli._cell(0.25), "-", "-", "-")]
+    for name, header, rows in (("estimates", cli.ESTIMATE_COLUMNS, est),
+                               ("summary", cli.SUMMARY_COLUMNS, summ)):
+        cli._write_rows(tmp_path / f"{name}.csv", header, rows)
+        with open(tmp_path / f"{name}_dict.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(header))
+            writer.writeheader()
+            writer.writerows(dict(zip(header, row)) for row in rows)
+        assert (tmp_path / f"{name}.csv").read_bytes() == (
+            tmp_path / f"{name}_dict.csv"
+        ).read_bytes()
+    assert "inf,1\n" in (tmp_path / "estimates.csv").read_text().replace("\r", "")

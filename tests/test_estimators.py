@@ -10,18 +10,21 @@ from scipy import integrate
 from scipy.special import ndtr
 
 from tbd.estimators import (
+    EstimandDraws,
+    _pooled_median,
     composite_diff_dist,
     estimand_draws,
     naive_effect,
     pc_draw,
     rmst_draw,
+    rmst_estimand_draws,
     sace_draw,
     sim_draw,
     summarize,
     wmw,
 )
 from tbd.longitudinal import LongitudinalPosterior, LongParams
-from tbd.science import ObservedDataset, ObservedPatient
+from tbd.science import ObservedDataset, ObservedPatient, composite_order, observed_composite
 from tbd.simulate import get_scenario, observe, simulate_science_table
 from tbd.survival import (
     HazardGrid,
@@ -544,3 +547,299 @@ class TestBatchedEvaluation:
                 for p in data.patients
             ]
             assert result.pc[kk] == pytest.approx(np.mean(phis), abs=1e-10)
+
+
+# --- bitwise agreement with the retired per-draw loops ---------------------------
+#
+# The references below are the per-draw SIM loop and the both-arm RMST that
+# estimand_draws used before it was vectorised; the batched code must give
+# the same bits, not merely close values.
+
+
+def _reference_sim(s_mis, y_mis, y, sign, alive):
+    """One ``_pooled_median`` per draw over the kept (positive-mass) atoms."""
+    surv, dead = alive, ~alive
+    half = len(y) / 2.0
+    inf = np.inf
+    sim = np.empty(len(s_mis))
+    for kk in range(len(s_mis)):
+        v_fin = sign[surv] * (y[surv] - y_mis[kk, surv])
+        m_fin = s_mis[kk, surv]
+        v_inf_surv = np.where(sign[surv] > 0, inf, -inf)
+        m_inf_surv = 1.0 - m_fin
+        v_dead_lo = np.where(sign[dead] > 0, -inf, inf)
+        m_dead_lo = s_mis[kk, dead]
+        v_dead_hi = np.where(sign[dead] > 0, inf, -inf)
+        m_dead_hi = 1.0 - m_dead_lo
+        values = np.concatenate([v_fin, v_inf_surv, v_dead_lo, v_dead_hi])
+        masses = np.concatenate([m_fin, m_inf_surv, m_dead_lo, m_dead_hi])
+        keep = masses > 0
+        sim[kk] = _pooled_median(values[keep], masses[keep], half)
+    return sim
+
+
+def _reference_sim_draws(spost, lpost, data, t, k, rng=None):
+    """SIM draws as the retired loop computed them, from the same inputs."""
+    w = np.array([p.w for p in data.patients])
+    x = np.array([p.x for p in data.patients], dtype=float)
+    alive = np.array([p.alive_at(t) for p in data.patients])
+    y = np.array([p.y_obs.get(t, np.nan) for p in data.patients])
+    s_mis = spost.s_mis_matrix(data, t, spost.subsample_indices(k))
+    l_idx = lpost.subsample_indices(k)
+    arm_mis = 1 - w
+    mu_mis = lpost.beta0[l_idx][:, arm_mis] + np.einsum(
+        "knp,np->kn", lpost.beta1[l_idx][:, arm_mis, :], x
+    )
+    y_mis = mu_mis
+    if rng is not None:
+        y_mis = mu_mis + lpost.sigma[l_idx][:, None] * rng.standard_normal((k, len(data)))
+    return _reference_sim(s_mis, y_mis, y, 2 * w - 1, alive)
+
+
+def _reference_rmst_batch(lam, scale, overlaps):
+    """Full (K, n, J) restricted-mean integral, every segment evaluated."""
+    r = lam[:, None, :] * scale[:, :, None]
+    seg_haz = r * overlaps[None, None, :]
+    prefix = np.concatenate(
+        [np.zeros_like(seg_haz[..., :1]), np.cumsum(seg_haz, axis=2)[..., :-1]], axis=2
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        piece = np.where(r > 0, -np.expm1(-seg_haz) / np.where(r > 0, r, 1.0), overlaps)
+    return np.sum(np.exp(-prefix) * piece, axis=2)
+
+
+def _reference_rmst_draws(spost, data, t, k):
+    """Both arms' integrals for every patient, then each patient's
+    unassigned arm kept."""
+    w = np.array([p.w for p in data.patients])
+    x = np.array([p.x for p in data.patients], dtype=float)
+    t_obs = np.array([p.t_obs for p in data.patients])
+    s_idx = spost.subsample_indices(k)
+    overlaps = spost.grid.overlaps(float(t))
+    scale0 = np.exp(spost.alpha0[s_idx] @ x.T)
+    scale1 = np.exp(spost.alpha1[s_idx] @ x.T)
+    integral0 = _reference_rmst_batch(spost.lambda0[s_idx], scale0, overlaps)
+    integral1 = _reference_rmst_batch(spost.lambda1[s_idx], scale1, overlaps)
+    integral = np.where((1 - w)[None, :] == 1, integral1, integral0)
+    return ((2 * w - 1)[None, :] * (np.minimum(t_obs, t)[None, :] - integral)).mean(axis=1)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    signs = np.array_equal(np.signbit(a[~np.isnan(a)]), np.signbit(b[~np.isnan(b)]))
+    return np.array_equal(a, b, equal_nan=True) and signs
+
+
+def _mixed_data(seed, n, p_dead=0.3, treated=None, y=None):
+    """n patients alternating arms (or all in arm ``treated``), a share
+    ``p_dead`` dead before T; ``y(rng)`` draws survivors' outcomes."""
+    rng = np.random.default_rng(seed)
+    pats = []
+    for i in range(n):
+        w = i % 2 if treated is None else treated
+        x = float(rng.normal())
+        if rng.uniform() < p_dead:
+            pats.append(_obs(i, w, float(rng.uniform(0.5, 9.5)), 1, x=x))
+        else:
+            value = rng.normal(-4, 2) if y is None else y(rng)
+            pats.append(_obs(i, w, 15.0, 0, y=float(value), x=x))
+    return ObservedDataset(patients=tuple(pats), follow_up=15.0)
+
+
+def _extreme_survival(n_draws, grid=GRID):
+    """Draws cycling through rates so small that the counterfactual survival
+    is exactly 1.0, so large that it is exactly 0.0, and in between, chosen
+    separately per arm."""
+    levels = np.array([1e-300, 1e300, 0.05])
+    j = grid.n_segments
+    pick0 = np.arange(n_draws) % 3
+    pick1 = (np.arange(n_draws) // 3) % 3
+    return SurvivalPosterior(
+        grid=grid,
+        lambda0=np.repeat(levels[pick0][:, None], j, axis=1),
+        lambda1=np.repeat(levels[pick1][:, None], j, axis=1),
+        alpha0=np.zeros((n_draws, 1)),
+        alpha1=np.zeros((n_draws, 1)),
+        diagnostics={},
+        converged=True,
+    )
+
+
+def _integer_longitudinal(n_draws, seed):
+    """Integer intercepts and no covariate effect: survivors' finite atoms tie."""
+    rng = np.random.default_rng(seed)
+    return LongitudinalPosterior(
+        t=T,
+        beta0=rng.integers(-6, -2, size=(n_draws, 2)).astype(float),
+        beta1=np.zeros((n_draws, 2, 1)),
+        sigma=np.full(n_draws, 1.5),
+        diagnostics={},
+        converged=True,
+    )
+
+
+class TestBitIdenticalToPerDrawLoops:
+    K = 36
+
+    def _cases(self):
+        synthetic = _synthetic_posteriors(5, n_draws=self.K)
+        integer_y = lambda rng: float(rng.integers(-6, -2))
+        return {
+            "zero_and_one_mass": (_mixed_data(1, 30), _extreme_survival(self.K), synthetic[1]),
+            "all_alive": (_mixed_data(2, 24, p_dead=0.0), *synthetic),
+            "all_dead": (_mixed_data(3, 24, p_dead=1.0), *synthetic),
+            "one_arm_only": (_mixed_data(4, 9, treated=1), *synthetic),
+            "tied_finite_values": (_mixed_data(6, 40, y=integer_y), synthetic[0],
+                                   _integer_longitudinal(self.K, 7)),
+            "tied_and_extreme": (_mixed_data(8, 40, y=integer_y), _extreme_survival(self.K),
+                                 _integer_longitudinal(self.K, 9)),
+            "odd_n": (_mixed_data(10, 17), *synthetic),
+        }
+
+    @pytest.mark.parametrize("impute_noise", [False, True])
+    @pytest.mark.parametrize("block_atoms", [None, 100])  # 100: SIM a few draws at a time
+    def test_sim_and_rmst_match_reference(self, impute_noise, block_atoms, monkeypatch):
+        if block_atoms is not None:
+            monkeypatch.setattr("tbd.estimators._SIM_BLOCK_ATOMS", block_atoms)
+        for name, (data, spost, lpost) in self._cases().items():
+            for k in (self.K, 7):
+                got = estimand_draws(spost, lpost, data, T, k, np.random.default_rng(11),
+                                     impute_noise=impute_noise)
+                rng = np.random.default_rng(11) if impute_noise else None
+                assert _same_bits(got.sim, _reference_sim_draws(spost, lpost, data, T, k, rng)), name
+                assert _same_bits(got.rmst, _reference_rmst_draws(spost, data, T, k)), name
+
+    def test_boundary_on_exact_half_averages_neighbours(self):
+        # even n, counterfactual survival exactly 1: the cumulative mass lands
+        # on n / 2 at the middle survivor, and SIM is the midpoint
+        data = _mixed_data(12, 8, p_dead=0.0)
+        spost = _extreme_survival(1)
+        lpost = _synthetic_posteriors(13, n_draws=1)[1]
+        got = estimand_draws(spost, lpost, data, T, 1)
+        assert _same_bits(got.sim, _reference_sim_draws(spost, lpost, data, T, 1))
+        l = lpost.draw(0)
+        diffs = sorted((2 * p.w - 1) * (p.y_obs[T] - l.mean(p.x, 1 - p.w))
+                       for p in data.patients)
+        assert got.sim[0] == 0.5 * (diffs[3] + diffs[4])
+
+    def test_opposite_infinite_neighbours_give_nan(self):
+        # counterfactual survival exactly 0: half the mass at -inf (control
+        # survivors), half at +inf (treated survivors), so no midpoint
+        data = _mixed_data(14, 6, p_dead=0.0)
+        spost = SurvivalPosterior(
+            grid=GRID, lambda0=np.full((2, 2), 1e300), lambda1=np.full((2, 2), 1e300),
+            alpha0=np.zeros((2, 1)), alpha1=np.zeros((2, 1)), diagnostics={}, converged=True,
+        )
+        lpost = _synthetic_posteriors(15, n_draws=2)[1]
+        got = estimand_draws(spost, lpost, data, T, 2)
+        assert np.isnan(got.sim).all()
+        assert _same_bits(got.sim, _reference_sim_draws(spost, lpost, data, T, 2))
+
+    def test_infinite_and_finite_neighbour_gives_the_infinity(self):
+        # one control death with survival exactly 1 puts mass one at +inf
+        # right after the finite atoms; with n = 2 the boundary falls between
+        data = ObservedDataset(
+            patients=(_obs(0, 1, 15.0, 0, y=-3.0), _obs(1, 0, 4.0, 1)), follow_up=15.0
+        )
+        spost = _extreme_survival(1)
+        lpost = _synthetic_posteriors(16, n_draws=1)[1]
+        got = estimand_draws(spost, lpost, data, T, 1)
+        assert got.sim[0] == math.inf
+        assert _same_bits(got.sim, _reference_sim_draws(spost, lpost, data, T, 1))
+
+    @pytest.mark.parametrize("cuts", [
+        (0.0, 15.0),
+        (0.0, 3.0, 6.0, 9.0, 12.0, 15.0),
+        tuple(np.linspace(0.0, 15.0, 11)),  # 10 segments
+        (0.0, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0, 7.0, 8.0, 9.0, 10.5, 12.0, 13.5, 15.0),
+    ])
+    def test_rmst_matches_both_arm_reference_on_any_grid(self, cuts):
+        grid = HazardGrid(tuple(float(c) for c in cuts))
+        for seed in range(3):
+            data = _mixed_data(20 + seed, 31 + seed)
+            spost, lpost = _synthetic_posteriors(30 + seed, n_draws=25, grid=grid)
+            for t in (0.0, 0.25, 3.0, 7.7, 10.0, 15.0, 21.0):
+                got = rmst_estimand_draws(spost, data, t, 25)
+                assert _same_bits(got, _reference_rmst_draws(spost, data, t, 25)), (seed, t)
+            draws = estimand_draws(spost, lpost, data, T, 25)
+            assert _same_bits(draws.rmst, _reference_rmst_draws(spost, data, T, 25))
+            assert _same_bits(draws.sim, _reference_sim_draws(spost, lpost, data, T, 25))
+
+
+def _reference_wmw(data, t):
+    """The pairwise double loop over observed composites."""
+    treated = [observed_composite(p, t) for p in data.patients if p.w == 1]
+    control = [observed_composite(p, t) for p in data.patients if p.w == 0]
+    if not treated or not control:
+        return None
+    total = 0.0
+    for zi in treated:
+        for zj in control:
+            o = composite_order(zi, zj)
+            total += 1.0 if o > 0 else (0.5 if o == 0 else 0.0)
+    return total / (len(treated) * len(control))
+
+
+class TestWmwByCounting:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_double_loop_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        pats = []
+        for i in range(int(rng.integers(5, 80))):
+            w = int(rng.uniform() < 0.4)
+            if rng.uniform() < 0.35:  # deaths on a coarse grid: tied death times
+                pats.append(_obs(i, w, float(rng.integers(1, 5)) * 2.0, 1))
+            else:  # integer outcomes: tied survivor values
+                pats.append(_obs(i, w, 15.0, 0, y=float(rng.integers(-3, 3))))
+        data = ObservedDataset(patients=tuple(pats), follow_up=15.0)
+        assert wmw(data, T) == _reference_wmw(data, T)
+
+    def test_matches_double_loop_continuous(self):
+        data = _mixed_data(40, 301)
+        assert wmw(data, T) == _reference_wmw(data, T)
+
+    @pytest.mark.parametrize("arm", [0, 1])
+    def test_empty_arm(self, arm):
+        data = _mixed_data(41, 7, treated=arm)
+        assert wmw(data, T) is None and _reference_wmw(data, T) is None
+
+    def test_only_deaths_in_one_arm(self):
+        data = ObservedDataset(
+            patients=(_obs(0, 1, 3.0, 1), _obs(1, 1, 3.0, 1), _obs(2, 0, 3.0, 1),
+                      _obs(3, 0, 15.0, 0, y=1.0), _obs(4, 0, 2.0, 1)),
+            follow_up=15.0,
+        )
+        assert wmw(data, T) == _reference_wmw(data, T)
+
+    def test_alive_without_measurement_is_refused(self):
+        data = ObservedDataset(
+            patients=(_obs(0, 1, 15.0, 0, y=1.0), _obs(7, 0, 15.0, 0)), follow_up=15.0
+        )
+        with pytest.raises(KeyError, match="patient 7"):
+            wmw(data, T)
+
+
+class TestSummariesShareOnePercentileCall:
+    def test_same_as_summarize_per_estimand(self):
+        rng = np.random.default_rng(3)
+        for k in (1, 2, 7, 100, 101):
+            rows = [rng.normal(size=k) * 10 for _ in range(4)]
+            rows[1] = np.round(rows[1])  # ties
+            for bad in (None, 0, 2):  # no row, the first row or SIM with non-finite draws
+                drawn = [r.copy() for r in rows]
+                if bad is not None:
+                    drawn[bad][:: 3] = np.inf
+                d = EstimandDraws(T, *drawn, naive=None, wmw=None)
+                got = d.summaries()
+                assert list(got) == ["sace", "pc", "sim", "rmst"]
+                for name, row in zip(got, drawn):
+                    want = summarize(row)
+                    assert got[name] == want
+                    for f in ("median", "lo95", "hi95"):  # == takes -0.0 for 0.0
+                        a, b = getattr(got[name], f), getattr(want, f)
+                        assert a is None and b is None or _same_bits(a, b)
+
+    def test_no_draws_refused(self):
+        empty = np.array([])
+        with pytest.raises(ValueError, match="no draws"):
+            EstimandDraws(T, empty, empty, empty, empty, naive=None, wmw=None).summaries()

@@ -220,3 +220,55 @@ class TestDataModel:
         )
         doc = observed_to_json(obs)
         assert set(doc["patients"][0]["y_obs"]) == {"3", "4.5"}
+
+
+class TestObservedColumns:
+    def _data(self):
+        from tbd.simulate import get_scenario, observe, simulate_science_table
+
+        params = get_scenario("mixed").with_updates(n=60)
+        return observe(simulate_science_table(params, seed=5))
+
+    @pytest.mark.parametrize("handmade", [False, True])
+    def test_same_arrays_as_per_patient_comprehensions(self, handmade):
+        # handmade: a death exactly at a visit, a censored patient, and a
+        # survivor missing a measurement
+        data = ObservedDataset(
+            patients=(
+                ObservedPatient(id=0, x=(0.5, 1.0), w=1, t_obs=6.0, d_obs=1,
+                                y_obs={3.0: -3.0, 6.0: -6.0}, follow_up=15.0),
+                ObservedPatient(id=1, x=(-1.0, 0.0), w=0, t_obs=15.0, d_obs=0,
+                                y_obs={3.0: -1.0, 15.0: -2.0}, follow_up=15.0),
+                ObservedPatient(id=2, x=(0.0, 2.0), w=0, t_obs=9.5, d_obs=1,
+                                y_obs={9.0: 1.5}, follow_up=15.0),
+            ),
+            follow_up=15.0,
+            visit_times=(3.0, 6.0, 9.0, 15.0),
+        ) if handmade else self._data()
+        cols = data.columns
+        ps = data.patients
+        expected = {
+            "w": np.array([p.w for p in ps]),
+            "x": np.array([p.x for p in ps], dtype=float),
+            "t_obs": np.array([p.t_obs for p in ps]),
+            "d_obs": np.array([p.d_obs for p in ps]),
+        }
+        for t in data.visit_times:
+            expected[f"alive@{t}"] = np.array([p.alive_at(t) for p in ps])
+            expected[f"measured@{t}"] = np.array([p.alive_at(t) and t in p.y_obs for p in ps])
+            expected[f"y@{t}"] = np.array([p.y_obs.get(t, np.nan) for p in ps])
+        for key, want in expected.items():
+            name, _, t = key.partition("@")
+            got = getattr(cols.at(float(t)), name) if t else getattr(cols, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, key
+            assert np.array_equal(got, want, equal_nan=True), key
+            assert not got.flags.writeable, key
+
+    def test_built_once_and_left_out_of_json_and_equality(self):
+        data = self._data()
+        doc = observed_to_json(data)
+        assert data.columns is data.columns
+        assert data.columns.at(6.0) is data.columns.at(6.0)
+        assert observed_to_json(data) == doc
+        again = observed_from_json(doc)
+        assert again == data and "columns" not in again.__dict__
