@@ -10,7 +10,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import estimators, longitudinal, science, simulate, study, survival
 
@@ -109,10 +108,14 @@ SUMMARY_COLUMNS = ("estimand", "time", "median", "lo95", "hi95", "frac_undefined
 @click.option("--fits", "fits_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True, help="Output directory for estimate CSVs.")
 @click.option("--draws", type=int, default=100, show_default=True, help="Paired posterior draws per estimand.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Has no effect: the estimates depend only on the data and the fits.")
 @click.option("--label", default="dataset", show_default=True, help="Scenario label for the CSV rows.")
 def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, label: str) -> None:
-    """Compute per-draw estimand values and their posterior summaries."""
+    """Compute per-draw estimand values and their posterior summaries.
+
+    The estimates depend only on the data, the fits and --draws; --seed
+    has no effect."""
     data = science.observed_from_json(science.load_json(data_path))
     fits = science.load_json(fits_path)
     try:
@@ -131,8 +134,7 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
         t = float(key)
         if not lpost.converged:
             click.echo(f"warning: longitudinal fit at t={t} flagged by diagnostics", err=True)
-        rng = np.random.default_rng(simulate.child_seed(seed, "estimate", key))
-        result = estimators.estimand_draws(spost, lpost, data, t, draws, rng)
+        result = estimators.estimand_draws(spost, lpost, data, t, draws)
         for name, summ in result.summaries().items():
             est_rows.extend(
                 (label, 0, t, name, k, _cell(v), int(math.isinf(v)))

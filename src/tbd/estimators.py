@@ -14,9 +14,7 @@ classification:
 The average-style estimators integrate the finite part analytically (the
 residual enters the pairwise-comparison probability through the Normal
 cdf). The median estimator pools every patient's atoms and takes the mass
-median, placing finite atoms at the counterfactual predictive mean; a Monte
-Carlo variant that realizes one counterfactual value per draw is available
-behind ``impute_noise``.
+median, placing finite atoms at the counterfactual predictive mean.
 
 Two reference estimators are included for contrast only: the naive
 observed-survivor contrast (biased by selection) and the across-arm rank
@@ -39,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .longitudinal import LongParams, LongitudinalPosterior, predict_y_mis
+from .longitudinal import LongParams, LongitudinalPosterior, counterfactual_mean, predict_y_mis
 from .science import ObservedDataset, ObservedPatient
 from .survival import SurvivalParams, SurvivalPosterior, predict_s_mis, rmst_integral
 
@@ -72,18 +70,13 @@ def composite_diff_dist(
     l_draw: LongParams,
     patient: ObservedPatient,
     t: float,
-    y_mis: float | None = None,
 ) -> CompositeDiffDistribution:
-    """Atoms of (2w - 1) * (observed minus imputed composite) at horizon t.
-
-    ``y_mis`` places the finite atom; by default the counterfactual
-    predictive mean is used.
-    """
+    """Atoms of (2w - 1) * (observed minus imputed composite) at horizon t,
+    the finite atom at the counterfactual predictive mean."""
     sign = 2 * patient.w - 1
     s = predict_s_mis(s_draw, patient, t)
     if patient.alive_at(t):
-        if y_mis is None:
-            y_mis = predict_y_mis(l_draw, patient, t)[0]
+        y_mis = predict_y_mis(l_draw, patient, t)[0]
         finite = sign * (patient.y_obs[t] - y_mis)
         atoms = [(finite, s), (sign * math.inf, 1.0 - s)]
     else:
@@ -161,33 +154,18 @@ def _pooled_median(values: np.ndarray, masses: np.ndarray, half: float) -> float
 
 
 def sim_draw(
-    s_draw: SurvivalParams,
-    l_draw: LongParams,
-    data: ObservedDataset,
-    t: float,
-    rng: np.random.Generator | None = None,
-    impute_noise: bool = False,
+    s_draw: SurvivalParams, l_draw: LongParams, data: ObservedDataset, t: float
 ) -> float:
     """Median of the pooled composite-difference atoms for one draw.
 
     Each patient contributes total mass one. Finite atoms sit at the
-    counterfactual predictive mean of the draw; ``impute_noise`` switches to
-    one realized counterfactual value per patient (Monte Carlo variant,
-    requires ``rng``). Returns +/-inf when the median mass point is
-    infinite.
+    counterfactual predictive mean of the draw. Returns +/-inf when the
+    median mass point is infinite.
     """
-    if impute_noise and rng is None:
-        raise ValueError("impute_noise requires a generator")
     values = []
     masses = []
     for p in data.patients:
-        # one normal per patient keeps the stream aligned with the batched path
-        z = rng.standard_normal() if impute_noise else 0.0
-        y_mis = None
-        if p.alive_at(t):
-            mu_mis, sigma = predict_y_mis(l_draw, p, t)
-            y_mis = mu_mis + sigma * z
-        for v, m in composite_diff_dist(s_draw, l_draw, p, t, y_mis=y_mis).atoms:
+        for v, m in composite_diff_dist(s_draw, l_draw, p, t).atoms:
             values.append(v)
             masses.append(m)
     return _pooled_median(np.array(values), np.array(masses), half=len(data) / 2.0)
@@ -383,17 +361,13 @@ def estimand_draws(
     data: ObservedDataset,
     t: float,
     k: int,
-    rng: np.random.Generator | None = None,
-    impute_noise: bool = False,
 ) -> EstimandDraws:
     """Evaluate all estimators over k paired posterior draws.
 
     Draw k of the survival posterior is paired with draw k of the
-    longitudinal posterior (both subsampled evenly from their pools). The
-    result is deterministic given the posteriors and the generator state.
+    longitudinal posterior (both subsampled evenly from their pools), so
+    the result depends on nothing but the posteriors, the data, t and k.
     """
-    if impute_noise and rng is None:
-        raise ValueError("impute_noise requires a generator")
     n = len(data)
     cols = data.columns
     w, x = cols.w, cols.x
@@ -407,11 +381,8 @@ def estimand_draws(
     s_idx = spost.subsample_indices(k)
     l_idx = lpost.subsample_indices(k)
     s_mis = spost.s_mis_matrix(data, t, s_idx)  # (K, n)
-    beta0 = lpost.beta0[l_idx]
-    beta1 = lpost.beta1[l_idx]
     sigma = lpost.sigma[l_idx]
-    arm_mis = 1 - w
-    mu_mis = beta0[:, arm_mis] + np.einsum("knp,np->kn", beta1[:, arm_mis, :], x)
+    mu_mis = counterfactual_mean(lpost.beta0[l_idx], lpost.beta1[l_idx], x, w)
 
     surv = alive
     dead = ~alive
@@ -434,13 +405,8 @@ def estimand_draws(
     # RMST
     rmst = rmst_estimand_draws(spost, data, t, k)
 
-    # SIM: each patient's atoms as in composite_diff_dist; finite atoms at
-    # the predictive mean unless the Monte Carlo imputation variant is
-    # requested. The infinite atoms sit where they do for every draw.
-    if impute_noise:
-        y_mis = mu_mis + sigma[:, None] * rng.standard_normal((k, n))
-    else:
-        y_mis = mu_mis
+    # SIM: each patient's atoms as in composite_diff_dist, finite atoms at
+    # the predictive mean; the infinite atoms sit where they do for every draw
     v_inf = np.concatenate([np.where(sign[surv] > 0, np.inf, -np.inf),
                             np.where(sign[dead] > 0, -np.inf, np.inf),
                             np.where(sign[dead] > 0, np.inf, -np.inf)])
@@ -449,7 +415,7 @@ def estimand_draws(
     step = max(1, _SIM_BLOCK_ATOMS // (2 * n))
     for start in range(0, k, step):
         b = slice(start, start + step)
-        v_fin = sign[surv] * (y[surv] - y_mis[b][:, surv])
+        v_fin = sign[surv] * (y[surv] - mu_mis[b][:, surv])
         sim[b] = _sim_batch(
             np.concatenate([v_fin, np.broadcast_to(v_inf, (len(v_fin), len(v_inf)))], axis=1),
             np.concatenate([s_surv[b], 1.0 - s_surv[b], m_dead[b], 1.0 - m_dead[b]], axis=1),

@@ -80,6 +80,16 @@ def predict_y_mis(params: LongParams, patient: ObservedPatient, t: float) -> tup
     return params.mean(patient.x, 1 - patient.w), params.sigma
 
 
+def counterfactual_mean(beta0, beta1, x, w) -> np.ndarray:
+    """Each patient's predictive mean under the arm not assigned.
+
+    ``beta0`` (..., 2) and ``beta1`` (..., 2, p) hold one coefficient set or
+    a stack of draws; ``x`` (n, p) and ``w`` (n,) are the covariates and
+    arms. Returns (..., n)."""
+    arm_mis = 1 - w
+    return beta0[..., arm_mis] + np.einsum("...np,np->...n", beta1[..., arm_mis, :], x)
+
+
 @dataclass
 class LongitudinalPosterior:
     """Pooled posterior draws of the visit-time-t longitudinal model."""

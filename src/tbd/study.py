@@ -44,6 +44,7 @@ from .longitudinal import (
     LongitudinalPosterior,
     LongPriors,
     compute_weights,
+    counterfactual_mean,
     fit_longitudinal,
 )
 from .mcmc import McmcConfig, diagnostic_extremes
@@ -75,7 +76,6 @@ class StudyConfig:
     survival_priors: SurvivalPriors = field(default_factory=SurvivalPriors)
     long_priors: LongPriors = field(default_factory=LongPriors)
     grid_cutpoints: tuple[float, ...] | None = None
-    refit_weights_per_draw: bool = False
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
@@ -229,7 +229,7 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
     x, w = cols.x, cols.w
 
     results: list[CellTimeResult] = []
-    for ti, t in enumerate(scenario.visit_times):
+    for t in scenario.visit_times:
         truth = truths[t]
         death_pct = 100.0 * float(np.mean((cols.d_obs == 1) & (cols.t_obs <= t)))
         if t in fits.failures:
@@ -254,23 +254,13 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
             continue
         lpost = fits.longitudinal[t]
 
-        rng = np.random.default_rng(child_seed(seed, scenario.name, replicate, "est", ti))
-        if config.refit_weights_per_draw:
-            draws = _estimand_draws_refit(
-                config, spost, data, t, rng, seed_parts=(scenario.name, replicate, "refit", ti)
-            )
-        else:
-            draws = estimand_draws(spost, lpost, data, t, config.k_draws, rng)
+        draws = estimand_draws(spost, lpost, data, t, config.k_draws)
         summaries = draws.summaries()
         bias_cov = {
             name: bias_and_coverage(summaries[name], getattr(truth, name))
             for name in ESTIMANDS
         }
-        arm_mis = 1 - w
-        mu_mis_mean = (
-            lpost.beta0.mean(axis=0)[arm_mis]
-            + np.einsum("np,np->n", lpost.beta1.mean(axis=0)[arm_mis], x)
-        )
+        mu_mis_mean = counterfactual_mean(lpost.beta0.mean(axis=0), lpost.beta1.mean(axis=0), x, w)
         results.append(
             CellTimeResult(
                 time=t,
@@ -307,26 +297,6 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
         cdauc=cell_cdauc,
         survival_rhat=None if math.isnan(worst_rhat) else worst_rhat,
     )
-
-
-def _estimand_draws_refit(config, spost, data, t, rng, seed_parts):
-    """Slow integration variant: refit the longitudinal model once per
-    survival draw, with weights from that draw, take one longitudinal draw
-    from each refit, and evaluate the k pairs in one batch."""
-    k = config.k_draws
-    s_mis = spost.s_mis_matrix(data, t, spost.subsample_indices(k))
-    picked = []
-    for kk in range(k):
-        lcfg = replace(config.mcmc, seed=_seed_int(config.master_seed, *seed_parts, kk))
-        weights = compute_weights(s_mis[kk], data, t)
-        lpost_k = fit_longitudinal(data, t, weights, config.long_priors, lcfg)
-        j = int(rng.integers(lpost_k.n_draws))
-        picked.append((lpost_k.beta0[j], lpost_k.beta1[j], lpost_k.sigma[j]))
-    # k of k evenly spaced indices is the identity, so refit kk stays
-    # paired with survival draw kk
-    beta0, beta1, sigma = (np.array(a) for a in zip(*picked))
-    lpost = LongitudinalPosterior(t, beta0, beta1, sigma, diagnostics={}, converged=True)
-    return estimand_draws(spost, lpost, data, t, k, rng)
 
 
 def _cell_path(out_dir: Path, scenario: str, replicate: int) -> Path:
@@ -599,8 +569,12 @@ def build_config(doc: dict) -> StudyConfig:
 
     ``scenarios`` may list library names or inline parameter objects; ``n``
     sets every scenario's size; other keys override defaults, and a key
-    that names no field raises ``ValueError``.
+    that names no field raises ``ValueError``, as does ``mcmc.seed``:
+    ``fit_posteriors`` derives every fit's seed from the master seed.
     """
+    if "seed" in (doc.get("mcmc") or {}):
+        raise ValueError("mcmc.seed is not read: fit seeds derive from master_seed "
+                         "(tbd fit: --seed)")
     library = load_scenarios()
     scenarios = []
     for item in doc.get("scenarios", list(library)):

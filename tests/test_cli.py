@@ -137,6 +137,16 @@ def test_estimate_outputs(runner, sim_dir, fits_path, tmp_path):
     assert any("naive_reference_biased" in line for line in summary)
 
 
+def test_estimate_seed_has_no_effect(runner, sim_dir, fits_path, tmp_path):
+    for seed in ("1", "999"):
+        result = runner.invoke(main, ["estimate", "--data", str(sim_dir / "observed.json"),
+                                      "--fits", str(fits_path), "--out", str(tmp_path / seed),
+                                      "--draws", "20", "--seed", seed])
+        assert result.exit_code == 0, result.output
+    for csv_name in ("estimates.csv", "summary.csv"):
+        assert (tmp_path / "1" / csv_name).read_bytes() == (tmp_path / "999" / csv_name).read_bytes()
+
+
 def test_estimate_warns_about_unconverged_fits(runner, sim_dir, fits_path, tmp_path):
     doc = json.loads(fits_path.read_text())
     assert doc["survival"]["converged"]

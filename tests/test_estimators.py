@@ -294,27 +294,6 @@ class TestBruteForceOracle:
         expected = self._reference_pooled_median(atoms, len(fixture_data))
         assert sim_draw(s, l, fixture_data, T) == pytest.approx(expected, abs=1e-12)
 
-    def test_sim_imputation_variant_matches_reference_with_same_values(
-        self, fixture_data, fixture_draws
-    ):
-        s, l = fixture_draws
-        probs = self._branch_probs(s, fixture_data)
-        got = sim_draw(s, l, fixture_data, T, rng=np.random.default_rng(17), impute_noise=True)
-        rng = np.random.default_rng(17)
-        atoms = []
-        for p, prob in zip(fixture_data.patients, probs):
-            z = rng.standard_normal()
-            sign = 2 * p.w - 1
-            if p.alive_at(T):
-                y_mis = l.mean(p.x, 1 - p.w) + l.sigma * z
-                atoms.append((sign * (p.y_obs[T] - y_mis), prob))
-                atoms.append((sign * math.inf, 1 - prob))
-            else:
-                atoms.append((-sign * math.inf, prob))
-                atoms.append((sign * math.inf, 1 - prob))
-        expected = self._reference_pooled_median(atoms, len(fixture_data))
-        assert got == pytest.approx(expected, abs=1e-12)
-
     def test_sim_dominant_infinite_mass_returns_infinity(self):
         s = _sparams_const(0.5, 0.5)  # counterfactual survival gets tiny
         l = LongParams(beta0=np.zeros(2), beta1=np.zeros((2, 1)), sigma=1.0)
@@ -481,7 +460,7 @@ class TestBatchedEvaluation:
         data = self._data()
         spost, lpost = _synthetic_posteriors(31)
         k = 10
-        result = estimand_draws(spost, lpost, data, T, k, np.random.default_rng(0))
+        result = estimand_draws(spost, lpost, data, T, k)
         s_idx = spost.subsample_indices(k)
         l_idx = lpost.subsample_indices(k)
         for kk in (0, 4, 9):
@@ -496,9 +475,9 @@ class TestBatchedEvaluation:
         data = self._data(seed=37)
         spost, lpost = _synthetic_posteriors(41)
         k = 12
-        a = estimand_draws(spost, lpost, data, T, k, np.random.default_rng(1))
+        a = estimand_draws(spost, lpost, data, T, k)
         swapped, spost2, lpost2 = _swap_arms(data, spost, lpost)
-        b = estimand_draws(spost2, lpost2, swapped, T, k, np.random.default_rng(1))
+        b = estimand_draws(spost2, lpost2, swapped, T, k)
         assert np.allclose(b.pc, 1.0 - a.pc, atol=1e-10)
         assert np.allclose(b.sace, -a.sace, atol=1e-10)
         assert np.allclose(b.rmst, -a.rmst, atol=1e-10)
@@ -510,7 +489,7 @@ class TestBatchedEvaluation:
         for seed in range(5):
             data = self._data(seed=seed)
             spost, lpost = _synthetic_posteriors(seed + 100)
-            r = estimand_draws(spost, lpost, data, T, 15, np.random.default_rng(seed))
+            r = estimand_draws(spost, lpost, data, T, 15)
             assert np.all((0.0 <= r.pc) & (r.pc <= 1.0))
             assert np.all(np.abs(r.rmst) <= T + 1e-9)
 
@@ -537,7 +516,7 @@ class TestBatchedEvaluation:
             sigma=np.abs(rng.normal(1.5, 0.1, size=k)),
             diagnostics={}, converged=True,
         )
-        result = estimand_draws(spost, lpost, data, T, k, np.random.default_rng(0))
+        result = estimand_draws(spost, lpost, data, T, k)
         for kk in range(k):
             l = lpost.draw(kk)
             diffs = [(2 * p.w - 1) * (p.y_obs[T] - l.mean(p.x, 1 - p.w)) for p in data.patients]
@@ -578,7 +557,7 @@ def _reference_sim(s_mis, y_mis, y, sign, alive):
     return sim
 
 
-def _reference_sim_draws(spost, lpost, data, t, k, rng=None):
+def _reference_sim_draws(spost, lpost, data, t, k):
     """SIM draws as the retired loop computed them, from the same inputs."""
     w = np.array([p.w for p in data.patients])
     x = np.array([p.x for p in data.patients], dtype=float)
@@ -590,10 +569,7 @@ def _reference_sim_draws(spost, lpost, data, t, k, rng=None):
     mu_mis = lpost.beta0[l_idx][:, arm_mis] + np.einsum(
         "knp,np->kn", lpost.beta1[l_idx][:, arm_mis, :], x
     )
-    y_mis = mu_mis
-    if rng is not None:
-        y_mis = mu_mis + lpost.sigma[l_idx][:, None] * rng.standard_normal((k, len(data)))
-    return _reference_sim(s_mis, y_mis, y, 2 * w - 1, alive)
+    return _reference_sim(s_mis, mu_mis, y, 2 * w - 1, alive)
 
 
 def _reference_rmst_batch(lam, scale, overlaps):
@@ -696,17 +672,14 @@ class TestBitIdenticalToPerDrawLoops:
             "odd_n": (_mixed_data(10, 17), *synthetic),
         }
 
-    @pytest.mark.parametrize("impute_noise", [False, True])
     @pytest.mark.parametrize("block_atoms", [None, 100])  # 100: SIM a few draws at a time
-    def test_sim_and_rmst_match_reference(self, impute_noise, block_atoms, monkeypatch):
+    def test_sim_and_rmst_match_reference(self, block_atoms, monkeypatch):
         if block_atoms is not None:
             monkeypatch.setattr("tbd.estimators._SIM_BLOCK_ATOMS", block_atoms)
         for name, (data, spost, lpost) in self._cases().items():
             for k in (self.K, 7):
-                got = estimand_draws(spost, lpost, data, T, k, np.random.default_rng(11),
-                                     impute_noise=impute_noise)
-                rng = np.random.default_rng(11) if impute_noise else None
-                assert _same_bits(got.sim, _reference_sim_draws(spost, lpost, data, T, k, rng)), name
+                got = estimand_draws(spost, lpost, data, T, k)
+                assert _same_bits(got.sim, _reference_sim_draws(spost, lpost, data, T, k)), name
                 assert _same_bits(got.rmst, _reference_rmst_draws(spost, data, T, k)), name
 
     def test_boundary_on_exact_half_averages_neighbours(self):

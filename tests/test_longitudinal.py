@@ -11,6 +11,7 @@ from tbd.longitudinal import (
     LongParams,
     LongPriors,
     compute_weights,
+    counterfactual_mean,
     fit_longitudinal,
     predict_y_mis,
     LongitudinalPosterior,
@@ -83,6 +84,19 @@ class TestPredictYMis:
         patient = _obs(w=0, x=(0.4,))
         mu, _ = predict_y_mis(params, patient, 12.0)
         assert mu == pytest.approx(params.mean(patient.x, 0))
+
+    def test_counterfactual_mean_of_draws_and_of_one_set(self):
+        rng = np.random.default_rng(5)
+        beta0, beta1 = rng.normal(size=(6, 2)), rng.normal(size=(6, 2, 3))
+        x, w = rng.normal(size=(9, 3)), rng.integers(0, 2, size=9)
+        stacked = counterfactual_mean(beta0, beta1, x, w)
+        assert stacked.shape == (6, 9)
+        for k in range(6):
+            # one set gives the same bits as its row of the stack
+            assert np.array_equal(counterfactual_mean(beta0[k], beta1[k], x, w), stacked[k])
+            params = LongParams(beta0=beta0[k], beta1=beta1[k], sigma=1.0)
+            expected = [params.mean(x[i], 1 - w[i]) for i in range(9)]
+            assert stacked[k] == pytest.approx(expected, abs=1e-12)
 
 
 class TestFitLongitudinal:
