@@ -74,7 +74,6 @@ from .survival import (
     SurvivalPriors,
     default_grid,
     fit_survival,
-    poisson_expand,
     predict_s_mis,
     rmst_integral,
     survival_prob,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -17,6 +16,10 @@ from . import estimators, longitudinal, science, simulate, study, survival
 @click.group()
 def main() -> None:
     """Treatment effects for longitudinal outcomes truncated by death."""
+
+
+TRUTH_COLUMNS = ("time", "sace", "pc", "sim", "rmst", "death_frac_control",
+                 "death_frac_treated", "n_ll")
 
 
 @main.command()
@@ -42,18 +45,12 @@ def simulate_cmd(scenario: str, seed: int, out: str, n: int | None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     science.dump_json(science.science_to_json(table), out_dir / "science.json")
     science.dump_json(science.observed_to_json(data), out_dir / "observed.json")
-    with open(out_dir / "truths.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["time", "sace", "pc", "sim", "rmst",
-             "death_frac_control", "death_frac_treated", "n_ll"]
-        )
-        for t in params.visit_times:
-            tr = simulate.true_estimands(table, t)
-            writer.writerow(
-                [t, _cell(tr.sace), _cell(tr.pc), _cell(tr.sim), _cell(tr.rmst),
-                 _cell(tr.death_frac_control), _cell(tr.death_frac_treated), tr.n_ll]
-            )
+    rows = []
+    for t in params.visit_times:
+        tr = simulate.true_estimands(table, t)
+        rows.append((t, _cell(tr.sace), _cell(tr.pc), _cell(tr.sim), _cell(tr.rmst),
+                     _cell(tr.death_frac_control), _cell(tr.death_frac_treated), tr.n_ll))
+    study.write_rows(out_dir / "truths.csv", TRUTH_COLUMNS, rows)
     click.echo(f"wrote science.json, observed.json, truths.csv to {out_dir}")
 
 
@@ -79,8 +76,8 @@ def fit(data_path: str, out: str, config_path: str | None, seed: int) -> None:
     longitudinal model cannot be fitted (an arm with nobody alive and
     measured there) is reported on stderr and left out of the output;
     ``tbd estimate`` covers the visits that are present."""
-    cfg = _load_config(config_path, scenarios=[])
-    data = science.observed_from_json(science.load_json(data_path))
+    cfg = _load_config(config_path, fit=True)
+    data = _load_data(data_path)
     if not data.visit_times:
         raise click.ClickException("dataset must carry visit_times")
     fits = study.fit_posteriors(data, replace(cfg, master_seed=seed))
@@ -116,7 +113,7 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
 
     The estimates depend only on the data, the fits and --draws; --seed
     has no effect."""
-    data = science.observed_from_json(science.load_json(data_path))
+    data = _load_data(data_path)
     fits = science.load_json(fits_path)
     try:
         spost = survival.SurvivalPosterior.from_json(fits["survival"])
@@ -145,20 +142,9 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
         for reference, value in (("naive_reference_biased", result.naive),
                                  ("wmw_reference", result.wmw)):
             summary_rows.append((reference, t, _cell(value), "-", "-", "-"))
-    _write_rows(out_dir / "estimates.csv", ESTIMATE_COLUMNS, est_rows)
-    _write_rows(out_dir / "summary.csv", SUMMARY_COLUMNS, summary_rows)
+    study.write_rows(out_dir / "estimates.csv", ESTIMATE_COLUMNS, est_rows)
+    study.write_rows(out_dir / "summary.csv", SUMMARY_COLUMNS, summary_rows)
     click.echo(f"wrote estimates.csv and summary.csv to {out_dir}")
-
-
-def _write_rows(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
-    """CSV of ``rows`` under ``header``; an empty file when there are no rows."""
-    if not rows:
-        path.write_text("")
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 @main.command(name="study")
@@ -182,13 +168,30 @@ def study_cmd(config_path: str | None, out: str, seed: int | None, workers: int 
         sys.exit(1)
 
 
-def _load_config(path: str | None, **overrides) -> study.StudyConfig:
-    """``study.build_config`` of a JSON file (or ``{}``); a refused one is a one-line error."""
+STUDY_ONLY_KEYS = ("master_seed", "k_draws", "replicates", "scenarios", "n")
+
+
+def _load_config(path: str | None, fit: bool = False) -> study.StudyConfig:
+    """``study.build_config`` of a JSON file (or ``{}``); a refused one is a one-line error.
+    For ``tbd fit`` (``fit``) it holds no scenarios and ``STUDY_ONLY_KEYS`` are refused."""
     try:
         doc = json.loads(Path(path).read_text()) if path else {}
-        return study.build_config({**doc, **overrides})
+        if fit:
+            if found := sorted(set(doc).intersection(STUDY_ONLY_KEYS)):
+                raise ValueError(f"keys {found} are study-only; tbd fit seeds from --seed")
+            doc = {**doc, "scenarios": []}
+        return study.build_config(doc)
     except (KeyError, ValueError) as exc:
         raise click.ClickException(f"config {path} refused: {exc}") from exc
+
+
+def _load_data(path: str) -> science.ObservedDataset:
+    """The observed dataset in ``path``; a malformed one is a one-line error."""
+    try:
+        return science.observed_from_json(science.load_json(path))
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise click.ClickException(f"data {path} refused: {reason}") from exc
 
 
 @main.command()

@@ -226,18 +226,16 @@ def fit_longitudinal(
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(data):
         raise ValueError("weights must align with the dataset")
-    rows = [(p, w_i) for p, w_i in zip(data.patients, weights) if w_i > 0]
+    cols = data.columns
+    rows = weights > 0
     for arm in (0, 1):
-        if not any(p.w == arm for p, _ in rows):
-            raise LongitudinalFitError(
-                f"arm {arm} has zero total weight at t={t}; cannot fit"
-            )
+        if not np.any(rows & (cols.w == arm)):
+            raise LongitudinalFitError(f"arm {arm} has zero total weight at t={t}; cannot fit")
+    y = cols.at(t).y[rows]
+    if np.isnan(y).any():
+        raise ValueError(f"positive weight on a patient with no measurement at t={t}")
     model = VisitModel.build(
-        x=np.array([p.x for p, _ in rows], dtype=float),
-        y=np.array([p.y_obs[t] for p, _ in rows]),
-        arm=np.array([p.w for p, _ in rows], dtype=int),
-        wgt=np.array([w_i for _, w_i in rows]),
-        priors=priors,
+        x=cols.x[rows], y=y, arm=cols.w[rows], wgt=weights[rows], priors=priors
     )
     log_dens = model.log_sigma_marginal(np.exp(LOG_SIGMA_GRID)) + LOG_SIGMA_GRID
     mass = np.exp(log_dens - log_dens.max())

@@ -247,7 +247,9 @@ class ObservedColumns:
     def __init__(self, patients: tuple[ObservedPatient, ...]) -> None:
         self._patients = patients
         self.w = _frozen(np.array([p.w for p in patients]))
-        self.x = _frozen(np.array([p.x for p in patients], dtype=float))
+        # an empty dataset still has one covariate column
+        x = np.array([p.x for p in patients], dtype=float) if patients else np.zeros((0, 1))
+        self.x = _frozen(x)
         self.t_obs = _frozen(np.array([p.t_obs for p in patients]))
         self.d_obs = _frozen(np.array([p.d_obs for p in patients]))
         self._visits: dict[float, VisitColumns] = {}

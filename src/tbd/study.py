@@ -536,15 +536,15 @@ def metrics_rows(results: StudyResults) -> list[dict]:
     return rows
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
+def write_rows(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
+    """CSV of ``rows`` under ``header``; an empty file when there are no rows."""
     if not rows:
         path.write_text("")
         return
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: fmt(v) if not isinstance(v, str) else v for k, v in row.items()})
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def emit_report(results: StudyResults, out_dir) -> list[Path]:
@@ -559,7 +559,9 @@ def emit_report(results: StudyResults, out_dir) -> list[Path]:
         ("metrics.csv", metrics_rows(results)),
     ):
         path = out_dir / name
-        _write_csv(path, rows)
+        header = tuple(rows[0]) if rows else ()
+        write_rows(path, header, [tuple(row[k] if isinstance(row[k], str) else fmt(row[k])
+                                        for k in header) for row in rows])
         written.append(path)
     return written
 

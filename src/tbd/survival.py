@@ -1,5 +1,6 @@
 """Bayesian piecewise-constant proportional-hazards model, one set of
-parameters per arm, fit through the person-interval Poisson expansion.
+parameters per arm. Its likelihood depends on the data only through each
+patient's exposure in each hazard segment and each segment's death count.
 
 The hazard for a patient with covariates x under arm w is
 ``lambda_j(w) * exp(alpha(w) . x)`` on grid segment j. Survival and
@@ -63,13 +64,11 @@ class HazardGrid:
         out[..., -1] += excess
         return out
 
-    def segment_of(self, t: float) -> int:
-        """Index of the segment containing t (t in (tau_{j-1}, tau_j])."""
-        cuts = self.cutpoints
-        for j in range(self.n_segments):
-            if t <= cuts[j + 1]:
-                return j
-        return self.n_segments - 1
+    def segment_of(self, t):
+        """Index of the segment containing t (t in (tau_{j-1}, tau_j]);
+        times past the last cutpoint fall in the final segment."""
+        j = np.searchsorted(self.cutpoints[1:], t, side="left")
+        return np.minimum(j, self.n_segments - 1)
 
 
 def default_grid(follow_up: float, visit_times=(3.0, 6.0, 9.0, 12.0, 15.0)) -> HazardGrid:
@@ -129,58 +128,6 @@ class SurvivalParams:
 
     def covariate_effect(self, w: int) -> np.ndarray:
         return self.alpha1 if w == 1 else self.alpha0
-
-
-@dataclass(frozen=True)
-class PersonIntervalTable:
-    """Poisson-expansion rows: one per (patient, grid segment at risk)."""
-
-    patient: np.ndarray
-    w: np.ndarray
-    x: np.ndarray
-    segment: np.ndarray
-    exposure: np.ndarray
-    event: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.exposure)
-
-
-def poisson_expand(data: ObservedDataset, grid: HazardGrid) -> PersonIntervalTable:
-    """Expand observed (t_obs, d_obs) pairs into person-interval rows.
-
-    Each patient contributes one row per segment overlapped before t_obs,
-    with exposure equal to the overlap length; the event indicator is 1 only
-    on the row of the segment containing an observed death. Total exposure
-    equals the sum of t_obs and total events equal the observed death count.
-    """
-    if grid.upper < data.follow_up:
-        raise ValueError(
-            f"grid ends at {grid.upper} but follow-up is {data.follow_up}"
-        )
-    cuts = grid.cutpoints
-    pat, w, xs, seg, expo, ev = [], [], [], [], [], []
-    for i, p in enumerate(data.patients):
-        for j in range(grid.n_segments):
-            lo, hi = cuts[j], cuts[j + 1]
-            if p.t_obs <= lo:
-                break
-            overlap = min(p.t_obs, hi) - lo
-            pat.append(i)
-            w.append(p.w)
-            xs.append(p.x)
-            seg.append(j)
-            expo.append(overlap)
-            ev.append(int(p.d_obs == 1 and p.t_obs <= hi))
-    p_dim = len(data.patients[0].x) if data.patients else 1
-    return PersonIntervalTable(
-        patient=np.array(pat, dtype=int),
-        w=np.array(w, dtype=int),
-        x=np.array(xs, dtype=float).reshape(len(pat), p_dim),
-        segment=np.array(seg, dtype=int),
-        exposure=np.array(expo, dtype=float),
-        event=np.array(ev, dtype=int),
-    )
 
 
 # --- closed-form survival quantities ----------------------------------------
@@ -314,15 +261,12 @@ class _Arm:
     sum_dx: np.ndarray  # (p,) covariates summed over deaths
 
 
-def _arm(table: PersonIntervalTable, w: int, n_segments: int) -> _Arm:
-    sel = table.w == w
-    patients, row_of = np.unique(table.patient[sel], return_inverse=True)
-    x = np.zeros((len(patients), table.x.shape[1]))
-    x[row_of] = table.x[sel]
-    overlap = np.zeros((len(patients), n_segments))
-    overlap[row_of, table.segment[sel]] = table.exposure[sel]
-    events = np.bincount(table.segment[sel], weights=table.event[sel], minlength=n_segments)
-    return _Arm(x=x, overlap=overlap, events=events, sum_dx=table.event[sel] @ table.x[sel])
+def _arm(data: ObservedDataset, grid: HazardGrid, w: int) -> _Arm:
+    cols = data.columns
+    sel = cols.w == w
+    x, t_obs, died = cols.x[sel], cols.t_obs[sel], cols.d_obs[sel] == 1
+    events = np.bincount(grid.segment_of(t_obs[died]), minlength=grid.n_segments)
+    return _Arm(x=x, overlap=grid.overlaps(t_obs), events=events, sum_dx=x[died].sum(axis=0))
 
 
 def _exposures(arm: _Arm, alpha: np.ndarray) -> np.ndarray:
@@ -429,13 +373,14 @@ def fit_survival(
     Returns a flagged (``converged=False``) posterior rather than raising
     when diagnostics fail.
     """
-    table = poisson_expand(data, grid)
+    if grid.upper < data.follow_up:
+        raise ValueError(f"grid ends at {grid.upper} but follow-up is {data.follow_up}")
     arm_seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     draws: dict[str, np.ndarray] = {}
     accept: dict[str, float] = {}
     for w in (0, 1):
         rngs = mcmc.streams(arm_seeds[w], cfg.chains)
-        arm = _arm(table, w, grid.n_segments)
+        arm = _arm(data, grid, w)
         draws[f"lambda{w}"], draws[f"alpha{w}"], accept[f"alpha{w}"] = _sample_arm(
             arm, priors, rngs, cfg.samples
         )

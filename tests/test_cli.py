@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tbd import cli, science, simulate
+from tbd import cli, science, simulate, study
 from tbd.cli import main
 from tbd.study import _seed_int, build_config
 from tbd.survival import fit_survival
@@ -199,6 +199,43 @@ def test_refused_study_config_is_a_one_line_error(runner, tmp_path, doc, refused
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("doc, refused", [
+    ({"master_seed": 77, "k_draws": 3}, "['k_draws', 'master_seed']"),
+    ({"replicates": 9}, "['replicates']"),
+    ({"scenarios": ["mixed"], "n": 50}, "['n', 'scenarios']"),
+], ids=["seed-draws", "replicates", "scenarios-n"])
+def test_refused_fit_config_is_a_one_line_error(runner, sim_dir, tmp_path, doc, refused):
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "fits.json"
+    result = runner.invoke(main, ["fit", "--data", str(sim_dir / "observed.json"),
+                                  "--out", str(out), "--config", str(cfg)])
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [
+        f"Error: config {cfg} refused: keys {refused} are study-only; tbd fit seeds from --seed"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, refused", [
+    ({"patients": []}, "missing key 'follow_up_months'"),
+    ({"follow_up_months": 15.0, "patients": [
+        {"id": 0, "x": [0.1], "w": 2, "t_obs": 15.0, "d_obs": 0, "y_obs": {}}]},
+     "treatment w must be 0 or 1, got 2"),
+    ({"follow_up_months": 15.0, "patients": [{"id": 0, "x": 0.1}]}, "'float' object is not iterable"),
+], ids=["no-follow-up", "bad-arm", "scalar-x"])
+@pytest.mark.parametrize("command", ["fit", "estimate"])
+def test_refused_data_is_a_one_line_error(runner, fits_path, tmp_path, command, doc, refused):
+    data = tmp_path / "observed.json"
+    data.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    extra = ["--fits", str(fits_path)] if command == "estimate" else []
+    result = runner.invoke(main, [command, "--data", str(data), "--out", str(out), *extra])
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [f"Error: data {data} refused: {refused}"]
+    assert not out.exists()
+
+
 def test_fit_leaves_out_visits_it_cannot_fit(runner, tmp_path):
     # the treated arm dies out early, so late visits have no treated patient
     library = json.loads(resources.files("tbd").joinpath("scenarios.json").read_text())
@@ -271,7 +308,7 @@ def test_estimate_csv_writer_matches_dictwriter_bytes(tmp_path):
             ("wmw_reference", 6.0, cli._cell(0.25), "-", "-", "-")]
     for name, header, rows in (("estimates", cli.ESTIMATE_COLUMNS, est),
                                ("summary", cli.SUMMARY_COLUMNS, summ)):
-        cli._write_rows(tmp_path / f"{name}.csv", header, rows)
+        study.write_rows(tmp_path / f"{name}.csv", header, rows)
         with open(tmp_path / f"{name}_dict.csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(header))
             writer.writeheader()

@@ -127,6 +127,13 @@ class TestFitLongitudinal:
         with pytest.raises(LongitudinalFitError, match="arm 0.*t=6"):
             fit_longitudinal(data, 6.0, np.ones(10), LongPriors(), McmcConfig(seed=0))
 
+    def test_positive_weight_on_unmeasured_patient_raises(self):
+        pats = [_obs(id=i, w=i % 2, y_obs={6.0: -1.0}) for i in range(10)]
+        pats[3] = _obs(id=3, w=1, y_obs={})
+        data = ObservedDataset(patients=tuple(pats), follow_up=15.0)
+        with pytest.raises(ValueError, match="no measurement at t=6"):
+            fit_longitudinal(data, 6.0, np.ones(10), LongPriors(), McmcConfig(seed=0))
+
     def test_prior_recovery_without_likelihood(self):
         # engine-level check with the longitudinal prior structure: with the
         # likelihood disabled the posterior must reproduce the prior

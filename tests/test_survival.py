@@ -1,4 +1,4 @@
-"""Poisson expansion, closed-form survival quantities, and fit oracles."""
+"""Per-segment exposures and deaths, closed-form survival quantities, and fit oracles."""
 
 import json
 import math
@@ -17,8 +17,8 @@ from tbd.survival import (
     SurvivalPosterior,
     SurvivalPriors,
     default_grid,
+    _arm,
     fit_survival,
-    poisson_expand,
     predict_s_mis,
     rmst_integral,
     survival_prob,
@@ -55,30 +55,54 @@ def _params(lam0, lam1=None, a0=0.0, a1=0.0, grid=GRID):
 
 
 class TestPoissonExpand:
+    """The statistics of the Poisson form of the likelihood (Holford 1980):
+    each patient's exposure per segment and each segment's death count."""
+
     def test_death_at_eight_spans_three_segments(self):
-        table = poisson_expand(_dataset([_patient(8.0, 1)]), GRID)
-        assert table.exposure.tolist() == [3.0, 3.0, 2.0]
-        assert table.event.tolist() == [0, 0, 1]
+        arm = _arm(_dataset([_patient(8.0, 1)]), GRID, 0)
+        assert arm.overlap.tolist() == [[3.0, 3.0, 2.0, 0.0, 0.0]]
+        assert arm.events.tolist() == [0, 0, 1, 0, 0]
 
     def test_censored_patient_has_full_exposures_no_events(self):
-        table = poisson_expand(_dataset([_patient(15.0, 0)]), GRID)
-        assert table.exposure.tolist() == [3.0] * 5
-        assert table.event.tolist() == [0] * 5
+        arm = _arm(_dataset([_patient(15.0, 0)]), GRID, 0)
+        assert arm.overlap.tolist() == [[3.0] * 5]
+        assert arm.events.tolist() == [0] * 5
 
     def test_exposure_and_event_conservation(self):
         data = observe(simulate_science_table(get_scenario("no_effect"), seed=1))
-        table = poisson_expand(data, default_grid(15.0))
-        assert table.exposure.sum() == pytest.approx(sum(p.t_obs for p in data.patients))
-        assert table.event.sum() == sum(p.d_obs for p in data.patients)
+        grid = default_grid(15.0)
+        for w in (0, 1):
+            arm = _arm(data, grid, w)
+            pats = [p for p in data.patients if p.w == w]
+            assert arm.overlap.sum() == pytest.approx(sum(p.t_obs for p in pats))
+            assert arm.events.sum() == sum(p.d_obs for p in pats)
+            assert arm.sum_dx == pytest.approx(sum(p.x[0] for p in pats if p.d_obs == 1))
+            for j in range(grid.n_segments):
+                exposure, deaths = _exposure_and_deaths(data, grid, w, j)
+                assert arm.overlap[:, j].sum() == pytest.approx(exposure, rel=1e-12)
+                assert arm.events[j] == deaths
 
     def test_death_at_cutpoint_lands_in_left_segment(self):
-        table = poisson_expand(_dataset([_patient(6.0, 1)]), GRID)
-        assert table.exposure.tolist() == [3.0, 3.0]
-        assert table.event.tolist() == [0, 1]
+        arm = _arm(_dataset([_patient(6.0, 1)]), GRID, 0)
+        assert arm.overlap.tolist() == [[3.0, 3.0, 0.0, 0.0, 0.0]]
+        assert arm.events.tolist() == [0, 1, 0, 0, 0]
+        assert GRID.segment_of(np.array([3.0, 3.5, 15.0, 20.0])).tolist() == [0, 1, 4, 4]
 
     def test_grid_must_cover_follow_up(self):
-        with pytest.raises(ValueError):
-            poisson_expand(_dataset([_patient(15.0, 0)]), HazardGrid((0.0, 10.0)))
+        with pytest.raises(ValueError, match="grid ends at 10.0 but follow-up is 15.0"):
+            fit_survival(_dataset([_patient(15.0, 0)]), HazardGrid((0.0, 10.0)),
+                         SurvivalPriors(), McmcConfig(seed=0))
+
+
+def _exposure_and_deaths(data, grid, w, j):
+    """Arm w's total exposure and death count in segment j, by a plain loop."""
+    lo, hi = grid.cutpoints[j], grid.cutpoints[j + 1]
+    exposure = deaths = 0
+    for p in data.patients:
+        if p.w == w:
+            exposure += max(0.0, min(p.t_obs, hi) - lo)
+            deaths += p.d_obs == 1 and lo < p.t_obs <= hi
+    return exposure, deaths
 
 
 class TestClosedForms:
@@ -208,10 +232,8 @@ class TestFitSurvival:
         grid = HazardGrid((0.0, 15.0))
         priors = SurvivalPriors(lambda_mean=0.035, lambda_sd=10.0, alpha_sd=1e-6)
         post = fit_survival(stripped, grid, priors, McmcConfig(seed=41))
-        table = poisson_expand(stripped, grid)
         for w, lam in ((0, post.lambda0), (1, post.lambda1)):
-            d = table.event[table.w == w].sum()
-            e = table.exposure[table.w == w].sum()
+            e, d = _exposure_and_deaths(stripped, grid, w, 0)
             shape = priors.gamma_shape + d
             rate = priors.gamma_rate + e
             assert lam[:, 0].mean() == pytest.approx(shape / rate, rel=0.02)
@@ -264,14 +286,12 @@ class TestFitSurvival:
         grid = default_grid(15.0)
         priors = SurvivalPriors(lambda_mean=0.035, lambda_sd=0.035)
         post = fit_survival(stripped, grid, priors, McmcConfig(samples=5000, seed=12))
-        table = poisson_expand(stripped, grid)
         k = post.n_draws
         for w, lam in ((0, post.lambda0), (1, post.lambda1)):
-            rows = table.w == w
             for j in range(grid.n_segments):
-                seg = rows & (table.segment == j)
-                shape = priors.gamma_shape + table.event[seg].sum()
-                rate = priors.gamma_rate + table.exposure[seg].sum()
+                exposure, deaths = _exposure_and_deaths(stripped, grid, w, j)
+                shape = priors.gamma_shape + deaths
+                rate = priors.gamma_rate + exposure
                 mean, sd = shape / rate, math.sqrt(shape) / rate
                 assert lam[:, j].mean() == pytest.approx(mean, abs=4 * sd / math.sqrt(k))
                 # sampling sd of a Gamma sample's sd: kurtosis 3 + 6 / shape
