@@ -176,7 +176,7 @@ def _load_config(path: str | None, fit: bool = False) -> study.StudyConfig:
     For ``tbd fit`` (``fit``) it holds no scenarios and ``STUDY_ONLY_KEYS`` are refused."""
     try:
         doc = json.loads(Path(path).read_text()) if path else {}
-        if fit:
+        if fit and isinstance(doc, dict):  # build_config refuses any other document
             if found := sorted(set(doc).intersection(STUDY_ONLY_KEYS)):
                 raise ValueError(f"keys {found} are study-only; tbd fit seeds from --seed")
             doc = {**doc, "scenarios": []}

@@ -183,6 +183,8 @@ def predict_s_mis(p: SurvivalParams, patient: ObservedPatient, t: float) -> floa
 
 # --- posterior ---------------------------------------------------------------
 
+S_MIS_BLOCK = 256  # posterior draws per block of SurvivalPosterior.s_mis_matrix
+
 
 @dataclass
 class SurvivalPosterior:
@@ -224,21 +226,33 @@ class SurvivalPosterior:
         return mcmc.even_indices(self.n_draws, k)
 
     def s_mis_matrix(self, data: ObservedDataset, t: float, indices=None) -> np.ndarray:
-        """Counterfactual survival probabilities, shape (draws, patients)."""
-        idx = np.arange(self.n_draws) if indices is None else np.asarray(indices)
+        """Counterfactual survival probabilities under each patient's unassigned arm.
+
+        With ``indices``, one row per listed draw: shape (len(indices), patients).
+        With ``indices=None``, the mean over every posterior draw: shape
+        (patients,), the always-survivor weights' input. Draws are taken
+        ``S_MIS_BLOCK`` at a time, so neither result builds a temporary of
+        shape (draws, patients).
+        """
         cols = data.columns
-        arm, x = 1 - cols.w, cols.x
+        idx = np.arange(self.n_draws) if indices is None else np.asarray(indices)
         horizon = np.where((cols.d_obs == 1) & (cols.t_obs <= t), cols.t_obs, t)
         overlaps = self.grid.overlaps(horizon)  # (n, J)
-        treated = arm[None, :] == 1
-        # Pick each patient's counterfactual arm first: one exp over (K, n).
-        # The result is allocated before the temporaries: the heap memory
-        # they free is then returned here, not when the caller drops it.
-        cum = self.lambda0[idx] @ overlaps.T
-        np.copyto(cum, self.lambda1[idx] @ overlaps.T, where=treated)
-        lin = np.where(treated, self.alpha1[idx] @ x.T, self.alpha0[idx] @ x.T)
-        cum *= np.exp(lin, out=lin)
-        return np.exp(np.negative(cum, out=cum), out=cum)
+        n = len(cols.w)
+        out = np.zeros(n) if indices is None else np.empty((len(idx), n))
+        for arm, lam, alpha in ((0, self.lambda0, self.alpha0), (1, self.lambda1, self.alpha1)):
+            sel = np.flatnonzero(cols.w != arm)  # patients whose counterfactual arm is `arm`
+            x_arm, overlaps_arm = cols.x[sel], overlaps[sel]
+            for start in range(0, len(idx), S_MIS_BLOCK):
+                block = idx[start:start + S_MIS_BLOCK]
+                s = np.exp(alpha[block] @ x_arm.T)
+                s *= lam[block] @ overlaps_arm.T
+                np.exp(np.negative(s, out=s), out=s)
+                if indices is None:
+                    out[sel] += s.sum(axis=0)
+                else:
+                    out[start:start + len(block), sel] = s
+        return out / len(idx) if indices is None else out
 
     def to_json(self) -> dict:
         return encode(self)

@@ -199,6 +199,34 @@ def test_refused_study_config_is_a_one_line_error(runner, tmp_path, doc, refused
     assert not (tmp_path / "o").exists()
 
 
+NOT_OBJECT_CONFIGS = pytest.mark.parametrize("doc, refused", [
+    ([1], "StudyConfig: expected an object, got [1]"),
+    ({"mcmc": 3}, "StudyConfig.mcmc: McmcConfig: expected an object, got 3"),
+], ids=["config-list", "mcmc-int"])
+
+
+@NOT_OBJECT_CONFIGS
+def test_study_config_not_an_object_is_a_one_line_error(runner, tmp_path, doc, refused):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["study", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [f"Error: config {cfg} refused: {refused}"]
+    assert not (tmp_path / "o").exists()
+
+
+@NOT_OBJECT_CONFIGS
+def test_fit_config_not_an_object_is_a_one_line_error(runner, sim_dir, tmp_path, doc, refused):
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "fits.json"
+    result = runner.invoke(main, ["fit", "--data", str(sim_dir / "observed.json"),
+                                  "--out", str(out), "--config", str(cfg)])
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [f"Error: config {cfg} refused: {refused}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc, refused", [
     ({"master_seed": 77, "k_draws": 3}, "['k_draws', 'master_seed']"),
     ({"replicates": 9}, "['replicates']"),

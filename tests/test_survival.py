@@ -12,6 +12,7 @@ from tbd.mcmc import McmcConfig
 from tbd.science import ObservedDataset, ObservedPatient
 from tbd.simulate import get_scenario, observe, simulate_science_table
 from tbd.survival import (
+    S_MIS_BLOCK,
     HazardGrid,
     SurvivalParams,
     SurvivalPosterior,
@@ -191,29 +192,59 @@ class TestPredictSMis:
         assert predict_s_mis(params, p, 9.0) == pytest.approx(math.exp(-0.05 * 9))
 
 
+def _random_posterior(k, seed=0):
+    rng = np.random.default_rng(seed)
+    return SurvivalPosterior(
+        grid=default_grid(15.0),
+        lambda0=rng.uniform(0.01, 0.2, size=(k, 5)),
+        lambda1=rng.uniform(0.01, 0.2, size=(k, 5)),
+        alpha0=rng.normal(0, 0.3, size=(k, 1)),
+        alpha1=rng.normal(0, 0.3, size=(k, 1)),
+        diagnostics={},
+        converged=True,
+    )
+
+
 class TestSMisMatrix:
+    data = observe(simulate_science_table(get_scenario("mixed"), seed=3))
+
     def test_matches_scalar_path(self):
-        data = observe(simulate_science_table(get_scenario("mixed"), seed=3))
-        grid = default_grid(15.0)
-        rng = np.random.default_rng(0)
-        k = 7
-        post = SurvivalPosterior(
-            grid=grid,
-            lambda0=rng.uniform(0.01, 0.2, size=(k, 5)),
-            lambda1=rng.uniform(0.01, 0.2, size=(k, 5)),
-            alpha0=rng.normal(0, 0.3, size=(k, 1)),
-            alpha1=rng.normal(0, 0.3, size=(k, 1)),
-            diagnostics={},
-            converged=True,
-        )
-        t = 9.0
-        matrix = post.s_mis_matrix(data, t)
-        for kk in (0, 3, 6):
+        k, t = 7, 9.0
+        post = _random_posterior(k)
+        matrix = post.s_mis_matrix(self.data, t, np.arange(k))
+        assert matrix.shape == (k, len(self.data))
+        # dead patients are evaluated at their death time, not at t
+        assert any(p.d_obs == 1 and p.t_obs <= t for p in self.data.patients)
+        for kk in range(k):
             params = post.draw(kk)
-            for i in (0, 17, 101, 199):
-                assert matrix[kk, i] == pytest.approx(
-                    predict_s_mis(params, data.patients[i], t), abs=1e-12
-                )
+            for i, p in enumerate(self.data.patients):
+                assert matrix[kk, i] == pytest.approx(predict_s_mis(params, p, t), abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, S_MIS_BLOCK + 1, 2 * S_MIS_BLOCK - 1])
+    @pytest.mark.parametrize("one_arm", [False, True], ids=["both-arms", "one-arm"])
+    def test_mean_over_all_draws(self, k, one_arm):
+        data = self.data
+        if one_arm:  # nobody's counterfactual arm is 0: that group is empty
+            data = ObservedDataset(
+                patients=tuple(replace(p, w=0) for p in data.patients), follow_up=data.follow_up
+            )
+        post = _random_posterior(k, seed=k)
+        for t in (3.0, 9.0, 15.0):
+            mean = post.s_mis_matrix(data, t)
+            assert mean.shape == (len(data),)
+            expected = post.s_mis_matrix(data, t, np.arange(k)).mean(axis=0)
+            np.testing.assert_allclose(mean, expected, rtol=0, atol=1e-14)
+
+    def test_indices_select_rows_across_blocks(self):
+        k, t = 3 * S_MIS_BLOCK, 6.0
+        post = _random_posterior(k)
+        rng = np.random.default_rng(1)
+        # unsorted, with repeats, and longer than one block
+        indices = np.concatenate([rng.permutation(k)[: S_MIS_BLOCK + 40], [5, 5, k - 1, 5]])
+        rows = post.s_mis_matrix(self.data, t, indices)
+        single = np.concatenate([post.s_mis_matrix(self.data, t, [i]) for i in indices])
+        # a one-row matrix product may round differently in the last bit
+        np.testing.assert_allclose(rows, single, rtol=0, atol=1e-15)
 
 
 class TestFitSurvival:
