@@ -8,28 +8,8 @@ comparison, survival-incorporated median, restricted-mean survival time),
 and score bias and coverage across replicated scenarios.
 """
 
-from .estimators import (
-    CompositeDiffDistribution,
-    EstimandDraws,
-    EstimandSummary,
-    composite_diff_dist,
-    estimand_draws,
-    naive_effect,
-    pc_draw,
-    rmst_draw,
-    sace_draw,
-    sim_draw,
-    summarize,
-    wmw,
-)
-from .longitudinal import (
-    LongitudinalPosterior,
-    LongParams,
-    LongPriors,
-    compute_weights,
-    fit_longitudinal,
-    predict_y_mis,
-)
+from .estimators import EstimandDraws, EstimandSummary, estimand_draws, naive_effect, summarize, wmw
+from .longitudinal import LongitudinalPosterior, LongPriors, compute_weights, fit_longitudinal
 from .mcmc import Block, McmcConfig, McmcResult, ModelSpec, ess, rhat, run_chains
 from .metrics import (
     BiasCoverage,
@@ -67,16 +47,6 @@ from .simulate import (
     weibull_quantile,
 )
 from .study import StudyConfig, StudyResults, build_config, emit_report, run_cell, run_study
-from .survival import (
-    HazardGrid,
-    SurvivalParams,
-    SurvivalPosterior,
-    SurvivalPriors,
-    default_grid,
-    fit_survival,
-    predict_s_mis,
-    rmst_integral,
-    survival_prob,
-)
+from .survival import HazardGrid, SurvivalPosterior, SurvivalPriors, default_grid, fit_survival
 
 __version__ = "0.1.0"

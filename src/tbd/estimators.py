@@ -19,167 +19,24 @@ median, placing finite atoms at the counterfactual predictive mean.
 Two reference estimators are included for contrast only: the naive
 observed-survivor contrast (biased by selection) and the across-arm rank
 statistic computed on observed composites.
-
-The per-patient ``*_draw`` functions state the definitions and serve as
-oracles. ``estimand_draws`` evaluates every paired draw at once, as array
-code that keeps the floating-point operations and their order of the
-per-draw evaluation: one pooled median per draw for SIM, and each patient's
-integral under both arms for RMST, of which one is kept. Its draws
-therefore carry the same bits, and the tests compare them bit for bit
-against those per-draw loops.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .longitudinal import LongParams, LongitudinalPosterior, counterfactual_mean, predict_y_mis
-from .science import ObservedDataset, ObservedPatient
-from .survival import SurvivalParams, SurvivalPosterior, predict_s_mis, rmst_integral
+from .longitudinal import LongitudinalPosterior, counterfactual_mean
+from .science import ObservedDataset
+from .survival import SurvivalPosterior
 
 _MASS_TOL = 1e-12
 # SIM takes its draws in blocks of about this many atoms. Whole-batch
 # (draws, atoms) arrays of a few MB left that much free but unreturned heap
 # behind each call, raising the peak memory of the next fit.
 _SIM_BLOCK_ATOMS = 1 << 16
-
-
-@dataclass(frozen=True)
-class CompositeDiffDistribution:
-    """Distribution of one patient's composite difference (treated minus
-    control direction), as (value, mass) atoms summing to one."""
-
-    atoms: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        total = sum(m for _, m in self.atoms)
-        if abs(total - 1.0) > _MASS_TOL:
-            raise ValueError(f"atom masses sum to {total}, expected 1")
-        if len(self.atoms) > 3:
-            raise ValueError("at most 3 atoms (finite, +inf, -inf)")
-        if any(m < 0 or m > 1 for _, m in self.atoms):
-            raise ValueError("atom masses must lie in [0, 1]")
-
-
-def composite_diff_dist(
-    s_draw: SurvivalParams,
-    l_draw: LongParams,
-    patient: ObservedPatient,
-    t: float,
-) -> CompositeDiffDistribution:
-    """Atoms of (2w - 1) * (observed minus imputed composite) at horizon t,
-    the finite atom at the counterfactual predictive mean."""
-    sign = 2 * patient.w - 1
-    s = predict_s_mis(s_draw, patient, t)
-    if patient.alive_at(t):
-        y_mis = predict_y_mis(l_draw, patient, t)[0]
-        finite = sign * (patient.y_obs[t] - y_mis)
-        atoms = [(finite, s), (sign * math.inf, 1.0 - s)]
-    else:
-        atoms = [(-sign * math.inf, s), (sign * math.inf, 1.0 - s)]
-    return CompositeDiffDistribution(atoms=tuple((v, m) for v, m in atoms if m > 0.0))
-
-
-def sace_draw(
-    s_draw: SurvivalParams, l_draw: LongParams, data: ObservedDataset, t: float
-) -> float:
-    """Always-survivor contrast: survivor differences weighted by the
-    probability of counterfactual survival. NaN when no observed survivor
-    carries positive weight."""
-    num = 0.0
-    den = 0.0
-    for p in data.patients:
-        if not p.alive_at(t):
-            continue
-        s = predict_s_mis(s_draw, p, t)
-        mu_mis, _ = predict_y_mis(l_draw, p, t)
-        num += s * (2 * p.w - 1) * (p.y_obs[t] - mu_mis)
-        den += s
-    if den == 0.0:
-        return float("nan")
-    return num / den
-
-
-def pc_draw(
-    s_draw: SurvivalParams, l_draw: LongParams, data: ObservedDataset, t: float
-) -> float:
-    """Probability that a patient fares better under treatment, averaged
-    over patients, with latent-stratum and residual uncertainty integrated
-    analytically."""
-    total = 0.0
-    for p in data.patients:
-        sign = 2 * p.w - 1
-        s = predict_s_mis(s_draw, p, t)
-        if p.alive_at(t):
-            mu_mis, sigma = predict_y_mis(l_draw, p, t)
-            z = sign * (p.y_obs[t] - mu_mis)
-            if sigma > 0:
-                p_fin = float(ndtr(z / sigma))
-            else:  # degenerate predictive: indicator with half credit for ties
-                p_fin = 1.0 if z > 0 else (0.5 if z == 0 else 0.0)
-            total += s * p_fin + (1.0 - s) * (1.0 if p.w == 1 else 0.0)
-        else:
-            total += (1.0 - s) if p.w == 1 else s
-    return total / len(data)
-
-
-def _pooled_median(values: np.ndarray, masses: np.ndarray, half: float) -> float:
-    """Value where cumulative atom mass first reaches ``half``.
-
-    When the boundary falls exactly between two atoms the two are averaged;
-    averaging involving an infinity yields that infinity, and oppositely
-    infinite neighbors yield NaN (no defined midpoint).
-    """
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    cum = np.cumsum(masses[order])
-    idx = int(np.searchsorted(cum, half - _MASS_TOL))
-    if idx >= len(v):
-        idx = len(v) - 1
-    at_boundary = abs(cum[idx] - half) <= _MASS_TOL and idx + 1 < len(v)
-    if not at_boundary:
-        return float(v[idx])
-    lo, hi = float(v[idx]), float(v[idx + 1])
-    if math.isinf(lo) and math.isinf(hi) and lo != hi:
-        return float("nan")
-    if math.isinf(lo):
-        return lo
-    if math.isinf(hi):
-        return hi
-    return 0.5 * (lo + hi)
-
-
-def sim_draw(
-    s_draw: SurvivalParams, l_draw: LongParams, data: ObservedDataset, t: float
-) -> float:
-    """Median of the pooled composite-difference atoms for one draw.
-
-    Each patient contributes total mass one. Finite atoms sit at the
-    counterfactual predictive mean of the draw. Returns +/-inf when the
-    median mass point is infinite.
-    """
-    values = []
-    masses = []
-    for p in data.patients:
-        for v, m in composite_diff_dist(s_draw, l_draw, p, t).atoms:
-            values.append(v)
-            masses.append(m)
-    return _pooled_median(np.array(values), np.array(masses), half=len(data) / 2.0)
-
-
-def rmst_draw(s_draw: SurvivalParams, data: ObservedDataset, t: float) -> float:
-    """Restricted-mean survival contrast for one draw: observed restricted
-    time minus the integrated counterfactual survival curve, averaged with
-    the assignment sign."""
-    total = 0.0
-    for p in data.patients:
-        integral = rmst_integral(s_draw, p.x, 1 - p.w, t)
-        total += (2 * p.w - 1) * (min(p.t_obs, t) - integral)
-    return total / len(data)
 
 
 def naive_effect(data: ObservedDataset, t: float) -> float | None:
@@ -292,53 +149,30 @@ class EstimandDraws:
                 for name, row in zip(names, rows)}
 
 
-def _rmst_batch(lam: np.ndarray, scale: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-    """Vectorized restricted-mean integral.
-
-    lam (K, J) segment rates, scale (K, n) covariate multipliers, overlaps
-    (J,) segment lengths inside [0, t]; returns (K, n). A segment past t
-    adds an exact zero, so only the others are evaluated; the zeros stay in
-    the (K, n, J) sum, which therefore adds in the same order for any J.
-    """
-    live = overlaps > 0
-    r = lam[:, None, live] * scale[:, :, None]  # (K, n, live segments)
-    seg_haz = r * overlaps[None, None, live]
-    prefix = np.concatenate(
-        [np.zeros_like(seg_haz[..., :1]), np.cumsum(seg_haz, axis=2)[..., :-1]], axis=2
-    )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        piece = np.where(r > 0, -np.expm1(-seg_haz) / np.where(r > 0, r, 1.0), overlaps[live])
-    terms = np.zeros(scale.shape + overlaps.shape)
-    terms[..., live] = np.exp(-prefix) * piece
-    return np.sum(terms, axis=2)
-
-
 def rmst_estimand_draws(
     spost: SurvivalPosterior, data: ObservedDataset, t: float, k: int
 ) -> np.ndarray:
     """Restricted-mean contrast draws; needs only the survival posterior.
 
-    Each patient's integral runs under the unassigned arm only; the
-    covariate scales are still one product over all patients per arm."""
+    Each patient's observed time restricted to t minus the integral of the
+    counterfactual survival curve (``SurvivalPosterior.rmst_matrix``), with
+    the assignment sign, averaged over patients."""
     cols = data.columns
-    s_idx = spost.subsample_indices(k)
-    overlaps = spost.grid.overlaps(float(t))
-    integral = np.empty((len(s_idx), len(data)))
-    for arm, lam, alpha in ((0, spost.lambda0, spost.alpha0), (1, spost.lambda1, spost.alpha1)):
-        scale = np.exp(alpha[s_idx] @ cols.x.T)
-        unassigned = cols.w != arm
-        integral[:, unassigned] = _rmst_batch(lam[s_idx], scale[:, unassigned], overlaps)
+    integral = spost.rmst_matrix(data, t, spost.subsample_indices(k))
     sign = 2 * cols.w - 1
     return (sign[None, :] * (np.minimum(cols.t_obs, t)[None, :] - integral)).mean(axis=1)
 
 
 def _sim_batch(values: np.ndarray, masses: np.ndarray, half: float) -> np.ndarray:
-    """``_pooled_median`` of every row of ``values`` / ``masses`` (draws,
-    atoms), with the same floating-point operations in the same order.
+    """Mass median of every row of ``values`` / ``masses`` (draws, atoms):
+    the value where the cumulative mass of the sorted atoms first reaches
+    ``half``. When that boundary falls exactly between two atoms the two are
+    averaged; averaging with an infinity yields that infinity, and oppositely
+    infinite neighbours yield NaN.
 
-    Zero-mass atoms stay in the rows, where ``_pooled_median``'s callers drop
-    them: adding 0.0 leaves each cumulative sum as it was, and such an atom
-    is never the one picked nor the neighbour at a boundary."""
+    Zero-mass atoms may stay in the rows: adding 0.0 leaves each cumulative
+    sum as it was, and such an atom is never the one picked nor the
+    neighbour at a boundary."""
     order = np.argsort(values, axis=1, kind="stable")
     m = np.take_along_axis(masses, order, axis=1)
     cum = np.cumsum(m, axis=1)
@@ -405,7 +239,7 @@ def estimand_draws(
     # RMST
     rmst = rmst_estimand_draws(spost, data, t, k)
 
-    # SIM: each patient's atoms as in composite_diff_dist, finite atoms at
+    # SIM: each patient's atoms as the module docstring lists them, finite atoms at
     # the predictive mean; the infinite atoms sit where they do for every draw
     v_inf = np.concatenate([np.where(sign[surv] > 0, np.inf, -np.inf),
                             np.where(sign[dead] > 0, -np.inf, np.inf),

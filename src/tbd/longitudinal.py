@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mcmc
 from .codec import decode, encode
-from .science import ObservedDataset, ObservedPatient
+from .science import ObservedDataset
 
 
 class LongitudinalFitError(RuntimeError):
@@ -45,26 +45,6 @@ class LongPriors:
             raise ValueError("prior sds must be positive")
 
 
-@dataclass(frozen=True)
-class LongParams:
-    """One posterior draw: per-arm intercepts/coefficients, shared scale.
-
-    ``beta0[w]`` and ``beta1[w]`` give arm w's intercept and covariate
-    coefficients.
-    """
-
-    beta0: np.ndarray
-    beta1: np.ndarray
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-    def mean(self, x, w: int) -> float:
-        return float(self.beta0[w] + np.dot(np.asarray(x, dtype=float), self.beta1[w]))
-
-
 def compute_weights(s_mis, data: ObservedDataset, t: float) -> np.ndarray:
     """Always-survivor membership probabilities p_{i,t}.
 
@@ -73,11 +53,6 @@ def compute_weights(s_mis, data: ObservedDataset, t: float) -> np.ndarray:
     probability for patients alive and measured at t, and zero otherwise.
     """
     return np.where(data.columns.at(t).measured, s_mis, 0.0)
-
-
-def predict_y_mis(params: LongParams, patient: ObservedPatient, t: float) -> tuple[float, float]:
-    """Counterfactual predictive mean and residual scale for one patient."""
-    return params.mean(patient.x, 1 - patient.w), params.sigma
 
 
 def counterfactual_mean(beta0, beta1, x, w) -> np.ndarray:
@@ -105,9 +80,6 @@ class LongitudinalPosterior:
     @property
     def n_draws(self) -> int:
         return len(self.sigma)
-
-    def draw(self, k: int) -> LongParams:
-        return LongParams(beta0=self.beta0[k], beta1=self.beta1[k], sigma=float(self.sigma[k]))
 
     def subsample_indices(self, k: int) -> np.ndarray:
         return mcmc.even_indices(self.n_draws, k)

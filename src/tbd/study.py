@@ -14,9 +14,7 @@ count only successful cells.
 
 The weights take the posterior-mean counterfactual survival straight from
 ``SurvivalPosterior.s_mis_matrix``, which sums it over blocks of draws
-instead of averaging a (draws, patients) matrix. That halved an n=2000 cell,
-from about 2.2 s to 1.1 s on a 2-vCPU x86-64 VM, and cut its peak memory
-from about 320 MB to 120 MB (``BENCH_counterfactual_kernel.json``).
+instead of averaging a (draws, patients) matrix.
 """
 
 from __future__ import annotations
@@ -282,10 +280,10 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
 
     # reconstruction metrics for the observed-arm survival fit; the grid
     # stops a month short of the censoring horizon where controls run out
-    mean_params = spost.mean_params()
     months = np.arange(2.0, scenario.follow_up)
-    base = np.stack([spost.grid.overlaps(months) @ mean_params.rates(arm) for arm in (0, 1)])
-    scale = np.exp(np.where(w == 1, x @ mean_params.alpha1, x @ mean_params.alpha0))
+    overlaps = spost.grid.overlaps(months)
+    base = np.stack([overlaps @ spost.lambda0.mean(axis=0), overlaps @ spost.lambda1.mean(axis=0)])
+    scale = np.exp(np.where(w == 1, x @ spost.alpha1.mean(axis=0), x @ spost.alpha0.mean(axis=0)))
     surv_pred = np.exp(-base[w] * scale[:, None])
     try:
         cell_ibs = ibs(surv_pred, data, months)
@@ -577,9 +575,10 @@ def build_config(doc: dict) -> StudyConfig:
 
     ``scenarios`` may list library names or inline parameter objects; ``n``
     sets every scenario's size; other keys override defaults, and a key
-    that names no field raises ``ValueError``, as do ``mcmc.seed``
-    (``fit_posteriors`` derives every fit's seed from the master seed) and a
-    document or ``mcmc`` that is not a JSON object.
+    that names no field raises ``ValueError``. So do ``scenarios`` other
+    than a list of names and objects with a ``name``, a non-integer ``n``,
+    ``mcmc.seed`` (``fit_posteriors`` derives every fit's seed from the
+    master seed) and a document or ``mcmc`` that is not a JSON object.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"StudyConfig: expected an object, got {doc!r}")
@@ -587,15 +586,23 @@ def build_config(doc: dict) -> StudyConfig:
     if isinstance(mcmc, dict) and "seed" in mcmc:
         raise ValueError("mcmc.seed is not read: fit seeds derive from master_seed "
                          "(tbd fit: --seed)")
+    try:
+        n = decode(int, doc["n"]) if "n" in doc else None
+    except ValueError as exc:
+        raise ValueError(f"StudyConfig.n: {exc}") from None
     library = load_scenarios()
+    items = doc.get("scenarios", list(library))
+    if not isinstance(items, list):
+        raise ValueError(f"StudyConfig.scenarios: expected a list, got {items!r}")
     scenarios = []
-    for item in doc.get("scenarios", list(library)):
+    for item in items:
         if isinstance(item, str):
             scenario = get_scenario(item, library)
-        else:
+        elif isinstance(item, dict) and "name" in item:
             scenario = _params_from_dict(item["name"], item)
-        if "n" in doc:
-            scenario = scenario.with_updates(n=int(doc["n"]))
-        scenarios.append(scenario)
+        else:
+            raise ValueError("StudyConfig.scenarios: expected a library name or an object "
+                             f"with a 'name', got {item!r}")
+        scenarios.append(scenario if n is None else scenario.with_updates(n=n))
     rest = {k: v for k, v in doc.items() if k != "n"}
     return replace(decode(StudyConfig, {**rest, "scenarios": []}), scenarios=tuple(scenarios))

@@ -5,8 +5,10 @@ patient's exposure in each hazard segment and each segment's death count.
 The hazard for a patient with covariates x under arm w is
 ``lambda_j(w) * exp(alpha(w) . x)`` on grid segment j. Survival and
 restricted-mean integrals have closed forms under piecewise-constant
-hazards; both are implemented here and checked against quadrature in the
-test suite. Beyond the last cutpoint the final segment rate is extended.
+hazards. Both are evaluated under each patient's unassigned arm by one
+traversal of the posterior draws (``s_mis_matrix``, ``rmst_matrix``) and
+checked against quadrature in the test suite. Beyond the last cutpoint
+the final segment rate is extended.
 
 The posterior is sampled collapsed: with the Gamma-prior segment rates
 integrated out, alpha has a concave log marginal, sampled by independence
@@ -16,14 +18,13 @@ drawn exactly given alpha.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import mcmc
 from .codec import decode, encode
-from .science import ObservedDataset, ObservedPatient
+from .science import ObservedDataset
 
 
 class FitError(RuntimeError):
@@ -105,85 +106,33 @@ class SurvivalPriors:
         return self.lambda_mean / self.lambda_sd**2
 
 
-@dataclass(frozen=True)
-class SurvivalParams:
-    """One posterior draw: per-arm segment rates and covariate effects."""
-
-    grid: HazardGrid
-    lambda0: np.ndarray
-    lambda1: np.ndarray
-    alpha0: np.ndarray
-    alpha1: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("lambda0", "lambda1"):
-            lam = getattr(self, name)
-            if len(lam) != self.grid.n_segments:
-                raise ValueError(f"{name} must have one rate per grid segment")
-            if np.any(np.asarray(lam) <= 0):
-                raise ValueError(f"{name} rates must be strictly positive")
-
-    def rates(self, w: int) -> np.ndarray:
-        return self.lambda1 if w == 1 else self.lambda0
-
-    def covariate_effect(self, w: int) -> np.ndarray:
-        return self.alpha1 if w == 1 else self.alpha0
-
-
-# --- closed-form survival quantities ----------------------------------------
-
-
-def _cumulative_hazard(rates: np.ndarray, grid: HazardGrid, t) -> np.ndarray:
-    return grid.overlaps(t) @ np.asarray(rates)
-
-
-def survival_prob(p: SurvivalParams, x, w: int, t: float) -> float:
-    """S(t) = exp(-integral of the hazard over [0, t]); equals 1 at t = 0."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    base = _cumulative_hazard(p.rates(w), p.grid, float(t))
-    scale = math.exp(float(np.dot(p.covariate_effect(w), np.asarray(x, dtype=float))))
-    return float(np.exp(-base * scale))
-
-
-def rmst_integral(p: SurvivalParams, x, w: int, t: float) -> float:
-    """Expected survival time restricted to [0, t], in closed form.
-
-    Sums exp(-H(a)) * (1 - exp(-r * dt)) / r over grid segments, with r the
-    segment hazard for (x, w). Stable as r -> 0, where a segment contributes
-    its full length.
-    """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    scale = math.exp(float(np.dot(p.covariate_effect(w), np.asarray(x, dtype=float))))
-    rates = np.asarray(p.rates(w)) * scale
-    overlaps = p.grid.overlaps(float(t))
-    cum = np.concatenate([[0.0], np.cumsum(rates * overlaps)])
-    total = 0.0
-    for j in range(p.grid.n_segments):
-        dt = overlaps[j]
-        if dt == 0.0:
-            continue
-        r = rates[j]
-        piece = dt if r == 0.0 else -math.expm1(-r * dt) / r
-        total += math.exp(-cum[j]) * piece
-    return total
-
-
-def predict_s_mis(p: SurvivalParams, patient: ObservedPatient, t: float) -> float:
-    """Probability of surviving under the unassigned arm.
-
-    Evaluated at horizon t for patients observed alive at t, and at the
-    observed death time for patients who died at or before t.
-    """
-    arm = 1 - patient.w
-    horizon = patient.t_obs if (patient.d_obs == 1 and patient.t_obs <= t) else t
-    return survival_prob(p, patient.x, arm, horizon)
-
-
 # --- posterior ---------------------------------------------------------------
 
-S_MIS_BLOCK = 256  # posterior draws per block of SurvivalPosterior.s_mis_matrix
+S_MIS_BLOCK = 256  # posterior draws per block of the counterfactual kernels
+
+
+def _rmst_batch(lam: np.ndarray, scale: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """Restricted-mean integral, in closed form.
+
+    lam (K, J) segment rates, scale (K, n) covariate multipliers, overlaps
+    (J,) segment lengths inside [0, t]; returns (K, n). Each segment adds
+    exp(-H(a)) * (1 - exp(-r * dt)) / r, with r the segment hazard and H(a)
+    the cumulative hazard at its start, and its full length where r = 0. A
+    segment past t adds an exact zero, so only the others are evaluated; the
+    zeros stay in the (K, n, J) sum, which therefore adds in the same order
+    for any J.
+    """
+    live = overlaps > 0
+    r = lam[:, None, live] * scale[:, :, None]  # (K, n, live segments)
+    seg_haz = r * overlaps[None, None, live]
+    prefix = np.concatenate(
+        [np.zeros_like(seg_haz[..., :1]), np.cumsum(seg_haz, axis=2)[..., :-1]], axis=2
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        piece = np.where(r > 0, -np.expm1(-seg_haz) / np.where(r > 0, r, 1.0), overlaps[live])
+    terms = np.zeros(scale.shape + overlaps.shape)
+    terms[..., live] = np.exp(-prefix) * piece
+    return np.sum(terms, axis=2)
 
 
 @dataclass
@@ -203,56 +152,56 @@ class SurvivalPosterior:
     def n_draws(self) -> int:
         return self.lambda0.shape[0]
 
-    def draw(self, k: int) -> SurvivalParams:
-        return SurvivalParams(
-            grid=self.grid,
-            lambda0=self.lambda0[k],
-            lambda1=self.lambda1[k],
-            alpha0=self.alpha0[k],
-            alpha1=self.alpha1[k],
-        )
-
-    def mean_params(self) -> SurvivalParams:
-        return SurvivalParams(
-            grid=self.grid,
-            lambda0=self.lambda0.mean(axis=0),
-            lambda1=self.lambda1.mean(axis=0),
-            alpha0=self.alpha0.mean(axis=0),
-            alpha1=self.alpha1.mean(axis=0),
-        )
-
     def subsample_indices(self, k: int) -> np.ndarray:
         """Evenly spaced draw indices for pairing with another posterior."""
         return mcmc.even_indices(self.n_draws, k)
 
+    def _unassigned_blocks(self, data: ObservedDataset, idx: np.ndarray):
+        """The counterfactual hazards, arm by arm and ``S_MIS_BLOCK`` draws
+        of ``idx`` at a time. Yields the patients whose unassigned arm it is
+        (``sel``), the block's rows within ``idx``, its segment rates (B, J)
+        and each selected patient's covariate scale exp(alpha . x) (B, len(sel))."""
+        cols = data.columns
+        for arm, lam, alpha in ((0, self.lambda0, self.alpha0), (1, self.lambda1, self.alpha1)):
+            sel = np.flatnonzero(cols.w != arm)
+            x_arm = cols.x[sel]
+            for start in range(0, len(idx), S_MIS_BLOCK):
+                block = idx[start:start + S_MIS_BLOCK]
+                scale = np.exp(alpha[block] @ x_arm.T)
+                yield sel, slice(start, start + len(block)), lam[block], scale
+
     def s_mis_matrix(self, data: ObservedDataset, t: float, indices=None) -> np.ndarray:
-        """Counterfactual survival probabilities under each patient's unassigned arm.
+        """Counterfactual survival probabilities under each patient's unassigned arm,
+        at t for patients alive at t and at the death time for the others.
 
         With ``indices``, one row per listed draw: shape (len(indices), patients).
         With ``indices=None``, the mean over every posterior draw: shape
-        (patients,), the always-survivor weights' input. Draws are taken
-        ``S_MIS_BLOCK`` at a time, so neither result builds a temporary of
-        shape (draws, patients).
+        (patients,), the always-survivor weights' input, summed block by
+        block, so it builds no temporary of shape (draws, patients).
         """
         cols = data.columns
         idx = np.arange(self.n_draws) if indices is None else np.asarray(indices)
         horizon = np.where((cols.d_obs == 1) & (cols.t_obs <= t), cols.t_obs, t)
         overlaps = self.grid.overlaps(horizon)  # (n, J)
-        n = len(cols.w)
-        out = np.zeros(n) if indices is None else np.empty((len(idx), n))
-        for arm, lam, alpha in ((0, self.lambda0, self.alpha0), (1, self.lambda1, self.alpha1)):
-            sel = np.flatnonzero(cols.w != arm)  # patients whose counterfactual arm is `arm`
-            x_arm, overlaps_arm = cols.x[sel], overlaps[sel]
-            for start in range(0, len(idx), S_MIS_BLOCK):
-                block = idx[start:start + S_MIS_BLOCK]
-                s = np.exp(alpha[block] @ x_arm.T)
-                s *= lam[block] @ overlaps_arm.T
-                np.exp(np.negative(s, out=s), out=s)
-                if indices is None:
-                    out[sel] += s.sum(axis=0)
-                else:
-                    out[start:start + len(block), sel] = s
+        out = np.zeros(len(data)) if indices is None else np.empty((len(idx), len(data)))
+        for sel, rows, lam, s in self._unassigned_blocks(data, idx):
+            s *= lam @ overlaps[sel].T
+            np.exp(np.negative(s, out=s), out=s)
+            if indices is None:
+                out[sel] += s.sum(axis=0)
+            else:
+                out[rows, sel] = s
         return out / len(idx) if indices is None else out
+
+    def rmst_matrix(self, data: ObservedDataset, t: float, indices) -> np.ndarray:
+        """Restricted-mean survival time to t under each patient's unassigned
+        arm, one row per listed draw: shape (len(indices), patients)."""
+        idx = np.asarray(indices)
+        overlaps = self.grid.overlaps(float(t))  # (J,)
+        out = np.empty((len(idx), len(data)))
+        for sel, rows, lam, scale in self._unassigned_blocks(data, idx):
+            out[rows, sel] = _rmst_batch(lam, scale, overlaps)
+        return out
 
     def to_json(self) -> dict:
         return encode(self)

@@ -13,6 +13,17 @@ from scipy import integrate, stats
 from scipy.special import ndtr
 
 import tbd
+from oracles import (
+    LongParams,
+    SurvivalParams,
+    pc_draw,
+    predict_s_mis,
+    rmst_draw,
+    rmst_integral,
+    sace_draw,
+    sim_draw,
+    survival_prob,
+)
 from tbd.mcmc import Block, McmcConfig, ModelSpec, run_chains
 from tbd.science import ObservedDataset, ObservedPatient
 from tbd.study import StudyConfig, bias_rows, coverage_rows, figure_rows, run_study
@@ -143,7 +154,21 @@ def test_criterion_3_sampler_oracles():
 # --- criterion 4: closed forms vs adaptive quadrature --------------------------
 
 
+def _one_draw_survival(grid, lambda0, lambda1, alpha0, alpha1):
+    """A survival posterior holding the one given draw."""
+    return tbd.SurvivalPosterior(
+        grid=grid, lambda0=np.asarray(lambda0)[None], lambda1=np.asarray(lambda1)[None],
+        alpha0=np.asarray(alpha0)[None], alpha1=np.asarray(alpha1)[None],
+        diagnostics={}, converged=True,
+    )
+
+
 def test_criterion_4_closed_forms_vs_quadrature():
+    """The scalar oracles and the shipped kernels (``s_mis_matrix``,
+    ``rmst_matrix``) against quadrature. The kernels read one patient of arm
+    1, whose unassigned arm 0 carries the parameters; arm 1 carries others,
+    so reading the wrong arm shows. Every other patient has died at t and is
+    read at the horizon 15, so at the death time."""
     grid = tbd.HazardGrid((0.0, 3.0, 6.0, 9.0, 12.0, 15.0))
     rng = np.random.default_rng(44)
     worst_s = 0.0
@@ -155,9 +180,14 @@ def test_criterion_4_closed_forms_vs_quadrature():
         alpha = rng.normal(0, 0.4)
         x = (rng.normal(),)
         t = rng.uniform(0.0, 15.0)
-        p = tbd.SurvivalParams(
+        p = SurvivalParams(
             grid=grid, lambda0=lam, lambda1=lam, alpha0=np.array([alpha]), alpha1=np.array([alpha])
         )
+        post = _one_draw_survival(grid, lam, lam[::-1], [alpha], [-alpha])
+        died = trial % 2
+        patient = ObservedPatient(id=0, x=x, w=1, t_obs=t if died else 15.0, d_obs=died,
+                                  y_obs={}, follow_up=15.0)
+        data = ObservedDataset(patients=(patient,), follow_up=15.0)
         scale = math.exp(alpha * x[0])
         cuts = list(grid.cutpoints)
 
@@ -165,13 +195,16 @@ def test_criterion_4_closed_forms_vs_quadrature():
             return p.lambda0[grid.segment_of(max(u, 1e-12))] * scale
 
         cumhaz, _ = integrate.quad(hazard, 0.0, t, points=cuts, limit=200, epsabs=1e-12)
-        worst_s = max(worst_s, abs(tbd.survival_prob(p, x, 0, t) - math.exp(-cumhaz)))
-        surv = lambda u: tbd.survival_prob(p, x, 0, u)
+        s_kernel = post.s_mis_matrix(data, 15.0 if died else t, [0])[0, 0]
+        for s in (survival_prob(p, x, 0, t), s_kernel):
+            worst_s = max(worst_s, abs(s - math.exp(-cumhaz)))
+        surv = lambda u: survival_prob(p, x, 0, u)
         quad, _ = integrate.quad(surv, 0.0, t, points=cuts, limit=200, epsabs=1e-12, epsrel=1e-12)
-        worst_r = max(worst_r, abs(tbd.rmst_integral(p, x, 0, t) - quad))
+        for r in (rmst_integral(p, x, 0, t), post.rmst_matrix(data, t, [0])[0, 0]):
+            worst_r = max(worst_r, abs(r - quad))
     ok = worst_s < 1e-8 and worst_r < 1e-8
     assert _verdict(
-        "criterion 4 (closed forms within 1e-8 of quadrature, 1e3 param sets)",
+        "criterion 4 (closed forms and shipped kernels within 1e-8 of quadrature, 1e3 param sets)",
         ok,
         f"max survival err {worst_s:.2e}, max integral err {worst_r:.2e}",
     )
@@ -196,21 +229,23 @@ def _fixture():
         ),
         follow_up=15.0,
     )
-    s = tbd.SurvivalParams(
+    s = SurvivalParams(
         grid=tbd.HazardGrid((0.0, 5.0, 15.0)),
         lambda0=np.array([0.03, 0.08]),
         lambda1=np.array([0.05, 0.02]),
         alpha0=np.array([0.2]),
         alpha1=np.array([-0.1]),
     )
-    l = tbd.LongParams(beta0=np.array([-5.0, -2.5]), beta1=np.array([[1.5], [0.8]]), sigma=1.3)
+    l = LongParams(beta0=np.array([-5.0, -2.5]), beta1=np.array([[1.5], [0.8]]), sigma=1.3)
     return data, s, l
 
 
 def test_criterion_5_brute_force_equivalence():
+    """The scalar oracles and the shipped ``estimand_draws``, on a one-draw
+    posterior of the same draw, against enumeration and quadrature."""
     data, s, l = _fixture()
     t = 10.0
-    probs = [tbd.predict_s_mis(s, p, t) for p in data.patients]
+    probs = [predict_s_mis(s, p, t) for p in data.patients]
 
     num = den = pc_total = 0.0
     for config in itertools.product([True, False], repeat=4):
@@ -231,17 +266,13 @@ def test_criterion_5_brute_force_equivalence():
         den += weight * len(diffs)
         pc_total += weight * win / 4
 
-    ok = abs(tbd.sace_draw(s, l, data, t) - num / den) < 1e-12
-    ok &= abs(tbd.pc_draw(s, l, data, t) - pc_total) < 1e-12
-
     rmst_total = 0.0
     for p in data.patients:
         integral, _ = integrate.quad(
-            lambda u: tbd.survival_prob(s, p.x, 1 - p.w, u), 0, t,
+            lambda u: survival_prob(s, p.x, 1 - p.w, u), 0, t,
             points=[5.0], limit=200, epsabs=1e-12, epsrel=1e-12,
         )
         rmst_total += (2 * p.w - 1) * (min(p.t_obs, t) - integral)
-    ok &= abs(tbd.rmst_draw(s, data, t) - rmst_total / 4) < 1e-9
 
     atoms = []
     for p, prob in zip(data.patients, probs):
@@ -264,8 +295,21 @@ def test_criterion_5_brute_force_equivalence():
             else:
                 expected_sim = v
             break
-    ok &= abs(tbd.sim_draw(s, l, data, t) - expected_sim) < 1e-12
-    assert _verdict("criterion 5 (4-patient enumeration oracle)", bool(ok))
+
+    expected = {"sace": (num / den, 1e-12), "pc": (pc_total, 1e-12),
+                "rmst": (rmst_total / 4, 1e-9), "sim": (expected_sim, 1e-12)}
+    scalar = {"sace": sace_draw(s, l, data, t), "pc": pc_draw(s, l, data, t),
+              "rmst": rmst_draw(s, data, t), "sim": sim_draw(s, l, data, t)}
+    lpost = tbd.LongitudinalPosterior(t=t, beta0=l.beta0[None], beta1=l.beta1[None],
+                                      sigma=np.array([l.sigma]), diagnostics={}, converged=True)
+    shipped = tbd.estimand_draws(
+        _one_draw_survival(s.grid, s.lambda0, s.lambda1, s.alpha0, s.alpha1), lpost, data, t, 1
+    )
+    ok = True
+    for name, (value, tol) in expected.items():
+        ok &= abs(scalar[name] - value) < tol
+        ok &= abs(shipped.values(name)[0] - value) < tol
+    assert _verdict("criterion 5 (4-patient enumeration oracle, scalar and shipped)", bool(ok))
 
 
 # --- criteria 6 and 7: desk-scale replicate studies ----------------------------

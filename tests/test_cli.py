@@ -188,7 +188,14 @@ def test_estimate_refuses_per_draw_fits_file(runner, sim_dir, tmp_path):
     ({"replicate": 3}, "StudyConfig: unknown keys ['replicate']"),
     ({"mcmc": {"warmpu": 3}}, "McmcConfig: unknown keys ['warmpu']"),
     ({"replicates": None}, "StudyConfig.replicates: expected an integer, got None"),
-], ids=["top-level", "mcmc", "null-value"])
+    ({"scenarios": 3}, "StudyConfig.scenarios: expected a list, got 3"),
+    ({"scenarios": [3]},
+     "StudyConfig.scenarios: expected a library name or an object with a 'name', got 3"),
+    ({"scenarios": [{"th0_0": 30.0}]}, "StudyConfig.scenarios: expected a library name or an "
+                                       "object with a 'name', got {'th0_0': 30.0}"),
+    ({"n": [2]}, "StudyConfig.n: expected an integer, got [2]"),
+], ids=["top-level", "mcmc", "null-value", "scenarios-not-list", "scenario-not-name",
+        "inline-scenario-without-name", "n-not-integer"])
 def test_refused_study_config_is_a_one_line_error(runner, tmp_path, doc, refused):
     cfg = tmp_path / "study.json"
     # no scenarios: were the key ignored, the study would finish at once with no cells

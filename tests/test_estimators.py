@@ -3,36 +3,39 @@ reduction and symmetry properties, and batched/scalar agreement."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import ndtr
 
-from tbd.estimators import (
-    EstimandDraws,
+from oracles import (
+    LongParams,
+    SurvivalParams,
     _pooled_median,
     composite_diff_dist,
-    estimand_draws,
-    naive_effect,
+    long_draw,
     pc_draw,
+    predict_s_mis,
     rmst_draw,
-    rmst_estimand_draws,
     sace_draw,
     sim_draw,
+    survival_draw,
+    survival_prob,
+)
+from tbd.estimators import (
+    EstimandDraws,
+    estimand_draws,
+    naive_effect,
+    rmst_estimand_draws,
     summarize,
     wmw,
 )
-from tbd.longitudinal import LongitudinalPosterior, LongParams
+from tbd.longitudinal import LongitudinalPosterior
 from tbd.science import ObservedDataset, ObservedPatient, composite_order, observed_composite
 from tbd.simulate import get_scenario, observe, simulate_science_table
-from tbd.survival import (
-    HazardGrid,
-    SurvivalParams,
-    SurvivalPosterior,
-    predict_s_mis,
-    survival_prob,
-)
+from tbd.survival import S_MIS_BLOCK, HazardGrid, SurvivalPosterior
 
 GRID = HazardGrid((0.0, 5.0, 15.0))
 T = 10.0
@@ -464,8 +467,8 @@ class TestBatchedEvaluation:
         s_idx = spost.subsample_indices(k)
         l_idx = lpost.subsample_indices(k)
         for kk in (0, 4, 9):
-            s = spost.draw(int(s_idx[kk]))
-            l = lpost.draw(int(l_idx[kk]))
+            s = survival_draw(spost, int(s_idx[kk]))
+            l = long_draw(lpost, int(l_idx[kk]))
             assert result.sace[kk] == pytest.approx(sace_draw(s, l, data, T), abs=1e-10)
             assert result.pc[kk] == pytest.approx(pc_draw(s, l, data, T), abs=1e-10)
             assert result.rmst[kk] == pytest.approx(rmst_draw(s, data, T), abs=1e-10)
@@ -518,7 +521,7 @@ class TestBatchedEvaluation:
         )
         result = estimand_draws(spost, lpost, data, T, k)
         for kk in range(k):
-            l = lpost.draw(kk)
+            l = long_draw(lpost, kk)
             diffs = [(2 * p.w - 1) * (p.y_obs[T] - l.mean(p.x, 1 - p.w)) for p in data.patients]
             assert result.sace[kk] == pytest.approx(np.mean(diffs), abs=1e-10)
             phis = [
@@ -690,7 +693,7 @@ class TestBitIdenticalToPerDrawLoops:
         lpost = _synthetic_posteriors(13, n_draws=1)[1]
         got = estimand_draws(spost, lpost, data, T, 1)
         assert _same_bits(got.sim, _reference_sim_draws(spost, lpost, data, T, 1))
-        l = lpost.draw(0)
+        l = long_draw(lpost, 0)
         diffs = sorted((2 * p.w - 1) * (p.y_obs[T] - l.mean(p.x, 1 - p.w))
                        for p in data.patients)
         assert got.sim[0] == 0.5 * (diffs[3] + diffs[4])
@@ -728,15 +731,36 @@ class TestBitIdenticalToPerDrawLoops:
     ])
     def test_rmst_matches_both_arm_reference_on_any_grid(self, cuts):
         grid = HazardGrid(tuple(float(c) for c in cuts))
+        k = 2 * S_MIS_BLOCK + 40  # two full blocks of the kernel and a partial third
         for seed in range(3):
             data = _mixed_data(20 + seed, 31 + seed)
             spost, lpost = _synthetic_posteriors(30 + seed, n_draws=25, grid=grid)
+            blocked, _ = _synthetic_posteriors(40 + seed, n_draws=k + 60, grid=grid)
             for t in (0.0, 0.25, 3.0, 7.7, 10.0, 15.0, 21.0):
                 got = rmst_estimand_draws(spost, data, t, 25)
                 assert _same_bits(got, _reference_rmst_draws(spost, data, t, 25)), (seed, t)
+                got = rmst_estimand_draws(blocked, data, t, k)
+                assert _same_bits(got, _reference_rmst_draws(blocked, data, t, k)), (seed, t, k)
             draws = estimand_draws(spost, lpost, data, T, 25)
             assert _same_bits(draws.rmst, _reference_rmst_draws(spost, data, T, 25))
             assert _same_bits(draws.sim, _reference_sim_draws(spost, lpost, data, T, 25))
+
+    def test_rmst_with_two_covariates_matches_reference_closely(self):
+        # at p > 1 the covariate scales are matrix products over each arm's
+        # patients, which may round differently from the reference's
+        rng = np.random.default_rng(52)
+        data = ObservedDataset(
+            patients=tuple(replace(p, x=(p.x[0], float(rng.normal())))
+                           for p in _mixed_data(53, 45).patients),
+            follow_up=15.0,
+        )
+        k = 2 * S_MIS_BLOCK + 40
+        spost, _ = _synthetic_posteriors(54, n_draws=k)
+        spost = replace(spost, alpha0=rng.normal(0, 0.3, size=(k, 2)),
+                        alpha1=rng.normal(0, 0.3, size=(k, 2)))
+        for t in (3.0, T, 15.0):
+            np.testing.assert_allclose(rmst_estimand_draws(spost, data, t, k),
+                                       _reference_rmst_draws(spost, data, t, k), rtol=0, atol=1e-12)
 
 
 def _reference_wmw(data, t):

@@ -6,21 +6,20 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from oracles import LongParams, SurvivalParams, predict_s_mis, predict_y_mis
 from tbd.longitudinal import (
     LongitudinalFitError,
-    LongParams,
     LongPriors,
     compute_weights,
     counterfactual_mean,
     fit_longitudinal,
-    predict_y_mis,
     LongitudinalPosterior,
     VisitModel,
 )
 from tbd.mcmc import Block, McmcConfig, ModelSpec, run_chains
 from tbd.science import ObservedDataset, ObservedPatient
 from tbd.simulate import get_scenario, observe, simulate_science_table
-from tbd.survival import HazardGrid, SurvivalParams, predict_s_mis
+from tbd.survival import HazardGrid
 
 
 def _sparams(lam0, lam1, grid=HazardGrid((0.0, 15.0))):

@@ -8,21 +8,18 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from oracles import SurvivalParams, predict_s_mis, rmst_integral, survival_draw, survival_prob
 from tbd.mcmc import McmcConfig
 from tbd.science import ObservedDataset, ObservedPatient
 from tbd.simulate import get_scenario, observe, simulate_science_table
 from tbd.survival import (
     S_MIS_BLOCK,
     HazardGrid,
-    SurvivalParams,
     SurvivalPosterior,
     SurvivalPriors,
     default_grid,
     _arm,
     fit_survival,
-    predict_s_mis,
-    rmst_integral,
-    survival_prob,
 )
 
 GRID = HazardGrid(cutpoints=(0.0, 3.0, 6.0, 9.0, 12.0, 15.0))
@@ -216,7 +213,7 @@ class TestSMisMatrix:
         # dead patients are evaluated at their death time, not at t
         assert any(p.d_obs == 1 and p.t_obs <= t for p in self.data.patients)
         for kk in range(k):
-            params = post.draw(kk)
+            params = survival_draw(post, kk)
             for i, p in enumerate(self.data.patients):
                 assert matrix[kk, i] == pytest.approx(predict_s_mis(params, p, t), abs=1e-12)
 
