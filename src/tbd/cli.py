@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import estimators, longitudinal, science, simulate, study, survival
 
@@ -121,6 +122,10 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
                   for key, ldoc in fits["longitudinal"].items()}
     except (KeyError, ValueError) as exc:
         raise click.ClickException(f"posteriors {fits_path} refused: {exc}; rerun `tbd fit`") from exc
+    pool = min(post.n_draws for post in (spost, *lposts.values()))
+    if not 1 <= draws <= pool:
+        raise click.ClickException(
+            f"--draws {draws} refused: the fits hold {pool} draws to pair; use 1..{pool}")
     if not spost.converged:
         click.echo("warning: survival fit flagged by convergence diagnostics", err=True)
     out_dir = Path(out)
@@ -133,10 +138,11 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
             click.echo(f"warning: longitudinal fit at t={t} flagged by diagnostics", err=True)
         result = estimators.estimand_draws(spost, lpost, data, t, draws)
         for name, summ in result.summaries().items():
-            est_rows.extend(
-                (label, 0, t, name, k, _cell(v), int(math.isinf(v)))
-                for k, v in enumerate(result.values(name).tolist())
-            )
+            values = result.values(name)
+            est_rows.extend(zip(
+                repeat(label), repeat(0), repeat(t), repeat(name), range(len(values)),
+                study.fmt_floats(values.tolist(), ".6g"), np.isinf(values).astype(int).tolist(),
+            ))
             summary_rows.append((name, t, _cell(summ.median), _cell(summ.lo95),
                                  _cell(summ.hi95), study.fmt(summ.frac_undefined)))
         for reference, value in (("naive_reference_biased", result.naive),

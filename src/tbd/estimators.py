@@ -132,21 +132,29 @@ class EstimandDraws:
         return getattr(self, name)
 
     def summaries(self) -> dict[str, EstimandSummary]:
-        """``summarize`` of each estimand. Those whose draws are all finite
-        share one percentile call, which takes each row's order statistics
-        and interpolates them as a one-row call does."""
-        names = ("sace", "pc", "sim", "rmst")
-        rows = np.stack([np.asarray(getattr(self, name), dtype=float) for name in names])
-        whole = np.isfinite(rows).all(axis=1) & (rows.shape[1] > 0)
-        batched = {}
-        if whole.any():
-            lo, med, hi = np.percentile(rows[whole], [2.5, 50.0, 97.5], axis=1)
-            batched = {
-                name: EstimandSummary(float(m), float(l), float(h), 0.0, rows.shape[1])
-                for name, l, m, h in zip(np.array(names)[whole], lo, med, hi)
-            }
-        return {name: batched[name] if name in batched else summarize(row)
-                for name, row in zip(names, rows)}
+        """``summarize`` of each estimand."""
+        return summaries_of([self])[0]
+
+
+def summaries_of(results) -> list[dict[str, EstimandSummary]]:
+    """``EstimandDraws.summaries`` of each of ``results``, which all hold
+    one number of draws. The estimands whose draws are all finite share one
+    percentile call, which takes each row's order statistics and
+    interpolates them as a one-row call does."""
+    names = ("sace", "pc", "sim", "rmst")
+    if not results:
+        return []
+    rows = np.stack([np.asarray(r.values(name), dtype=float) for r in results for name in names])
+    whole = np.isfinite(rows).all(axis=1) & (rows.shape[1] > 0)
+    batched = {}
+    if whole.any():
+        lo, med, hi = np.percentile(rows[whole], [2.5, 50.0, 97.5], axis=1)
+        batched = {
+            i: EstimandSummary(float(m), float(l), float(h), 0.0, rows.shape[1])
+            for i, l, m, h in zip(np.flatnonzero(whole), lo, med, hi)
+        }
+    flat = [batched[i] if i in batched else summarize(row) for i, row in enumerate(rows)]
+    return [dict(zip(names, flat[i:i + len(names)])) for i in range(0, len(flat), len(names))]
 
 
 def rmst_estimand_draws(

@@ -12,9 +12,12 @@ path, shared with ``tbd fit``: a fit that fails convergence diagnostics is
 retried once with doubled samples and then recorded as failed; aggregates
 count only successful cells.
 
-The weights take the posterior-mean counterfactual survival straight from
-``SurvivalPosterior.s_mis_matrix``, which sums it over blocks of draws
-instead of averaging a (draws, patients) matrix.
+The weights of all visits take the posterior-mean counterfactual survival
+from one ``SurvivalPosterior.s_mis_matrix`` call over the visit times, which
+sums it over blocks of draws instead of averaging a (draws, patients)
+matrix and computes each block's covariate scales once for every visit.
+A cell summarizes all its visits' estimands whose draws are all finite with
+one percentile call.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .estimators import (
     estimand_draws,
     naive_effect,
     rmst_estimand_draws,
+    summaries_of,
     summarize,
     wmw,
 )
@@ -84,6 +88,10 @@ class StudyConfig:
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        pool = self.mcmc.chains * self.mcmc.samples
+        if self.scenarios and not 1 <= self.k_draws <= pool:
+            raise ValueError(f"k_draws must be in 1..{pool} (mcmc.chains * mcmc.samples), "
+                             f"got {self.k_draws}")
         names = [s.name for s in self.scenarios]
         if len(set(names)) != len(names):
             raise ValueError("scenario names must be unique")
@@ -198,8 +206,9 @@ def fit_posteriors(data, config: StudyConfig, *seed_parts) -> Posteriors:
         replace(config.mcmc, seed=_seed_int(seed, *seed_parts, "surv")),
     )
     fits = Posteriors(survival=spost, survival_failure=serr, longitudinal={}, failures={})
+    s_mis = spost.s_mis_matrix(data, data.visit_times)
     for ti, t in enumerate(data.visit_times):
-        weights = compute_weights(spost.s_mis_matrix(data, t), data, t)
+        weights = compute_weights(s_mis[ti], data, t)
         try:
             lpost, lerr = _fit_with_retry(
                 lambda c: fit_longitudinal(data, t, weights, config.long_priors, c),
@@ -231,6 +240,10 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
 
     cols = data.columns
     x, w = cols.x, cols.w
+    draws = {t: estimand_draws(spost, lpost, data, t, config.k_draws)
+             for t, lpost in fits.longitudinal.items() if t not in fits.failures}
+    # one percentile call for every visit's estimands with all draws finite
+    summaries_at = dict(zip(draws, summaries_of(list(draws.values()))))
 
     results: list[CellTimeResult] = []
     for t in scenario.visit_times:
@@ -257,9 +270,7 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
             )
             continue
         lpost = fits.longitudinal[t]
-
-        draws = estimand_draws(spost, lpost, data, t, config.k_draws)
-        summaries = draws.summaries()
+        summaries = summaries_at[t]
         bias_cov = {
             name: bias_and_coverage(summaries[name], getattr(truth, name))
             for name in ESTIMANDS
@@ -271,8 +282,8 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
                 truth=truth,
                 summaries=summaries,
                 bias_coverage=bias_cov,
-                naive=draws.naive,
-                wmw=draws.wmw,
+                naive=draws[t].naive,
+                wmw=draws[t].wmw,
                 death_pct=death_pct,
                 mae=mae_reconstruction(science, mu_mis_mean, t),
             )
@@ -394,12 +405,13 @@ def fmt(v, spec: str = ".4f") -> str:
         return "-"
     if isinstance(v, bool):
         return str(int(v))
-    f = float(v)
-    if math.isnan(f):
-        return "-"
-    if math.isinf(f):
-        return "inf" if f > 0 else "-inf"
-    return format(f, spec)
+    return fmt_floats((float(v),), spec)[0]
+
+
+def fmt_floats(values, spec: str = ".4f") -> list[str]:
+    """``fmt`` of each float in ``values`` in one pass: "-" for NaN, else
+    ``format(v, spec)``, which writes the infinities as "inf" and "-inf"."""
+    return ["-" if v != v else format(v, spec) for v in values]
 
 
 def _slices_by_key(results: StudyResults) -> dict[tuple[str, float], list[CellTimeResult]]:

@@ -7,8 +7,11 @@ The hazard for a patient with covariates x under arm w is
 restricted-mean integrals have closed forms under piecewise-constant
 hazards. Both are evaluated under each patient's unassigned arm by one
 traversal of the posterior draws (``s_mis_matrix``, ``rmst_matrix``) and
-checked against quadrature in the test suite. Beyond the last cutpoint
-the final segment rate is extended.
+checked against quadrature in the test suite. The traversal takes blocks
+of draws, and no kernel builds an array with a segment axis: the survival
+mean serves every visit time from one traversal, computing each block's
+covariate scales once, and the restricted mean adds its segments one at a
+time. Beyond the last cutpoint the final segment rate is extended.
 
 The posterior is sampled collapsed: with the Gamma-prior segment rates
 integrated out, alpha has a concave log marginal, sampled by independence
@@ -111,28 +114,73 @@ class SurvivalPriors:
 S_MIS_BLOCK = 256  # posterior draws per block of the counterfactual kernels
 
 
+def _add(a, b):
+    """a + b, in place in ``a``; None stands for an exact zero."""
+    if a is None or b is None:
+        return b if a is None else a
+    a += b
+    return a
+
+
+def _pairwise_sum(terms, n: int):
+    """Sum of the next ``n`` arrays of the iterator ``terms`` (None for an
+    exact zero), added in the order numpy's pairwise summation adds a
+    contiguous axis of length ``n``: sequentially below 8 terms, in 8
+    running sums combined pairwise up to 128, and split in halves (rounded
+    down to a multiple of 8) beyond. So the result has the bits of
+    ``np.sum`` over the stacked terms, without stacking them. Consumes the
+    arrays it adds into."""
+    if n < 8:
+        total = None
+        for _ in range(n):
+            total = _add(total, next(terms))
+        return total
+    if n <= 128:
+        r = [next(terms) for _ in range(8)]
+        for i in range(8, n - n % 8):
+            r[i % 8] = _add(r[i % 8], next(terms))
+        total = _add(_add(_add(r[0], r[1]), _add(r[2], r[3])),
+                     _add(_add(r[4], r[5]), _add(r[6], r[7])))
+        for _ in range(n % 8):
+            total = _add(total, next(terms))
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _add(_pairwise_sum(terms, half), _pairwise_sum(terms, n - half))
+
+
 def _rmst_batch(lam: np.ndarray, scale: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
     """Restricted-mean integral, in closed form.
 
     lam (K, J) segment rates, scale (K, n) covariate multipliers, overlaps
     (J,) segment lengths inside [0, t]; returns (K, n). Each segment adds
     exp(-H(a)) * (1 - exp(-r * dt)) / r, with r the segment hazard and H(a)
-    the cumulative hazard at its start, and its full length where r = 0. A
-    segment past t adds an exact zero, so only the others are evaluated; the
-    zeros stay in the (K, n, J) sum, which therefore adds in the same order
-    for any J.
+    the cumulative hazard at its start, and its full length where r = 0.
+    The segments are taken one at a time on (K, n) arrays, H as a running
+    sum. A segment past t adds an exact zero and is not evaluated; the
+    terms are added in the order ``np.sum`` adds a (K, n, J) stack of them
+    (``_pairwise_sum``), so the result has the same bits for any J.
     """
-    live = overlaps > 0
-    r = lam[:, None, live] * scale[:, :, None]  # (K, n, live segments)
-    seg_haz = r * overlaps[None, None, live]
-    prefix = np.concatenate(
-        [np.zeros_like(seg_haz[..., :1]), np.cumsum(seg_haz, axis=2)[..., :-1]], axis=2
-    )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        piece = np.where(r > 0, -np.expm1(-seg_haz) / np.where(r > 0, r, 1.0), overlaps[live])
-    terms = np.zeros(scale.shape + overlaps.shape)
-    terms[..., live] = np.exp(-prefix) * piece
-    return np.sum(terms, axis=2)
+
+    def terms():
+        prefix = None
+        for j, dt in enumerate(overlaps):
+            if dt <= 0:
+                yield None
+                continue
+            r = lam[:, j, None] * scale
+            seg_haz = r * dt
+            with np.errstate(invalid="ignore", divide="ignore"):
+                piece = np.where(r > 0, -np.expm1(-seg_haz) / np.where(r > 0, r, 1.0), dt)
+            if prefix is None:  # exp(-0) * piece is piece
+                prefix = seg_haz
+                yield piece
+            else:
+                piece *= np.exp(-prefix)
+                prefix += seg_haz
+                yield piece
+
+    total = _pairwise_sum(terms(), len(overlaps))
+    return np.zeros(scale.shape) if total is None else total
 
 
 @dataclass
@@ -170,28 +218,40 @@ class SurvivalPosterior:
                 scale = np.exp(alpha[block] @ x_arm.T)
                 yield sel, slice(start, start + len(block)), lam[block], scale
 
-    def s_mis_matrix(self, data: ObservedDataset, t: float, indices=None) -> np.ndarray:
+    def s_mis_matrix(self, data: ObservedDataset, t, indices=None) -> np.ndarray:
         """Counterfactual survival probabilities under each patient's unassigned arm,
         at t for patients alive at t and at the death time for the others.
 
         With ``indices``, one row per listed draw: shape (len(indices), patients).
         With ``indices=None``, the mean over every posterior draw: shape
         (patients,), the always-survivor weights' input, summed block by
-        block, so it builds no temporary of shape (draws, patients).
+        block, so it builds no temporary of shape (draws, patients). A
+        sequence of times ``t`` adds a leading axis of its length, and each
+        block's covariate scales exp(alpha . x) then serve all the times:
+        ``fit_posteriors`` takes every visit's weights from one call. Each
+        time's result has the bits of a call at that time alone.
         """
         cols = data.columns
         idx = np.arange(self.n_draws) if indices is None else np.asarray(indices)
-        horizon = np.where((cols.d_obs == 1) & (cols.t_obs <= t), cols.t_obs, t)
-        overlaps = self.grid.overlaps(horizon)  # (n, J)
-        out = np.zeros(len(data)) if indices is None else np.empty((len(idx), len(data)))
-        for sel, rows, lam, s in self._unassigned_blocks(data, idx):
-            s *= lam @ overlaps[sel].T
-            np.exp(np.negative(s, out=s), out=s)
-            if indices is None:
-                out[sel] += s.sum(axis=0)
-            else:
-                out[rows, sel] = s
-        return out / len(idx) if indices is None else out
+        times = np.atleast_1d(np.asarray(t, dtype=float))[:, None]  # (T, 1)
+        horizon = np.where((cols.d_obs == 1) & (cols.t_obs <= times), cols.t_obs, times)
+        overlaps = self.grid.overlaps(horizon)  # (T, n, J)
+        if indices is None:
+            out = np.zeros((len(times), len(data)))
+        else:
+            out = np.empty((len(times), len(idx), len(data)))
+        for sel, rows, lam, scale in self._unassigned_blocks(data, idx):
+            for ov, res in zip(overlaps, out):
+                s = lam @ ov[sel].T
+                s *= scale
+                np.exp(np.negative(s, out=s), out=s)
+                if indices is None:
+                    res[sel] += s.sum(axis=0)
+                else:
+                    res[rows, sel] = s
+        if indices is None:
+            out /= len(idx)
+        return out if np.ndim(t) else out[0]
 
     def rmst_matrix(self, data: ObservedDataset, t: float, indices) -> np.ndarray:
         """Restricted-mean survival time to t under each patient's unassigned

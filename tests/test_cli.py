@@ -194,8 +194,12 @@ def test_estimate_refuses_per_draw_fits_file(runner, sim_dir, tmp_path):
     ({"scenarios": [{"th0_0": 30.0}]}, "StudyConfig.scenarios: expected a library name or an "
                                        "object with a 'name', got {'th0_0': 30.0}"),
     ({"n": [2]}, "StudyConfig.n: expected an integer, got [2]"),
+    ({"scenarios": ["no_effect"], "replicates": 1, "k_draws": 0},
+     "k_draws must be in 1..4000 (mcmc.chains * mcmc.samples), got 0"),
+    ({"scenarios": ["no_effect"], "replicates": 1, "mcmc": {"chains": 2, "samples": 50},
+      "k_draws": 101}, "k_draws must be in 1..100 (mcmc.chains * mcmc.samples), got 101"),
 ], ids=["top-level", "mcmc", "null-value", "scenarios-not-list", "scenario-not-name",
-        "inline-scenario-without-name", "n-not-integer"])
+        "inline-scenario-without-name", "n-not-integer", "k-draws-zero", "k-draws-over-pool"])
 def test_refused_study_config_is_a_one_line_error(runner, tmp_path, doc, refused):
     cfg = tmp_path / "study.json"
     # no scenarios: were the key ignored, the study would finish at once with no cells
@@ -204,6 +208,26 @@ def test_refused_study_config_is_a_one_line_error(runner, tmp_path, doc, refused
     assert result.exit_code == 1
     assert result.output.strip().splitlines() == [f"Error: config {cfg} refused: {refused}"]
     assert not (tmp_path / "o").exists()
+
+
+def test_estimate_refuses_draws_outside_the_pool(runner, sim_dir, fits_path, tmp_path):
+    doc = json.loads(fits_path.read_text())
+    pool = min(len(doc["survival"]["lambda0"]),
+               *(len(ldoc["sigma"]) for ldoc in doc["longitudinal"].values()))
+    for draws in (0, -3, pool + 1):
+        out = tmp_path / str(draws)
+        result = runner.invoke(main, ["estimate", "--data", str(sim_dir / "observed.json"),
+                                      "--fits", str(fits_path), "--out", str(out),
+                                      "--draws", str(draws)])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            f"Error: --draws {draws} refused: the fits hold {pool} draws to pair; use 1..{pool}"
+        ]
+        assert not out.exists()
+    result = runner.invoke(main, ["estimate", "--data", str(sim_dir / "observed.json"),
+                                  "--fits", str(fits_path), "--out", str(tmp_path / "all"),
+                                  "--draws", str(pool)])
+    assert result.exit_code == 0, result.output
 
 
 NOT_OBJECT_CONFIGS = pytest.mark.parametrize("doc, refused", [

@@ -29,13 +29,14 @@ from tbd.estimators import (
     estimand_draws,
     naive_effect,
     rmst_estimand_draws,
+    summaries_of,
     summarize,
     wmw,
 )
 from tbd.longitudinal import LongitudinalPosterior
 from tbd.science import ObservedDataset, ObservedPatient, composite_order, observed_composite
 from tbd.simulate import get_scenario, observe, simulate_science_table
-from tbd.survival import S_MIS_BLOCK, HazardGrid, SurvivalPosterior
+from tbd.survival import S_MIS_BLOCK, HazardGrid, SurvivalPosterior, _rmst_batch
 
 GRID = HazardGrid((0.0, 5.0, 15.0))
 T = 10.0
@@ -745,6 +746,23 @@ class TestBitIdenticalToPerDrawLoops:
             assert _same_bits(draws.rmst, _reference_rmst_draws(spost, data, T, 25))
             assert _same_bits(draws.sim, _reference_sim_draws(spost, lpost, data, T, 25))
 
+    @pytest.mark.parametrize("n_segments", [8, 16, 17, 130])
+    def test_rmst_batch_matches_reference_on_long_grids(self, n_segments):
+        # from 8 segments on, np.sum adds in running sums combined pairwise,
+        # and beyond 128 it splits the axis: the per-segment kernel must
+        # add its terms in that order, a dead segment as an exact zero
+        grid = HazardGrid(tuple(float(c) for c in np.linspace(0.0, 15.0, n_segments + 1)))
+        rng = np.random.default_rng(n_segments)
+        lam = rng.uniform(0.01, 0.3, size=(37, n_segments))
+        lam[0] = 0.0  # the full segment length where the hazard is zero
+        lam[1, ::3] = 1e300  # survival exactly 0 from the first such segment
+        scale = np.exp(rng.normal(0, 0.5, size=(37, 23)))
+        for t in (0.1, 2.0, 7.7, 14.9, 15.0, 21.0):
+            overlaps = grid.overlaps(t)
+            got = _rmst_batch(lam, scale, overlaps)
+            assert _same_bits(got, _reference_rmst_batch(lam, scale, overlaps)), t
+        assert (grid.overlaps(7.7) == 0).any()  # trailing segments are dead
+
     def test_rmst_with_two_covariates_matches_reference_closely(self):
         # at p > 1 the covariate scales are matrix products over each arm's
         # patients, which may round differently from the reference's
@@ -835,6 +853,25 @@ class TestSummariesShareOnePercentileCall:
                     for f in ("median", "lo95", "hi95"):  # == takes -0.0 for 0.0
                         a, b = getattr(got[name], f), getattr(want, f)
                         assert a is None and b is None or _same_bits(a, b)
+
+    def test_several_results_share_the_call(self):
+        # a study cell summarizes all its visits at once
+        rng = np.random.default_rng(4)
+        results = []
+        for bad in (None, 2, None, 0):
+            drawn = [rng.normal(size=100) * 10 for _ in range(4)]
+            if bad is not None:
+                drawn[bad][::4] = -np.inf
+            results.append(EstimandDraws(T, *drawn, naive=None, wmw=None))
+        got = summaries_of(results)
+        assert len(got) == len(results)
+        for one, d in zip(got, results):
+            want = d.summaries()
+            assert list(one) == list(want)
+            for name in want:
+                for f in ("median", "lo95", "hi95", "frac_undefined", "n_draws"):
+                    assert _same_bits(getattr(one[name], f), getattr(want[name], f)), (name, f)
+        assert summaries_of([]) == []
 
     def test_no_draws_refused(self):
         empty = np.array([])

@@ -6,14 +6,17 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tbd import study
 from tbd.estimators import EstimandSummary
+from tbd.longitudinal import LongitudinalFitError, compute_weights
 from tbd.metrics import BiasCoverage
 
 from tbd.mcmc import McmcConfig
-from tbd.simulate import TruthRecord, get_scenario
+from tbd.simulate import TruthRecord, get_scenario, observe, simulate_science_table
+from tbd.survival import S_MIS_BLOCK, SurvivalPosterior, default_grid
 from tbd.study import (
     CellResult,
     CellTimeResult,
@@ -186,6 +189,35 @@ class TestCellDoc:
         # strings that spell a non-finite float stay strings
         assert (back.failure, ct.failure) == ("nan", "-inf")
         assert back.to_doc() == cell.to_doc()
+
+
+def test_fit_posteriors_weights_every_visit_by_its_own_mean(monkeypatch):
+    # the weights of all visits come from one s_mis_matrix traversal; each
+    # must have the bits of the one-visit mean at its visit
+    data = observe(simulate_science_table(get_scenario("mixed"), seed=3))
+    times, cols = data.visit_times, data.columns
+    assert np.any((cols.d_obs == 1) & (cols.t_obs > times[0]) & (cols.t_obs < times[-1])
+                  & ~np.isin(cols.t_obs, times))  # deaths between visits
+    k = 2 * S_MIS_BLOCK + 40
+    rng = np.random.default_rng(4)
+    spost = SurvivalPosterior(
+        grid=default_grid(15.0), lambda0=rng.uniform(0.01, 0.2, size=(k, 5)),
+        lambda1=rng.uniform(0.01, 0.2, size=(k, 5)), alpha0=rng.normal(0, 0.3, size=(k, 1)),
+        alpha1=rng.normal(0, 0.3, size=(k, 1)), diagnostics={}, converged=True,
+    )
+    seen = {}
+
+    def record_weights(data, t, weights, priors, cfg):
+        seen[t] = weights
+        raise LongitudinalFitError("not fitted here")
+
+    monkeypatch.setattr(study, "fit_survival", lambda *args: spost)
+    monkeypatch.setattr(study, "fit_longitudinal", record_weights)
+    fits = study.fit_posteriors(data, _config(), "weights")
+    assert fits.survival is spost and list(fits.failures) == list(times)
+    assert list(seen) == list(times)
+    for t in times:
+        assert np.array_equal(seen[t], compute_weights(spost.s_mis_matrix(data, t), data, t)), t
 
 
 class TestFailureIsolation:

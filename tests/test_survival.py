@@ -232,6 +232,22 @@ class TestSMisMatrix:
             expected = post.s_mis_matrix(data, t, np.arange(k)).mean(axis=0)
             np.testing.assert_allclose(mean, expected, rtol=0, atol=1e-14)
 
+    def test_visit_sequence_stacks_one_visit_results(self):
+        k = 2 * S_MIS_BLOCK + 40  # two full blocks and a partial third
+        post = _random_posterior(k, seed=2)
+        times, cols = self.data.visit_times, self.data.columns
+        # deaths between visits give a patient a different horizon at each visit
+        assert np.any((cols.d_obs == 1) & (cols.t_obs > times[0]) & (cols.t_obs < times[-1])
+                      & ~np.isin(cols.t_obs, times))
+        means = post.s_mis_matrix(self.data, times)
+        assert means.shape == (len(times), len(self.data))
+        assert np.array_equal(means, np.stack([post.s_mis_matrix(self.data, t) for t in times]))
+        idx = np.arange(0, k, 3)
+        rows = post.s_mis_matrix(self.data, times, idx)
+        assert rows.shape == (len(times), len(idx), len(self.data))
+        assert np.array_equal(rows, np.stack([post.s_mis_matrix(self.data, t, idx)
+                                              for t in times]))
+
     def test_indices_select_rows_across_blocks(self):
         k, t = 3 * S_MIS_BLOCK, 6.0
         post = _random_posterior(k)
