@@ -12,6 +12,7 @@ import click
 import numpy as np
 
 from . import estimators, longitudinal, science, simulate, study, survival
+from .codec import encode
 
 
 @click.group()
@@ -29,17 +30,21 @@ TRUTH_COLUMNS = ("time", "sace", "pc", "sim", "rmst", "death_frac_control",
 @click.option("--out", type=click.Path(), required=True, help="Output directory.")
 @click.option("--n", type=int, default=None, help="Override the scenario sample size.")
 def simulate_cmd(scenario: str, seed: int, out: str, n: int | None) -> None:
-    """Generate a science table and its observed dataset."""
-    if Path(scenario).exists():
-        lib = simulate.load_scenarios(scenario)
-        params = next(iter(lib.values())) if len(lib) == 1 else lib[Path(scenario).stem]
-    else:
-        try:
+    """Generate a science table and its observed dataset.
+
+    A scenario file holding several scenarios is read for the one named by
+    the file's stem."""
+    try:
+        if Path(scenario).exists():
+            lib = simulate.load_scenarios(scenario)
+            params = (next(iter(lib.values())) if len(lib) == 1
+                      else simulate.get_scenario(Path(scenario).stem, lib))
+        else:
             params = simulate.get_scenario(scenario)
-        except simulate.ScenarioError as exc:
-            raise click.ClickException(str(exc)) from exc
-    if n is not None:
-        params = params.with_updates(n=n)
+        if n is not None:
+            params = params.with_updates(n=n)
+    except ValueError as exc:
+        raise click.ClickException(f"scenario {scenario} refused: {exc}") from exc
     table = simulate.simulate_science_table(params, simulate.child_seed(seed, params.name, "sim"))
     data = simulate.observe(table)
     out_dir = Path(out)
@@ -89,10 +94,7 @@ def fit(data_path: str, out: str, config_path: str | None, seed: int) -> None:
             click.echo(f"warning: longitudinal fit at t={t}: {reason}", err=True)
         else:
             click.echo(f"warning: no longitudinal fit at t={t}, left out: {reason}", err=True)
-    doc = {"survival": fits.survival.to_json(),
-           "longitudinal": {science._fmt_month(t): lpost.to_json()
-                            for t, lpost in fits.longitudinal.items()}}
-    science.dump_json(doc, out)
+    science.dump_json(encode({"survival": fits.survival, "longitudinal": fits.longitudinal}), out)
     click.echo(f"wrote posteriors to {out}")
 
 

@@ -1,9 +1,11 @@
-"""One JSON codec for configs, scenarios, cells and posteriors (the trial-data
-files keep their own format in ``science``). Non-finite floats are written as
-"nan", "inf" and "-inf" and read back only into float-typed fields and arrays.
-``decode`` casts numbers to the hinted int or float, so ``5`` and ``5.0`` read
-alike, gives absent fields their defaults and refuses keys that name no field;
-a value that does not fit is refused naming its dataclass and field.
+"""One JSON codec for configs, scenarios, cells, posteriors and trial data.
+Non-finite floats are written as "nan", "inf" and "-inf" and read back only
+into float-typed fields and arrays; float dict keys are written as
+``format(k, "g")``, so 3.0 and 4.5 key as "3" and "4.5", and read back with
+the dict's key type. ``decode`` casts numbers to the hinted int or float, so
+``5`` and ``5.0`` read alike, gives absent fields their defaults and refuses
+keys that name no field; a value that does not fit is refused naming its
+dataclass and field.
 """
 
 from __future__ import annotations
@@ -17,16 +19,16 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-_type_hints = functools.cache(typing.get_type_hints)
-
 
 def encode(v):
     """JSON value of ``v``: dataclasses become objects of their fields,
     tuples and arrays become lists, non-finite floats become strings."""
+    if type(v) is float and math.isfinite(v):  # the most common value, first
+        return v
     if is_dataclass(v):
         return {f.name: encode(getattr(v, f.name)) for f in fields(v)}
     if isinstance(v, dict):
-        return {k: encode(x) for k, x in v.items()}
+        return {format(k, "g") if isinstance(k, float) else k: encode(x) for k, x in v.items()}
     if isinstance(v, np.ndarray):
         return v.tolist() if np.isfinite(v).all() else encode(v.tolist())
     if isinstance(v, (list, tuple)):
@@ -48,22 +50,30 @@ class DecodeError(ValueError):
     dataclass and field it was read into, as in ``StudyConfig.replicates:``."""
 
 
+@functools.cache
+def _form(hint):
+    """``hint``'s origin, its arguments other than None, and its field
+    types if it is a dataclass, worked out once per hint."""
+    args = tuple(a for a in typing.get_args(hint) if a is not type(None))
+    return typing.get_origin(hint), args, typing.get_type_hints(hint) if is_dataclass(hint) else None
+
+
 def decode(hint, v):
     """Inverse of ``encode`` for a value of type ``hint``; ``ValueError``
     for a document that does not fit the type."""
-    origin = typing.get_origin(hint)
-    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    if type(v) is hint and hint in (float, int, str):  # already the hinted scalar
+        return v
+    origin, args, hints = _form(hint)
     if origin in (typing.Union, types.UnionType):  # ``X | None``
         return None if v is None else decode(args[0], v)
     if origin in (list, tuple):
         return origin(decode(args[0], x) for x in v)
     if origin is dict:
-        return {k: decode(args[1], x) for k, x in v.items()}
-    if is_dataclass(hint):
+        return {decode(args[0], k): decode(args[1], x) for k, x in v.items()}
+    if hints is not None:
         if not isinstance(v, dict):
             raise ValueError(f"{hint.__name__}: expected an object, got {v!r}")
-        hints = _type_hints(hint)
-        unknown = sorted(set(v) - set(hints))
+        unknown = sorted(v.keys() - hints.keys())
         if unknown:
             raise DecodeError(f"{hint.__name__}: unknown keys {unknown}")
         values = {}

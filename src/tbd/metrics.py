@@ -83,29 +83,14 @@ def km_survival(times: np.ndarray, events: np.ndarray):
     """
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
-    order = np.argsort(times, kind="stable")
-    times, events = times[order], events[order]
-    uniq = np.unique(times[events == 1])
-    n = len(times)
-    surv_vals = []
-    s = 1.0
-    for u in uniq:
-        at_risk = np.sum(times >= u)
-        d = np.sum((times == u) & (events == 1))
-        s *= 1.0 - d / at_risk
-        surv_vals.append(s)
-    uniq = np.asarray(uniq)
-    surv_vals = np.asarray(surv_vals)
+    uniq, deaths = np.unique(times[events == 1], return_counts=True)
+    at_risk = len(times) - np.searchsorted(np.sort(times), uniq, side="left")
+    # cumprod multiplies in sequence, as a running product over event times does
+    padded = np.concatenate([[1.0], np.cumprod(1.0 - deaths / at_risk)])
 
     def evaluate(t, left: bool = True):
         t = np.asarray(t, dtype=float)
-        if len(uniq) == 0:
-            out = np.ones_like(t)
-            return out if out.ndim else float(out)
-        side = "left" if left else "right"
-        idx = np.searchsorted(uniq, t, side=side)
-        padded = np.concatenate([[1.0], surv_vals])
-        out = padded[idx]
+        out = padded[np.searchsorted(uniq, t, side="left" if left else "right")]
         return out if out.ndim else float(out)
 
     return evaluate

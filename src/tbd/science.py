@@ -16,11 +16,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping
 
 import numpy as np
+
+from .codec import DecodeError, decode, encode
 
 
 class InvariantError(ValueError):
@@ -290,100 +292,54 @@ class ObservedDataset:
 
 # --- JSON round-trip -------------------------------------------------------
 #
-# Visit-time keys are decimal month strings ("3", "4.5"); patient covariates
-# are stored as plain lists.
+# Both files are ``codec.encode`` of the dataclass (visit-time keys read "3",
+# "4.5"), except that the follow-up all patients share is written once, as
+# ``follow_up_months``; like every codec document they refuse unknown keys.
 
 
-def _fmt_month(t: float) -> str:
-    return format(float(t), "g")
+def _to_file(table: ObservedDataset | ScienceTable) -> dict:
+    doc = encode(table)
+    doc["follow_up_months"] = doc.pop("follow_up")
+    for p in doc["patients"]:
+        del p["follow_up"]
+    return doc
 
 
-def _traj_to_json(y: Mapping[float, float]) -> dict[str, float]:
-    return {_fmt_month(v): float(val) for v, val in sorted(y.items())}
+def _from_file(cls, patient_cls, doc: Mapping):
+    """Inverse of ``_to_file``; ``KeyError`` for a missing follow-up or
+    patient list. A value that does not fit is named by its record and field
+    (``ObservedPatient.x: ...``); each patient is decoded on its own, so an
+    invariant it breaks reads as raised, not under ``ObservedDataset.patients``."""
+    follow_up = doc["follow_up_months"]
+    patients = tuple(_with_follow_up(patient_cls, p, follow_up) for p in doc["patients"])
+    rest = {k: v for k, v in doc.items() if k != "follow_up_months"}
+    return replace(_with_follow_up(cls, {**rest, "patients": []}, follow_up), patients=patients)
 
 
-def _traj_from_json(d: Mapping[str, float]) -> dict[float, float]:
-    return {float(k): float(v) for k, v in d.items()}
+def _with_follow_up(cls, record, follow_up):
+    """``decode(cls, record)`` with the file's follow-up as the record's,
+    which the record itself does not carry."""
+    if isinstance(record, Mapping):
+        if "follow_up" in record:
+            raise DecodeError(f"{cls.__name__}: unknown keys ['follow_up']")
+        record = {**record, "follow_up": follow_up}
+    return decode(cls, record)
 
 
 def observed_to_json(data: ObservedDataset) -> dict:
-    return {
-        "follow_up_months": data.follow_up,
-        "visit_times": list(data.visit_times),
-        "patients": [
-            {
-                "id": p.id,
-                "x": list(p.x),
-                "w": p.w,
-                "t_obs": p.t_obs,
-                "d_obs": p.d_obs,
-                "y_obs": _traj_to_json(p.y_obs),
-            }
-            for p in data.patients
-        ],
-    }
+    return _to_file(data)
 
 
 def observed_from_json(doc: Mapping) -> ObservedDataset:
-    follow_up = float(doc["follow_up_months"])
-    patients = tuple(
-        ObservedPatient(
-            id=int(p["id"]),
-            x=tuple(float(v) for v in p["x"]),
-            w=int(p["w"]),
-            t_obs=float(p["t_obs"]),
-            d_obs=int(p["d_obs"]),
-            y_obs=_traj_from_json(p["y_obs"]),
-            follow_up=follow_up,
-        )
-        for p in doc["patients"]
-    )
-    return ObservedDataset(
-        patients=patients,
-        follow_up=follow_up,
-        visit_times=tuple(float(t) for t in doc.get("visit_times", ())),
-    )
+    return _from_file(ObservedDataset, ObservedPatient, doc)
 
 
 def science_to_json(table: ScienceTable) -> dict:
-    return {
-        "follow_up_months": table.follow_up,
-        "visit_times": list(table.visit_times),
-        "patients": [
-            {
-                "id": p.id,
-                "x": list(p.x),
-                "w": p.w,
-                "t0": p.t0,
-                "t1": p.t1,
-                "y0": _traj_to_json(p.y0),
-                "y1": _traj_to_json(p.y1),
-            }
-            for p in table.patients
-        ],
-    }
+    return _to_file(table)
 
 
 def science_from_json(doc: Mapping) -> ScienceTable:
-    follow_up = float(doc["follow_up_months"])
-    patients = tuple(
-        PatientTruth(
-            id=int(p["id"]),
-            x=tuple(float(v) for v in p["x"]),
-            w=int(p["w"]),
-            y0=_traj_from_json(p["y0"]),
-            y1=_traj_from_json(p["y1"]),
-            t0=float(p["t0"]),
-            t1=float(p["t1"]),
-            follow_up=follow_up,
-        )
-        for p in doc["patients"]
-    )
-    return ScienceTable(
-        patients=patients,
-        follow_up=follow_up,
-        visit_times=tuple(float(t) for t in doc["visit_times"]),
-    )
+    return _from_file(ScienceTable, PatientTruth, doc)
 
 
 def dump_json(doc: dict, path) -> None:

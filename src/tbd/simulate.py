@@ -283,6 +283,8 @@ def true_estimands(science: ScienceTable, t: float) -> TruthRecord:
 def _params_from_dict(name: str, doc: dict) -> ScenarioParams:
     """Scenario from a JSON object; a key that is neither a parameter nor
     ``description`` is refused rather than silently ignored."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"scenario {name!r}: expected an object, got {doc!r}")
     params = {k: v for k, v in doc.items() if k != "description"}
     try:
         return decode(ScenarioParams, {**params, "name": name})
@@ -298,6 +300,8 @@ def load_scenarios(path=None) -> dict[str, ScenarioParams]:
         with open(path) as fh:
             text = fh.read()
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"expected an object of named scenarios, got {doc!r}")
     return {name: _params_from_dict(name, d) for name, d in doc.items()}
 
 

@@ -247,45 +247,30 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
 
     results: list[CellTimeResult] = []
     for t in scenario.visit_times:
-        truth = truths[t]
-        death_pct = 100.0 * float(np.mean((cols.d_obs == 1) & (cols.t_obs <= t)))
-        if t in fits.failures:
+        failure = fits.failures.get(t)
+        if failure is None:
+            summaries, naive, wmw_ref = summaries_at[t], draws[t].naive, draws[t].wmw
+            lpost = fits.longitudinal[t]
+            mu_mis_mean = counterfactual_mean(lpost.beta0.mean(axis=0), lpost.beta1.mean(axis=0), x, w)
+            mae = mae_reconstruction(science, mu_mis_mean, t)
+        else:
             # the restricted-mean contrast and the data-only references do
             # not need the longitudinal fit; keep them
-            rmst = rmst_estimand_draws(spost, data, t, config.k_draws)
-            summaries = {"rmst": summarize(rmst)}
-            results.append(
-                CellTimeResult(
-                    time=t,
-                    truth=truth,
-                    summaries=summaries,
-                    bias_coverage={"rmst": bias_and_coverage(summaries["rmst"], truth.rmst)},
-                    naive=naive_effect(data, t),
-                    wmw=wmw(data, t),
-                    death_pct=death_pct,
-                    mae=None,
-                    failed=True,
-                    failure=f"longitudinal fit: {fits.failures[t]}",
-                )
-            )
-            continue
-        lpost = fits.longitudinal[t]
-        summaries = summaries_at[t]
-        bias_cov = {
-            name: bias_and_coverage(summaries[name], getattr(truth, name))
-            for name in ESTIMANDS
-        }
-        mu_mis_mean = counterfactual_mean(lpost.beta0.mean(axis=0), lpost.beta1.mean(axis=0), x, w)
+            summaries = {"rmst": summarize(rmst_estimand_draws(spost, data, t, config.k_draws))}
+            naive, wmw_ref, mae = naive_effect(data, t), wmw(data, t), None
         results.append(
             CellTimeResult(
                 time=t,
-                truth=truth,
+                truth=truths[t],
                 summaries=summaries,
-                bias_coverage=bias_cov,
-                naive=draws[t].naive,
-                wmw=draws[t].wmw,
-                death_pct=death_pct,
-                mae=mae_reconstruction(science, mu_mis_mean, t),
+                bias_coverage={name: bias_and_coverage(summary, getattr(truths[t], name))
+                               for name, summary in summaries.items()},
+                naive=naive,
+                wmw=wmw_ref,
+                death_pct=100.0 * float(np.mean(~cols.at(t).alive)),
+                mae=mae,
+                failed=failure is not None,
+                failure=None if failure is None else f"longitudinal fit: {failure}",
             )
         )
 

@@ -49,6 +49,29 @@ def test_simulate_unknown_scenario_fails(runner, tmp_path):
     assert result.exit_code != 0
 
 
+MIXED = json.loads(resources.files("tbd").joinpath("scenarios.json").read_text())["mixed"]
+
+
+@pytest.mark.parametrize("text, extra, refused", [
+    (json.dumps({"a": MIXED, "b": MIXED}), [], "unknown scenario 'several'; known: ['a', 'b']"),
+    (json.dumps({"a": {**MIXED, "n_patients": 5}}), [],
+     "scenario 'a': ScenarioParams: unknown keys ['n_patients']"),
+    ('{"a": ', [], "Expecting value: line 1 column 7 (char 6)"),
+    (json.dumps({"a": MIXED}), ["--n", "0"], "n must be positive"),
+    ("[1]", [], "expected an object of named scenarios, got [1]"),
+    (json.dumps({"a": 3}), [], "scenario 'a': expected an object, got 3"),
+], ids=["several-none-by-stem", "unknown-key", "malformed-json", "n-zero", "file-not-object",
+        "scenario-not-object"])
+def test_refused_scenario_is_a_one_line_error(runner, tmp_path, text, extra, refused):
+    scenario = tmp_path / "several.json"
+    scenario.write_text(text)
+    out = tmp_path / "sim"
+    result = runner.invoke(main, ["simulate", "--scenario", str(scenario), "--out", str(out), *extra])
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [f"Error: scenario {scenario} refused: {refused}"]
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def fits_path(runner, sim_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("fits") / "fits.json"
@@ -281,8 +304,20 @@ def test_refused_fit_config_is_a_one_line_error(runner, sim_dir, tmp_path, doc, 
     ({"follow_up_months": 15.0, "patients": [
         {"id": 0, "x": [0.1], "w": 2, "t_obs": 15.0, "d_obs": 0, "y_obs": {}}]},
      "treatment w must be 0 or 1, got 2"),
-    ({"follow_up_months": 15.0, "patients": [{"id": 0, "x": 0.1}]}, "'float' object is not iterable"),
-], ids=["no-follow-up", "bad-arm", "scalar-x"])
+    ({"follow_up_months": 15.0, "patients": [{"id": 0, "x": 0.1}]},
+     "ObservedPatient.x: 'float' object is not iterable"),
+    ({"follow_up_months": 15.0, "patients": [
+        {"id": 0, "x": [0.1], "w": 0, "t_obs": 15.0, "d_obs": 0, "y_obs": {}, "y_ob": {}}]},
+     "ObservedPatient: unknown keys ['y_ob']"),
+    ({"follow_up_months": 15.0, "patients": [
+        {"id": 0, "x": [0.1], "w": 0, "t_obs": 12.0, "d_obs": 0, "y_obs": {}, "follow_up": 12.0}]},
+     "ObservedPatient: unknown keys ['follow_up']"),
+    ({"follow_up_months": 15.0, "visit_time": [3], "patients": []},
+     "ObservedDataset: unknown keys ['visit_time']"),
+    ({"follow_up_months": 15.0, "follow_up": 12.0, "patients": []},
+     "ObservedDataset: unknown keys ['follow_up']"),
+], ids=["no-follow-up", "bad-arm", "scalar-x", "patient-unknown-key", "patient-follow-up",
+        "top-level-unknown-key", "top-level-follow-up"])
 @pytest.mark.parametrize("command", ["fit", "estimate"])
 def test_refused_data_is_a_one_line_error(runner, fits_path, tmp_path, command, doc, refused):
     data = tmp_path / "observed.json"

@@ -113,6 +113,33 @@ class TestKaplanMeier:
         assert km(np.array([1.5]), left=False)[0] == pytest.approx(2 / 3)
         assert km(np.array([3.5]), left=False)[0] == pytest.approx(0.0)
 
+    @staticmethod
+    def _loop_km(times, events):
+        """The estimator as a running product over event times, one at a time."""
+        order = np.argsort(times, kind="stable")
+        times, events = times[order], events[order]
+        uniq = np.unique(times[events == 1])
+        surv_vals, s = [], 1.0
+        for u in uniq:
+            s *= 1.0 - np.sum((times == u) & (events == 1)) / np.sum(times >= u)
+            surv_vals.append(s)
+        padded = np.concatenate([[1.0], surv_vals])
+        return lambda t, left: padded[np.searchsorted(uniq, t, side="left" if left else "right")]
+
+    def test_bit_identical_to_the_running_product(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n = int(rng.integers(1, 80))
+            # rounding makes ties, between events and with censored times
+            times = np.round(rng.exponential(5.0, n), int(rng.integers(0, 3))) + 0.01
+            events = (rng.random(n) < rng.random()).astype(int)
+            queries = np.concatenate([times, rng.uniform(0.0, times.max() + 1.0, 20), [0.0]])
+            km = km_survival(times, events)
+            for left in (True, False):
+                want = self._loop_km(times, events)(queries, left)
+                assert km(queries, left=left).tobytes() == want.tobytes()
+                assert km(float(queries[0]), left=left) == want[0]
+
 
 class TestBrier:
     def test_oracle_step_predictions_score_zero(self):

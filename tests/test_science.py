@@ -1,5 +1,6 @@
 """Strata classification, composite ordering/metric, and data-model checks."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tbd.codec import decode, encode
 from tbd.science import (
     CompositeOutcome,
     InvariantError,
@@ -220,6 +222,50 @@ class TestDataModel:
         )
         doc = observed_to_json(obs)
         assert set(doc["patients"][0]["y_obs"]) == {"3", "4.5"}
+
+    def test_codec_float_keys_round_trip_as_decimal_month_strings(self):
+        doc = encode({3.0: -1.0, 4.5: -2.0})
+        assert doc == {"3": -1.0, "4.5": -2.0}
+        assert decode(dict[float, float], json.loads(json.dumps(doc))) == {3.0: -1.0, 4.5: -2.0}
+        assert decode(dict[str, float], doc) == doc
+
+    def test_observed_file_text(self):
+        # the whole format, pinned: the follow-up once at the top, none per patient
+        obs = ObservedDataset(
+            patients=(
+                ObservedPatient(id=0, x=(0.5, -1.0), w=1, t_obs=8.0, d_obs=1,
+                                y_obs={3.0: -3.0, 4.5: -4.25, 6.0: -6.0}, follow_up=15.0),
+                ObservedPatient(id=1, x=(0.0, 2.0), w=0, t_obs=15.0, d_obs=0,
+                                y_obs={3.0: -1.5, 15.0: 2.0}, follow_up=15.0),
+            ),
+            follow_up=15.0,
+            visit_times=(3.0, 4.5, 6.0, 15.0),
+        )
+        text = (
+            '{"follow_up_months": 15.0, "patients": ['
+            '{"d_obs": 1, "id": 0, "t_obs": 8.0, "w": 1, "x": [0.5, -1.0], '
+            '"y_obs": {"3": -3.0, "4.5": -4.25, "6": -6.0}}, '
+            '{"d_obs": 0, "id": 1, "t_obs": 15.0, "w": 0, "x": [0.0, 2.0], '
+            '"y_obs": {"15": 2.0, "3": -1.5}}], '
+            '"visit_times": [3.0, 4.5, 6.0, 15.0]}'
+        )
+        assert json.dumps(observed_to_json(obs), sort_keys=True) == text
+        assert observed_from_json(json.loads(text)) == obs
+
+    def test_science_file_text(self):
+        table = ScienceTable(
+            patients=(_patient_truth(id=7, y1={3.0: -3.0, 4.5: -4.5, 6.0: -6.0}),),
+            follow_up=15.0,
+            visit_times=(3.0, 4.5, 6.0),
+        )
+        text = (
+            '{"follow_up_months": 15.0, "patients": ['
+            '{"id": 7, "t0": 4.0, "t1": 8.0, "w": 1, "x": [0.5], "y0": {"3": -6.0}, '
+            '"y1": {"3": -3.0, "4.5": -4.5, "6": -6.0}}], '
+            '"visit_times": [3.0, 4.5, 6.0]}'
+        )
+        assert json.dumps(science_to_json(table), sort_keys=True) == text
+        assert science_from_json(json.loads(text)) == table
 
 
 class TestObservedColumns:
