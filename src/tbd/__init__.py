@@ -21,18 +21,12 @@ from .metrics import (
     mae_reconstruction,
 )
 from .science import (
-    CompositeOutcome,
     InvariantError,
     ObservedDataset,
     ObservedPatient,
     PatientTruth,
     ScienceTable,
-    Stratum,
-    classify_stratum,
     composite_metric,
-    composite_order,
-    observed_composite,
-    potential_composite,
 )
 from .simulate import (
     ScenarioParams,

@@ -64,9 +64,9 @@ def wmw(data: ObservedDataset, t: float) -> float | None:
     ties (rank-statistic reference; differs from the pairwise estimand).
 
     A survivor beats a death, two deaths compare by death time and two
-    survivors by outcome (``composite_order``); the pairs are counted by
-    sorting, not enumerated. The count of wins plus half the ties is exact
-    in floating point, so the fraction equals the pairwise sum's."""
+    survivors by outcome; the pairs are counted by sorting, not
+    enumerated. The count of wins plus half the ties is exact in floating
+    point, so the fraction equals the pairwise sum's."""
     cols = data.columns
     at = cols.at(t)
     unmeasured = np.flatnonzero(at.alive & np.isnan(at.y))

@@ -62,14 +62,13 @@ def mae_reconstruction(science: ScienceTable, imputed_means, t: float) -> float 
     imputed = np.asarray(imputed_means, dtype=float)
     if len(imputed) != len(science):
         raise ValueError("imputed means must align with the science table")
-    errors = []
-    for p, mu in zip(science.patients, imputed):
-        arm_mis = 1 - p.w
-        if p.death_time(arm_mis) > t:
-            errors.append(abs(p.trajectory(arm_mis)[t] - mu))
-    if not errors:
+    v = science.at(t)
+    treated = v.w == 1
+    exists = np.where(treated, v.t0, v.t1) > t
+    if not exists.any():
         return None
-    return float(np.mean(errors))
+    y_mis = np.where(treated, v.y0, v.y1)
+    return float(np.mean(np.abs(y_mis[exists] - imputed[exists])))
 
 
 # --- IPCW survival metrics ----------------------------------------------------

@@ -5,8 +5,8 @@ outcomes under both treatment arms: the longitudinal trajectory (change from
 baseline), the uncensored death time, and the administrative follow-up
 horizon. Observed datasets keep only the realized arm. Death makes the
 longitudinal outcome undefined (not merely missing), so comparisons across
-arms are expressed through principal strata and a composite outcome ordered
-with death as the worst state.
+arms are expressed through a composite outcome ordered with death as the
+worst state (``composite_metric``).
 
 All times are in months; longitudinal values are in score units.
 """
@@ -17,7 +17,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import Mapping
 
 import numpy as np
@@ -29,100 +28,22 @@ class InvariantError(ValueError):
     """A value violates one of the data-model invariants."""
 
 
-class Stratum(Enum):
-    """Principal stratum at a horizon t, from joint survival under both arms.
+def composite_metric(t0, t1, y0, y1, t):
+    """Signed distance between the composite outcomes at horizon t, treated
+    minus control, elementwise over death times ``t0``/``t1`` and scores
+    ``y0``/``y1``.
 
-    LL always-survivor, DL protected (dies only under control), LD harmed
-    (dies only under treatment), DD never-survivor.
+    Death at or before t is the worst state. Two survivors differ by
+    ``y1 - y0``; a survivor against a death is +/-inf, in the survivor's
+    favour; two deaths are 0 at equal times and otherwise +/-inf, in favour
+    of the later one. So the sign orders the two outcomes. A score is read
+    only where both arms survive.
     """
-
-    LL = "LL"
-    DL = "DL"
-    LD = "LD"
-    DD = "DD"
-
-
-def classify_stratum(t0: float, t1: float, t: float) -> Stratum:
-    """Classify a patient by survival status under both arms at horizon t.
-
-    ``t0`` and ``t1`` are the uncensored death times under control and
-    treatment. Death exactly at the horizon counts as dead at that horizon.
-    """
-    if t0 <= 0 or t1 <= 0 or t <= 0:
-        raise ValueError(f"death times and horizon must be positive, got t0={t0}, t1={t1}, t={t}")
-    alive0 = t0 > t
-    alive1 = t1 > t
-    if alive0 and alive1:
-        return Stratum.LL
-    if alive0:
-        return Stratum.LD
-    if alive1:
-        return Stratum.DL
-    return Stratum.DD
-
-
-@dataclass(frozen=True)
-class CompositeOutcome:
-    """Composite outcome (y, t, d) at an evaluation horizon.
-
-    ``y`` is the longitudinal value, present iff the patient is alive at the
-    horizon (d = 0); ``t`` is the restricted event time min(death time,
-    horizon); ``d`` is 1 iff dead at or before the horizon.
-    """
-
-    y: float | None
-    t: float
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.d not in (0, 1):
-            raise InvariantError(f"d must be 0 or 1, got {self.d}")
-        if (self.y is None) != (self.d == 1):
-            raise InvariantError("y must be present iff alive (d = 0) at the horizon")
-        if self.y is not None and not math.isfinite(self.y):
-            raise InvariantError("longitudinal value must be finite")
-
-
-def composite_order(z1: CompositeOutcome, z0: CompositeOutcome) -> int:
-    """Order two composite outcomes (treated arm first) with death as worst.
-
-    Returns +1 if z1 is the better outcome, -1 if worse, 0 if equivalent.
-    A survivor always beats a death; two deaths are ordered by event time;
-    two survivors by the longitudinal value.
-    """
-    if z1.d == 0 and z0.d == 1:
-        return 1
-    if z1.d == 1 and z0.d == 0:
-        return -1
-    if z1.d == 1:  # both dead, later death is better
-        if z1.t > z0.t:
-            return 1
-        if z1.t < z0.t:
-            return -1
-        return 0
-    assert z1.y is not None and z0.y is not None
-    if z1.y > z0.y:
-        return 1
-    if z1.y < z0.y:
-        return -1
-    return 0
-
-
-def composite_metric(z1: CompositeOutcome, z0: CompositeOutcome) -> float:
-    """Signed distance between composite outcomes (treated minus control).
-
-    Finite (the plain longitudinal difference) when both survive, zero for
-    deaths at identical times, and +/-inf whenever survival status or death
-    timing differs, signed consistently with :func:`composite_order`.
-    """
-    if z1.d == 0 and z0.d == 0:
-        assert z1.y is not None and z0.y is not None
-        return z1.y - z0.y
-    if z1.d == 1 and z0.d == 1:
-        if z1.t == z0.t:
-            return 0.0
-        return math.inf if z1.t > z0.t else -math.inf
-    return math.inf if z0.d == 1 else -math.inf
+    t0, t1, y0, y1 = (np.asarray(a, dtype=float) for a in (t0, t1, y0, y1))
+    alive0, alive1 = t0 > t, t1 > t
+    by_death = np.where(alive0 == alive1, np.sign(t1 - t0), alive1.astype(float) - alive0)
+    infinite = np.array([-np.inf, 0.0, np.inf])[by_death.astype(int) + 1]
+    return np.where(alive0 & alive1, y1 - y0, infinite)
 
 
 def _check_trajectory(y: Mapping[float, float], t_death: float, label: str) -> None:
@@ -191,6 +112,10 @@ class ObservedPatient:
             raise InvariantError(f"treatment w must be 0 or 1, got {self.w}")
         if self.d_obs not in (0, 1):
             raise InvariantError(f"d_obs must be 0 or 1, got {self.d_obs}")
+        if not (self.t_obs > 0 and math.isfinite(self.t_obs)):
+            raise InvariantError(f"t_obs must be positive and finite, got {self.t_obs}")
+        if self.d_obs == 1 and self.t_obs > self.follow_up:
+            raise InvariantError(f"death at t_obs {self.t_obs} after follow-up {self.follow_up}")
         if self.d_obs == 0 and self.t_obs != self.follow_up:
             raise InvariantError("censored patients must carry t_obs = follow_up")
         _check_trajectory(self.y_obs, self.t_obs, "y_obs")
@@ -198,26 +123,6 @@ class ObservedPatient:
     def alive_at(self, t: float) -> bool:
         """True iff the patient is known alive at horizon t (death time > t)."""
         return self.d_obs == 0 or self.t_obs > t
-
-
-def observed_composite(p: ObservedPatient, t: float) -> CompositeOutcome:
-    """Observed composite outcome of a patient at horizon t."""
-    if p.alive_at(t):
-        if t not in p.y_obs:
-            raise KeyError(f"patient {p.id} has no measurement at month {t}")
-        return CompositeOutcome(y=p.y_obs[t], t=t, d=0)
-    return CompositeOutcome(y=None, t=p.t_obs, d=1)
-
-
-def potential_composite(p: PatientTruth, arm: int, t: float) -> CompositeOutcome:
-    """Potential composite outcome of a science-table patient under ``arm``."""
-    td = p.death_time(arm)
-    if td > t:
-        y = p.trajectory(arm).get(t)
-        if y is None:
-            raise KeyError(f"patient {p.id} has no arm-{arm} value at month {t}")
-        return CompositeOutcome(y=y, t=t, d=0)
-    return CompositeOutcome(y=None, t=min(td, t), d=1)
 
 
 @dataclass(frozen=True)
@@ -230,6 +135,31 @@ class ScienceTable:
 
     def __len__(self) -> int:
         return len(self.patients)
+
+    def at(self, t: float) -> ScienceVisit:
+        """The records as arrays at visit t; ``KeyError`` for a patient alive
+        at t under an arm whose trajectory has no value there."""
+        ps = self.patients
+        return ScienceVisit(
+            w=np.array([p.w for p in ps]),
+            t0=np.array([p.t0 for p in ps]),
+            t1=np.array([p.t1 for p in ps]),
+            y0=np.array([p.y0[t] if p.t0 > t else np.nan for p in ps]),
+            y1=np.array([p.y1[t] if p.t1 > t else np.nan for p in ps]),
+        )
+
+
+@dataclass(frozen=True)
+class ScienceVisit:
+    """Both arms' potential outcomes at one visit, in patient order: arm
+    ``w``, death times ``t0``/``t1`` and scores ``y0``/``y1``, NaN where
+    dead at t under that arm."""
+
+    w: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+    y0: np.ndarray
+    y1: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -281,6 +211,12 @@ class ObservedDataset:
     follow_up: float
     visit_times: tuple[float, ...] = field(default=())
 
+    def __post_init__(self) -> None:
+        if not (self.follow_up > 0 and math.isfinite(self.follow_up)):
+            raise InvariantError(f"follow_up must be positive and finite, got {self.follow_up}")
+        if len(lengths := {len(p.x) for p in self.patients}) > 1:
+            raise InvariantError(f"covariate vectors must share one length, got {sorted(lengths)}")
+
     def __len__(self) -> int:
         return len(self.patients)
 
@@ -311,9 +247,11 @@ def _from_file(cls, patient_cls, doc: Mapping):
     (``ObservedPatient.x: ...``); each patient is decoded on its own, so an
     invariant it breaks reads as raised, not under ``ObservedDataset.patients``."""
     follow_up = doc["follow_up_months"]
-    patients = tuple(_with_follow_up(patient_cls, p, follow_up) for p in doc["patients"])
     rest = {k: v for k, v in doc.items() if k != "follow_up_months"}
-    return replace(_with_follow_up(cls, {**rest, "patients": []}, follow_up), patients=patients)
+    # the file's own keys and follow-up first, then each patient against them
+    shell = _with_follow_up(cls, {**rest, "patients": []}, follow_up)
+    patients = tuple(_with_follow_up(patient_cls, p, follow_up) for p in doc["patients"])
+    return replace(shell, patients=patients)
 
 
 def _with_follow_up(cls, record, follow_up):

@@ -17,17 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .codec import decode
-from .science import (
-    ObservedDataset,
-    ObservedPatient,
-    PatientTruth,
-    ScienceTable,
-    Stratum,
-    classify_stratum,
-    composite_metric,
-    composite_order,
-    potential_composite,
-)
+from .science import ObservedDataset, ObservedPatient, PatientTruth, ScienceTable, composite_metric
 
 
 class ScenarioError(ValueError):
@@ -89,14 +79,15 @@ class ScenarioParams:
     def with_updates(self, **kwargs) -> "ScenarioParams":
         return replace(self, **kwargs)
 
-    def slopes(self, x: float, u: float = 0.0) -> tuple[float, float]:
-        """Longitudinal slope (per month) under control and treatment."""
+    def slopes(self, x, u=0.0):
+        """Longitudinal slope (per month) under control and treatment,
+        elementwise over covariate values or arrays ``x`` and ``u``."""
         slope0 = self.a0_0 + self.a0_x * x + self.a0_u * u
         slope1 = self.a1_0 + self.a1_x * x + self.a1_u * u
         return slope0, slope1
 
-    def scales(self, x: float, u: float = 0.0) -> tuple[float, float]:
-        """Weibull scale (months) under control and treatment."""
+    def scales(self, x, u=0.0):
+        """Weibull scale (months) under control and treatment, elementwise."""
         scale0 = self.th0_0 + self.th0_x * x + self.th0_u * u
         scale1 = self.th1_0 + self.th1_x * x + self.th1_u * u
         return scale0, scale1
@@ -163,35 +154,24 @@ def simulate_science_table(params: ScenarioParams, seed) -> ScienceTable:
     w[: n // 2] = 1
     w = rng.permutation(w)
 
-    slopes = np.array([params.slopes(xi, ui) for xi, ui in zip(x, u_cov)])
-    scales = np.array([params.scales(xi, ui) for xi, ui in zip(x, u_cov)])
-    if np.any(scales <= 0):
+    slope0, slope1 = params.slopes(x, u_cov)
+    scale0, scale1 = params.scales(x, u_cov)
+    if np.any(scale0 <= 0) or np.any(scale1 <= 0):
         raise ScenarioError(
             f"scenario {params.name!r}: non-positive Weibull scale for some sampled covariate"
         )
-    t0 = weibull_quantile(u_surv, scales[:, 0], params.rho)
-    t1 = weibull_quantile(u_surv, scales[:, 1], params.rho)
+    t0 = weibull_quantile(u_surv, scale0, params.rho)
+    t1 = weibull_quantile(u_surv, scale1, params.rho)
 
     visits = params.visit_times
-    patients = []
-    for i in range(n):
-        y0 = {v: slopes[i, 0] * v + eps[i] for v in visits if v < t0[i]}
-        y1 = {v: slopes[i, 1] * v + eps[i] for v in visits if v < t1[i]}
-        patients.append(
-            PatientTruth(
-                id=i,
-                x=(float(x[i]),),
-                w=int(w[i]),
-                y0=y0,
-                y1=y1,
-                t0=float(t0[i]),
-                t1=float(t1[i]),
-                follow_up=params.follow_up,
-            )
-        )
-    return ScienceTable(
-        patients=tuple(patients), follow_up=params.follow_up, visit_times=visits
+    patients = tuple(
+        PatientTruth(id=i, x=(float(x[i]),), w=int(w[i]), t0=float(t0[i]), t1=float(t1[i]),
+                     y0={v: slope0[i] * v + eps[i] for v in visits if v < t0[i]},
+                     y1={v: slope1[i] * v + eps[i] for v in visits if v < t1[i]},
+                     follow_up=params.follow_up)
+        for i in range(n)
     )
+    return ScienceTable(patients=patients, follow_up=params.follow_up, visit_times=visits)
 
 
 def observe(science: ScienceTable) -> ObservedDataset:
@@ -199,20 +179,10 @@ def observe(science: ScienceTable) -> ObservedDataset:
     out = []
     for p in science.patients:
         td = p.death_time(p.w)
-        dead = td <= p.follow_up
         t_obs = min(td, p.follow_up)
         y_obs = {v: y for v, y in p.trajectory(p.w).items() if v <= t_obs}
-        out.append(
-            ObservedPatient(
-                id=p.id,
-                x=p.x,
-                w=p.w,
-                t_obs=float(t_obs),
-                d_obs=int(dead),
-                y_obs=y_obs,
-                follow_up=p.follow_up,
-            )
-        )
+        out.append(ObservedPatient(id=p.id, x=p.x, w=p.w, t_obs=float(t_obs),
+                                   d_obs=int(td <= p.follow_up), y_obs=y_obs, follow_up=p.follow_up))
     return ObservedDataset(
         patients=tuple(out), follow_up=science.follow_up, visit_times=science.visit_times
     )
@@ -226,13 +196,13 @@ def extended_median(values) -> float | None:
     finite value) yields that infinity; opposite-signed infinities have no
     defined midpoint and return None.
     """
-    vals = sorted(values)
+    vals = np.sort(np.asarray(values, dtype=float), kind="stable")
     n = len(vals)
     if n == 0:
         raise ValueError("median of empty collection")
     if n % 2 == 1:
-        return vals[n // 2]
-    lo, hi = vals[n // 2 - 1], vals[n // 2]
+        return float(vals[n // 2])
+    lo, hi = float(vals[n // 2 - 1]), float(vals[n // 2])
     if math.isinf(lo) and math.isinf(hi) and lo != hi:
         return None
     if math.isinf(lo):
@@ -243,38 +213,33 @@ def extended_median(values) -> float | None:
 
 
 def true_estimands(science: ScienceTable, t: float) -> TruthRecord:
-    """Exact finite-sample estimands at horizon t from the full science table."""
+    """Exact finite-sample estimands at horizon t from the full science table.
+
+    All four read each patient's ``composite_metric`` (treated minus
+    control): SACE is its mean over the always-survivors, PC the share of
+    positive values with half credit for zeros, SIM its extended median.
+    RMST is the mean difference of the restricted death times.
+    """
     if t not in science.visit_times:
         raise ValueError(f"t={t} is not a visit time of this table")
+    v = science.at(t)
     n = len(science)
-    ll_diffs = []
-    pc_sum = 0.0
-    metrics = []
-    rmst_sum = 0.0
-    deaths0 = 0
-    deaths1 = 0
-    for p in science.patients:
-        stratum = classify_stratum(p.t0, p.t1, t)
-        z1 = potential_composite(p, 1, t)
-        z0 = potential_composite(p, 0, t)
-        if stratum is Stratum.LL:
-            ll_diffs.append(p.y1[t] - p.y0[t])
-        order = composite_order(z1, z0)
-        pc_sum += 1.0 if order > 0 else (0.5 if order == 0 else 0.0)
-        metrics.append(composite_metric(z1, z0))
-        rmst_sum += min(p.t1, t) - min(p.t0, t)
-        deaths0 += p.t0 <= t
-        deaths1 += p.t1 <= t
-    sace = float(np.mean(ll_diffs)) if ll_diffs else None
+    metric = composite_metric(v.t0, v.t1, v.y0, v.y1, t)
+    ll = (v.t0 > t) & (v.t1 > t)
+    n_ll = int(np.count_nonzero(ll))
+    # wins plus half the ties: sums of halves, exact in floating point
+    pc = int(np.count_nonzero(metric > 0)) + 0.5 * int(np.count_nonzero(metric == 0))
+    # cumsum adds in patient order, as a running sum does
+    rmst = float(np.cumsum(np.minimum(v.t1, t) - np.minimum(v.t0, t))[-1])
     return TruthRecord(
         time=t,
-        sace=sace,
-        pc=pc_sum / n,
-        sim=extended_median(metrics),
-        rmst=rmst_sum / n,
-        death_frac_control=deaths0 / n,
-        death_frac_treated=deaths1 / n,
-        n_ll=len(ll_diffs),
+        sace=float(np.mean(metric[ll])) if n_ll else None,
+        pc=pc / n,
+        sim=extended_median(metric),
+        rmst=rmst / n,
+        death_frac_control=int(np.count_nonzero(v.t0 <= t)) / n,
+        death_frac_treated=int(np.count_nonzero(v.t1 <= t)) / n,
+        n_ll=n_ll,
     )
 
 

@@ -1,25 +1,215 @@
 """The per-patient scalar path: one posterior draw, one patient at a time.
 
 These functions state the definitions that the package evaluates as array
-code over many draws (``SurvivalPosterior.s_mis_matrix`` and
-``rmst_matrix``, ``estimators.estimand_draws``). The tests use them as the
-reference for that array code and, with quadrature and enumeration, as
-oracles of the acceptance criteria 4 and 5.
+code: over many draws (``SurvivalPosterior.s_mis_matrix`` and
+``rmst_matrix``, ``estimators.estimand_draws``) and over all patients of a
+science table (``science.composite_metric``, ``simulate.true_estimands``,
+``metrics.mae_reconstruction``). The tests use them as the reference for
+that array code and, with quadrature and enumeration, as oracles of the
+acceptance criteria 2, 4 and 5.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 from scipy.special import ndtr
 
 from tbd.longitudinal import LongitudinalPosterior
-from tbd.science import ObservedDataset, ObservedPatient
+from tbd.science import InvariantError, ObservedDataset, ObservedPatient, PatientTruth, ScienceTable
+from tbd.simulate import TruthRecord
 from tbd.survival import HazardGrid, SurvivalPosterior
 
 _MASS_TOL = 1e-12
+
+
+# --- principal strata and composite outcomes --------------------------------
+
+
+class Stratum(Enum):
+    """Principal stratum at a horizon t, from joint survival under both arms.
+
+    LL always-survivor, DL protected (dies only under control), LD harmed
+    (dies only under treatment), DD never-survivor.
+    """
+
+    LL = "LL"
+    DL = "DL"
+    LD = "LD"
+    DD = "DD"
+
+
+def classify_stratum(t0: float, t1: float, t: float) -> Stratum:
+    """Classify a patient by survival status under both arms at horizon t.
+
+    ``t0`` and ``t1`` are the uncensored death times under control and
+    treatment. Death exactly at the horizon counts as dead at that horizon.
+    """
+    if t0 <= 0 or t1 <= 0 or t <= 0:
+        raise ValueError(f"death times and horizon must be positive, got t0={t0}, t1={t1}, t={t}")
+    alive0 = t0 > t
+    alive1 = t1 > t
+    if alive0 and alive1:
+        return Stratum.LL
+    if alive0:
+        return Stratum.LD
+    if alive1:
+        return Stratum.DL
+    return Stratum.DD
+
+
+@dataclass(frozen=True)
+class CompositeOutcome:
+    """Composite outcome (y, t, d) at an evaluation horizon.
+
+    ``y`` is the longitudinal value, present iff the patient is alive at the
+    horizon (d = 0); ``t`` is the restricted event time min(death time,
+    horizon); ``d`` is 1 iff dead at or before the horizon.
+    """
+
+    y: float | None
+    t: float
+    d: int
+
+    def __post_init__(self) -> None:
+        if self.d not in (0, 1):
+            raise InvariantError(f"d must be 0 or 1, got {self.d}")
+        if (self.y is None) != (self.d == 1):
+            raise InvariantError("y must be present iff alive (d = 0) at the horizon")
+        if self.y is not None and not math.isfinite(self.y):
+            raise InvariantError("longitudinal value must be finite")
+
+
+def composite_order(z1: CompositeOutcome, z0: CompositeOutcome) -> int:
+    """Order two composite outcomes (treated arm first) with death as worst.
+
+    Returns +1 if z1 is the better outcome, -1 if worse, 0 if equivalent.
+    A survivor always beats a death; two deaths are ordered by event time;
+    two survivors by the longitudinal value.
+    """
+    if z1.d == 0 and z0.d == 1:
+        return 1
+    if z1.d == 1 and z0.d == 0:
+        return -1
+    if z1.d == 1:  # both dead, later death is better
+        if z1.t > z0.t:
+            return 1
+        if z1.t < z0.t:
+            return -1
+        return 0
+    assert z1.y is not None and z0.y is not None
+    if z1.y > z0.y:
+        return 1
+    if z1.y < z0.y:
+        return -1
+    return 0
+
+
+def composite_metric(z1: CompositeOutcome, z0: CompositeOutcome) -> float:
+    """Signed distance between composite outcomes (treated minus control).
+
+    Finite (the plain longitudinal difference) when both survive, zero for
+    deaths at identical times, and +/-inf whenever survival status or death
+    timing differs, signed consistently with :func:`composite_order`. The
+    package's ``composite_metric`` is this, elementwise over arrays.
+    """
+    if z1.d == 0 and z0.d == 0:
+        assert z1.y is not None and z0.y is not None
+        return z1.y - z0.y
+    if z1.d == 1 and z0.d == 1:
+        if z1.t == z0.t:
+            return 0.0
+        return math.inf if z1.t > z0.t else -math.inf
+    return math.inf if z0.d == 1 else -math.inf
+
+
+def observed_composite(p: ObservedPatient, t: float) -> CompositeOutcome:
+    """Observed composite outcome of a patient at horizon t."""
+    if p.alive_at(t):
+        if t not in p.y_obs:
+            raise KeyError(f"patient {p.id} has no measurement at month {t}")
+        return CompositeOutcome(y=p.y_obs[t], t=t, d=0)
+    return CompositeOutcome(y=None, t=p.t_obs, d=1)
+
+
+def potential_composite(p: PatientTruth, arm: int, t: float) -> CompositeOutcome:
+    """Potential composite outcome of a science-table patient under ``arm``."""
+    td = p.death_time(arm)
+    if td > t:
+        y = p.trajectory(arm).get(t)
+        if y is None:
+            raise KeyError(f"patient {p.id} has no arm-{arm} value at month {t}")
+        return CompositeOutcome(y=y, t=t, d=0)
+    return CompositeOutcome(y=None, t=min(td, t), d=1)
+
+
+# --- exact truths --------------------------------------------------------------
+
+
+def extended_median(values) -> float | None:
+    """Order-statistic median over the extended reals, by ``sorted``:
+    opposite infinities in the middle give None, an infinity in the middle
+    pair gives that infinity."""
+    vals = sorted(values)
+    n = len(vals)
+    if n % 2 == 1:
+        return vals[n // 2]
+    lo, hi = vals[n // 2 - 1], vals[n // 2]
+    if math.isinf(lo) and math.isinf(hi) and lo != hi:
+        return None
+    if math.isinf(lo):
+        return lo
+    if math.isinf(hi):
+        return hi
+    return 0.5 * (lo + hi)
+
+
+def true_estimands(science: ScienceTable, t: float) -> TruthRecord:
+    """Exact finite-sample estimands at horizon t, one patient at a time:
+    the stratum and both potential composites of each, then running sums."""
+    n = len(science)
+    ll_diffs = []
+    pc_sum = 0.0
+    metrics = []
+    rmst_sum = 0.0
+    deaths0 = 0
+    deaths1 = 0
+    for p in science.patients:
+        stratum = classify_stratum(p.t0, p.t1, t)
+        z1 = potential_composite(p, 1, t)
+        z0 = potential_composite(p, 0, t)
+        if stratum is Stratum.LL:
+            ll_diffs.append(p.y1[t] - p.y0[t])
+        order = composite_order(z1, z0)
+        pc_sum += 1.0 if order > 0 else (0.5 if order == 0 else 0.0)
+        metrics.append(composite_metric(z1, z0))
+        rmst_sum += min(p.t1, t) - min(p.t0, t)
+        deaths0 += p.t0 <= t
+        deaths1 += p.t1 <= t
+    return TruthRecord(
+        time=t,
+        sace=float(np.mean(ll_diffs)) if ll_diffs else None,
+        pc=pc_sum / n,
+        sim=extended_median(metrics),
+        rmst=rmst_sum / n,
+        death_frac_control=deaths0 / n,
+        death_frac_treated=deaths1 / n,
+        n_ll=len(ll_diffs),
+    )
+
+
+def mae_reconstruction(science: ScienceTable, imputed_means, t: float) -> float | None:
+    """Mean absolute error of imputed counterfactual outcomes at horizon t,
+    over the patients alive at t under their unassigned arm."""
+    errors = []
+    for p, mu in zip(science.patients, imputed_means):
+        arm_mis = 1 - p.w
+        if p.death_time(arm_mis) > t:
+            errors.append(abs(p.trajectory(arm_mis)[t] - mu))
+    return float(np.mean(errors)) if errors else None
 
 
 # --- survival ----------------------------------------------------------------

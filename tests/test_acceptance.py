@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import ndtr
 
+import oracles
 import tbd
 from oracles import (
     LongParams,
@@ -62,6 +63,12 @@ def test_criterion_1_oracle_truths():
 
 
 def test_criterion_2_order_metric_partition():
+    """The package's elementwise ``composite_metric`` against the scalar
+    oracle, over 1e6 random cases and 36 boundary ones: it equals the
+    oracle's metric, its sign is ``composite_order``, and it is finite
+    exactly for the always-survivors of ``classify_stratum`` and for two
+    deaths at one time; the strata partition the cases by survival under
+    each arm."""
     rng = np.random.default_rng(2024)
     n = 1_000_000
     t0 = rng.uniform(0.01, 30.0, size=n)
@@ -69,37 +76,39 @@ def test_criterion_2_order_metric_partition():
     t = rng.uniform(0.01, 20.0, size=n)
     y0 = rng.normal(-5, 8, size=n)
     y1 = rng.normal(-5, 8, size=n)
+    # and every boundary the draws miss: equal death times, a death at the
+    # horizon, equal scores
+    edges = itertools.product((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), (2.0,), (-1.0, 0.0), (-1.0, 0.0))
+    t0, t1, t, y0, y1 = (np.concatenate([a, e]) for a, e in zip((t0, t1, t, y0, y1), zip(*edges)))
+    metric = tbd.composite_metric(t0, t1, y0, y1, t)
 
-    strata = np.empty(n, dtype=object)
+    strata = {
+        (True, True): oracles.Stratum.LL,
+        (True, False): oracles.Stratum.LD,
+        (False, True): oracles.Stratum.DL,
+        (False, False): oracles.Stratum.DD,
+    }
     violations = 0
-    for i in range(n):
-        stratum = tbd.classify_stratum(t0[i], t1[i], t[i])
-        strata[i] = stratum
-        expected = {
-            (True, True): tbd.Stratum.LL,
-            (True, False): tbd.Stratum.LD,
-            (False, True): tbd.Stratum.DL,
-            (False, False): tbd.Stratum.DD,
-        }[(t0[i] > t[i], t1[i] > t[i])]
-        if stratum is not expected:
+    cases = zip(*(a.tolist() for a in (t0, t1, t, y0, y1, metric)))
+    for a0, a1, h, v0, v1, m in cases:
+        stratum = oracles.classify_stratum(a0, a1, h)
+        if stratum is not strata[(a0 > h, a1 > h)]:
             violations += 1
-        z1 = (
-            tbd.CompositeOutcome(y=float(y1[i]), t=float(t[i]), d=0)
-            if t1[i] > t[i]
-            else tbd.CompositeOutcome(y=None, t=float(min(t1[i], t[i])), d=1)
-        )
-        z0 = (
-            tbd.CompositeOutcome(y=float(y0[i]), t=float(t[i]), d=0)
-            if t0[i] > t[i]
-            else tbd.CompositeOutcome(y=None, t=float(min(t0[i], t[i])), d=1)
-        )
-        order = tbd.composite_order(z1, z0)
-        metric = tbd.composite_metric(z1, z0)
-        if order > 0 and not metric > 0:
+        z1 = (oracles.CompositeOutcome(y=v1, t=h, d=0) if a1 > h
+              else oracles.CompositeOutcome(y=None, t=min(a1, h), d=1))
+        z0 = (oracles.CompositeOutcome(y=v0, t=h, d=0) if a0 > h
+              else oracles.CompositeOutcome(y=None, t=min(a0, h), d=1))
+        order = oracles.composite_order(z1, z0)
+        if order > 0 and not m > 0:
             violations += 1
-        elif order < 0 and not metric < 0:
+        elif order < 0 and not m < 0:
             violations += 1
-        elif order == 0 and metric != 0:
+        elif order == 0 and m != 0:
+            violations += 1
+        if m != oracles.composite_metric(z1, z0):
+            violations += 1
+        if math.isfinite(m) != (stratum is oracles.Stratum.LL or (stratum is oracles.Stratum.DD
+                                                                 and a0 == a1)):
             violations += 1
     assert _verdict(
         "criterion 2 (order/metric/strata over 1e6 cases)",

@@ -299,6 +299,11 @@ def test_refused_fit_config_is_a_one_line_error(runner, sim_dir, tmp_path, doc, 
     assert not out.exists()
 
 
+def _death(t_obs):
+    """An observed-data patient record: a control-arm death at ``t_obs``."""
+    return {"id": 0, "x": [0.1], "w": 0, "t_obs": t_obs, "d_obs": 1, "y_obs": {}}
+
+
 @pytest.mark.parametrize("doc, refused", [
     ({"patients": []}, "missing key 'follow_up_months'"),
     ({"follow_up_months": 15.0, "patients": [
@@ -316,8 +321,26 @@ def test_refused_fit_config_is_a_one_line_error(runner, sim_dir, tmp_path, doc, 
      "ObservedDataset: unknown keys ['visit_time']"),
     ({"follow_up_months": 15.0, "follow_up": 12.0, "patients": []},
      "ObservedDataset: unknown keys ['follow_up']"),
+    ({"follow_up_months": 15.0, "patients": [_death(-5.0)]},
+     "t_obs must be positive and finite, got -5.0"),
+    ({"follow_up_months": 15.0, "patients": [_death("nan")]},
+     "t_obs must be positive and finite, got nan"),
+    ({"follow_up_months": 15.0, "patients": [_death("inf")]},
+     "t_obs must be positive and finite, got inf"),
+    ({"follow_up_months": 15.0, "patients": [_death(0.0)]},
+     "t_obs must be positive and finite, got 0.0"),
+    ({"follow_up_months": 15.0, "patients": [_death(40.0)]},
+     "death at t_obs 40.0 after follow-up 15.0"),
+    ({"follow_up_months": 0, "patients": [_death(5.0)]},
+     "follow_up must be positive and finite, got 0.0"),
+    ({"follow_up_months": -1, "patients": [_death(5.0)]},
+     "follow_up must be positive and finite, got -1.0"),
+    ({"follow_up_months": 15.0, "patients": [_death(5.0), {**_death(6.0), "id": 1, "x": [0.1, 2.0]}]},
+     "covariate vectors must share one length, got [1, 2]"),
 ], ids=["no-follow-up", "bad-arm", "scalar-x", "patient-unknown-key", "patient-follow-up",
-        "top-level-unknown-key", "top-level-follow-up"])
+        "top-level-unknown-key", "top-level-follow-up", "negative-death", "nan-death",
+        "infinite-death", "zero-death", "death-after-follow-up", "zero-follow-up",
+        "negative-follow-up", "ragged-x"])
 @pytest.mark.parametrize("command", ["fit", "estimate"])
 def test_refused_data_is_a_one_line_error(runner, fits_path, tmp_path, command, doc, refused):
     data = tmp_path / "observed.json"

@@ -15,7 +15,9 @@ from oracles import (
     SurvivalParams,
     _pooled_median,
     composite_diff_dist,
+    composite_order,
     long_draw,
+    observed_composite,
     pc_draw,
     predict_s_mis,
     rmst_draw,
@@ -34,7 +36,7 @@ from tbd.estimators import (
     wmw,
 )
 from tbd.longitudinal import LongitudinalPosterior
-from tbd.science import ObservedDataset, ObservedPatient, composite_order, observed_composite
+from tbd.science import ObservedDataset, ObservedPatient
 from tbd.simulate import get_scenario, observe, simulate_science_table
 from tbd.survival import S_MIS_BLOCK, HazardGrid, SurvivalPosterior, _rmst_batch
 

@@ -1,4 +1,7 @@
-"""Strata classification, composite ordering/metric, and data-model checks."""
+"""Strata classification, composite ordering/metric, and data-model checks.
+
+The scalar strata and composite definitions live in ``tests/oracles.py``;
+the package evaluates them as array code."""
 
 import json
 import math
@@ -8,20 +11,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tbd.codec import decode, encode
-from tbd.science import (
+from oracles import (
     CompositeOutcome,
-    InvariantError,
-    ObservedPatient,
-    PatientTruth,
     Stratum,
     classify_stratum,
     composite_metric,
     composite_order,
     observed_composite,
+    potential_composite,
+)
+from tbd.codec import decode, encode
+from tbd.science import (
+    InvariantError,
+    ObservedPatient,
+    PatientTruth,
     observed_from_json,
     observed_to_json,
-    potential_composite,
     science_from_json,
     science_to_json,
     ScienceTable,

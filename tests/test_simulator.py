@@ -7,7 +7,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from tbd.science import Stratum, classify_stratum
+import oracles
+from oracles import Stratum, classify_stratum
+from tbd.metrics import mae_reconstruction
+from tbd.science import PatientTruth, ScienceTable
 from tbd.simulate import (
     ScenarioError,
     _params_from_dict,
@@ -197,3 +200,125 @@ class TestExtendedMedian:
     def test_infinite_with_finite_yields_the_infinity(self):
         assert extended_median([-math.inf, 5.0]) == -math.inf
         assert extended_median([5.0, math.inf]) == math.inf
+
+
+def _bits(value):
+    """A value as its exact repr: floats by ``repr(float)``, so -0.0, inf and
+    every last bit count."""
+    if value is None or isinstance(value, (int, np.integer)):
+        return value
+    return repr(float(value))
+
+
+def _same_record(got, want):
+    assert {k: _bits(v) for k, v in vars(got).items()} == {k: _bits(v) for k, v in vars(want).items()}
+
+
+VISITS = (3.0, 6.0, 9.0, 12.0)
+
+
+def _random_time(rng):
+    """A death time, on a visit time (or 1.5 or 20) more often than not."""
+    if rng.uniform() < 0.6:
+        return float(rng.choice([1.5, 3.0, 6.0, 9.0, 12.0, 20.0]))
+    return float(rng.uniform(0.5, 20.0))
+
+
+def _random_table(rng, n):
+    """A science table with deaths on the visit times, at the horizon and
+    equal under both arms, and tied scores, so ties occur often."""
+    patients = []
+    for i in range(n):
+        t0 = _random_time(rng)
+        t1 = t0 if rng.uniform() < 0.3 else _random_time(rng)
+        y = {v: float(rng.choice([-2.0, 0.0, 1.5]) if rng.uniform() < 0.3 else rng.normal(-5, 4))
+             for v in VISITS}
+        # a value at a visit equal to the death time is allowed and unused
+        patients.append(PatientTruth(
+            id=i, x=(float(rng.normal()),), w=int(rng.integers(2)),
+            y0={v: y[v] for v in VISITS if v <= t0},
+            y1={v: y[v] + float(rng.choice([0.0, 1.0])) for v in VISITS if v <= t1},
+            t0=t0, t1=t1, follow_up=15.0,
+        ))
+    return ScienceTable(patients=tuple(patients), follow_up=15.0, visit_times=VISITS)
+
+
+def _patient(id, t0, t1, y0=None, y1=None, w=0):
+    return PatientTruth(id=id, x=(0.0,), w=w, y0=y0 or {}, y1=y1 or {}, t0=t0, t1=t1,
+                        follow_up=15.0)
+
+
+class TestTruthsAgainstOracle:
+    """``true_estimands`` and ``mae_reconstruction`` are array code; the
+    per-patient reference in ``tests/oracles.py`` must give the same bits."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_tables(self, seed):
+        rng = np.random.default_rng(seed)
+        table = _random_table(rng, n=int(rng.choice([1, 2, 3, 4, 7, 30, 101])))
+        imputed = rng.normal(-5, 4, size=len(table))
+        for t in VISITS:
+            _same_record(true_estimands(table, t), oracles.true_estimands(table, t))
+            assert _bits(mae_reconstruction(table, imputed, t)) == _bits(
+                oracles.mae_reconstruction(table, imputed, t))
+
+    @pytest.mark.parametrize("name", ["no_effect_no_censoring", "no_effect", "beneficial", "mixed"])
+    @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (200, 2), (2001, 3)])
+    def test_library_tables(self, scenarios, name, n, seed):
+        table = simulate_science_table(scenarios[name].with_updates(n=n), seed=seed)
+        imputed = np.random.default_rng(seed).normal(-10, 5, size=n)
+        for t in table.visit_times:
+            _same_record(true_estimands(table, t), oracles.true_estimands(table, t))
+            assert _bits(mae_reconstruction(table, imputed, t)) == _bits(
+                oracles.mae_reconstruction(table, imputed, t))
+
+    def test_equal_death_times_tie(self):
+        table = ScienceTable(patients=(_patient(0, 5.0, 5.0), _patient(1, 7.0, 7.0)),
+                             follow_up=15.0, visit_times=(9.0,))
+        tr = true_estimands(table, 9.0)
+        _same_record(tr, oracles.true_estimands(table, 9.0))
+        assert (tr.pc, tr.sim, tr.rmst, tr.sace, tr.n_ll) == (0.5, 0.0, 0.0, None, 0)
+
+    def test_death_at_the_horizon_counts_as_dead(self):
+        # the control death at t == 6 loses to the treated survivor
+        table = ScienceTable(patients=(_patient(0, 6.0, 8.0, y0={3.0: -1.0, 6.0: -2.0},
+                                                y1={3.0: -1.0, 6.0: -9.0}),),
+                             follow_up=15.0, visit_times=(6.0,))
+        tr = true_estimands(table, 6.0)
+        _same_record(tr, oracles.true_estimands(table, 6.0))
+        assert (tr.pc, tr.sim, tr.sace, tr.death_frac_control) == (1.0, math.inf, None, 1.0)
+
+    def test_single_patient(self):
+        table = ScienceTable(patients=(_patient(0, 20.0, 20.0, y0={3.0: -1.0}, y1={3.0: 0.5}),),
+                             follow_up=15.0, visit_times=(3.0,))
+        tr = true_estimands(table, 3.0)
+        _same_record(tr, oracles.true_estimands(table, 3.0))
+        assert (tr.sace, tr.pc, tr.sim, tr.n_ll) == (1.5, 1.0, 1.5, 1)
+
+    def test_opposite_infinite_pair_has_no_median(self):
+        # one treated-only survivor (+inf) and one control-only survivor (-inf)
+        table = ScienceTable(patients=(_patient(0, 2.0, 20.0, y1={3.0: 0.0}),
+                                       _patient(1, 20.0, 2.0, y0={3.0: 0.0})),
+                             follow_up=15.0, visit_times=(3.0,))
+        tr = true_estimands(table, 3.0)
+        _same_record(tr, oracles.true_estimands(table, 3.0))
+        assert tr.sim is None and tr.sace is None and tr.pc == 0.5
+
+    def test_empty_always_survivor_stratum(self):
+        table = ScienceTable(patients=(_patient(0, 2.0, 20.0, y1={3.0: 0.0}),
+                                       _patient(1, 1.0, 2.5)),
+                             follow_up=15.0, visit_times=(3.0,))
+        tr = true_estimands(table, 3.0)
+        _same_record(tr, oracles.true_estimands(table, 3.0))
+        assert tr.sace is None and tr.n_ll == 0
+
+    def test_survivor_without_a_value_raises(self):
+        table = ScienceTable(patients=(_patient(0, 20.0, 20.0, y0={3.0: 0.0}, y1={3.0: 0.0}),
+                                       _patient(1, 20.0, 20.0, y0={3.0: 0.0})),
+                             follow_up=15.0, visit_times=(3.0,))
+        with pytest.raises(KeyError):
+            true_estimands(table, 3.0)
+        with pytest.raises(KeyError):
+            oracles.true_estimands(table, 3.0)
+        with pytest.raises(KeyError):
+            mae_reconstruction(table, [0.0, 0.0], 3.0)
