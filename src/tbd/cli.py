@@ -128,6 +128,12 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
     if not 1 <= draws <= pool:
         raise click.ClickException(
             f"--draws {draws} refused: the fits hold {pool} draws to pair; use 1..{pool}")
+    width = data.columns.x.shape[1]
+    fitted = {spost.alpha0.shape[-1], spost.alpha1.shape[-1],
+              *(lp.beta1.shape[-1] for lp in lposts.values())}
+    if fitted != {width}:
+        raise click.ClickException(f"posteriors {fits_path} refused: fitted on {max(fitted - {width})} "
+                                   f"covariates, data {data_path} has {width}; rerun `tbd fit`")
     if not spost.converged:
         click.echo("warning: survival fit flagged by convergence diagnostics", err=True)
     out_dir = Path(out)
@@ -160,8 +166,8 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
               help="Study JSON; defaults to all four library scenarios at desk scale.")
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=None, help="Override the master seed.")
-@click.option("--workers", type=int, default=None, help="Worker processes (default: TBD_WORKERS or 1).")
-def study_cmd(config_path: str | None, out: str, seed: int | None, workers: int | None) -> None:
+@click.option("--workers", type=int, default=1, show_default=True, help="Worker processes.")
+def study_cmd(config_path: str | None, out: str, seed: int | None, workers: int) -> None:
     """Run the scenario x replicate study and write report CSVs."""
     cfg = _load_config(config_path)
     if seed is not None:

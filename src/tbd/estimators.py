@@ -32,6 +32,7 @@ from .longitudinal import LongitudinalPosterior, counterfactual_mean
 from .science import ObservedDataset
 from .survival import SurvivalPosterior
 
+ESTIMANDS = ("sace", "pc", "sim", "rmst")
 _MASS_TOL = 1e-12
 # SIM takes its draws in blocks of about this many atoms. Whole-batch
 # (draws, atoms) arrays of a few MB left that much free but unreturned heap
@@ -51,12 +52,13 @@ def naive_effect(data: ObservedDataset, t: float) -> float | None:
     return float(np.mean(treated) - np.mean(control))
 
 
-def _wins_and_ties(mine: np.ndarray, theirs: np.ndarray) -> tuple[int, int]:
-    """Pairs (i, j) with mine[i] > theirs[j], and with mine[i] == theirs[j]."""
+def wins_and_half_ties(mine: np.ndarray, theirs: np.ndarray) -> np.ndarray:
+    """For each mine[i], the count of theirs[j] < mine[i] plus half the count
+    of theirs[j] == mine[i], by sorting ``theirs`` once."""
     theirs = np.sort(theirs)
     below = np.searchsorted(theirs, mine, side="left")
     tied = np.searchsorted(theirs, mine, side="right") - below
-    return int(below.sum()), int(tied.sum())
+    return below + 0.5 * tied
 
 
 def wmw(data: ObservedDataset, t: float) -> float | None:
@@ -78,11 +80,10 @@ def wmw(data: ObservedDataset, t: float) -> float | None:
     if not n1 or not n0:
         return None
     alive, dead = at.alive, ~at.alive
-    y_wins, y_ties = _wins_and_ties(at.y[treated & alive], at.y[control & alive])
-    t_wins, t_ties = _wins_and_ties(cols.t_obs[treated & dead], cols.t_obs[control & dead])
+    y_score = wins_and_half_ties(at.y[treated & alive], at.y[control & alive]).sum()
+    t_score = wins_and_half_ties(cols.t_obs[treated & dead], cols.t_obs[control & dead]).sum()
     survivor_over_death = int((treated & alive).sum()) * int((control & dead).sum())
-    total = (y_wins + t_wins + survivor_over_death) + 0.5 * (y_ties + t_ties)
-    return total / (n1 * n0)
+    return (float(y_score) + float(t_score) + survivor_over_death) / (n1 * n0)
 
 
 # --- batched evaluation over paired posterior draws --------------------------
@@ -141,10 +142,9 @@ def summaries_of(results) -> list[dict[str, EstimandSummary]]:
     one number of draws. The estimands whose draws are all finite share one
     percentile call, which takes each row's order statistics and
     interpolates them as a one-row call does."""
-    names = ("sace", "pc", "sim", "rmst")
     if not results:
         return []
-    rows = np.stack([np.asarray(r.values(name), dtype=float) for r in results for name in names])
+    rows = np.stack([np.asarray(r.values(name), dtype=float) for r in results for name in ESTIMANDS])
     whole = np.isfinite(rows).all(axis=1) & (rows.shape[1] > 0)
     batched = {}
     if whole.any():
@@ -154,7 +154,8 @@ def summaries_of(results) -> list[dict[str, EstimandSummary]]:
             for i, l, m, h in zip(np.flatnonzero(whole), lo, med, hi)
         }
     flat = [batched[i] if i in batched else summarize(row) for i, row in enumerate(rows)]
-    return [dict(zip(names, flat[i:i + len(names)])) for i in range(0, len(flat), len(names))]
+    n = len(ESTIMANDS)
+    return [dict(zip(ESTIMANDS, flat[i:i + n])) for i in range(0, len(flat), n)]
 
 
 def rmst_estimand_draws(

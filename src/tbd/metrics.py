@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimandSummary
+from .estimators import EstimandSummary, wins_and_half_ties
 from .science import ObservedDataset, ScienceTable
 
 
@@ -145,30 +145,15 @@ def ibs(surv_pred: np.ndarray, data: ObservedDataset, grid) -> float:
     return float(np.trapezoid(scores, grid) / (grid[-1] - grid[0]))
 
 
-def _weighted_auc_at(risk: np.ndarray, case: np.ndarray, control: np.ndarray,
-                     case_w: np.ndarray) -> float | None:
-    """Case/control concordance of risk scores with case weights, half
-    credit for risk ties. O(n log n) by sorting; None when no pairs."""
-    n_ctrl = int(control.sum())
-    w_case = case_w[case]
-    if n_ctrl == 0 or len(w_case) == 0 or w_case.sum() <= 0:
-        return None
-    r = np.asarray(risk, dtype=float)
-    ctrl_sorted = np.sort(r[control])
-    below = np.searchsorted(ctrl_sorted, r[case], side="left")
-    tied = np.searchsorted(ctrl_sorted, r[case], side="right") - below
-    total = float(np.sum(w_case * (below + 0.5 * tied)))
-    return total / (float(w_case.sum()) * n_ctrl)
-
-
 def cdauc(risk, data: ObservedDataset, times) -> float:
     """Cumulative/dynamic AUC integrated over evaluation times.
 
     At each time, cases are patients with an observed event at or before it
     and controls are patients event-free past it; case weights are the
-    inverse censoring probabilities. Times without comparable pairs are
-    skipped with a warning. The time integral is weighted by the
-    Kaplan-Meier event distribution.
+    inverse censoring probabilities, and each case scores the controls of
+    lower risk plus half those of tied risk (``wins_and_half_ties``). Times
+    without comparable pairs are skipped with a warning. The time integral
+    is weighted by the Kaplan-Meier event distribution.
     """
     times = np.asarray(times, dtype=float)
     risk = np.asarray(risk, dtype=float)
@@ -176,6 +161,7 @@ def cdauc(risk, data: ObservedDataset, times) -> float:
         risk = np.repeat(risk[:, None], len(times), axis=1)
     obs_times, events, g = _censoring_weights(data)
     g_at_event = g(obs_times, left=True)
+    case_w = np.where(g_at_event > 0, 1.0 / np.where(g_at_event > 0, g_at_event, 1.0), 0.0)
     event_km = km_survival(obs_times, events)
     f_prev = 0.0
     aucs, weights = [], []
@@ -185,13 +171,13 @@ def cdauc(risk, data: ObservedDataset, times) -> float:
         f_prev = f_tau
         case = (obs_times <= tau) & (events == 1)
         control = obs_times > tau
-        with np.errstate(divide="ignore"):
-            case_w = np.where(g_at_event > 0, 1.0 / np.where(g_at_event > 0, g_at_event, 1.0), 0.0)
-        auc = _weighted_auc_at(risk[:, k], case, control, case_w)
-        if auc is None:
+        n_ctrl = int(control.sum())
+        w_case = case_w[case]
+        if n_ctrl == 0 or w_case.sum() <= 0:
             warnings.warn(f"no comparable case/control pairs at time {tau}; skipped")
             continue
-        aucs.append(auc)
+        total = float(np.sum(w_case * wins_and_half_ties(risk[case, k], risk[control, k])))
+        aucs.append(total / (float(w_case.sum()) * n_ctrl))
         weights.append(w_time)
     if not aucs:
         raise ValueError("no evaluable times for the cumulative/dynamic AUC")

@@ -56,6 +56,15 @@ def _check_trajectory(y: Mapping[float, float], t_death: float, label: str) -> N
             raise InvariantError(f"{label} has a non-finite value at month {visit}")
 
 
+def check_visit_times(visit_times, follow_up: float, error: type[ValueError]) -> None:
+    """Raise ``error`` unless the visit times are finite, strictly
+    increasing and within (0, follow_up]."""
+    for before, v in zip((0.0, *visit_times), visit_times):
+        if not (before < v <= follow_up and math.isfinite(v)):
+            raise error(f"visit times must be finite, strictly increasing and within "
+                        f"(0, {follow_up}], got {list(visit_times)}")
+
+
 @dataclass(frozen=True)
 class PatientTruth:
     """One row of the science table: both arms' potential outcomes.
@@ -71,7 +80,6 @@ class PatientTruth:
     y1: dict[float, float]
     t0: float
     t1: float
-    follow_up: float
 
     def __post_init__(self) -> None:
         if self.w not in (0, 1):
@@ -79,8 +87,6 @@ class PatientTruth:
         for name, td in (("t0", self.t0), ("t1", self.t1)):
             if not (td > 0 and math.isfinite(td)):
                 raise InvariantError(f"{name} must be positive and finite, got {td}")
-        if self.follow_up <= 0:
-            raise InvariantError("follow_up must be positive")
         _check_trajectory(self.y0, self.t0, "y0")
         _check_trajectory(self.y1, self.t1, "y1")
 
@@ -95,8 +101,8 @@ class PatientTruth:
 class ObservedPatient:
     """A patient as seen in the trial: assigned arm only.
 
-    ``t_obs`` is min(death time, follow-up); ``d_obs`` is 1 iff the death was
-    observed at ``t_obs`` and 0 for administrative censoring.
+    ``t_obs`` is min(death time, the trial's follow-up); ``d_obs`` is 1 iff
+    the death was observed at ``t_obs`` and 0 for administrative censoring.
     """
 
     id: int
@@ -105,7 +111,6 @@ class ObservedPatient:
     t_obs: float
     d_obs: int
     y_obs: dict[float, float]
-    follow_up: float
 
     def __post_init__(self) -> None:
         if self.w not in (0, 1):
@@ -114,10 +119,6 @@ class ObservedPatient:
             raise InvariantError(f"d_obs must be 0 or 1, got {self.d_obs}")
         if not (self.t_obs > 0 and math.isfinite(self.t_obs)):
             raise InvariantError(f"t_obs must be positive and finite, got {self.t_obs}")
-        if self.d_obs == 1 and self.t_obs > self.follow_up:
-            raise InvariantError(f"death at t_obs {self.t_obs} after follow-up {self.follow_up}")
-        if self.d_obs == 0 and self.t_obs != self.follow_up:
-            raise InvariantError("censored patients must carry t_obs = follow_up")
         _check_trajectory(self.y_obs, self.t_obs, "y_obs")
 
     def alive_at(self, t: float) -> bool:
@@ -132,6 +133,10 @@ class ScienceTable:
     patients: tuple[PatientTruth, ...]
     follow_up: float
     visit_times: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if self.follow_up <= 0:
+            raise InvariantError("follow_up must be positive")
 
     def __len__(self) -> int:
         return len(self.patients)
@@ -214,6 +219,12 @@ class ObservedDataset:
     def __post_init__(self) -> None:
         if not (self.follow_up > 0 and math.isfinite(self.follow_up)):
             raise InvariantError(f"follow_up must be positive and finite, got {self.follow_up}")
+        check_visit_times(self.visit_times, self.follow_up, InvariantError)
+        for p in self.patients:
+            if p.d_obs == 1 and p.t_obs > self.follow_up:
+                raise InvariantError(f"death at t_obs {p.t_obs} after follow-up {self.follow_up}")
+            if p.d_obs == 0 and p.t_obs != self.follow_up:
+                raise InvariantError("censored patients must carry t_obs = follow_up")
         if len(lengths := {len(p.x) for p in self.patients}) > 1:
             raise InvariantError(f"covariate vectors must share one length, got {sorted(lengths)}")
 
@@ -229,15 +240,13 @@ class ObservedDataset:
 # --- JSON round-trip -------------------------------------------------------
 #
 # Both files are ``codec.encode`` of the dataclass (visit-time keys read "3",
-# "4.5"), except that the follow-up all patients share is written once, as
-# ``follow_up_months``; like every codec document they refuse unknown keys.
+# "4.5"), except that the trial's follow-up is written as ``follow_up_months``;
+# like every codec document they refuse unknown keys.
 
 
 def _to_file(table: ObservedDataset | ScienceTable) -> dict:
     doc = encode(table)
     doc["follow_up_months"] = doc.pop("follow_up")
-    for p in doc["patients"]:
-        del p["follow_up"]
     return doc
 
 
@@ -247,21 +256,14 @@ def _from_file(cls, patient_cls, doc: Mapping):
     (``ObservedPatient.x: ...``); each patient is decoded on its own, so an
     invariant it breaks reads as raised, not under ``ObservedDataset.patients``."""
     follow_up = doc["follow_up_months"]
+    if "follow_up" in doc:
+        raise DecodeError(f"{cls.__name__}: unknown keys ['follow_up']")
     rest = {k: v for k, v in doc.items() if k != "follow_up_months"}
-    # the file's own keys and follow-up first, then each patient against them
-    shell = _with_follow_up(cls, {**rest, "patients": []}, follow_up)
-    patients = tuple(_with_follow_up(patient_cls, p, follow_up) for p in doc["patients"])
+    # the file's own keys and follow-up first, then each patient, then the
+    # patients against the follow-up
+    shell = decode(cls, {**rest, "patients": [], "follow_up": follow_up})
+    patients = tuple(decode(patient_cls, p) for p in doc["patients"])
     return replace(shell, patients=patients)
-
-
-def _with_follow_up(cls, record, follow_up):
-    """``decode(cls, record)`` with the file's follow-up as the record's,
-    which the record itself does not carry."""
-    if isinstance(record, Mapping):
-        if "follow_up" in record:
-            raise DecodeError(f"{cls.__name__}: unknown keys ['follow_up']")
-        record = {**record, "follow_up": follow_up}
-    return decode(cls, record)
 
 
 def observed_to_json(data: ObservedDataset) -> dict:

@@ -17,7 +17,8 @@ from importlib import resources
 import numpy as np
 
 from .codec import decode
-from .science import ObservedDataset, ObservedPatient, PatientTruth, ScienceTable, composite_metric
+from .science import (ObservedDataset, ObservedPatient, PatientTruth, ScienceTable,
+                      check_visit_times, composite_metric)
 
 
 class ScenarioError(ValueError):
@@ -72,9 +73,7 @@ class ScenarioParams:
             raise ScenarioError("n must be positive")
         if self.follow_up <= 0:
             raise ScenarioError("follow_up must be positive")
-        for v in self.visit_times:
-            if not (0 < v <= self.follow_up):
-                raise ScenarioError(f"visit time {v} outside (0, follow_up]")
+        check_visit_times(self.visit_times, self.follow_up, ScenarioError)
 
     def with_updates(self, **kwargs) -> "ScenarioParams":
         return replace(self, **kwargs)
@@ -167,8 +166,7 @@ def simulate_science_table(params: ScenarioParams, seed) -> ScienceTable:
     patients = tuple(
         PatientTruth(id=i, x=(float(x[i]),), w=int(w[i]), t0=float(t0[i]), t1=float(t1[i]),
                      y0={v: slope0[i] * v + eps[i] for v in visits if v < t0[i]},
-                     y1={v: slope1[i] * v + eps[i] for v in visits if v < t1[i]},
-                     follow_up=params.follow_up)
+                     y1={v: slope1[i] * v + eps[i] for v in visits if v < t1[i]})
         for i in range(n)
     )
     return ScienceTable(patients=patients, follow_up=params.follow_up, visit_times=visits)
@@ -179,10 +177,10 @@ def observe(science: ScienceTable) -> ObservedDataset:
     out = []
     for p in science.patients:
         td = p.death_time(p.w)
-        t_obs = min(td, p.follow_up)
+        t_obs = min(td, science.follow_up)
         y_obs = {v: y for v, y in p.trajectory(p.w).items() if v <= t_obs}
         out.append(ObservedPatient(id=p.id, x=p.x, w=p.w, t_obs=float(t_obs),
-                                   d_obs=int(td <= p.follow_up), y_obs=y_obs, follow_up=p.follow_up))
+                                   d_obs=int(td <= science.follow_up), y_obs=y_obs))
     return ObservedDataset(
         patients=tuple(out), follow_up=science.follow_up, visit_times=science.visit_times
     )

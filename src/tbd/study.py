@@ -39,6 +39,7 @@ import numpy as np
 
 from .codec import decode, encode
 from .estimators import (
+    ESTIMANDS,
     EstimandSummary,
     estimand_draws,
     naive_effect,
@@ -69,9 +70,6 @@ from .simulate import (
     true_estimands,
 )
 from .survival import HazardGrid, SurvivalPosterior, SurvivalPriors, default_grid, fit_survival
-
-ESTIMANDS = ("sace", "pc", "sim", "rmst")
-WORKERS_ENV = "TBD_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -315,13 +313,13 @@ def _run_cell_job(args):
         return CellResult(scenario.name, replicate, times=[], failed=True, failure=failure)
 
 
-def run_study(config: StudyConfig, out_dir, workers: int | None = None) -> StudyResults:
+def run_study(config: StudyConfig, out_dir, workers: int = 1) -> StudyResults:
     """Run all (scenario, replicate) cells, caching each in ``out_dir``.
 
     Cells already present with a matching config hash are loaded instead of
-    recomputed. Worker count comes from the TBD_WORKERS environment variable
-    unless given explicitly; each cell is deterministic given the master
-    seed, so scheduling does not affect results.
+    recomputed. ``workers`` processes run the cells; each cell is
+    deterministic given the master seed, so scheduling does not affect
+    results.
     """
     out_dir = Path(out_dir)
     (out_dir / "cells").mkdir(parents=True, exist_ok=True)
@@ -339,8 +337,6 @@ def run_study(config: StudyConfig, out_dir, workers: int | None = None) -> Study
         if (scenario.name, rep) not in cells
     ]
 
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     jobs = [(config, s, r) for s, r in pending]
     parallel = workers > 1 and bool(jobs)
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
@@ -399,12 +395,21 @@ def fmt_floats(values, spec: str = ".4f") -> list[str]:
     return ["-" if v != v else format(v, spec) for v in values]
 
 
-def _slices_by_key(results: StudyResults) -> dict[tuple[str, float], list[CellTimeResult]]:
-    by_key: dict[tuple[str, float], list[CellTimeResult]] = {}
+def _estimand_groups(results: StudyResults):
+    """For each (scenario, time, estimand), in that order: the row key, the
+    visit's slices across replicates, the summaries of the slices that
+    computed the estimand (the others' fit failed) and their defined
+    bias/coverage records."""
+    slices_at: dict[tuple[str, float], list[CellTimeResult]] = {}
     for cell in results.cells:
         for ct in cell.times:
-            by_key.setdefault((cell.scenario, ct.time), []).append(ct)
-    return by_key
+            slices_at.setdefault((cell.scenario, ct.time), []).append(ct)
+    for (scenario, t), slices in sorted(slices_at.items()):
+        for name in ESTIMANDS:
+            present = [ct for ct in slices if name in ct.summaries]
+            defined = [ct.bias_coverage[name] for ct in present if ct.bias_coverage[name].defined]
+            key = {"scenario": scenario, "time": t, "estimand": name}
+            yield key, slices, [ct.summaries[name] for ct in present], defined
 
 
 def coverage_rows(results: StudyResults) -> list[dict]:
@@ -414,27 +419,22 @@ def coverage_rows(results: StudyResults) -> list[dict]:
     print as '-'; cells whose fit failed for this estimand are counted in
     ``n_failed``."""
     rows = []
-    for (scenario, t), slices in sorted(_slices_by_key(results).items()):
+    for key, slices, summaries, defined in _estimand_groups(results):
         deaths = [ct.death_pct for ct in slices]
-        for name in ESTIMANDS:
-            bcs = [ct.bias_coverage[name] for ct in slices if name in ct.bias_coverage]
-            defined = [bc for bc in bcs if bc.defined]
-            truths = [bc.truth for bc in defined]
-            covered = [bc.covered for bc in defined]
-            rows.append(
-                {
-                    "scenario": scenario,
-                    "time": t,
-                    "estimand": name,
-                    "truth": float(np.mean(truths)) if truths else None,
-                    "coverage_pct": 100.0 * float(np.mean(covered)) if covered else None,
-                    "n_cells": len(defined),
-                    "n_undefined": len(bcs) - len(defined),
-                    "n_failed": len(slices) - len(bcs),
-                    "death_pct_min": min(deaths) if deaths else None,
-                    "death_pct_max": max(deaths) if deaths else None,
-                }
-            )
+        truths = [bc.truth for bc in defined]
+        covered = [bc.covered for bc in defined]
+        rows.append(
+            {
+                **key,
+                "truth": float(np.mean(truths)) if truths else None,
+                "coverage_pct": 100.0 * float(np.mean(covered)) if covered else None,
+                "n_cells": len(defined),
+                "n_undefined": len(summaries) - len(defined),
+                "n_failed": len(slices) - len(summaries),
+                "death_pct_min": min(deaths),
+                "death_pct_max": max(deaths),
+            }
+        )
     return rows
 
 
@@ -442,28 +442,21 @@ def bias_rows(results: StudyResults) -> list[dict]:
     """One row per (scenario, time, estimand): bias percentile interval
     across replicates (2.5/97.5) plus the raw extremes."""
     rows = []
-    for (scenario, t), slices in sorted(_slices_by_key(results).items()):
-        for name in ESTIMANDS:
-            defined = [
-                ct.bias_coverage[name]
-                for ct in slices
-                if name in ct.bias_coverage and ct.bias_coverage[name].defined
-            ]
-            biases = [bc.bias for bc in defined]
-            row = {"scenario": scenario, "time": t, "estimand": name, "truth": None,
-                   "bias_lo": None, "bias_hi": None, "bias_min": None,
-                   "bias_max": None, "bias_mean": None, "n_cells": len(biases)}
-            if biases:
-                lo, hi = np.percentile(biases, [2.5, 97.5])
-                row.update(
-                    truth=float(np.mean([bc.truth for bc in defined])),
-                    bias_lo=float(lo),
-                    bias_hi=float(hi),
-                    bias_min=float(min(biases)),
-                    bias_max=float(max(biases)),
-                    bias_mean=float(np.mean(biases)),
-                )
-            rows.append(row)
+    for key, _, _, defined in _estimand_groups(results):
+        biases = [bc.bias for bc in defined]
+        row = {**key, "truth": None, "bias_lo": None, "bias_hi": None, "bias_min": None,
+               "bias_max": None, "bias_mean": None, "n_cells": len(biases)}
+        if biases:
+            lo, hi = np.percentile(biases, [2.5, 97.5])
+            row.update(
+                truth=float(np.mean([bc.truth for bc in defined])),
+                bias_lo=float(lo),
+                bias_hi=float(hi),
+                bias_min=float(min(biases)),
+                bias_max=float(max(biases)),
+                bias_mean=float(np.mean(biases)),
+            )
+        rows.append(row)
     return rows
 
 
@@ -471,33 +464,24 @@ def figure_rows(results: StudyResults) -> list[dict]:
     """Per (scenario, time, estimand) cross-replicate medians of the
     posterior median and interval bounds, for plotting."""
     rows = []
-    for (scenario, t), slices in sorted(_slices_by_key(results).items()):
-        for name in ESTIMANDS:
-            present = [s for s in slices if name in s.summaries]
-            medians = [s.summaries[name].median for s in present
-                       if s.summaries[name].median is not None]
-            los = [s.summaries[name].lo95 for s in present
-                   if s.summaries[name].lo95 is not None]
-            his = [s.summaries[name].hi95 for s in present
-                   if s.summaries[name].hi95 is not None]
-            truths = [s.bias_coverage[name].truth for s in present
-                      if name in s.bias_coverage and s.bias_coverage[name].defined]
-            frac_undef = (
-                float(np.mean([s.summaries[name].frac_undefined for s in present]))
-                if present else math.nan
-            )
-            rows.append(
-                {
-                    "scenario": scenario,
-                    "time": t,
-                    "estimand": name,
-                    "truth": float(np.median(truths)) if truths else None,
-                    "median": float(np.median(medians)) if medians else None,
-                    "lo95": float(np.median(los)) if los else None,
-                    "hi95": float(np.median(his)) if his else None,
-                    "frac_undefined": frac_undef,
-                }
-            )
+    for key, _, summaries, defined in _estimand_groups(results):
+        medians = [s.median for s in summaries if s.median is not None]
+        los = [s.lo95 for s in summaries if s.lo95 is not None]
+        his = [s.hi95 for s in summaries if s.hi95 is not None]
+        truths = [bc.truth for bc in defined]
+        frac_undef = (
+            float(np.mean([s.frac_undefined for s in summaries])) if summaries else math.nan
+        )
+        rows.append(
+            {
+                **key,
+                "truth": float(np.median(truths)) if truths else None,
+                "median": float(np.median(medians)) if medians else None,
+                "lo95": float(np.median(los)) if los else None,
+                "hi95": float(np.median(his)) if his else None,
+                "frac_undefined": frac_undef,
+            }
+        )
     return rows
 
 

@@ -195,7 +195,7 @@ def test_criterion_4_closed_forms_vs_quadrature():
         post = _one_draw_survival(grid, lam, lam[::-1], [alpha], [-alpha])
         died = trial % 2
         patient = ObservedPatient(id=0, x=x, w=1, t_obs=t if died else 15.0, d_obs=died,
-                                  y_obs={}, follow_up=15.0)
+                                  y_obs={})
         data = ObservedDataset(patients=(patient,), follow_up=15.0)
         scale = math.exp(alpha * x[0])
         cuts = list(grid.cutpoints)
@@ -226,7 +226,7 @@ def _fixture():
     def obs(id, w, t_obs, d_obs, y=None, x=0.0):
         return ObservedPatient(
             id=id, x=(x,), w=w, t_obs=t_obs, d_obs=d_obs,
-            y_obs={} if y is None else {10.0: y}, follow_up=15.0,
+            y_obs={} if y is None else {10.0: y},
         )
 
     data = ObservedDataset(
@@ -450,7 +450,6 @@ def test_criterion_8_metrics_sanity():
     def obs(id, t_obs, d_obs=1):
         return ObservedPatient(
             id=id, x=(0.0,), w=0, t_obs=t_obs, d_obs=d_obs, y_obs={},
-            follow_up=t_obs if d_obs == 0 else 20.0,
         )
 
     patients = tuple(obs(i, t) for i, t in enumerate([2.0, 5.0, 9.0, 13.0]))

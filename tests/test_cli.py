@@ -60,8 +60,13 @@ MIXED = json.loads(resources.files("tbd").joinpath("scenarios.json").read_text()
     (json.dumps({"a": MIXED}), ["--n", "0"], "n must be positive"),
     ("[1]", [], "expected an object of named scenarios, got [1]"),
     (json.dumps({"a": 3}), [], "scenario 'a': expected an object, got 3"),
+    *((json.dumps({"a": {**MIXED, "visit_times": visits}}), [],
+       f"scenario 'a': visit times must be finite, strictly increasing and within (0, 15.0], "
+       f"got {shown}")
+      for visits, shown in (([3, 3, 6], "[3.0, 3.0, 6.0]"), ([6, 3], "[6.0, 3.0]"),
+                            (["nan", 3], "[nan, 3.0]"), ([0, 3], "[0.0, 3.0]"))),
 ], ids=["several-none-by-stem", "unknown-key", "malformed-json", "n-zero", "file-not-object",
-        "scenario-not-object"])
+        "scenario-not-object", "repeated-visit", "unsorted-visits", "nan-visit", "zero-visit"])
 def test_refused_scenario_is_a_one_line_error(runner, tmp_path, text, extra, refused):
     scenario = tmp_path / "several.json"
     scenario.write_text(text)
@@ -253,6 +258,41 @@ def test_estimate_refuses_draws_outside_the_pool(runner, sim_dir, fits_path, tmp
     assert result.exit_code == 0, result.output
 
 
+def _widened(values):
+    """Nested lists of numbers with a 0.0 appended to each innermost list."""
+    return [*values, 0.0] if not isinstance(values[0], list) else [_widened(v) for v in values]
+
+
+@pytest.mark.parametrize("widen", ["data", "fits", "one-visit"])
+def test_estimate_refuses_fits_of_another_covariate_width(runner, sim_dir, fits_path, tmp_path,
+                                                          widen):
+    data, fits = tmp_path / "observed.json", tmp_path / "fits.json"
+    data_doc = json.loads((sim_dir / "observed.json").read_text())
+    fits_doc = json.loads(fits_path.read_text())
+    if widen == "data":
+        for patient in data_doc["patients"]:
+            patient["x"] = _widened(patient["x"])
+    else:
+        visits = list(fits_doc["longitudinal"].values())
+        if widen == "fits":
+            for key in ("alpha0", "alpha1"):
+                fits_doc["survival"][key] = _widened(fits_doc["survival"][key])
+        for ldoc in visits[-1:] if widen == "one-visit" else visits:
+            ldoc["beta1"] = _widened(ldoc["beta1"])
+    data.write_text(json.dumps(data_doc))
+    fits.write_text(json.dumps(fits_doc))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["estimate", "--data", str(data), "--fits", str(fits),
+                                  "--out", str(out), "--draws", "5"])
+    fitted, given = (1, 2) if widen == "data" else (2, 1)
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [
+        f"Error: posteriors {fits} refused: fitted on {fitted} covariates, data {data} has "
+        f"{given}; rerun `tbd fit`"
+    ]
+    assert not out.exists()
+
+
 NOT_OBJECT_CONFIGS = pytest.mark.parametrize("doc, refused", [
     ([1], "StudyConfig: expected an object, got [1]"),
     ({"mcmc": 3}, "StudyConfig.mcmc: McmcConfig: expected an object, got 3"),
@@ -337,10 +377,16 @@ def _death(t_obs):
      "follow_up must be positive and finite, got -1.0"),
     ({"follow_up_months": 15.0, "patients": [_death(5.0), {**_death(6.0), "id": 1, "x": [0.1, 2.0]}]},
      "covariate vectors must share one length, got [1, 2]"),
+    *(({"follow_up_months": 15.0, "visit_times": visits, "patients": [_death(5.0)]},
+       f"visit times must be finite, strictly increasing and within (0, 15.0], got {shown}")
+      for visits, shown in (([3, 3, 6], "[3.0, 3.0, 6.0]"), ([0, 3], "[0.0, 3.0]"),
+                            ([-3, 3], "[-3.0, 3.0]"), (["nan", 3], "[nan, 3.0]"),
+                            ([3, 20], "[3.0, 20.0]"))),
 ], ids=["no-follow-up", "bad-arm", "scalar-x", "patient-unknown-key", "patient-follow-up",
         "top-level-unknown-key", "top-level-follow-up", "negative-death", "nan-death",
         "infinite-death", "zero-death", "death-after-follow-up", "zero-follow-up",
-        "negative-follow-up", "ragged-x"])
+        "negative-follow-up", "ragged-x", "repeated-visit", "zero-visit", "negative-visit",
+        "nan-visit", "visit-after-follow-up"])
 @pytest.mark.parametrize("command", ["fit", "estimate"])
 def test_refused_data_is_a_one_line_error(runner, fits_path, tmp_path, command, doc, refused):
     data = tmp_path / "observed.json"

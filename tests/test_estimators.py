@@ -48,7 +48,6 @@ def _obs(id, w, t_obs, d_obs, y=None, x=0.0):
     y_obs = {} if y is None else {T: y}
     return ObservedPatient(
         id=id, x=(x,), w=w, t_obs=t_obs, d_obs=d_obs, y_obs=y_obs,
-        follow_up=15.0,
     )
 
 
@@ -426,7 +425,7 @@ def _swap_arms(data, spost, lpost):
         patients=tuple(
             ObservedPatient(
                 id=p.id, x=p.x, w=1 - p.w, t_obs=p.t_obs, d_obs=p.d_obs,
-                y_obs=p.y_obs, follow_up=p.follow_up,
+                y_obs=p.y_obs,
             )
             for p in data.patients
         ),

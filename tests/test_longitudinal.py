@@ -36,7 +36,7 @@ def _sparams(lam0, lam1, grid=HazardGrid((0.0, 15.0))):
 def _obs(id=0, w=0, t_obs=15.0, d_obs=0, y_obs=None, x=(0.0,)):
     return ObservedPatient(
         id=id, x=x, w=w, t_obs=t_obs, d_obs=d_obs,
-        y_obs={3.0: -1.0, 12.0: -2.0} if y_obs is None else y_obs, follow_up=15.0,
+        y_obs={3.0: -1.0, 12.0: -2.0} if y_obs is None else y_obs,
     )
 
 

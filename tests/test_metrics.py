@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from tbd.metrics import (
     km_survival,
     mae_reconstruction,
 )
-from tbd.science import ObservedDataset, ObservedPatient, PatientTruth, ScienceTable
+from tbd.science import ObservedColumns, ObservedDataset, ObservedPatient, PatientTruth, ScienceTable
 from tbd.simulate import get_scenario, observe, simulate_science_table
 
 
@@ -84,7 +85,7 @@ class TestMae:
     def test_no_counterfactual_survivors_returns_none(self):
         p = PatientTruth(
             id=0, x=(0.0,), w=1, y0={}, y1={3.0: -1.0, 9.0: -2.0},
-            t0=2.0, t1=20.0, follow_up=15.0,
+            t0=2.0, t1=20.0,
         )
         table = ScienceTable(patients=(p,), follow_up=15.0, visit_times=(3.0, 9.0))
         assert mae_reconstruction(table, [0.0], 9.0) is None
@@ -93,8 +94,14 @@ class TestMae:
 def _obs(id, t_obs, d_obs, w=0):
     return ObservedPatient(
         id=id, x=(0.0,), w=w, t_obs=t_obs, d_obs=d_obs, y_obs={},
-        follow_up=t_obs if d_obs == 0 else 20.0,
     )
+
+
+def _censored_at_random(patients):
+    """What the IPCW metrics read of a dataset, its columns, for patients
+    censored at times of their own. An ``ObservedDataset`` refuses them: it
+    censors only at its one follow-up."""
+    return SimpleNamespace(columns=ObservedColumns(tuple(patients)))
 
 
 class TestKaplanMeier:
@@ -169,10 +176,9 @@ class TestBrier:
             t_obs = min(raw[i], cens[i])
             d = int(raw[i] <= cens[i])
             patients.append(
-                ObservedPatient(id=i, x=(0.0,), w=0, t_obs=t_obs, d_obs=d, y_obs={},
-                                follow_up=t_obs if d == 0 else 20.0)
+                ObservedPatient(id=i, x=(0.0,), w=0, t_obs=t_obs, d_obs=d, y_obs={})
             )
-        data = ObservedDataset(patients=tuple(patients), follow_up=20.0)
+        data = _censored_at_random(patients)
         grid = np.array([2.0, 4.0, 6.0])
         pred = rng.uniform(0.2, 0.95, size=(n, 3))
 
@@ -192,7 +198,7 @@ class TestBrier:
 
     def test_degenerate_late_grid_truncated_with_warning(self):
         patients = [_obs(0, 5.0, 1), _obs(1, 6.0, 0), _obs(2, 7.0, 1, w=1)]
-        data = ObservedDataset(patients=tuple(patients), follow_up=20.0)
+        data = _censored_at_random(patients)
         grid = np.array([4.0, 8.0])  # past the last censoring time G hits 0
         pred = np.full((3, 2), 0.5)
         with pytest.warns(UserWarning, match="truncated"):
@@ -228,9 +234,8 @@ class TestCdAuc:
         pats = []
         for i, t in enumerate(times):
             d = int(rng.uniform() < 0.8)
-            pats.append(ObservedPatient(id=i, x=(0.0,), w=0, t_obs=t, d_obs=d, y_obs={},
-                                        follow_up=t if d == 0 else 20.0))
-        data = ObservedDataset(patients=tuple(pats), follow_up=20.0)
+            pats.append(ObservedPatient(id=i, x=(0.0,), w=0, t_obs=t, d_obs=d, y_obs={}))
+        data = _censored_at_random(pats)
         risk = rng.normal(size=n)
         a = cdauc(risk, data, np.array([4.0, 8.0]))
         b = cdauc(np.exp(2.0 * risk), data, np.array([4.0, 8.0]))
@@ -244,9 +249,8 @@ class TestCdAuc:
         for i in range(n):
             t = rng.uniform(1, 14)
             d = int(rng.uniform() < 0.7)
-            pats.append(ObservedPatient(id=i, x=(0.0,), w=0, t_obs=t, d_obs=d, y_obs={},
-                                        follow_up=t if d == 0 else 20.0))
-        data = ObservedDataset(patients=tuple(pats), follow_up=20.0)
+            pats.append(ObservedPatient(id=i, x=(0.0,), w=0, t_obs=t, d_obs=d, y_obs={}))
+        data = _censored_at_random(pats)
         risk = rng.normal(size=n)
         if tied:
             risk = np.round(risk, 1)

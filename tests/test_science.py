@@ -156,7 +156,6 @@ def _patient_truth(**kwargs):
         y1={3.0: -3.0, 6.0: -6.0},
         t0=4.0,
         t1=8.0,
-        follow_up=15.0,
     )
     defaults.update(kwargs)
     return PatientTruth(**defaults)
@@ -172,14 +171,13 @@ class TestDataModel:
             _patient_truth(t0=0.0)
 
     def test_censored_patient_must_sit_at_follow_up(self):
-        with pytest.raises(InvariantError):
-            ObservedPatient(
-                id=0, x=(0.0,), w=0, t_obs=10.0, d_obs=0, y_obs={}, follow_up=15.0
-            )
+        patient = ObservedPatient(id=0, x=(0.0,), w=0, t_obs=10.0, d_obs=0, y_obs={})
+        with pytest.raises(InvariantError, match="censored patients must carry t_obs = follow_up"):
+            ObservedDataset(patients=(patient,), follow_up=15.0)
 
     def test_alive_at_uses_strict_death_time(self):
         p = ObservedPatient(
-            id=0, x=(0.0,), w=0, t_obs=9.0, d_obs=1, y_obs={3.0: -1.0}, follow_up=15.0
+            id=0, x=(0.0,), w=0, t_obs=9.0, d_obs=1, y_obs={3.0: -1.0}
         )
         assert p.alive_at(8.9)
         assert not p.alive_at(9.0)
@@ -188,7 +186,7 @@ class TestDataModel:
     def test_observed_composite_branches(self):
         p = ObservedPatient(
             id=0, x=(0.0,), w=1, t_obs=9.0, d_obs=1,
-            y_obs={3.0: -1.0, 6.0: -2.0}, follow_up=15.0,
+            y_obs={3.0: -1.0, 6.0: -2.0},
         )
         assert observed_composite(p, 6.0) == CompositeOutcome(y=-2.0, t=6.0, d=0)
         assert observed_composite(p, 12.0) == CompositeOutcome(y=None, t=9.0, d=1)
@@ -207,7 +205,7 @@ class TestDataModel:
             patients=(
                 ObservedPatient(
                     id=0, x=(0.5,), w=1, t_obs=8.0, d_obs=1,
-                    y_obs={3.0: -3.0, 6.0: -6.0}, follow_up=15.0,
+                    y_obs={3.0: -3.0, 6.0: -6.0},
                 ),
             ),
             follow_up=15.0,
@@ -220,7 +218,7 @@ class TestDataModel:
             patients=(
                 ObservedPatient(
                     id=0, x=(0.0,), w=0, t_obs=15.0, d_obs=0,
-                    y_obs={3.0: -1.0, 4.5: -2.0}, follow_up=15.0,
+                    y_obs={3.0: -1.0, 4.5: -2.0},
                 ),
             ),
             follow_up=15.0,
@@ -239,9 +237,9 @@ class TestDataModel:
         obs = ObservedDataset(
             patients=(
                 ObservedPatient(id=0, x=(0.5, -1.0), w=1, t_obs=8.0, d_obs=1,
-                                y_obs={3.0: -3.0, 4.5: -4.25, 6.0: -6.0}, follow_up=15.0),
+                                y_obs={3.0: -3.0, 4.5: -4.25, 6.0: -6.0}),
                 ObservedPatient(id=1, x=(0.0, 2.0), w=0, t_obs=15.0, d_obs=0,
-                                y_obs={3.0: -1.5, 15.0: 2.0}, follow_up=15.0),
+                                y_obs={3.0: -1.5, 15.0: 2.0}),
             ),
             follow_up=15.0,
             visit_times=(3.0, 4.5, 6.0, 15.0),
@@ -287,11 +285,11 @@ class TestObservedColumns:
         data = ObservedDataset(
             patients=(
                 ObservedPatient(id=0, x=(0.5, 1.0), w=1, t_obs=6.0, d_obs=1,
-                                y_obs={3.0: -3.0, 6.0: -6.0}, follow_up=15.0),
+                                y_obs={3.0: -3.0, 6.0: -6.0}),
                 ObservedPatient(id=1, x=(-1.0, 0.0), w=0, t_obs=15.0, d_obs=0,
-                                y_obs={3.0: -1.0, 15.0: -2.0}, follow_up=15.0),
+                                y_obs={3.0: -1.0, 15.0: -2.0}),
                 ObservedPatient(id=2, x=(0.0, 2.0), w=0, t_obs=9.5, d_obs=1,
-                                y_obs={9.0: 1.5}, follow_up=15.0),
+                                y_obs={9.0: 1.5}),
             ),
             follow_up=15.0,
             visit_times=(3.0, 6.0, 9.0, 15.0),

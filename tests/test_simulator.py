@@ -238,14 +238,13 @@ def _random_table(rng, n):
             id=i, x=(float(rng.normal()),), w=int(rng.integers(2)),
             y0={v: y[v] for v in VISITS if v <= t0},
             y1={v: y[v] + float(rng.choice([0.0, 1.0])) for v in VISITS if v <= t1},
-            t0=t0, t1=t1, follow_up=15.0,
+            t0=t0, t1=t1,
         ))
     return ScienceTable(patients=tuple(patients), follow_up=15.0, visit_times=VISITS)
 
 
 def _patient(id, t0, t1, y0=None, y1=None, w=0):
-    return PatientTruth(id=id, x=(0.0,), w=w, y0=y0 or {}, y1=y1 or {}, t0=t0, t1=t1,
-                        follow_up=15.0)
+    return PatientTruth(id=id, x=(0.0,), w=w, y0=y0 or {}, y1=y1 or {}, t0=t0, t1=t1)
 
 
 class TestTruthsAgainstOracle:

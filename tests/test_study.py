@@ -12,7 +12,7 @@ import pytest
 from tbd import study
 from tbd.estimators import EstimandSummary
 from tbd.longitudinal import LongitudinalFitError, compute_weights
-from tbd.metrics import BiasCoverage
+from tbd.metrics import BiasCoverage, bias_and_coverage
 
 from tbd.mcmc import McmcConfig
 from tbd.simulate import TruthRecord, get_scenario, observe, simulate_science_table
@@ -238,6 +238,148 @@ class TestFailureIsolation:
         assert ok_times  # early visit still produced estimates
 
 
+def _handmade_slice(truth, death_pct, failure=None, **summaries):
+    """A scored slice: each summary is (median, lo95, hi95, frac_undefined)."""
+    summaries = {k: EstimandSummary(*s, n_draws=10) for k, s in summaries.items()}
+    return CellTimeResult(
+        time=truth.time, truth=truth, summaries=summaries,
+        bias_coverage={k: bias_and_coverage(s, getattr(truth, k)) for k, s in summaries.items()},
+        naive=0.25, wmw=0.5, death_pct=death_pct, mae=None if failure else 0.75,
+        failed=failure is not None, failure=failure,
+    )
+
+
+def _handmade_results():
+    inf, undefined = math.inf, (None, None, None, 1.0)
+    lost = "longitudinal fit: arm 1 has nobody alive and measured"
+    b0 = CellResult("b", 0, ibs=0.125, cdauc=0.75, survival_rhat=1.0, times=[
+        _handmade_slice(TruthRecord(3.0, 1.0, 0.5, 0.0, 0.25, 0.1, 0.2, 8), 10.0,
+                        sace=(1.5, 0.5, 2.5, 0.0), pc=(0.5, 0.25, 0.75, 0.0),
+                        sim=(-1.0, -2.0, -0.5, 0.0), rmst=(0.25, 0.0, 0.5, 0.0)),
+        _handmade_slice(TruthRecord(9.0, 2.0, 0.75, inf, -0.5, 0.3, 0.4, 4), 30.0, lost,
+                        rmst=(-0.25, -1.0, 0.5, 0.0)),
+    ])
+    b1 = CellResult("b", 1, ibs=None, cdauc=None, survival_rhat=1.01, times=[
+        # an empty always-survivor stratum, and a median undefined in every draw
+        _handmade_slice(TruthRecord(3.0, None, 0.25, 0.5, 0.75, 0.2, 0.2, 0), 20.0,
+                        sace=undefined, pc=(0.25, 0.0, 0.5, 0.0), sim=undefined,
+                        rmst=(1.25, 1.0, 1.5, 0.0)),
+        _handmade_slice(TruthRecord(9.0, 3.0, 0.5, inf, 0.5, 0.4, 0.4, 2), 40.0,
+                        sace=(2.0, 1.0, 4.0, 0.0), pc=(0.5, 0.25, 0.75, 0.0),
+                        sim=(1.0, 0.5, 2.0, 0.25), rmst=(0.5, 0.25, 0.75, 0.0)),
+    ])
+    a0 = CellResult("a", 0, ibs=0.0625, cdauc=0.5, survival_rhat=1.0, times=[
+        _handmade_slice(TruthRecord(3.0, 0.0, 0.5, 0.0, 0.0, 0.05, 0.05, 9), 5.0,
+                        sace=(0.0, -1.0, 1.0, 0.0), pc=(0.0, -1.0, 1.0, 0.0),
+                        sim=(0.0, -1.0, 1.0, 0.0), rmst=(0.0, -1.0, 1.0, 0.0)),
+        _handmade_slice(TruthRecord(9.0, 0.0, 0.5, 0.0, 0.0, 0.15, 0.15, 7), 15.0, lost,
+                        rmst=(0.0, -0.5, 0.5, 0.0)),
+    ])
+    a1 = CellResult("a", 1, times=[], failed=True, failure="survival fit: did not converge")
+    return study.StudyResults(config_hash="0123456789abcdef", cells=[b0, b1, a0, a1])
+
+
+# the four report files of _handmade_results, pinned byte for byte (csv rows end in \r\n)
+HANDMADE_REPORT = {
+    "coverage_table.csv": """\
+scenario,time,estimand,truth,coverage_pct,n_cells,n_undefined,n_failed,death_pct_min,death_pct_max
+a,3.0000,sace,0.0000,100.0000,1.0000,0.0000,0.0000,5.0000,5.0000
+a,3.0000,pc,0.5000,100.0000,1.0000,0.0000,0.0000,5.0000,5.0000
+a,3.0000,sim,0.0000,100.0000,1.0000,0.0000,0.0000,5.0000,5.0000
+a,3.0000,rmst,0.0000,100.0000,1.0000,0.0000,0.0000,5.0000,5.0000
+a,9.0000,sace,-,-,0.0000,0.0000,1.0000,15.0000,15.0000
+a,9.0000,pc,-,-,0.0000,0.0000,1.0000,15.0000,15.0000
+a,9.0000,sim,-,-,0.0000,0.0000,1.0000,15.0000,15.0000
+a,9.0000,rmst,0.0000,100.0000,1.0000,0.0000,0.0000,15.0000,15.0000
+b,3.0000,sace,1.0000,100.0000,1.0000,1.0000,0.0000,10.0000,20.0000
+b,3.0000,pc,0.3750,100.0000,2.0000,0.0000,0.0000,10.0000,20.0000
+b,3.0000,sim,0.0000,0.0000,1.0000,1.0000,0.0000,10.0000,20.0000
+b,3.0000,rmst,0.5000,50.0000,2.0000,0.0000,0.0000,10.0000,20.0000
+b,9.0000,sace,3.0000,100.0000,1.0000,0.0000,1.0000,30.0000,40.0000
+b,9.0000,pc,0.5000,100.0000,1.0000,0.0000,1.0000,30.0000,40.0000
+b,9.0000,sim,-,-,0.0000,1.0000,1.0000,30.0000,40.0000
+b,9.0000,rmst,0.0000,100.0000,2.0000,0.0000,0.0000,30.0000,40.0000
+""",
+    "bias_table.csv": """\
+scenario,time,estimand,truth,bias_lo,bias_hi,bias_min,bias_max,bias_mean,n_cells
+a,3.0000,sace,0.0000,0.0000,0.0000,0.0000,0.0000,0.0000,1.0000
+a,3.0000,pc,0.5000,-0.5000,-0.5000,-0.5000,-0.5000,-0.5000,1.0000
+a,3.0000,sim,0.0000,0.0000,0.0000,0.0000,0.0000,0.0000,1.0000
+a,3.0000,rmst,0.0000,0.0000,0.0000,0.0000,0.0000,0.0000,1.0000
+a,9.0000,sace,-,-,-,-,-,-,0.0000
+a,9.0000,pc,-,-,-,-,-,-,0.0000
+a,9.0000,sim,-,-,-,-,-,-,0.0000
+a,9.0000,rmst,0.0000,0.0000,0.0000,0.0000,0.0000,0.0000,1.0000
+b,3.0000,sace,1.0000,0.5000,0.5000,0.5000,0.5000,0.5000,1.0000
+b,3.0000,pc,0.3750,0.0000,0.0000,0.0000,0.0000,0.0000,2.0000
+b,3.0000,sim,0.0000,-1.0000,-1.0000,-1.0000,-1.0000,-1.0000,1.0000
+b,3.0000,rmst,0.5000,0.0125,0.4875,0.0000,0.5000,0.2500,2.0000
+b,9.0000,sace,3.0000,-1.0000,-1.0000,-1.0000,-1.0000,-1.0000,1.0000
+b,9.0000,pc,0.5000,0.0000,0.0000,0.0000,0.0000,0.0000,1.0000
+b,9.0000,sim,-,-,-,-,-,-,0.0000
+b,9.0000,rmst,0.0000,0.0063,0.2437,0.0000,0.2500,0.1250,2.0000
+""",
+    "figure_data.csv": """\
+scenario,time,estimand,truth,median,lo95,hi95,frac_undefined
+a,3.0000,sace,0.0000,0.0000,-1.0000,1.0000,0.0000
+a,3.0000,pc,0.5000,0.0000,-1.0000,1.0000,0.0000
+a,3.0000,sim,0.0000,0.0000,-1.0000,1.0000,0.0000
+a,3.0000,rmst,0.0000,0.0000,-1.0000,1.0000,0.0000
+a,9.0000,sace,-,-,-,-,-
+a,9.0000,pc,-,-,-,-,-
+a,9.0000,sim,-,-,-,-,-
+a,9.0000,rmst,0.0000,0.0000,-0.5000,0.5000,0.0000
+b,3.0000,sace,1.0000,1.5000,0.5000,2.5000,0.5000
+b,3.0000,pc,0.3750,0.3750,0.1250,0.6250,0.0000
+b,3.0000,sim,0.0000,-1.0000,-2.0000,-0.5000,0.5000
+b,3.0000,rmst,0.5000,0.7500,0.5000,1.0000,0.0000
+b,9.0000,sace,3.0000,2.0000,1.0000,4.0000,0.0000
+b,9.0000,pc,0.5000,0.5000,0.2500,0.7500,0.0000
+b,9.0000,sim,-,1.0000,0.5000,2.0000,0.2500
+b,9.0000,rmst,0.0000,0.1250,-0.3750,0.6250,0.0000
+""",
+    "metrics.csv": """\
+scenario,replicate,time,estimand,truth,median,lo95,hi95,bias,covered,death_pct,mae,ibs,cdauc
+b,0.0000,3.0000,sace,1.0000,1.5000,0.5000,2.5000,0.5000,1,10.0000,0.7500,0.1250,0.7500
+b,0.0000,3.0000,pc,0.5000,0.5000,0.2500,0.7500,0.0000,1,10.0000,0.7500,0.1250,0.7500
+b,0.0000,3.0000,sim,0.0000,-1.0000,-2.0000,-0.5000,-1.0000,0,10.0000,0.7500,0.1250,0.7500
+b,0.0000,3.0000,rmst,0.2500,0.2500,0.0000,0.5000,0.0000,1,10.0000,0.7500,0.1250,0.7500
+b,0.0000,3.0000,naive_reference_biased,-,0.2500,-,-,-,-,10.0000,0.7500,0.1250,0.7500
+b,0.0000,3.0000,wmw_reference,-,0.5000,-,-,-,-,10.0000,0.7500,0.1250,0.7500
+b,0.0000,9.0000,sace,-,-,-,-,-,-,30.0000,-,0.1250,0.7500
+b,0.0000,9.0000,pc,-,-,-,-,-,-,30.0000,-,0.1250,0.7500
+b,0.0000,9.0000,sim,-,-,-,-,-,-,30.0000,-,0.1250,0.7500
+b,0.0000,9.0000,rmst,-0.5000,-0.2500,-1.0000,0.5000,0.2500,1,30.0000,-,0.1250,0.7500
+b,0.0000,9.0000,naive_reference_biased,-,0.2500,-,-,-,-,30.0000,-,0.1250,0.7500
+b,0.0000,9.0000,wmw_reference,-,0.5000,-,-,-,-,30.0000,-,0.1250,0.7500
+b,1.0000,3.0000,sace,-,-,-,-,-,-,20.0000,0.7500,-,-
+b,1.0000,3.0000,pc,0.2500,0.2500,0.0000,0.5000,0.0000,1,20.0000,0.7500,-,-
+b,1.0000,3.0000,sim,0.5000,-,-,-,-,-,20.0000,0.7500,-,-
+b,1.0000,3.0000,rmst,0.7500,1.2500,1.0000,1.5000,0.5000,0,20.0000,0.7500,-,-
+b,1.0000,3.0000,naive_reference_biased,-,0.2500,-,-,-,-,20.0000,0.7500,-,-
+b,1.0000,3.0000,wmw_reference,-,0.5000,-,-,-,-,20.0000,0.7500,-,-
+b,1.0000,9.0000,sace,3.0000,2.0000,1.0000,4.0000,-1.0000,1,40.0000,0.7500,-,-
+b,1.0000,9.0000,pc,0.5000,0.5000,0.2500,0.7500,0.0000,1,40.0000,0.7500,-,-
+b,1.0000,9.0000,sim,inf,1.0000,0.5000,2.0000,-,-,40.0000,0.7500,-,-
+b,1.0000,9.0000,rmst,0.5000,0.5000,0.2500,0.7500,0.0000,1,40.0000,0.7500,-,-
+b,1.0000,9.0000,naive_reference_biased,-,0.2500,-,-,-,-,40.0000,0.7500,-,-
+b,1.0000,9.0000,wmw_reference,-,0.5000,-,-,-,-,40.0000,0.7500,-,-
+a,0.0000,3.0000,sace,0.0000,0.0000,-1.0000,1.0000,0.0000,1,5.0000,0.7500,0.0625,0.5000
+a,0.0000,3.0000,pc,0.5000,0.0000,-1.0000,1.0000,-0.5000,1,5.0000,0.7500,0.0625,0.5000
+a,0.0000,3.0000,sim,0.0000,0.0000,-1.0000,1.0000,0.0000,1,5.0000,0.7500,0.0625,0.5000
+a,0.0000,3.0000,rmst,0.0000,0.0000,-1.0000,1.0000,0.0000,1,5.0000,0.7500,0.0625,0.5000
+a,0.0000,3.0000,naive_reference_biased,-,0.2500,-,-,-,-,5.0000,0.7500,0.0625,0.5000
+a,0.0000,3.0000,wmw_reference,-,0.5000,-,-,-,-,5.0000,0.7500,0.0625,0.5000
+a,0.0000,9.0000,sace,-,-,-,-,-,-,15.0000,-,0.0625,0.5000
+a,0.0000,9.0000,pc,-,-,-,-,-,-,15.0000,-,0.0625,0.5000
+a,0.0000,9.0000,sim,-,-,-,-,-,-,15.0000,-,0.0625,0.5000
+a,0.0000,9.0000,rmst,0.0000,0.0000,-0.5000,0.5000,0.0000,1,15.0000,-,0.0625,0.5000
+a,0.0000,9.0000,naive_reference_biased,-,0.2500,-,-,-,-,15.0000,-,0.0625,0.5000
+a,0.0000,9.0000,wmw_reference,-,0.5000,-,-,-,-,15.0000,-,0.0625,0.5000
+""",
+}
+
+
 class TestReports:
     def test_report_files_written(self, study_dir, tmp_path):
         _, _, results = study_dir
@@ -274,6 +416,81 @@ class TestReports:
         text = (tmp_path / "r" / "coverage_table.csv").read_text()
         sim_rows = [l for l in text.splitlines() if ",sim," in l]
         assert sim_rows and ",-," in sim_rows[0]
+
+    def test_handmade_tables_row_by_row(self, tmp_path):
+        # no fitting: scenarios out of order, visits whose longitudinal fit
+        # failed (RMST only), an undefined truth, an all-undefined estimate,
+        # an infinite truth and a cell whose survival fit failed
+        results = _handmade_results()
+        nan = math.nan
+        expected = {
+            coverage_rows: [
+                ("a", 3.0, "sace", 0.0, 100.0, 1, 0, 0, 5.0, 5.0),
+                ("a", 3.0, "pc", 0.5, 100.0, 1, 0, 0, 5.0, 5.0),
+                ("a", 3.0, "sim", 0.0, 100.0, 1, 0, 0, 5.0, 5.0),
+                ("a", 3.0, "rmst", 0.0, 100.0, 1, 0, 0, 5.0, 5.0),
+                ("a", 9.0, "sace", None, None, 0, 0, 1, 15.0, 15.0),
+                ("a", 9.0, "pc", None, None, 0, 0, 1, 15.0, 15.0),
+                ("a", 9.0, "sim", None, None, 0, 0, 1, 15.0, 15.0),
+                ("a", 9.0, "rmst", 0.0, 100.0, 1, 0, 0, 15.0, 15.0),
+                ("b", 3.0, "sace", 1.0, 100.0, 1, 1, 0, 10.0, 20.0),
+                ("b", 3.0, "pc", 0.375, 100.0, 2, 0, 0, 10.0, 20.0),
+                ("b", 3.0, "sim", 0.0, 0.0, 1, 1, 0, 10.0, 20.0),
+                ("b", 3.0, "rmst", 0.5, 50.0, 2, 0, 0, 10.0, 20.0),
+                ("b", 9.0, "sace", 3.0, 100.0, 1, 0, 1, 30.0, 40.0),
+                ("b", 9.0, "pc", 0.5, 100.0, 1, 0, 1, 30.0, 40.0),
+                ("b", 9.0, "sim", None, None, 0, 1, 1, 30.0, 40.0),
+                ("b", 9.0, "rmst", 0.0, 100.0, 2, 0, 0, 30.0, 40.0),
+            ],
+            # truth, then the 2.5/97.5 percentiles, extremes and mean of the bias
+            study.bias_rows: [
+                ("a", 3.0, "sace", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1),
+                ("a", 3.0, "pc", 0.5, -0.5, -0.5, -0.5, -0.5, -0.5, 1),
+                ("a", 3.0, "sim", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1),
+                ("a", 3.0, "rmst", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1),
+                ("a", 9.0, "sace", None, None, None, None, None, None, 0),
+                ("a", 9.0, "pc", None, None, None, None, None, None, 0),
+                ("a", 9.0, "sim", None, None, None, None, None, None, 0),
+                ("a", 9.0, "rmst", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1),
+                ("b", 3.0, "sace", 1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 1),
+                ("b", 3.0, "pc", 0.375, 0.0, 0.0, 0.0, 0.0, 0.0, 2),
+                ("b", 3.0, "sim", 0.0, -1.0, -1.0, -1.0, -1.0, -1.0, 1),
+                ("b", 3.0, "rmst", 0.5, 0.0125, 0.4875, 0.0, 0.5, 0.25, 2),
+                ("b", 9.0, "sace", 3.0, -1.0, -1.0, -1.0, -1.0, -1.0, 1),
+                ("b", 9.0, "pc", 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 1),
+                ("b", 9.0, "sim", None, None, None, None, None, None, 0),
+                ("b", 9.0, "rmst", 0.0, 0.00625, 0.24375, 0.0, 0.25, 0.125, 2),
+            ],
+            # median truth, medians of the posterior median and bounds, mean
+            # share of undefined draws (NaN where no slice computed it)
+            study.figure_rows: [
+                ("a", 3.0, "sace", 0.0, 0.0, -1.0, 1.0, 0.0),
+                ("a", 3.0, "pc", 0.5, 0.0, -1.0, 1.0, 0.0),
+                ("a", 3.0, "sim", 0.0, 0.0, -1.0, 1.0, 0.0),
+                ("a", 3.0, "rmst", 0.0, 0.0, -1.0, 1.0, 0.0),
+                ("a", 9.0, "sace", None, None, None, None, nan),
+                ("a", 9.0, "pc", None, None, None, None, nan),
+                ("a", 9.0, "sim", None, None, None, None, nan),
+                ("a", 9.0, "rmst", 0.0, 0.0, -0.5, 0.5, 0.0),
+                ("b", 3.0, "sace", 1.0, 1.5, 0.5, 2.5, 0.5),
+                ("b", 3.0, "pc", 0.375, 0.375, 0.125, 0.625, 0.0),
+                ("b", 3.0, "sim", 0.0, -1.0, -2.0, -0.5, 0.5),
+                ("b", 3.0, "rmst", 0.5, 0.75, 0.5, 1.0, 0.0),
+                ("b", 9.0, "sace", 3.0, 2.0, 1.0, 4.0, 0.0),
+                ("b", 9.0, "pc", 0.5, 0.5, 0.25, 0.75, 0.0),
+                ("b", 9.0, "sim", None, 1.0, 0.5, 2.0, 0.25),
+                ("b", 9.0, "rmst", 0.0, 0.125, -0.375, 0.625, 0.0),
+            ],
+        }
+        for table, rows in expected.items():
+            got = [tuple(row.values()) for row in table(results)]
+            assert len(got) == len(rows), table.__name__
+            for g, want in zip(got, rows):
+                assert g == pytest.approx(want, nan_ok=True), (table.__name__, want)
+
+        emit_report(results, tmp_path)
+        for name, text in HANDMADE_REPORT.items():
+            assert (tmp_path / name).read_bytes() == text.replace("\n", "\r\n").encode(), name
 
 
 class TestBuildConfig:

@@ -25,17 +25,12 @@ from tbd.survival import (
 GRID = HazardGrid(cutpoints=(0.0, 3.0, 6.0, 9.0, 12.0, 15.0))
 
 
-def _patient(t_obs, d_obs, w=0, x=(0.0,), follow_up=None):
-    if follow_up is None:
-        follow_up = 15.0 if d_obs == 1 else t_obs
-    return ObservedPatient(
-        id=0, x=x, w=w, t_obs=t_obs, d_obs=d_obs, y_obs={}, follow_up=follow_up,
-    )
+def _patient(t_obs, d_obs, w=0, x=(0.0,)):
+    return ObservedPatient(id=0, x=x, w=w, t_obs=t_obs, d_obs=d_obs, y_obs={})
 
 
 def _dataset(patients):
-    follow_up = max(p.follow_up for p in patients)
-    return ObservedDataset(patients=tuple(patients), follow_up=follow_up)
+    return ObservedDataset(patients=tuple(patients), follow_up=15.0)
 
 
 def _params(lam0, lam1=None, a0=0.0, a1=0.0, grid=GRID):
@@ -267,7 +262,7 @@ class TestFitSurvival:
             patients=tuple(
                 ObservedPatient(
                     id=p.id, x=(0.0,), w=p.w, t_obs=p.t_obs, d_obs=p.d_obs,
-                    y_obs=p.y_obs, follow_up=p.follow_up,
+                    y_obs=p.y_obs,
                 )
                 for p in data.patients
             ),
