@@ -1,0 +1,185 @@
+"""Alternating parent/change runs of the benchmark, summarized in a BENCH_*.json.
+
+For each seed, runs ``bench/run.py --workload W --seed S --seconds N --trace 0``
+in the parent tree and in the change tree, one at a time, with N the
+``run_seconds`` of the change's ``BENCHMARK.json``. The side that runs
+first alternates from seed to seed: the parent at the first seed, the change
+at the second, and so on. The script reads only what each run prints (its
+provenance line and its last line); it changes nothing in either tree, and
+the benchmark writes only its own ``.bench_out`` there.
+
+The pseudo-workload ``study_workers`` times ``tbd study`` instead: six
+``no_effect`` cells at n=2000 with ``--workers 1`` and then ``--workers 2``,
+on each side, recording wall seconds, CPU seconds of the study and its worker
+processes, and whether both sides at both worker counts wrote the same
+cells at each seed.
+
+Each call updates one section of ``--out``: ``workloads[W]``, or
+``held_out[W]`` with ``--held-out`` (seeds not used while the change was
+written). A section holds every run's metrics, each side's median and
+quartiles, the change/parent ratio of the medians and the pairs the change
+won. Usage::
+
+    python scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_x.json \\
+        --workload study_n2000 --seeds 921 922 923 924 925 926
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import re
+import resource
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+BENCH_WORKLOADS = ("study_n200", "study_n2000", "analyst_estimate")
+STUDY = {"scenarios": ["no_effect"], "n": 2000, "replicates": 6}
+STUDY_WORKERS = (1, 2)
+CONFIG_HASH = re.compile(rb'"config_hash": "[0-9a-f]+"')
+
+
+def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run in ``tree``: its result line and provenance."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1])
+    prov = next(json.loads(line[len("provenance "):]) for line in lines
+                if line.startswith("provenance "))
+    return {
+        "correct": result["correct"], "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "nproc": prov["nproc"], "blas_threads": prov["blas_threads"],
+        "code_sha256": prov["code_sha256"],
+    }
+
+
+def study_run(tree: Path, seed: int, work: Path) -> dict:
+    """``tbd study`` over ``STUDY`` at each worker count, from ``tree``'s sources."""
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
+    config = work / "study.json"
+    config.write_text(json.dumps({**STUDY, "master_seed": seed}))
+    out: dict = {"metrics": {}, "cells_sha256": {}}
+    for workers in STUDY_WORKERS:
+        target = work / f"w{workers}"
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "tbd.cli", "study", "--config", str(config),
+                               "--out", str(target), "--workers", str(workers)],
+                              env=env, capture_output=True, text=True)
+        wall = time.perf_counter() - start
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        if done.returncode not in (0, 1):  # 1: the study finished with failed cells
+            raise SystemExit(f"{tree}: tbd study exited {done.returncode}:\n{done.stderr}")
+        out["metrics"][f"wall_s_workers{workers}"] = wall
+        out["metrics"][f"cpu_s_workers{workers}"] = (after.ru_utime - before.ru_utime
+                                                     + after.ru_stime - before.ru_stime)
+        h = hashlib.sha256()
+        for cell in sorted((target / "cells").glob("*.json")):
+            h.update(cell.name.encode() + b"\0" + CONFIG_HASH.sub(b"", cell.read_bytes()))
+        out["cells_sha256"][f"workers{workers}"] = h.hexdigest()
+        shutil.rmtree(target)
+    return out
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: each side's median and quartiles, the ratio of the medians,
+    and the pairs in which the change was strictly better."""
+    out = {}
+    for name in pairs[0]["parent"]["metrics"]:
+        lower = better.get(name, "lower") == "lower"
+        side = {s: [p[s]["metrics"][name] for p in pairs] for s in ("parent", "change")}
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(side["parent"], side["change"]))
+        parent, change = quartiles(side["parent"]), quartiles(side["change"])
+        out[name] = {
+            "better": "lower" if lower else "higher",
+            "parent": parent, "change": change,
+            "ratio": change["median"] / parent["median"] if parent["median"] else None,
+            "parent_iqr": parent["q3"] - parent["q1"],
+            "change_better_in_pairs": f"{wins}/{len(pairs)}",
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True, help="source tree of the parent")
+    ap.add_argument("--change", type=Path, required=True, help="source tree of the change")
+    ap.add_argument("--out", type=Path, required=True, help="BENCH_*.json to create or update")
+    ap.add_argument("--workload", required=True, choices=(*BENCH_WORKLOADS, "study_workers"))
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--held-out", action="store_true",
+                    help="record the seeds as held out: not used while the change was written")
+    args = ap.parse_args(argv)
+
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
+    trees = {"parent": args.parent, "change": args.change}
+    pairs = []
+    for i, seed in enumerate(args.seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair: dict = {"seed": seed, "first": order[0]}
+        for side in order:
+            if args.workload == "study_workers":
+                with tempfile.TemporaryDirectory() as tmp:
+                    pair[side] = study_run(trees[side], seed, Path(tmp))
+            else:
+                pair[side] = bench_run(trees[side], args.workload, seed, seconds)
+            print(f"{args.workload} seed {seed} {side}: "
+                  + ", ".join(f"{k} {v:.4g}" for k, v in pair[side]["metrics"].items()),
+                  file=sys.stderr)
+        pairs.append(pair)
+
+    if args.workload == "study_workers":
+        command = (f"tbd study --config <{json.dumps(STUDY)} with master_seed <seed>> "
+                   f"--workers <{' then '.join(map(str, STUDY_WORKERS))}>")
+        same = sum(len({h for s in trees for h in p[s]["cells_sha256"].values()}) == 1
+                   for p in pairs)
+        extra = {"seeds_with_the_same_cells_on_both_sides_and_worker_counts":
+                 f"{same}/{len(pairs)}"}
+    else:
+        command = (f"python3 bench/run.py --workload {args.workload} --seed <seed> "
+                   f"--seconds {seconds:g} --trace 0")
+        runs = [p[s] for p in pairs for s in trees]
+        extra = {
+            "correct_runs": {s: f"{sum(p[s]['correct'] for p in pairs)}/{len(pairs)}"
+                             for s in trees},
+            "failed_ops": {s: f"{sum(p[s]['failed'] for p in pairs)}/"
+                              f"{sum(p[s]['attempted'] for p in pairs)}" for s in trees},
+            "nproc": sorted({r["nproc"] for r in runs}),
+            "blas_threads": sorted({r["blas_threads"] for r in runs}, key=str),
+        }
+    section = {"command": command, "seeds": args.seeds,
+               "order": "alternating: the parent first at the 1st, 3rd, ... seed",
+               **extra, "summary": summarize(pairs, better), "pairs": pairs}
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("held_out" if args.held_out else "workloads", {})[args.workload] = section
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    for name, s in section["summary"].items():
+        print(f"{name:24s} parent {s['parent']['median']:.4g}  change {s['change']['median']:.4g}  "
+              f"ratio {s['ratio'] if s['ratio'] is None else round(s['ratio'], 3)}  "
+              f"change better {s['change_better_in_pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -120,7 +120,7 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
     fits = science.load_json(fits_path)
     try:
         spost = survival.SurvivalPosterior.from_json(fits["survival"])
-        lposts = {key: longitudinal.LongitudinalPosterior.from_json(ldoc)
+        lposts = {float(key): longitudinal.LongitudinalPosterior.from_json(ldoc)
                   for key, ldoc in fits["longitudinal"].items()}
     except (KeyError, ValueError) as exc:
         raise click.ClickException(f"posteriors {fits_path} refused: {exc}; rerun `tbd fit`") from exc
@@ -134,14 +134,17 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
     if fitted != {width}:
         raise click.ClickException(f"posteriors {fits_path} refused: fitted on {max(fitted - {width})} "
                                    f"covariates, data {data_path} has {width}; rerun `tbd fit`")
+    if strays := [t for t in lposts if t not in data.visit_times]:
+        raise click.ClickException(f"posteriors {fits_path} refused: fitted at months {strays}, "
+                                   f"not visits of data {data_path} ({list(data.visit_times)}); "
+                                   "rerun `tbd fit`")
     if not spost.converged:
         click.echo("warning: survival fit flagged by convergence diagnostics", err=True)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     est_rows = []
     summary_rows = []
-    for key, lpost in lposts.items():
-        t = float(key)
+    for t, lpost in lposts.items():
         if not lpost.converged:
             click.echo(f"warning: longitudinal fit at t={t} flagged by diagnostics", err=True)
         result = estimators.estimand_draws(spost, lpost, data, t, draws)

@@ -173,25 +173,23 @@ def rmst_estimand_draws(
 
 
 def _sim_batch(values: np.ndarray, masses: np.ndarray, half: float) -> np.ndarray:
-    """Mass median of every row of ``values`` / ``masses`` (draws, atoms):
-    the value where the cumulative mass of the sorted atoms first reaches
-    ``half``. When that boundary falls exactly between two atoms the two are
-    averaged; averaging with an infinity yields that infinity, and oppositely
-    infinite neighbours yield NaN.
+    """Mass median of every row of ``values`` / ``masses`` (draws, atoms),
+    whose rows are sorted by value: the value where the cumulative mass
+    first reaches ``half``. When that boundary falls exactly between two
+    atoms the two are averaged; averaging with an infinity yields that
+    infinity, and oppositely infinite neighbours yield NaN.
 
     Zero-mass atoms may stay in the rows: adding 0.0 leaves each cumulative
     sum as it was, and such an atom is never the one picked nor the
     neighbour at a boundary."""
-    order = np.argsort(values, axis=1, kind="stable")
-    m = np.take_along_axis(masses, order, axis=1)
-    cum = np.cumsum(m, axis=1)
-    rows = np.arange(len(m))
+    cum = np.cumsum(masses, axis=1)
+    rows = np.arange(len(masses))
     # the first atom reaching half; there is one, as the masses add up to 2 * half
     idx = (cum < half - _MASS_TOL).sum(axis=1)
-    later = (m > 0) & (np.arange(m.shape[1])[None, :] > idx[:, None])
+    later = (masses > 0) & (np.arange(masses.shape[1])[None, :] > idx[:, None])
     at_boundary = np.abs(cum[rows, idx] - half) <= _MASS_TOL  # half the mass is later
-    lo = values[rows, order[rows, idx]]
-    hi = values[rows, order[rows, np.argmax(later, axis=1)]]
+    lo = values[rows, idx]
+    hi = values[rows, np.argmax(later, axis=1)]
     with np.errstate(invalid="ignore"):
         mid = np.where(np.isinf(lo), lo, np.where(np.isinf(hi), hi, 0.5 * (lo + hi)))
     mid[np.isinf(lo) & np.isinf(hi) & (lo != hi)] = np.nan
@@ -249,19 +247,29 @@ def estimand_draws(
     rmst = rmst_estimand_draws(spost, data, t, k)
 
     # SIM: each patient's atoms as the module docstring lists them, finite atoms at
-    # the predictive mean; the infinite atoms sit where they do for every draw
+    # the predictive mean. The infinite atoms sit where they do for every draw, so
+    # only the finite ones are sorted; the -inf atoms go before them and the +inf
+    # atoms after, each group in index order. That is the order a stable sort of
+    # all the atoms gives, so the cumulative masses add in the same sequence.
     v_inf = np.concatenate([np.where(sign[surv] > 0, np.inf, -np.inf),
                             np.where(sign[dead] > 0, -np.inf, np.inf),
                             np.where(sign[dead] > 0, np.inf, -np.inf)])
+    neg, pos = np.flatnonzero(v_inf < 0), np.flatnonzero(v_inf > 0)
     m_dead = s_mis[:, dead]
     sim = np.empty(k)
     step = max(1, _SIM_BLOCK_ATOMS // (2 * n))
     for start in range(0, k, step):
         b = slice(start, start + step)
         v_fin = sign[surv] * (y[surv] - mu_mis[b][:, surv])
+        order = np.argsort(v_fin, axis=1, kind="stable")
+        m_inf = np.concatenate([1.0 - s_surv[b], m_dead[b], 1.0 - m_dead[b]], axis=1)
+        rows = len(v_fin)
         sim[b] = _sim_batch(
-            np.concatenate([v_fin, np.broadcast_to(v_inf, (len(v_fin), len(v_inf)))], axis=1),
-            np.concatenate([s_surv[b], 1.0 - s_surv[b], m_dead[b], 1.0 - m_dead[b]], axis=1),
+            np.concatenate([np.full((rows, len(neg)), -np.inf),
+                            np.take_along_axis(v_fin, order, axis=1),
+                            np.full((rows, len(pos)), np.inf)], axis=1),
+            np.concatenate([m_inf[:, neg], np.take_along_axis(s_surv[b], order, axis=1),
+                            m_inf[:, pos]], axis=1),
             n / 2.0,
         )
 

@@ -8,8 +8,10 @@ restricted-mean integrals have closed forms under piecewise-constant
 hazards. Both are evaluated under each patient's unassigned arm by one
 traversal of the posterior draws (``s_mis_matrix``, ``rmst_matrix``) and
 checked against quadrature in the test suite. The traversal takes blocks
-of draws, and no kernel builds an array with a segment axis: the survival
-mean serves every visit time from one traversal, computing each block's
+of draws and, within a block, tiles of patients, so each (block x tile)
+array stays in cache and each matrix product is too small to wake a second
+BLAS thread. No kernel builds an array with a segment axis: the survival
+mean serves every visit time from one traversal, computing each tile's
 covariate scales once, and the restricted mean adds its segments one at a
 time. Beyond the last cutpoint the final segment rate is extended.
 
@@ -112,6 +114,9 @@ class SurvivalPriors:
 # --- posterior ---------------------------------------------------------------
 
 S_MIS_BLOCK = 256  # posterior draws per block of the counterfactual kernels
+# Patients per tile, at most: a (block x tile) product, exp and column sum
+# stays in L2 cache and is too small to wake a second BLAS thread.
+S_MIS_TILE = 128
 
 
 def _add(a, b):
@@ -205,18 +210,29 @@ class SurvivalPosterior:
         return mcmc.even_indices(self.n_draws, k)
 
     def _unassigned_blocks(self, data: ObservedDataset, idx: np.ndarray):
-        """The counterfactual hazards, arm by arm and ``S_MIS_BLOCK`` draws
-        of ``idx`` at a time. Yields the patients whose unassigned arm it is
-        (``sel``), the block's rows within ``idx``, its segment rates (B, J)
-        and each selected patient's covariate scale exp(alpha . x) (B, len(sel))."""
+        """The counterfactual hazards, arm by arm, ``S_MIS_BLOCK`` draws of
+        ``idx`` at a time, and within a block tile by tile of the patients
+        whose unassigned arm it is. Yields a tile's patients (``sel``), the
+        block's rows within ``idx``, its segment rates (B, J) and each
+        patient's covariate scale exp(alpha . x) (B, len(sel)).
+
+        An arm's patients are split into tiles of equal size, up to one,
+        of at most ``S_MIS_TILE``, so no tile holds a single patient unless
+        the arm does: a one-column product and column sum take other code
+        paths (matrix-vector product, pairwise sum) than a wider one. The
+        values keep the bits of one product over the whole arm wherever BLAS
+        computes a column of a wide product as it does in a narrow one;
+        OpenBLAS rounds the last (size mod 8) columns of a product over more
+        than 192 patients differently, by a few ulp after the exponential."""
         cols = data.columns
         for arm, lam, alpha in ((0, self.lambda0, self.alpha0), (1, self.lambda1, self.alpha1)):
-            sel = np.flatnonzero(cols.w != arm)
-            x_arm = cols.x[sel]
+            sel_arm = np.flatnonzero(cols.w != arm)
+            tiles = np.array_split(sel_arm, max(1, -(-len(sel_arm) // S_MIS_TILE)))
             for start in range(0, len(idx), S_MIS_BLOCK):
                 block = idx[start:start + S_MIS_BLOCK]
-                scale = np.exp(alpha[block] @ x_arm.T)
-                yield sel, slice(start, start + len(block)), lam[block], scale
+                rows, lam_b, alpha_b = slice(start, start + len(block)), lam[block], alpha[block]
+                for sel in tiles:
+                    yield sel, rows, lam_b, np.exp(alpha_b @ cols.x[sel].T)
 
     def s_mis_matrix(self, data: ObservedDataset, t, indices=None) -> np.ndarray:
         """Counterfactual survival probabilities under each patient's unassigned arm,

@@ -7,6 +7,10 @@ science table (``science.composite_metric``, ``simulate.true_estimands``,
 ``metrics.mae_reconstruction``). The tests use them as the reference for
 that array code and, with quadrature and enumeration, as oracles of the
 acceptance criteria 2, 4 and 5.
+
+It also keeps the counterfactual-survival traversal without patient tiles
+(``untiled_s_mis_matrix``, ``untiled_rmst_matrix``), the reference that the
+tiled kernels are compared with bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from scipy.special import ndtr
 from tbd.longitudinal import LongitudinalPosterior
 from tbd.science import InvariantError, ObservedDataset, ObservedPatient, PatientTruth, ScienceTable
 from tbd.simulate import TruthRecord
-from tbd.survival import HazardGrid, SurvivalPosterior
+from tbd.survival import S_MIS_BLOCK, HazardGrid, SurvivalPosterior, _rmst_batch
 
 _MASS_TOL = 1e-12
 
@@ -300,6 +304,54 @@ def survival_draw(post: SurvivalPosterior, k: int) -> SurvivalParams:
         alpha0=post.alpha0[k],
         alpha1=post.alpha1[k],
     )
+
+
+def _untiled_blocks(post: SurvivalPosterior, data: ObservedDataset, idx: np.ndarray):
+    """``SurvivalPosterior._unassigned_blocks`` without patient tiles: each
+    arm's patients in one (block x arm) product."""
+    cols = data.columns
+    for arm, lam, alpha in ((0, post.lambda0, post.alpha0), (1, post.lambda1, post.alpha1)):
+        sel = np.flatnonzero(cols.w != arm)
+        x_arm = cols.x[sel]
+        for start in range(0, len(idx), S_MIS_BLOCK):
+            block = idx[start:start + S_MIS_BLOCK]
+            scale = np.exp(alpha[block] @ x_arm.T)
+            yield sel, slice(start, start + len(block)), lam[block], scale
+
+
+def untiled_s_mis_matrix(post: SurvivalPosterior, data: ObservedDataset, t, indices=None):
+    """``SurvivalPosterior.s_mis_matrix`` over the untiled traversal."""
+    cols = data.columns
+    idx = np.arange(post.n_draws) if indices is None else np.asarray(indices)
+    times = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
+    horizon = np.where((cols.d_obs == 1) & (cols.t_obs <= times), cols.t_obs, times)
+    overlaps = post.grid.overlaps(horizon)
+    if indices is None:
+        out = np.zeros((len(times), len(data)))
+    else:
+        out = np.empty((len(times), len(idx), len(data)))
+    for sel, rows, lam, scale in _untiled_blocks(post, data, idx):
+        for ov, res in zip(overlaps, out):
+            s = lam @ ov[sel].T
+            s *= scale
+            np.exp(np.negative(s, out=s), out=s)
+            if indices is None:
+                res[sel] += s.sum(axis=0)
+            else:
+                res[rows, sel] = s
+    if indices is None:
+        out /= len(idx)
+    return out if np.ndim(t) else out[0]
+
+
+def untiled_rmst_matrix(post: SurvivalPosterior, data: ObservedDataset, t: float, indices):
+    """``SurvivalPosterior.rmst_matrix`` over the untiled traversal."""
+    idx = np.asarray(indices)
+    overlaps = post.grid.overlaps(float(t))
+    out = np.empty((len(idx), len(data)))
+    for sel, rows, lam, scale in _untiled_blocks(post, data, idx):
+        out[rows, sel] = _rmst_batch(lam, scale, overlaps)
+    return out
 
 
 # --- longitudinal ------------------------------------------------------------

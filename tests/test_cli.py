@@ -293,6 +293,29 @@ def test_estimate_refuses_fits_of_another_covariate_width(runner, sim_dir, fits_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("renamed", ["not-a-visit", "not-a-number"])
+def test_estimate_refuses_fits_at_months_that_are_not_visits(runner, sim_dir, fits_path,
+                                                             tmp_path, renamed):
+    data, fits = sim_dir / "observed.json", tmp_path / "fits.json"
+    doc = json.loads(fits_path.read_text())
+    visits = json.loads(data.read_text())["visit_times"]
+    key = next(iter(doc["longitudinal"]))
+    new_key = f"{float(key) + 1:g}" if renamed == "not-a-visit" else f"month{key}"
+    assert float(key) in visits and new_key not in doc["longitudinal"]
+    doc["longitudinal"] = {new_key if k == key else k: v for k, v in doc["longitudinal"].items()}
+    fits.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["estimate", "--data", str(data), "--fits", str(fits),
+                                  "--out", str(out), "--draws", "5"])
+    reason = (f"fitted at months [{float(new_key)}], not visits of data {data} ({visits})"
+              if renamed == "not-a-visit" else f"could not convert string to float: '{new_key}'")
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [
+        f"Error: posteriors {fits} refused: {reason}; rerun `tbd fit`"
+    ]
+    assert not out.exists()
+
+
 NOT_OBJECT_CONFIGS = pytest.mark.parametrize("doc, refused", [
     ([1], "StudyConfig: expected an object, got [1]"),
     ({"mcmc": 3}, "StudyConfig.mcmc: McmcConfig: expected an object, got 3"),

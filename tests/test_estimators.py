@@ -675,6 +675,10 @@ class TestBitIdenticalToPerDrawLoops:
             "tied_and_extreme": (_mixed_data(8, 40, y=integer_y), _extreme_survival(self.K),
                                  _integer_longitudinal(self.K, 9)),
             "odd_n": (_mixed_data(10, 17), *synthetic),
+            # hundreds of finite atoms to sort, with atoms at -inf and at +inf
+            "hundreds_of_atoms": (_mixed_data(17, 601), *synthetic),
+            "hundreds_of_tied_atoms": (_mixed_data(18, 600, y=integer_y), synthetic[0],
+                                       _integer_longitudinal(self.K, 19)),
         }
 
     @pytest.mark.parametrize("block_atoms", [None, 100])  # 100: SIM a few draws at a time

@@ -220,6 +220,14 @@ def test_fit_posteriors_weights_every_visit_by_its_own_mean(monkeypatch):
         assert np.array_equal(seen[t], compute_weights(spost.s_mis_matrix(data, t), data, t)), t
 
 
+@pytest.mark.parametrize("shape", [(4000, 2), (4000, 2, 1), (4000, 2, 3), (37, 2)])
+def test_draw_mean_has_the_bits_of_mean(shape):
+    draws = np.random.default_rng(len(shape)).normal(-2.0, 3.0, size=shape)
+    got = study._draw_mean(draws)
+    assert got.shape == shape[1:]
+    assert np.array_equal(got, draws.mean(axis=0))
+
+
 class TestFailureIsolation:
     def test_impossible_arm_recorded_not_raised(self, tmp_path):
         # kill the treated arm early so the longitudinal fit at late t fails

@@ -1,5 +1,6 @@
 """Per-segment exposures and deaths, closed-form survival quantities, and fit oracles."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -8,12 +9,21 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import SurvivalParams, predict_s_mis, rmst_integral, survival_draw, survival_prob
+from oracles import (
+    SurvivalParams,
+    predict_s_mis,
+    rmst_integral,
+    survival_draw,
+    survival_prob,
+    untiled_rmst_matrix,
+    untiled_s_mis_matrix,
+)
 from tbd.mcmc import McmcConfig
 from tbd.science import ObservedDataset, ObservedPatient
 from tbd.simulate import get_scenario, observe, simulate_science_table
 from tbd.survival import (
     S_MIS_BLOCK,
+    S_MIS_TILE,
     HazardGrid,
     SurvivalPosterior,
     SurvivalPriors,
@@ -253,6 +263,94 @@ class TestSMisMatrix:
         single = np.concatenate([post.s_mis_matrix(self.data, t, [i]) for i in indices])
         # a one-row matrix product may round differently in the last bit
         np.testing.assert_allclose(rows, single, rtol=0, atol=1e-15)
+
+
+def _arms_dataset(n_treated, n_control, seed):
+    """Arms of the given sizes in random order; a share of deaths spread
+    over the follow-up gives patients different horizons."""
+    rng = np.random.default_rng(seed)
+    arms = rng.permutation(np.repeat([1, 0], [n_treated, n_control]))
+    patients = []
+    for i, w in enumerate(arms):
+        died = bool(rng.uniform() < 0.4)
+        t_obs = float(rng.uniform(0.5, 15.0)) if died else 15.0
+        patients.append(ObservedPatient(id=i, x=(float(rng.normal()),), w=int(w), t_obs=t_obs,
+                                        d_obs=int(died), y_obs={}))
+    return _dataset(patients)
+
+
+class TestPatientTiles:
+    """The tiled kernels against the untiled traversal in ``oracles``.
+
+    A patient whose unassigned arm fits in one tile gets the untiled
+    product's bits by construction. In a wider arm the tiles are narrower
+    matrix products than the arm's, and BLAS may compute a column of a wide
+    product with another kernel. OpenBLAS 0.3 on x86-64 takes an edge
+    kernel for the last (size mod 8) columns of a product over more than
+    192 patients, which rounds the hazard differently in the last bit, and
+    its exponential in the last few. There the check is to a relative
+    1e-13. The restricted mean has no segment sum inside a matrix product
+    and keeps its bits in every arm."""
+
+    K = 2 * S_MIS_BLOCK + 40  # two full blocks of draws and a partial third
+    # an arm of one more patient than a tile splits in two halves, not a tile and a single column
+    ARMS = [(2 * S_MIS_TILE + 37, S_MIS_TILE), (S_MIS_TILE, 1), (1, 2 * S_MIS_TILE + 37),
+            (S_MIS_TILE + 1, 2)]
+
+    @pytest.fixture(params=ARMS, ids=lambda arms: f"{arms[0]}-{arms[1]}")
+    def case(self, request):
+        n_treated, n_control = request.param
+        return _arms_dataset(n_treated, n_control, seed=n_treated), _random_posterior(self.K, seed=5)
+
+    @staticmethod
+    def _check(got, want, data):
+        cols = data.columns
+        # a patient's unassigned arm is evaluated with every patient of its assigned arm
+        one_tile = np.bincount(cols.w, minlength=2)[cols.w] <= S_MIS_TILE
+        assert got.shape == want.shape
+        assert np.array_equal(got[..., one_tile], want[..., one_tile])
+        assert not np.any(np.signbit(got) ^ np.signbit(want))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_tiles_cover_each_arm_once_in_order(self, case):
+        data, post = case
+        idx = np.arange(self.K)
+        tiles = [(sel, rows) for sel, rows, _, _ in post._unassigned_blocks(data, idx)]
+        w = data.columns.w
+        for arm, start in itertools.product((0, 1), range(0, self.K, S_MIS_BLOCK)):
+            mine = [sel for sel, rows in tiles if rows.start == start and (w[sel] != arm).all()]
+            members = np.flatnonzero(w != arm)
+            assert np.array_equal(np.concatenate(mine), members)
+            sizes = [len(sel) for sel in mine]
+            assert max(sizes) <= S_MIS_TILE and max(sizes) - min(sizes) <= 1
+            assert min(sizes) > 1 or len(members) == 1
+
+    def test_mean_over_all_draws(self, case):
+        data, post = case
+        for t in (3.0, 7.5, 15.0):
+            self._check(post.s_mis_matrix(data, t), untiled_s_mis_matrix(post, data, t), data)
+
+    def test_rows_of_listed_draws(self, case):
+        data, post = case
+        idx = np.concatenate([np.arange(0, self.K, 2), [3, 3, self.K - 1]])
+        for t in (3.0, 7.5, 15.0):
+            self._check(post.s_mis_matrix(data, t, idx), untiled_s_mis_matrix(post, data, t, idx),
+                        data)
+
+    def test_sequence_of_times(self, case):
+        data, post = case
+        times = (3.0, 6.0, 9.0, 12.0, 15.0)
+        self._check(post.s_mis_matrix(data, times), untiled_s_mis_matrix(post, data, times), data)
+        idx = np.arange(self.K)
+        self._check(post.s_mis_matrix(data, times, idx),
+                    untiled_s_mis_matrix(post, data, times, idx), data)
+
+    def test_rmst_keeps_its_bits(self, case):
+        data, post = case
+        idx = np.arange(self.K)
+        for t in (0.25, 7.7, 15.0, 21.0):
+            assert np.array_equal(post.rmst_matrix(data, t, idx),
+                                  untiled_rmst_matrix(post, data, t, idx)), t
 
 
 class TestFitSurvival:
