@@ -8,8 +8,10 @@ it differs whenever the code does. Exits 1 on any difference.
 The command set:
 
 - ``tbd simulate`` of the four library scenarios at n=200, and of
-  ``no_effect`` at n=2000 (``science.json``, ``observed.json``,
-  ``truths.csv``);
+  ``no_effect`` at n=2000 and at n=2003 (``science.json``,
+  ``observed.json``, ``truths.csv``); the arms of 1001 and 1002 patients at
+  n=2003 are wider than 192 and not multiples of 8, the sizes at which
+  OpenBLAS takes its edge kernel for the last columns of a product;
 - ``tbd fit`` of each simulated trial, then ``tbd estimate --draws 400`` and
   ``--draws 4000`` on each fit;
 - ``tbd study`` plus ``tbd report`` over three configs: the four scenarios
@@ -34,7 +36,8 @@ import tempfile
 from pathlib import Path
 
 SCENARIOS = ("no_effect_no_censoring", "no_effect", "beneficial", "mixed")
-SIMULATIONS = [(name, name, 200) for name in SCENARIOS] + [("no_effect_n2000", "no_effect", 2000)]
+SIMULATIONS = [(name, name, 200) for name in SCENARIOS] + [
+    (f"no_effect_n{n}", "no_effect", n) for n in (2000, 2003)]
 LOW_SCALE = {  # `mixed` with treated scale 4: the treated arm dies out before month 12
     "name": "mixed_low_scale",
     "a0_0": -2.0, "a1_0": -1.0, "a0_x": 1.0, "a1_x": 1.0, "a0_u": 0.0, "a1_u": 0.0,

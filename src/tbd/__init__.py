@@ -27,12 +27,12 @@ from .science import (
     PatientTruth,
     ScienceTable,
     composite_metric,
+    mass_median,
 )
 from .simulate import (
     ScenarioParams,
     TruthRecord,
     child_seed,
-    extended_median,
     get_scenario,
     load_scenarios,
     observe,

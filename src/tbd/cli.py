@@ -203,12 +203,16 @@ def _load_config(path: str | None, fit: bool = False) -> study.StudyConfig:
 
 
 def _load_data(path: str) -> science.ObservedDataset:
-    """The observed dataset in ``path``; a malformed one is a one-line error."""
+    """The observed dataset in ``path``; a malformed one, or one with a
+    patient alive at a visit but without a value there, is a one-line error."""
     try:
-        return science.observed_from_json(science.load_json(path))
+        data = science.observed_from_json(science.load_json(path))
+        for t in data.visit_times:
+            data.check_measured(t)
     except (KeyError, TypeError, ValueError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise click.ClickException(f"data {path} refused: {reason}") from exc
+    return data
 
 
 @main.command()

@@ -29,11 +29,10 @@ import numpy as np
 from scipy.special import ndtr
 
 from .longitudinal import LongitudinalPosterior, counterfactual_mean
-from .science import ObservedDataset
+from .science import ObservedDataset, mass_median
 from .survival import SurvivalPosterior
 
 ESTIMANDS = ("sace", "pc", "sim", "rmst")
-_MASS_TOL = 1e-12
 # SIM takes its draws in blocks of about this many atoms. Whole-batch
 # (draws, atoms) arrays of a few MB left that much free but unreturned heap
 # behind each call, raising the peak memory of the next fit.
@@ -70,11 +69,8 @@ def wmw(data: ObservedDataset, t: float) -> float | None:
     enumerated. The count of wins plus half the ties is exact in floating
     point, so the fraction equals the pairwise sum's."""
     cols = data.columns
+    data.check_measured(t, KeyError)
     at = cols.at(t)
-    unmeasured = np.flatnonzero(at.alive & np.isnan(at.y))
-    if len(unmeasured):
-        pid = data.patients[unmeasured[0]].id
-        raise KeyError(f"patient {pid} has no measurement at month {t}")
     treated, control = cols.w == 1, cols.w == 0
     n1, n0 = int(treated.sum()), int(control.sum())
     if not n1 or not n0:
@@ -172,30 +168,6 @@ def rmst_estimand_draws(
     return (sign[None, :] * (np.minimum(cols.t_obs, t)[None, :] - integral)).mean(axis=1)
 
 
-def _sim_batch(values: np.ndarray, masses: np.ndarray, half: float) -> np.ndarray:
-    """Mass median of every row of ``values`` / ``masses`` (draws, atoms),
-    whose rows are sorted by value: the value where the cumulative mass
-    first reaches ``half``. When that boundary falls exactly between two
-    atoms the two are averaged; averaging with an infinity yields that
-    infinity, and oppositely infinite neighbours yield NaN.
-
-    Zero-mass atoms may stay in the rows: adding 0.0 leaves each cumulative
-    sum as it was, and such an atom is never the one picked nor the
-    neighbour at a boundary."""
-    cum = np.cumsum(masses, axis=1)
-    rows = np.arange(len(masses))
-    # the first atom reaching half; there is one, as the masses add up to 2 * half
-    idx = (cum < half - _MASS_TOL).sum(axis=1)
-    later = (masses > 0) & (np.arange(masses.shape[1])[None, :] > idx[:, None])
-    at_boundary = np.abs(cum[rows, idx] - half) <= _MASS_TOL  # half the mass is later
-    lo = values[rows, idx]
-    hi = values[rows, np.argmax(later, axis=1)]
-    with np.errstate(invalid="ignore"):
-        mid = np.where(np.isinf(lo), lo, np.where(np.isinf(hi), hi, 0.5 * (lo + hi)))
-    mid[np.isinf(lo) & np.isinf(hi) & (lo != hi)] = np.nan
-    return np.where(at_boundary, mid, lo)
-
-
 def estimand_draws(
     spost: SurvivalPosterior,
     lpost: LongitudinalPosterior,
@@ -213,11 +185,9 @@ def estimand_draws(
     cols = data.columns
     w, x = cols.w, cols.x
     sign = 2 * w - 1
+    data.check_measured(t)
     at = cols.at(t)
     alive, y = at.alive, at.y
-    if np.any(alive & np.isnan(y)):
-        bad = [p.id for p, a in zip(data.patients, alive) if a and t not in p.y_obs]
-        raise ValueError(f"patients alive at t={t} without a measurement: {bad}")
 
     s_idx = spost.subsample_indices(k)
     l_idx = lpost.subsample_indices(k)
@@ -264,7 +234,7 @@ def estimand_draws(
         order = np.argsort(v_fin, axis=1, kind="stable")
         m_inf = np.concatenate([1.0 - s_surv[b], m_dead[b], 1.0 - m_dead[b]], axis=1)
         rows = len(v_fin)
-        sim[b] = _sim_batch(
+        sim[b] = mass_median(
             np.concatenate([np.full((rows, len(neg)), -np.inf),
                             np.take_along_axis(v_fin, order, axis=1),
                             np.full((rows, len(pos)), np.inf)], axis=1),

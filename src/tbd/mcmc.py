@@ -5,6 +5,8 @@ The package's two models are fitted by their own exact or near-exact
 samplers (``survival`` and ``longitudinal``); they draw ``chains``
 independent streams from ``streams`` and report split R-hat and ESS over
 them through ``stream_diagnostics``, as ``run_chains`` does for its chains.
+``rhat`` and ``ess`` are array code over a stack (..., chains, draws), so
+``stream_diagnostics`` checks all of a fit's coordinates in one call each.
 
 ``run_chains`` remains the general tool for any low-dimensional target
 given as a ``ModelSpec``; correctness is enforced by conjugate-posterior
@@ -100,9 +102,8 @@ class McmcResult:
 def diagnostic_extremes(diagnostics: dict[str, dict[str, float]]) -> tuple[float, float]:
     """Worst R-hat and smallest ESS over the coordinates where each is
     defined; NaN when no coordinate defines it."""
-    rhats = [d["rhat"] for d in diagnostics.values() if not math.isnan(d["rhat"])]
-    esss = [d["ess"] for d in diagnostics.values() if not math.isnan(d["ess"])]
-    return max(rhats, default=math.nan), min(esss, default=math.nan)
+    r, e = np.array([(d["rhat"], d["ess"]) for d in diagnostics.values()]).reshape(-1, 2).T
+    return float(np.fmax.reduce(r, initial=np.nan)), float(np.fmin.reduce(e, initial=np.nan))
 
 
 def even_indices(n: int, k: int) -> np.ndarray:
@@ -123,20 +124,14 @@ def stream_diagnostics(
     draws: dict[str, np.ndarray], cfg: McmcConfig
 ) -> tuple[dict[str, dict[str, float]], bool]:
     """Split R-hat and ESS of every coordinate of ``draws`` (name -> (chains,
-    samples, size) array), keyed like "alpha0[0]", and whether every defined
-    value passes ``cfg``'s thresholds."""
-    diagnostics: dict[str, dict[str, float]] = {}
-    ok = True
-    for name, arr in draws.items():
-        for j in range(arr.shape[-1]):
-            r = rhat(arr[:, :, j])
-            e = ess(arr[:, :, j])
-            diagnostics[f"{name}[{j}]"] = {"rhat": r, "ess": e}
-            if not math.isnan(r) and r > cfg.rhat_threshold:
-                ok = False
-            if not math.isnan(e) and e < cfg.min_ess:
-                ok = False
-    return diagnostics, ok
+    samples, size) array), keyed like "alpha0[0]", from one ``rhat`` and one
+    ``ess`` call on a (coordinates, chains, samples) stack, and whether every
+    value passes ``cfg``'s thresholds; a NaN compares False, so it passes."""
+    names = [f"{name}[{j}]" for name, arr in draws.items() for j in range(arr.shape[-1])]
+    stack = np.concatenate([np.moveaxis(arr, -1, 0) for arr in draws.values()])
+    r, e = rhat(stack), ess(stack)
+    diagnostics = {name: {"rhat": float(a), "ess": float(b)} for name, a, b in zip(names, r, e)}
+    return diagnostics, not (np.any(r > cfg.rhat_threshold) or np.any(e < cfg.min_ess))
 
 
 def _to_sampling_scale(theta: np.ndarray, block: Block) -> np.ndarray:
@@ -236,73 +231,52 @@ def run_chains(model: ModelSpec, cfg: McmcConfig, *, warmup: int = 1000,
 
 
 def _split_chains(x: np.ndarray) -> np.ndarray:
-    """Split each chain in half, (chains, draws) -> (2 * chains, draws // 2)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("expected a (chains, draws) array")
-    m, n = x.shape
+    """Split each chain in half, (..., chains, draws) -> (..., 2 * chains, draws // 2),
+    C-contiguous, so the sums over draws add as for one (chains, draws) array."""
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.ndim < 2:
+        raise ValueError("expected a (..., chains, draws) array")
+    m, n = x.shape[-2:]
     if m < 2 or n < 4:
         raise ValueError("need at least 2 chains of at least 4 draws")
     half = n // 2
-    return np.concatenate([x[:, :half], x[:, n - half:]], axis=0)
+    return np.concatenate([x[..., :half], x[..., n - half:]], axis=-2)
 
 
-def rhat(x: np.ndarray) -> float:
-    """Split-chain potential scale reduction factor.
-
-    Returns NaN for degenerate (zero-variance) chains, where the statistic
-    is not applicable.
-    """
+def rhat(x: np.ndarray):
+    """Split-chain potential scale reduction factor: a float for a (chains,
+    draws) array, an array for a stack (..., chains, draws). NaN for
+    zero-variance chains, where the statistic is not applicable."""
     s = _split_chains(x)
-    m, n = s.shape
-    chain_means = s.mean(axis=1)
-    w = s.var(axis=1, ddof=1).mean()
-    b_over_n = chain_means.var(ddof=1)
-    if w == 0:
-        return float("nan")
-    var_plus = (n - 1) / n * w + b_over_n
-    return float(np.sqrt(var_plus / w))
+    n = s.shape[-1]
+    w = s.var(axis=-1, ddof=1).mean(axis=-1)
+    var_plus = (n - 1) / n * w + s.mean(axis=-1).var(axis=-1, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(w == 0, np.nan, np.sqrt(var_plus / w))
+    return float(r) if r.ndim == 0 else r
 
 
-def _autocovariance(y: np.ndarray) -> np.ndarray:
-    """Biased autocovariance of one chain via FFT, lags 0..n-1."""
-    n = len(y)
-    yc = y - y.mean()
+def ess(x: np.ndarray):
+    """Effective sample size from the split chains' FFT autocovariances, with
+    Geyer's initial monotone positive-sequence truncation; a float or an
+    array, as for ``rhat``. NaN for zero-variance chains; never more than
+    the number of draws."""
+    s = _split_chains(x)
+    m, n = s.shape[-2:]
     size = 2 ** int(np.ceil(np.log2(2 * n)))
-    f = np.fft.rfft(yc, size)
-    acov = np.fft.irfft(f * np.conjugate(f), size)[:n].real
-    return acov / n
-
-
-def ess(x: np.ndarray) -> float:
-    """Effective sample size from combined-chain autocorrelations.
-
-    Uses Geyer's initial monotone positive-sequence truncation on the
-    split chains. Returns NaN for zero-variance chains; the result never
-    exceeds the total number of draws.
-    """
-    s = _split_chains(x)
-    m, n = s.shape
-    acov = np.array([_autocovariance(s[i]) for i in range(m)])
-    chain_var = acov[:, 0] * n / (n - 1)
-    w = chain_var.mean()
-    if w == 0:
-        return float("nan")
-    var_plus = (n - 1) / n * w + s.mean(axis=1).var(ddof=1)
-    rho = 1.0 - (w - acov.mean(axis=0)) / var_plus
-    rho[0] = 1.0
-
-    # Geyer: sum consecutive lag pairs while positive, enforce monotone decay.
-    tau = 0.0
-    prev_pair = float("inf")
-    k = 1
-    while k + 1 < n:
-        pair = rho[k] + rho[k + 1]
-        if pair < 0:
-            break
-        pair = min(pair, prev_pair)
-        tau += pair
-        prev_pair = pair
-        k += 2
-    ess_val = m * n / (1.0 + 2.0 * tau)
-    return float(min(ess_val, m * n))
+    f = np.fft.rfft(s - s.mean(axis=-1, keepdims=True), size)
+    f *= np.conjugate(f)  # in place: one fewer (coordinates, chains, size) array
+    acov = np.fft.irfft(f, size)[..., :n] / n
+    w = (acov[..., 0] * n / (n - 1)).mean(axis=-1)
+    var_plus = (n - 1) / n * w + s.mean(axis=-1).var(axis=-1, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = 1.0 - (w[..., None] - acov.mean(axis=-2)) / var_plus[..., None]
+        # Geyer: the lag pairs (1, 2), (3, 4), ... up to the first negative one
+        # (a NaN pair does not end the prefix), each capped by the pairs before
+        pairs = rho[..., 1:n - 1:2] + rho[..., 2:n:2]
+        kept = np.logical_and.accumulate(~(pairs < 0), axis=-1)
+        capped = np.where(kept, np.minimum.accumulate(pairs, axis=-1), 0.0)
+        # cumsum adds in lag order, as a running sum does
+        tau = np.cumsum(capped, axis=-1)[..., -1] if capped.shape[-1] else 0.0
+        e = np.where(w == 0, np.nan, np.minimum(m * n / (1.0 + 2.0 * tau), m * n))
+    return float(e) if e.ndim == 0 else e

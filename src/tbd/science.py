@@ -17,11 +17,15 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
 
 from .codec import DecodeError, decode, encode
+
+
+_MASS_TOL = 1e-12
 
 
 class InvariantError(ValueError):
@@ -44,6 +48,30 @@ def composite_metric(t0, t1, y0, y1, t):
     by_death = np.where(alive0 == alive1, np.sign(t1 - t0), alive1.astype(float) - alive0)
     infinite = np.array([-np.inf, 0.0, np.inf])[by_death.astype(int) + 1]
     return np.where(alive0 & alive1, y1 - y0, infinite)
+
+
+def mass_median(values: np.ndarray, masses: np.ndarray, half: float) -> np.ndarray:
+    """Mass median of every row of ``values`` / ``masses`` (rows, atoms),
+    whose rows are sorted by value: the value where the cumulative mass
+    first reaches ``half``, or, at a boundary exactly between two atoms,
+    their mean, where an infinity wins and opposite infinities give NaN.
+    Unit masses give the order-statistic median over the extended reals.
+
+    Zero-mass atoms may stay in the rows: adding 0.0 leaves each cumulative
+    sum as it was, and such an atom is never the one picked nor the
+    neighbour at a boundary."""
+    cum = np.cumsum(masses, axis=1)
+    rows = np.arange(len(masses))
+    # the first atom reaching half; there is one, as the masses add up to 2 * half
+    idx = (cum < half - _MASS_TOL).sum(axis=1)
+    later = (masses > 0) & (np.arange(masses.shape[1])[None, :] > idx[:, None])
+    at_boundary = np.abs(cum[rows, idx] - half) <= _MASS_TOL  # half the mass is later
+    lo = values[rows, idx]
+    hi = values[rows, np.argmax(later, axis=1)]
+    with np.errstate(invalid="ignore"):
+        mid = np.where(np.isinf(lo), lo, np.where(np.isinf(hi), hi, 0.5 * (lo + hi)))
+    mid[np.isinf(lo) & np.isinf(hi) & (lo != hi)] = np.nan
+    return np.where(at_boundary, mid, lo)
 
 
 def _check_trajectory(y: Mapping[float, float], t_death: float, label: str) -> None:
@@ -179,16 +207,26 @@ class VisitColumns:
 class ObservedColumns:
     """Read-only array view of an ``ObservedDataset``, one entry per patient
     in patient order: arm ``w``, covariates ``x`` (patients, p), ``t_obs``
-    and ``d_obs``, plus ``at(t)`` for each visit, built once per time."""
+    and ``d_obs``, plus ``at(t)`` for each visit, built once per time. The
+    outcomes are one (patients, months) matrix over every month at which
+    some patient has a value, NaN where a patient has none."""
 
     def __init__(self, patients: tuple[ObservedPatient, ...]) -> None:
-        self._patients = patients
         self.w = _frozen(np.array([p.w for p in patients]))
         # an empty dataset still has one covariate column
         x = np.array([p.x for p in patients], dtype=float) if patients else np.zeros((0, 1))
         self.x = _frozen(x)
         self.t_obs = _frozen(np.array([p.t_obs for p in patients]))
         self.d_obs = _frozen(np.array([p.d_obs for p in patients]))
+        month = np.fromiter(chain.from_iterable(p.y_obs for p in patients), float)
+        value = np.fromiter(chain.from_iterable(p.y_obs.values() for p in patients), float)
+        row = np.repeat(np.arange(len(patients)), [len(p.y_obs) for p in patients])
+        months, col = np.unique(month, return_inverse=True)
+        # column-major: each month's column is contiguous; the all-NaN last one is for other months
+        self._y = np.full((len(patients), len(months) + 1), np.nan, order="F")
+        self._y[row, col] = value
+        _frozen(self._y)
+        self._column = {m: j for j, m in enumerate(months.tolist())}
         self._visits: dict[float, VisitColumns] = {}
 
     def at(self, t: float) -> VisitColumns:
@@ -196,9 +234,9 @@ class ObservedColumns:
             # alive_at, vectorised; measured values are finite (checked on
             # construction), so NaN marks exactly the missing ones
             alive = (self.d_obs == 0) | (self.t_obs > t)
-            y = np.array([p.y_obs.get(t, np.nan) for p in self._patients])
+            y = self._y[:, self._column.get(t, -1)]
             self._visits[t] = VisitColumns(
-                alive=_frozen(alive), measured=_frozen(alive & ~np.isnan(y)), y=_frozen(y)
+                alive=_frozen(alive), measured=_frozen(alive & ~np.isnan(y)), y=y
             )
         return self._visits[t]
 
@@ -230,6 +268,12 @@ class ObservedDataset:
 
     def __len__(self) -> int:
         return len(self.patients)
+
+    def check_measured(self, t: float, error: type[Exception] = ValueError) -> None:
+        """Raise ``error`` naming the first patient known alive at t without a value there."""
+        at = self.columns.at(t)
+        if gaps := np.flatnonzero(at.alive & ~at.measured).tolist():
+            raise error(f"patient {self.patients[gaps[0]].id} alive at month {t} without a measurement")
 
     @functools.cached_property
     def columns(self) -> ObservedColumns:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .codec import decode
 from .science import (ObservedDataset, ObservedPatient, PatientTruth, ScienceTable,
-                      check_visit_times, composite_metric)
+                      check_visit_times, composite_metric, mass_median)
 
 
 class ScenarioError(ValueError):
@@ -186,36 +186,13 @@ def observe(science: ScienceTable) -> ObservedDataset:
     )
 
 
-def extended_median(values) -> float | None:
-    """Order-statistic median over the extended reals.
-
-    Odd n takes the middle order statistic; even n averages the two middle
-    ones. Averaging infinities of the same sign (or an infinity with a
-    finite value) yields that infinity; opposite-signed infinities have no
-    defined midpoint and return None.
-    """
-    vals = np.sort(np.asarray(values, dtype=float), kind="stable")
-    n = len(vals)
-    if n == 0:
-        raise ValueError("median of empty collection")
-    if n % 2 == 1:
-        return float(vals[n // 2])
-    lo, hi = float(vals[n // 2 - 1]), float(vals[n // 2])
-    if math.isinf(lo) and math.isinf(hi) and lo != hi:
-        return None
-    if math.isinf(lo):
-        return lo
-    if math.isinf(hi):
-        return hi
-    return 0.5 * (lo + hi)
-
-
 def true_estimands(science: ScienceTable, t: float) -> TruthRecord:
     """Exact finite-sample estimands at horizon t from the full science table.
 
     All four read each patient's ``composite_metric`` (treated minus
     control): SACE is its mean over the always-survivors, PC the share of
-    positive values with half credit for zeros, SIM its extended median.
+    positive values with half credit for zeros, SIM its ``mass_median`` with
+    unit masses (None between opposite infinities).
     RMST is the mean difference of the restricted death times.
     """
     if t not in science.visit_times:
@@ -229,11 +206,12 @@ def true_estimands(science: ScienceTable, t: float) -> TruthRecord:
     pc = int(np.count_nonzero(metric > 0)) + 0.5 * int(np.count_nonzero(metric == 0))
     # cumsum adds in patient order, as a running sum does
     rmst = float(np.cumsum(np.minimum(v.t1, t) - np.minimum(v.t0, t))[-1])
+    sim = float(mass_median(np.sort(metric, kind="stable")[None], np.ones((1, n)), n / 2)[0])
     return TruthRecord(
         time=t,
         sace=float(np.mean(metric[ll])) if n_ll else None,
         pc=pc / n,
-        sim=extended_median(metric),
+        sim=None if math.isnan(sim) else sim,
         rmst=rmst / n,
         death_frac_control=int(np.count_nonzero(v.t0 <= t)) / n,
         death_frac_treated=int(np.count_nonzero(v.t1 <= t)) / n,

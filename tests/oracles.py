@@ -10,7 +10,9 @@ acceptance criteria 2, 4 and 5.
 
 It also keeps the counterfactual-survival traversal without patient tiles
 (``untiled_s_mis_matrix``, ``untiled_rmst_matrix``), the reference that the
-tiled kernels are compared with bit for bit.
+tiled kernels are compared with bit for bit, and the convergence diagnostics
+one coordinate and one chain at a time (``rhat``, ``ess``,
+``stream_diagnostics``), the reference for ``tbd.mcmc``'s stacked ones.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from tbd.longitudinal import LongitudinalPosterior
+from tbd.mcmc import McmcConfig
 from tbd.science import InvariantError, ObservedDataset, ObservedPatient, PatientTruth, ScienceTable
 from tbd.simulate import TruthRecord
 from tbd.survival import S_MIS_BLOCK, HazardGrid, SurvivalPosterior, _rmst_batch
@@ -352,6 +355,83 @@ def untiled_rmst_matrix(post: SurvivalPosterior, data: ObservedDataset, t: float
     for sel, rows, lam, scale in _untiled_blocks(post, data, idx):
         out[rows, sel] = _rmst_batch(lam, scale, overlaps)
     return out
+
+
+# --- convergence diagnostics ---------------------------------------------------
+
+
+def _split_chains(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    m, n = x.shape
+    if m < 2 or n < 4:
+        raise ValueError("need at least 2 chains of at least 4 draws")
+    half = n // 2
+    return np.concatenate([x[:, :half], x[:, n - half:]], axis=0)
+
+
+def rhat(x: np.ndarray) -> float:
+    """Split-chain R-hat of one (chains, draws) array; NaN for constant chains."""
+    s = _split_chains(x)
+    m, n = s.shape
+    w = s.var(axis=1, ddof=1).mean()
+    b_over_n = s.mean(axis=1).var(ddof=1)
+    if w == 0:
+        return float("nan")
+    var_plus = (n - 1) / n * w + b_over_n
+    return float(np.sqrt(var_plus / w))
+
+
+def _autocovariance(y: np.ndarray) -> np.ndarray:
+    """Biased autocovariance of one chain via FFT, lags 0..n-1."""
+    n = len(y)
+    yc = y - y.mean()
+    size = 2 ** int(np.ceil(np.log2(2 * n)))
+    f = np.fft.rfft(yc, size)
+    acov = np.fft.irfft(f * np.conjugate(f), size)[:n].real
+    return acov / n
+
+
+def ess(x: np.ndarray) -> float:
+    """ESS of one (chains, draws) array: one FFT per split chain, then
+    Geyer's initial monotone sequence as a loop over lag pairs."""
+    s = _split_chains(x)
+    m, n = s.shape
+    acov = np.array([_autocovariance(s[i]) for i in range(m)])
+    chain_var = acov[:, 0] * n / (n - 1)
+    w = chain_var.mean()
+    if w == 0:
+        return float("nan")
+    var_plus = (n - 1) / n * w + s.mean(axis=1).var(ddof=1)
+    rho = 1.0 - (w - acov.mean(axis=0)) / var_plus
+    tau = 0.0
+    prev_pair = float("inf")
+    k = 1
+    while k + 1 < n:
+        pair = rho[k] + rho[k + 1]
+        if pair < 0:
+            break
+        pair = min(pair, prev_pair)
+        tau += pair
+        prev_pair = pair
+        k += 2
+    ess_val = m * n / (1.0 + 2.0 * tau)
+    return float(min(ess_val, m * n))
+
+
+def stream_diagnostics(draws: dict[str, np.ndarray], cfg: McmcConfig):
+    """``tbd.mcmc.stream_diagnostics``, one coordinate at a time."""
+    diagnostics = {}
+    ok = True
+    for name, arr in draws.items():
+        for j in range(arr.shape[-1]):
+            r = rhat(arr[:, :, j])
+            e = ess(arr[:, :, j])
+            diagnostics[f"{name}[{j}]"] = {"rhat": r, "ess": e}
+            if not math.isnan(r) and r > cfg.rhat_threshold:
+                ok = False
+            if not math.isnan(e) and e < cfg.min_ess:
+                ok = False
+    return diagnostics, ok
 
 
 # --- longitudinal ------------------------------------------------------------

@@ -405,11 +405,17 @@ def _death(t_obs):
       for visits, shown in (([3, 3, 6], "[3.0, 3.0, 6.0]"), ([0, 3], "[0.0, 3.0]"),
                             ([-3, 3], "[-3.0, 3.0]"), (["nan", 3], "[nan, 3.0]"),
                             ([3, 20], "[3.0, 20.0]"))),
+    ({"follow_up_months": 15.0, "visit_times": [3, 6], "patients": [
+        {**_death(10.0), "id": 7, "y_obs": {"3": 1.0}}]},
+     "patient 7 alive at month 6.0 without a measurement"),
+    ({"follow_up_months": 15.0, "visit_times": [3], "patients": [
+        _death(2.0), {"id": 4, "x": [0.1], "w": 1, "t_obs": 15.0, "d_obs": 0, "y_obs": {}}]},
+     "patient 4 alive at month 3.0 without a measurement"),
 ], ids=["no-follow-up", "bad-arm", "scalar-x", "patient-unknown-key", "patient-follow-up",
         "top-level-unknown-key", "top-level-follow-up", "negative-death", "nan-death",
         "infinite-death", "zero-death", "death-after-follow-up", "zero-follow-up",
         "negative-follow-up", "ragged-x", "repeated-visit", "zero-visit", "negative-visit",
-        "nan-visit", "visit-after-follow-up"])
+        "nan-visit", "visit-after-follow-up", "gap-before-death", "gap-while-censored"])
 @pytest.mark.parametrize("command", ["fit", "estimate"])
 def test_refused_data_is_a_one_line_error(runner, fits_path, tmp_path, command, doc, refused):
     data = tmp_path / "observed.json"

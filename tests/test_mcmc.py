@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tbd.mcmc import Block, McmcConfig, McmcError, ModelSpec, ess, rhat, run_chains
+import oracles
+from tbd.mcmc import Block, McmcConfig, McmcError, ModelSpec, ess, rhat, run_chains, stream_diagnostics
+from tbd.simulate import child_seed, get_scenario, observe, simulate_science_table
+from tbd.study import build_config, fit_posteriors
 
 CFG = McmcConfig(chains=4, samples=1000, seed=317)
 
@@ -166,3 +169,93 @@ class TestDiagnostics:
     def test_requires_two_chains(self):
         with pytest.raises(ValueError):
             rhat(np.zeros((1, 100)))
+
+
+def _bits(values):
+    return [repr(float(v)) for v in np.ravel(values)]
+
+
+def _ar1(rng, shape, rho):
+    """AR(1) chains along the last axis, started from the stationary law."""
+    x = np.empty(shape)
+    x[..., 0] = rng.standard_normal(shape[:-1]) / math.sqrt(1 - rho ** 2)
+    for i in range(1, shape[-1]):
+        x[..., i] = rho * x[..., i - 1] + rng.standard_normal(shape[:-1])
+    return x
+
+
+def _fit_draws():
+    """The draws of each fit of a `no_effect` trial at n=200, as the fits
+    hand them to ``stream_diagnostics``, with the diagnostics the fits kept."""
+    params = get_scenario("no_effect").with_updates(n=200)
+    data = observe(simulate_science_table(params, child_seed(1, "no_effect", "sim")))
+    cfg = build_config({"scenarios": [], "master_seed": 1})
+    fits = fit_posteriors(data, cfg)
+    chains = cfg.mcmc.chains
+    spost = fits.survival
+    yield {name: getattr(spost, name).reshape(chains, -1, getattr(spost, name).shape[-1])
+           for name in ("lambda0", "alpha0", "lambda1", "alpha1")}, spost.diagnostics
+    for lpost in fits.longitudinal.values():
+        b0 = lpost.beta0.reshape(chains, -1, 2)
+        b1 = lpost.beta1.reshape(chains, -1, *lpost.beta1.shape[1:])
+        yield {"beta0_0": b0[..., :1], "beta0_1": b0[..., 1:], "beta1_0": b1[:, :, 0],
+               "beta1_1": b1[:, :, 1], "sigma": lpost.sigma.reshape(chains, -1)[..., None]}, \
+            lpost.diagnostics
+
+
+class TestStackedDiagnostics:
+    """``rhat``, ``ess`` and ``stream_diagnostics`` over stacks have the bits
+    of the per-coordinate, per-chain loops in ``oracles``."""
+
+    def _check_stack(self, stack):
+        flat = stack.reshape(-1, *stack.shape[-2:])
+        assert _bits(rhat(stack)) == _bits([oracles.rhat(c) for c in flat])
+        assert _bits(ess(stack)) == _bits([oracles.ess(c) for c in flat])
+        assert rhat(stack).shape == ess(stack).shape == stack.shape[:-2]
+
+    def test_fits_of_a_trial(self):
+        cfg = McmcConfig()
+        for draws, kept in _fit_draws():
+            want, want_ok = oracles.stream_diagnostics(draws, cfg)
+            got, ok = stream_diagnostics(draws, cfg)
+            assert list(got) == list(want) == list(kept)
+            assert _bits([[d["rhat"], d["ess"]] for d in got.values()]) == \
+                _bits([[d["rhat"], d["ess"]] for d in want.values()])
+            assert _bits([[d["rhat"], d["ess"]] for d in kept.values()]) == \
+                _bits([[d["rhat"], d["ess"]] for d in want.values()])
+            assert ok is want_ok
+
+    def test_ar1_chains_with_long_sums(self):
+        x = _ar1(np.random.default_rng(7), (5, 4, 1000), 0.9)
+        self._check_stack(x)
+        # the layout stream_diagnostics stacks: coordinates last, moved first
+        draws = np.ascontiguousarray(np.moveaxis(x, 0, -1))
+        self._check_stack(np.moveaxis(draws, -1, 0))
+
+    @pytest.mark.parametrize("chains, draws", [(2, 4), (3, 7), (4, 50)])
+    def test_short_chains(self, chains, draws):
+        self._check_stack(np.random.default_rng(draws).normal(size=(6, chains, draws)))
+
+    def test_constant_and_nan_coordinates(self):
+        x = np.random.default_rng(3).normal(size=(3, 4, 100))
+        x[1] = 2.5
+        x[2, 0, 10] = np.nan
+        self._check_stack(x)
+        assert math.isnan(rhat(x)[1]) and math.isnan(ess(x)[1])
+        assert math.isnan(rhat(x)[2]) and math.isnan(ess(x)[2])
+
+    def test_one_array_gives_a_float(self):
+        x = _ar1(np.random.default_rng(8), (4, 300), 0.9)
+        assert type(rhat(x)) is float and type(ess(x)) is float
+        assert _bits([rhat(x), ess(x)]) == _bits([oracles.rhat(x), oracles.ess(x)])
+
+    def test_thresholds_flag_a_fit(self):
+        draws = {"a": np.random.default_rng(9).normal(size=(4, 200, 2)), "b": np.ones((4, 200, 1))}
+        oks = []
+        for cfg in (McmcConfig(), McmcConfig(min_ess=10_000.0), McmcConfig(rhat_threshold=0.9)):
+            got, ok = stream_diagnostics(draws, cfg)
+            want, want_ok = oracles.stream_diagnostics(draws, cfg)
+            assert list(got) == list(want) == ["a[0]", "a[1]", "b[0]"]
+            assert ok is want_ok
+            oks.append(ok)
+        assert oks == [True, False, False]  # the NaNs of the constant "b" pass

@@ -302,7 +302,7 @@ class TestObservedColumns:
             "t_obs": np.array([p.t_obs for p in ps]),
             "d_obs": np.array([p.d_obs for p in ps]),
         }
-        for t in data.visit_times:
+        for t in (*data.visit_times, 7.5):  # 7.5: no patient has a value there
             expected[f"alive@{t}"] = np.array([p.alive_at(t) for p in ps])
             expected[f"measured@{t}"] = np.array([p.alive_at(t) and t in p.y_obs for p in ps])
             expected[f"y@{t}"] = np.array([p.y_obs.get(t, np.nan) for p in ps])
