@@ -3,7 +3,10 @@
 Runs one fixed command set against each tree, with ``PYTHONPATH`` set to the
 tree's ``src``, and compares every file the commands write, byte for byte.
 Only the cells' ``config_hash`` is masked: it hashes the package sources, so
-it differs whenever the code does. Exits 1 on any difference.
+it differs whenever the code does. Exits 1 on any difference, and on any
+``*.tmp`` file left in either output tree: every file is written through a
+temporary file renamed into place, so one left behind is a write that never
+finished.
 
 The command set:
 
@@ -105,13 +108,16 @@ def main(argv=None) -> int:
     parent, change = sides["parent"], sides["change"]
     differ = sorted(k for k in parent.keys() & change.keys() if parent[k] != change[k])
     only = sorted(parent.keys() ^ change.keys())
+    left = [f"{side}/{k}" for side, files in sides.items() for k in files if k.endswith(".tmp")]
+    for name in left:
+        print(f"temporary file left: {name}")
     for name in differ:
         print(f"differs: {name}")
     for name in only:
         print(f"only in {'parent' if name in parent else 'change'}: {name}")
     same = len(parent.keys() & change.keys()) - len(differ)
     print(f"{same} identical, {len(differ)} different, {len(only)} on one side only")
-    return 1 if differ or only else 0
+    return 1 if differ or only or left else 0
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -12,7 +12,7 @@ import click
 import numpy as np
 
 from . import estimators, longitudinal, science, simulate, study, survival
-from .codec import encode
+from .codec import decode, encode
 
 
 @click.group()
@@ -22,6 +22,25 @@ def main() -> None:
 
 TRUTH_COLUMNS = ("time", "sace", "pc", "sim", "rmst", "death_frac_control",
                  "death_frac_treated", "n_ll")
+
+
+@contextmanager
+def _refusing(what: str, path, advice: str = ""):
+    """Turn a file that cannot be read, or whose document is refused, into
+    the one-line error ``<what> <path> refused: <reason>``."""
+    try:
+        yield
+    except (OSError, KeyError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise click.ClickException(f"{what} {path} refused: {reason}{advice}") from exc
+
+
+@dataclass
+class PosteriorFile:
+    """``tbd fit``'s output; each posterior is decoded by its own ``from_json``."""
+
+    survival: object
+    longitudinal: dict[float, object]
 
 
 @main.command()
@@ -34,7 +53,7 @@ def simulate_cmd(scenario: str, seed: int, out: str, n: int | None) -> None:
 
     A scenario file holding several scenarios is read for the one named by
     the file's stem."""
-    try:
+    with _refusing("scenario", scenario):
         if Path(scenario).exists():
             lib = simulate.load_scenarios(scenario)
             params = (next(iter(lib.values())) if len(lib) == 1
@@ -43,12 +62,9 @@ def simulate_cmd(scenario: str, seed: int, out: str, n: int | None) -> None:
             params = simulate.get_scenario(scenario)
         if n is not None:
             params = params.with_updates(n=n)
-    except ValueError as exc:
-        raise click.ClickException(f"scenario {scenario} refused: {exc}") from exc
     table = simulate.simulate_science_table(params, simulate.child_seed(seed, params.name, "sim"))
     data = simulate.observe(table)
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     science.dump_json(science.science_to_json(table), out_dir / "science.json")
     science.dump_json(science.observed_to_json(data), out_dir / "observed.json")
     rows = []
@@ -68,10 +84,11 @@ main.add_command(simulate_cmd, name="simulate")
 
 
 @main.command()
-@click.option("--data", "data_path", type=click.Path(exists=True), required=True)
-@click.option("--out", type=click.Path(), required=True, help="Output JSON for the fitted posteriors.")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="JSON with optional mcmc / survival_priors / long_priors / grid_cutpoints.")
+@click.option("--data", "data_path", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--out", type=click.Path(dir_okay=False), required=True,
+              help="Output JSON for the fitted posteriors; its directory is created.")
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+              default=None, help="JSON with optional mcmc / survival_priors / long_priors.")
 @click.option("--seed", type=int, default=0, show_default=True)
 def fit(data_path: str, out: str, config_path: str | None, seed: int) -> None:
     """Fit the survival model and the per-visit longitudinal models.
@@ -80,8 +97,8 @@ def fit(data_path: str, out: str, config_path: str | None, seed: int) -> None:
     ``--seed`` and each retried once with doubled samples; a fit still
     flagged after that is written with a warning on stderr. A visit whose
     longitudinal model cannot be fitted (an arm with nobody alive and
-    measured there) is reported on stderr and left out of the output;
-    ``tbd estimate`` covers the visits that are present."""
+    measured there, or a sigma posterior at an end of its grid) is reported
+    on stderr and left out; ``tbd estimate`` covers the visits present."""
     cfg = _load_config(config_path, fit=True)
     data = _load_data(data_path)
     if not data.visit_times:
@@ -94,7 +111,7 @@ def fit(data_path: str, out: str, config_path: str | None, seed: int) -> None:
             click.echo(f"warning: longitudinal fit at t={t}: {reason}", err=True)
         else:
             click.echo(f"warning: no longitudinal fit at t={t}, left out: {reason}", err=True)
-    science.dump_json(encode({"survival": fits.survival, "longitudinal": fits.longitudinal}), out)
+    science.dump_json(encode(PosteriorFile(fits.survival, fits.longitudinal)), out)
     click.echo(f"wrote posteriors to {out}")
 
 
@@ -104,44 +121,37 @@ SUMMARY_COLUMNS = ("estimand", "time", "median", "lo95", "hi95", "frac_undefined
 
 
 @main.command()
-@click.option("--data", "data_path", type=click.Path(exists=True), required=True)
-@click.option("--fits", "fits_path", type=click.Path(exists=True), required=True)
+@click.option("--data", "data_path", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--fits", "fits_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", type=click.Path(), required=True, help="Output directory for estimate CSVs.")
 @click.option("--draws", type=int, default=100, show_default=True, help="Paired posterior draws per estimand.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Has no effect: the estimates depend only on the data and the fits.")
 @click.option("--label", default="dataset", show_default=True, help="Scenario label for the CSV rows.")
 def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, label: str) -> None:
-    """Compute per-draw estimand values and their posterior summaries.
-
-    The estimates depend only on the data, the fits and --draws; --seed
-    has no effect."""
+    """Compute per-draw estimand values and their posterior summaries."""
     data = _load_data(data_path)
-    fits = science.load_json(fits_path)
-    try:
-        spost = survival.SurvivalPosterior.from_json(fits["survival"])
-        lposts = {float(key): longitudinal.LongitudinalPosterior.from_json(ldoc)
-                  for key, ldoc in fits["longitudinal"].items()}
-    except (KeyError, ValueError) as exc:
-        raise click.ClickException(f"posteriors {fits_path} refused: {exc}; rerun `tbd fit`") from exc
+    with _refusing("posteriors", fits_path, "; rerun `tbd fit`"):
+        fits = decode(PosteriorFile, science.load_json(fits_path))
+        spost = survival.SurvivalPosterior.from_json(fits.survival)
+        lposts = {t: longitudinal.LongitudinalPosterior.from_json(ldoc)
+                  for t, ldoc in fits.longitudinal.items()}
+        width = data.columns.x.shape[1]
+        fitted = {spost.alpha0.shape[-1], spost.alpha1.shape[-1],
+                  *(lp.beta1.shape[-1] for lp in lposts.values())}
+        if fitted != {width}:
+            raise ValueError(f"fitted on {max(fitted - {width})} covariates, data {data_path} "
+                             f"has {width}")
+        if strays := [t for t in lposts if t not in data.visit_times]:
+            raise ValueError(f"fitted at months {strays}, not visits of data {data_path} "
+                             f"({list(data.visit_times)})")
     pool = min(post.n_draws for post in (spost, *lposts.values()))
     if not 1 <= draws <= pool:
         raise click.ClickException(
             f"--draws {draws} refused: the fits hold {pool} draws to pair; use 1..{pool}")
-    width = data.columns.x.shape[1]
-    fitted = {spost.alpha0.shape[-1], spost.alpha1.shape[-1],
-              *(lp.beta1.shape[-1] for lp in lposts.values())}
-    if fitted != {width}:
-        raise click.ClickException(f"posteriors {fits_path} refused: fitted on {max(fitted - {width})} "
-                                   f"covariates, data {data_path} has {width}; rerun `tbd fit`")
-    if strays := [t for t in lposts if t not in data.visit_times]:
-        raise click.ClickException(f"posteriors {fits_path} refused: fitted at months {strays}, "
-                                   f"not visits of data {data_path} ({list(data.visit_times)}); "
-                                   "rerun `tbd fit`")
     if not spost.converged:
         click.echo("warning: survival fit flagged by convergence diagnostics", err=True)
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     est_rows = []
     summary_rows = []
     for t, lpost in lposts.items():
@@ -165,8 +175,8 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
 
 
 @main.command(name="study")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="Study JSON; defaults to all four library scenarios at desk scale.")
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+              default=None, help="Study JSON; defaults to all four library scenarios at desk scale.")
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=None, help="Override the master seed.")
 @click.option("--workers", type=int, default=1, show_default=True, help="Worker processes.")
@@ -191,27 +201,22 @@ STUDY_ONLY_KEYS = ("master_seed", "k_draws", "replicates", "scenarios", "n")
 def _load_config(path: str | None, fit: bool = False) -> study.StudyConfig:
     """``study.build_config`` of a JSON file (or ``{}``); a refused one is a one-line error.
     For ``tbd fit`` (``fit``) it holds no scenarios and ``STUDY_ONLY_KEYS`` are refused."""
-    try:
-        doc = json.loads(Path(path).read_text()) if path else {}
+    with _refusing("config", path):
+        doc = science.load_json(path) if path else {}
         if fit and isinstance(doc, dict):  # build_config refuses any other document
             if found := sorted(set(doc).intersection(STUDY_ONLY_KEYS)):
                 raise ValueError(f"keys {found} are study-only; tbd fit seeds from --seed")
             doc = {**doc, "scenarios": []}
         return study.build_config(doc)
-    except (KeyError, ValueError) as exc:
-        raise click.ClickException(f"config {path} refused: {exc}") from exc
 
 
 def _load_data(path: str) -> science.ObservedDataset:
     """The observed dataset in ``path``; a malformed one, or one with a
     patient alive at a visit but without a value there, is a one-line error."""
-    try:
+    with _refusing("data", path):
         data = science.observed_from_json(science.load_json(path))
         for t in data.visit_times:
             data.check_measured(t)
-    except (KeyError, TypeError, ValueError) as exc:
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise click.ClickException(f"data {path} refused: {reason}") from exc
     return data
 
 

@@ -1,11 +1,13 @@
 """One JSON codec for configs, scenarios, cells, posteriors and trial data.
-Non-finite floats are written as "nan", "inf" and "-inf" and read back only
-into float-typed fields and arrays; float dict keys are written as
-``format(k, "g")``, so 3.0 and 4.5 key as "3" and "4.5", and read back with
-the dict's key type. ``decode`` casts numbers to the hinted int or float, so
-``5`` and ``5.0`` read alike, gives absent fields their defaults and refuses
-keys that name no field; a value that does not fit is refused naming its
-dataclass and field.
+Non-finite floats are written as "nan", "inf" and "-inf"; float dict keys as
+``format(k, "g")``, so 3.0 and 4.5 key as "3" and "4.5". ``decode`` is the
+one gate a document passes. It casts numbers to the hinted int or float, so
+``5`` and ``5.0`` read alike, and gives absent fields their defaults. It
+refuses, naming the dataclass and field, a key that names no field, a
+non-object for a dataclass or dict, a non-list for a list, tuple or array,
+a non-string for a str, a non-boolean for a bool, and any string but those
+three as a float. An array of numbers is one ``np.asarray`` call, so a
+boolean among its numbers reads as 0 or 1, as numpy reads it.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import reprlib
 import types
 import typing
 from dataclasses import fields, is_dataclass
 
 import numpy as np
-
 
 def encode(v):
     """JSON value of ``v``: dataclasses become objects of their fields,
@@ -33,21 +35,23 @@ def encode(v):
         return v.tolist() if np.isfinite(v).all() else encode(v.tolist())
     if isinstance(v, (list, tuple)):
         return [encode(x) for x in v]
-    if v is None or isinstance(v, (bool, str)):
+    if v is None or isinstance(v, str):
         return v
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
     if isinstance(v, (int, np.integer)):
         return int(v)
     f = float(v)
-    if math.isnan(f):
-        return "nan"
-    if math.isinf(f):
-        return "inf" if f > 0 else "-inf"
-    return f
+    return f if math.isfinite(f) else "nan" if f != f else "inf" if f > 0 else "-inf"
 
 
 class DecodeError(ValueError):
     """A document that does not fit its type; the message starts with the
     dataclass and field it was read into, as in ``StudyConfig.replicates:``."""
+
+
+def _refusal(expected: str, v) -> ValueError:
+    return ValueError(f"expected {expected}, got {reprlib.repr(v)}")
 
 
 @functools.cache
@@ -58,23 +62,35 @@ def _form(hint):
     return typing.get_origin(hint), args, typing.get_type_hints(hint) if is_dataclass(hint) else None
 
 
+def _floats(v) -> np.ndarray:
+    """The nested list ``v`` as a float array: one ``np.asarray`` call for
+    numbers, else element by element through ``decode(float, ...)``."""
+    a = np.asarray(v)
+    if a.dtype.kind not in "fiu":
+        a = np.asarray([_floats(x) if isinstance(x, (list, tuple)) else decode(float, x) for x in v])
+    return a.astype(float, copy=False)
+
+
 def decode(hint, v):
     """Inverse of ``encode`` for a value of type ``hint``; ``ValueError``
     for a document that does not fit the type."""
-    if type(v) is hint and hint in (float, int, str):  # already the hinted scalar
+    if type(v) is hint and hint in (float, int, str, bool):  # already the hinted scalar
         return v
     origin, args, hints = _form(hint)
     if origin in (typing.Union, types.UnionType):  # ``X | None``
         return None if v is None else decode(args[0], v)
-    if origin in (list, tuple):
-        return origin(decode(args[0], x) for x in v)
+    if origin in (list, tuple) or hint is np.ndarray:
+        if not isinstance(v, (list, tuple)):
+            raise _refusal("a list", v)
+        return _floats(v) if hint is np.ndarray else origin(decode(args[0], x) for x in v)
+    if (origin is dict or hints is not None) and not isinstance(v, dict):
+        exc = _refusal("an object", v)
+        raise exc if hints is None else ValueError(f"{hint.__name__}: {exc}")
     if origin is dict:
-        return {decode(args[0], k): decode(args[1], x) for k, x in v.items()}
+        key = float if args[0] is float else functools.partial(decode, args[0])
+        return {key(k): decode(args[1], x) for k, x in v.items()}
     if hints is not None:
-        if not isinstance(v, dict):
-            raise ValueError(f"{hint.__name__}: expected an object, got {v!r}")
-        unknown = sorted(v.keys() - hints.keys())
-        if unknown:
+        if unknown := sorted(v.keys() - hints.keys()):
             raise DecodeError(f"{hint.__name__}: unknown keys {unknown}")
         values = {}
         for k, x in v.items():
@@ -82,20 +98,22 @@ def decode(hint, v):
                 values[k] = decode(hints[k], x)
             except DecodeError:
                 raise
-            except (TypeError, ValueError) as exc:
+            except (OverflowError, ValueError) as exc:  # a leaf that does not fit
                 raise DecodeError(f"{hint.__name__}.{k}: {exc}") from exc
         try:
             return hint(**values)
         except TypeError as exc:  # a required field is absent
             raise DecodeError(f"{hint.__name__}: {exc}") from exc
-    if hint is np.ndarray:
-        return np.asarray(v, dtype=float)
     if hint is int:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or v != int(v):
-            raise ValueError(f"expected an integer, got {v!r}")
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or v % 1:
+            raise _refusal("an integer", v)
         return int(v)
     if hint is float:
+        if isinstance(v, str) and v not in ("nan", "inf", "-inf"):
+            raise ValueError(f"could not convert string to float: {v!r}")
         if isinstance(v, bool) or not isinstance(v, (numbers.Real, str)):
-            raise ValueError(f"expected a number, got {v!r}")
+            raise _refusal("a number", v)
         return float(v)
+    if hint in (str, bool):
+        raise _refusal("a string" if hint is str else "a boolean", v)
     return v

@@ -24,7 +24,7 @@ from .science import ObservedDataset
 
 
 class LongitudinalFitError(RuntimeError):
-    pass
+    """A visit whose model cannot be fitted from its data, at any seed."""
 
 
 @dataclass(frozen=True)
@@ -190,10 +190,9 @@ def fit_longitudinal(
     Griddy sampling: sigma is drawn from its closed-form marginal evaluated
     on ``LOG_SIGMA_GRID`` (inverse CDF, uniform within the drawn cell), then
     beta | sigma exactly. The draws form ``cfg.chains`` independent streams
-    of ``cfg.samples``, over which R-hat and ESS are computed. The fit is
-    flagged unconverged when diagnostics fail or an end cell of the grid
-    holds more than ``END_MASS_TOL`` of the posterior mass, where the grid
-    would truncate it.
+    of ``cfg.samples``, over which R-hat and ESS are computed. A sigma
+    posterior with more than ``END_MASS_TOL`` of its mass in an end cell of
+    the grid, which the grid would truncate, raises before any draw.
     """
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(data):
@@ -212,6 +211,10 @@ def fit_longitudinal(
     log_dens = model.log_sigma_marginal(np.exp(LOG_SIGMA_GRID)) + LOG_SIGMA_GRID
     mass = np.exp(log_dens - log_dens.max())
     mass /= mass.sum()
+    if (end := max(mass[0], mass[-1])) > END_MASS_TOL:
+        at = math.exp(LOG_SIGMA_GRID[0 if mass[0] >= mass[-1] else -1])
+        raise LongitudinalFitError(f"sigma posterior at t={t} reaches the grid end at {at:g} "
+                                   f"({end:.2g} of its mass in the end cell); cannot fit")
     cdf = np.cumsum(mass)
 
     sigma, beta0, beta1 = [], [], []
@@ -235,5 +238,5 @@ def fit_longitudinal(
         beta1=beta1.reshape(-1, *beta1.shape[2:]),
         sigma=sigma.reshape(-1),
         diagnostics=diagnostics,
-        converged=converged and max(mass[0], mass[-1]) <= END_MASS_TOL,
+        converged=converged,
     )

@@ -16,8 +16,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -281,14 +284,12 @@ class ObservedDataset:
         return ObservedColumns(self.patients)
 
 
-# --- JSON round-trip -------------------------------------------------------
-#
-# Both files are ``codec.encode`` of the dataclass (visit-time keys read "3",
-# "4.5"), except that the trial's follow-up is written as ``follow_up_months``;
-# like every codec document they refuse unknown keys.
+# --- files: the JSON layouts, the one reader and the one writer -------------
 
 
 def _to_file(table: ObservedDataset | ScienceTable) -> dict:
+    """``codec.encode`` of the table (visit-time keys read "3", "4.5"), but
+    with the trial's follow-up written as ``follow_up_months``."""
     doc = encode(table)
     doc["follow_up_months"] = doc.pop("follow_up")
     return doc
@@ -296,18 +297,14 @@ def _to_file(table: ObservedDataset | ScienceTable) -> dict:
 
 def _from_file(cls, patient_cls, doc: Mapping):
     """Inverse of ``_to_file``; ``KeyError`` for a missing follow-up or
-    patient list. A value that does not fit is named by its record and field
-    (``ObservedPatient.x: ...``); each patient is decoded on its own, so an
-    invariant it breaks reads as raised, not under ``ObservedDataset.patients``."""
-    follow_up = doc["follow_up_months"]
-    if "follow_up" in doc:
+    patient list. The file's own keys are checked first, then each patient on
+    its own, so a misfit reads ``ObservedPatient.x: ...`` and a broken
+    invariant as raised, then the patients against the follow-up."""
+    rest = {k: v for k, v in decode(dict[str, object], doc).items() if k != "follow_up_months"}
+    if "follow_up" in rest:
         raise DecodeError(f"{cls.__name__}: unknown keys ['follow_up']")
-    rest = {k: v for k, v in doc.items() if k != "follow_up_months"}
-    # the file's own keys and follow-up first, then each patient, then the
-    # patients against the follow-up
-    shell = decode(cls, {**rest, "patients": [], "follow_up": follow_up})
-    patients = tuple(decode(patient_cls, p) for p in doc["patients"])
-    return replace(shell, patients=patients)
+    shell = decode(cls, {**rest, "patients": [], "follow_up": doc["follow_up_months"]})
+    return replace(shell, patients=decode(tuple[patient_cls, ...], doc["patients"]))
 
 
 def observed_to_json(data: ObservedDataset) -> dict:
@@ -326,13 +323,29 @@ def science_from_json(doc: Mapping) -> ScienceTable:
     return _from_file(ScienceTable, PatientTruth, doc)
 
 
-def dump_json(doc: dict, path) -> None:
-    """Write ``doc`` as one line of JSON with sorted keys."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+@contextmanager
+def replacing(path):
+    """A text file that replaces ``path`` when the block ends cleanly: it is
+    written beside ``path``, its directory created, then renamed over it, so
+    a reader finds the old file or the new one. Every file is written here."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def dump_json(doc: dict, path, indent: int | None = None) -> None:
+    """Write ``doc`` as JSON with sorted keys, one line unless ``indent`` is given."""
+    with replacing(path) as fh:
+        json.dump(doc, fh, sort_keys=True, indent=indent)
         fh.write("\n")
 
 
-def load_json(path) -> dict:
+def load_json(path):
     with open(path) as fh:
         return json.load(fh)

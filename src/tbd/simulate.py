@@ -8,17 +8,16 @@ in time; survival times are Weibull with a covariate-shifted scale.
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from dataclasses import dataclass, replace
-from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
 from .codec import decode
 from .science import (ObservedDataset, ObservedPatient, PatientTruth, ScienceTable,
-                      check_visit_times, composite_metric, mass_median)
+                      check_visit_times, composite_metric, load_json, mass_median)
 
 
 class ScenarioError(ValueError):
@@ -224,10 +223,8 @@ def true_estimands(science: ScienceTable, t: float) -> TruthRecord:
 def _params_from_dict(name: str, doc: dict) -> ScenarioParams:
     """Scenario from a JSON object; a key that is neither a parameter nor
     ``description`` is refused rather than silently ignored."""
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"scenario {name!r}: expected an object, got {doc!r}")
-    params = {k: v for k, v in doc.items() if k != "description"}
     try:
+        params = {k: v for k, v in decode(dict[str, object], doc).items() if k != "description"}
         return decode(ScenarioParams, {**params, "name": name})
     except ValueError as exc:
         raise ScenarioError(f"scenario {name!r}: {exc}") from exc
@@ -235,12 +232,7 @@ def _params_from_dict(name: str, doc: dict) -> ScenarioParams:
 
 def load_scenarios(path=None) -> dict[str, ScenarioParams]:
     """Load the named scenario library (the packaged file by default)."""
-    if path is None:
-        text = resources.files("tbd").joinpath("scenarios.json").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    doc = json.loads(text)
+    doc = load_json(path or Path(__file__).with_name("scenarios.json"))
     if not isinstance(doc, dict):
         raise ScenarioError(f"expected an object of named scenarios, got {doc!r}")
     return {name: _params_from_dict(name, d) for name, d in doc.items()}

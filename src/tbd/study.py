@@ -10,14 +10,8 @@ completed cells are cached on disk keyed by a hash of the config and of the
 package's code, and skipped on re-runs. ``fit_posteriors`` is the one fitting
 path, shared with ``tbd fit``: a fit that fails convergence diagnostics is
 retried once with doubled samples and then recorded as failed; aggregates
-count only successful cells.
-
-The weights of all visits take the posterior-mean counterfactual survival
-from one ``SurvivalPosterior.s_mis_matrix`` call over the visit times, which
-sums it over blocks of draws instead of averaging a (draws, patients)
-matrix and computes each block's covariate scales once for every visit.
-A cell summarizes all its visits' estimands whose draws are all finite with
-one percentile call.
+count only successful cells. Every cell file is read and written through
+``tbd.science``'s one reader and one writer.
 """
 
 from __future__ import annotations
@@ -27,7 +21,6 @@ import functools
 import hashlib
 import json
 import math
-import os
 import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -58,6 +51,7 @@ from .longitudinal import (
 )
 from .mcmc import McmcConfig, diagnostic_extremes
 from .metrics import BiasCoverage, bias_and_coverage, cdauc, ibs, mae_reconstruction
+from .science import dump_json, load_json, replacing
 from .simulate import (
     ScenarioParams,
     TruthRecord,
@@ -69,7 +63,7 @@ from .simulate import (
     simulate_science_table,
     true_estimands,
 )
-from .survival import HazardGrid, SurvivalPosterior, SurvivalPriors, default_grid, fit_survival
+from .survival import SurvivalPosterior, SurvivalPriors, default_grid, fit_survival
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,6 @@ class StudyConfig:
     mcmc: McmcConfig = field(default_factory=McmcConfig)
     survival_priors: SurvivalPriors = field(default_factory=SurvivalPriors)
     long_priors: LongPriors = field(default_factory=LongPriors)
-    grid_cutpoints: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
@@ -93,11 +86,6 @@ class StudyConfig:
         names = [s.name for s in self.scenarios]
         if len(set(names)) != len(names):
             raise ValueError("scenario names must be unique")
-
-    def grid_for(self, follow_up: float, visit_times) -> HazardGrid:
-        if self.grid_cutpoints is not None:
-            return HazardGrid(cutpoints=self.grid_cutpoints)
-        return default_grid(follow_up, visit_times)
 
     def content_hash(self) -> str:
         """Cache key of the cells: this config and the code that computes them."""
@@ -163,7 +151,6 @@ class StudyResults:
         )
 
 
-
 def _seed_int(master_seed: int, *parts) -> int:
     return int(child_seed(master_seed, *parts).generate_state(1)[0])
 
@@ -198,7 +185,7 @@ def fit_posteriors(data, config: StudyConfig, *seed_parts) -> Posteriors:
     from ``config.master_seed`` and ``seed_parts``; each fit is retried once
     on diagnostic failure."""
     seed = config.master_seed
-    grid = config.grid_for(data.follow_up, data.visit_times)
+    grid = default_grid(data.follow_up, data.visit_times)
     spost, serr = _fit_with_retry(
         lambda c: fit_survival(data, grid, config.survival_priors, c),
         replace(config.mcmc, seed=_seed_int(seed, *seed_parts, "surv")),
@@ -305,10 +292,6 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
     )
 
 
-def _cell_path(out_dir: Path, scenario: str, replicate: int) -> Path:
-    return out_dir / "cells" / f"{scenario}__r{replicate:04d}.json"
-
-
 def _run_cell_job(args):
     """``run_cell``, with a crash recorded as a failed cell so that it costs
     this cell only; its traceback goes to stderr."""
@@ -325,12 +308,11 @@ def run_study(config: StudyConfig, out_dir, workers: int = 1) -> StudyResults:
     """Run all (scenario, replicate) cells, caching each in ``out_dir``.
 
     Cells already present with a matching config hash are loaded instead of
-    recomputed. ``workers`` processes run the cells; each cell is
-    deterministic given the master seed, so scheduling does not affect
-    results.
+    recomputed; each new one is written whole or not at all. ``workers``
+    processes run the cells; each cell is deterministic given the master
+    seed, so scheduling does not affect results.
     """
     out_dir = Path(out_dir)
-    (out_dir / "cells").mkdir(parents=True, exist_ok=True)
     chash = config.content_hash()
 
     cells = {
@@ -351,7 +333,8 @@ def run_study(config: StudyConfig, out_dir, workers: int = 1) -> StudyResults:
         done = (pool.map if parallel else map)(_run_cell_job, jobs)
         for (scenario, rep), cell in zip(pending, done):
             cells[(scenario.name, rep)] = cell
-            _write_cell(out_dir, chash, cell)
+            dump_json({"config_hash": chash, "cell": cell.to_doc()},
+                      out_dir / "cells" / f"{scenario.name}__r{rep:04d}.json", indent=1)
 
     ordered = [
         cells[(s.name, r)]
@@ -361,26 +344,16 @@ def run_study(config: StudyConfig, out_dir, workers: int = 1) -> StudyResults:
     return StudyResults(config_hash=chash, cells=ordered)
 
 
-def _write_cell(out_dir: Path, chash: str, cell: CellResult) -> None:
-    """Write through a temporary file so a killed run leaves either the old
-    cell file or the new one, never a truncated one."""
-    path = _cell_path(out_dir, cell.scenario, cell.replicate)
-    tmp = path.with_name(path.name + ".tmp")
-    doc = {"config_hash": chash, "cell": cell.to_doc()}
-    tmp.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-    os.replace(tmp, path)
-
-
 def load_cells(out_dir) -> list[tuple[str, CellResult]]:
     """(config hash, cell) for every readable cell file under ``out_dir``,
-    in file-name order. An unreadable or truncated file is skipped with a
-    warning, so a study recomputes that cell."""
+    in file-name order. A file that cannot be opened, parsed or decoded is
+    skipped with a warning, so a study recomputes that cell."""
     loaded = []
     for path in sorted((Path(out_dir) / "cells").glob("*.json")):
         try:
-            doc = json.loads(path.read_text())
-            loaded.append((doc["config_hash"], CellResult.from_doc(doc["cell"])))
-        except (ValueError, KeyError, TypeError) as exc:
+            doc = decode(dict[str, object], load_json(path))
+            loaded.append((decode(str, doc["config_hash"]), CellResult.from_doc(doc["cell"])))
+        except (OSError, KeyError, ValueError) as exc:
             warnings.warn(f"ignoring unreadable cell file {path}: {exc!r}")
     return loaded
 
@@ -531,19 +504,16 @@ def metrics_rows(results: StudyResults) -> list[dict]:
 
 def write_rows(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
     """CSV of ``rows`` under ``header``; an empty file when there are no rows."""
-    if not rows:
-        path.write_text("")
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    with replacing(path) as fh:
+        if rows:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 def emit_report(results: StudyResults, out_dir) -> list[Path]:
     """Write coverage, bias, figure-data, and raw metrics CSVs."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name, rows in (
         ("coverage_table.csv", coverage_rows(results)),
@@ -563,11 +533,10 @@ def build_config(doc: dict) -> StudyConfig:
     """Build a StudyConfig from a plain JSON document.
 
     ``scenarios`` may list library names or inline parameter objects; ``n``
-    sets every scenario's size; other keys override defaults, and a key
-    that names no field raises ``ValueError``. So do ``scenarios`` other
-    than a list of names and objects with a ``name``, a non-integer ``n``,
-    ``mcmc.seed`` (``fit_posteriors`` derives every fit's seed from the
-    master seed) and a document or ``mcmc`` that is not a JSON object.
+    sets every scenario's size; other keys override defaults and are
+    decoded by ``tbd.codec``. ``ValueError`` for what that refuses, for
+    ``scenarios`` other than a list of names and objects with a ``name``,
+    and for ``mcmc.seed`` (every fit's seed derives from the master seed).
     """
     if not isinstance(doc, dict):
         raise ValueError(f"StudyConfig: expected an object, got {doc!r}")

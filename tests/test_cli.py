@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from tbd import cli, science, simulate, study
 from tbd.cli import main
 from tbd.study import _seed_int, build_config
-from tbd.survival import fit_survival
+from tbd.survival import default_grid, fit_survival
 
 FAST_MCMC = {"chains": 2, "samples": 200, "min_ess": 5, "rhat_threshold": 2.0}
 
@@ -79,7 +79,7 @@ def test_refused_scenario_is_a_one_line_error(runner, tmp_path, text, extra, ref
 
 @pytest.fixture(scope="module")
 def fits_path(runner, sim_dir, tmp_path_factory):
-    out = tmp_path_factory.mktemp("fits") / "fits.json"
+    out = tmp_path_factory.mktemp("fits") / "new" / "fits.json"  # tbd fit makes the directory
     cfg = tmp_path_factory.mktemp("cfg") / "config.json"
     cfg.write_text(json.dumps({"mcmc": FAST_MCMC}))
     result = runner.invoke(
@@ -89,6 +89,10 @@ def fits_path(runner, sim_dir, tmp_path_factory):
     )
     assert result.exit_code == 0, result.output
     return out
+
+
+def test_fit_creates_the_directory_of_its_output(fits_path):
+    assert [p.name for p in fits_path.parent.iterdir()] == ["fits.json"]
 
 
 def test_fit_output_schema(fits_path):
@@ -119,7 +123,7 @@ def test_written_json_is_one_line_and_parses_as_before(sim_dir, fits_path):
     )
     data = simulate.observe(table)
     cfg = build_config({"mcmc": FAST_MCMC, "scenarios": []})
-    spost = fit_survival(data, cfg.grid_for(data.follow_up, data.visit_times),
+    spost = fit_survival(data, default_grid(data.follow_up, data.visit_times),
                          cfg.survival_priors, replace(cfg.mcmc, seed=_seed_int(11, "surv")))
     expected = {
         sim_dir / "science.json": science.science_to_json(table),
@@ -308,7 +312,8 @@ def test_estimate_refuses_fits_at_months_that_are_not_visits(runner, sim_dir, fi
     result = runner.invoke(main, ["estimate", "--data", str(data), "--fits", str(fits),
                                   "--out", str(out), "--draws", "5"])
     reason = (f"fitted at months [{float(new_key)}], not visits of data {data} ({visits})"
-              if renamed == "not-a-visit" else f"could not convert string to float: '{new_key}'")
+              if renamed == "not-a-visit"
+              else f"PosteriorFile.longitudinal: could not convert string to float: '{new_key}'")
     assert result.exit_code == 1
     assert result.output.strip().splitlines() == [
         f"Error: posteriors {fits} refused: {reason}; rerun `tbd fit`"
@@ -373,7 +378,7 @@ def _death(t_obs):
         {"id": 0, "x": [0.1], "w": 2, "t_obs": 15.0, "d_obs": 0, "y_obs": {}}]},
      "treatment w must be 0 or 1, got 2"),
     ({"follow_up_months": 15.0, "patients": [{"id": 0, "x": 0.1}]},
-     "ObservedPatient.x: 'float' object is not iterable"),
+     "ObservedPatient.x: expected a list, got 0.1"),
     ({"follow_up_months": 15.0, "patients": [
         {"id": 0, "x": [0.1], "w": 0, "t_obs": 15.0, "d_obs": 0, "y_obs": {}, "y_ob": {}}]},
      "ObservedPatient: unknown keys ['y_ob']"),
@@ -509,3 +514,116 @@ def test_estimate_csv_writer_matches_dictwriter_bytes(tmp_path):
             tmp_path / f"{name}_dict.csv"
         ).read_bytes()
     assert "inf,1\n" in (tmp_path / "estimates.csv").read_text().replace("\r", "")
+
+
+def _misshapen(kind: str, doc, option: str):
+    """The text of a file of ``kind`` made from the good document ``doc``
+    given to ``option``, and the reason it is refused for."""
+    text = json.dumps(doc)
+    if kind == "truncated":
+        with pytest.raises(json.JSONDecodeError) as parsed:
+            json.loads(text[:-1])
+        return text[:-1], str(parsed.value)
+    if kind == "top-level-array":
+        return "[1]", {"--scenario": "expected an object of named scenarios, got [1]",
+                       "--config": "StudyConfig: expected an object, got [1]",
+                       "--fits": "PosteriorFile: expected an object, got [1]"}.get(
+                           option, "expected an object, got [1]")
+    doc = json.loads(text)
+    if kind == "string-visit-times" and option == "--scenario":
+        doc["a"]["visit_times"] = "369"
+        reason = "scenario 'a': ScenarioParams.visit_times: expected a list, got '369'"
+    elif kind == "string-visit-times":
+        doc["visit_times"] = "369"
+        reason = "ObservedDataset.visit_times: expected a list, got '369'"
+    elif kind == "string-x":
+        doc["patients"][0]["x"] = "05"
+        reason = "ObservedPatient.x: expected a list, got '05'"
+    elif kind == "array-y-obs":
+        doc["patients"][0]["y_obs"] = [1.0]
+        reason = "ObservedPatient.y_obs: expected an object, got [1.0]"
+    elif kind == "array-diagnostics":
+        doc["survival"]["diagnostics"] = [1.0]
+        reason = "SurvivalPosterior.diagnostics: expected an object, got [1.0]"
+    elif kind == "unknown-key":
+        doc["extra"] = 1
+        reason = "PosteriorFile: unknown keys ['extra']"
+    else:  # "converged-as-number", as tbd fit wrote it before it wrote booleans
+        next(iter(doc["longitudinal"].values()))["converged"] = 1.0
+        reason = "LongitudinalPosterior.converged: expected a boolean, got 1.0"
+    return json.dumps(doc), reason
+
+
+FILE_KINDS = {
+    ("simulate", "--scenario"): ("directory", "truncated", "top-level-array", "string-visit-times"),
+    ("fit", "--data"): ("directory", "truncated", "top-level-array", "array-y-obs",
+                        "string-visit-times", "string-x"),
+    ("fit", "--config"): ("directory", "truncated", "top-level-array"),
+    ("study", "--config"): ("directory", "truncated", "top-level-array"),
+    ("estimate", "--data"): ("directory", "truncated", "top-level-array", "array-y-obs",
+                             "string-visit-times", "string-x"),
+    ("estimate", "--fits"): ("directory", "truncated", "top-level-array", "array-diagnostics",
+                             "unknown-key", "converged-as-number"),
+}
+
+
+@pytest.mark.parametrize("command, option, kind", [
+    (command, option, kind) for (command, option), kinds in FILE_KINDS.items() for kind in kinds
+], ids=[f"{command}{option}-{kind}" for (command, option), kinds in FILE_KINDS.items()
+        for kind in kinds])
+def test_refused_file_is_a_one_line_error(runner, sim_dir, fits_path, tmp_path, command, option,
+                                          kind):
+    observed, config = sim_dir / "observed.json", tmp_path / "config.json"
+    config.write_text(json.dumps({"mcmc": FAST_MCMC}))
+    good = {"--scenario": {"a": MIXED}, "--data": json.loads(observed.read_text()),
+            "--config": {"scenarios": []} if command == "study" else {"mcmc": FAST_MCMC},
+            "--fits": json.loads(fits_path.read_text())}[option]
+    bad = tmp_path / "bad.json"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        text, reason = _misshapen(kind, good, option)
+        bad.write_text(text)
+    out = tmp_path / "out"
+    files = {"--data": str(observed), "--fits": str(fits_path), "--config": str(config),
+             option: str(bad)}
+    argv = {
+        "simulate": ["--scenario", files["--scenario"] if option == "--scenario" else "mixed"],
+        "fit": ["--data", files["--data"], "--config", files["--config"]],
+        "study": ["--config", files["--config"]],
+        "estimate": ["--data", files["--data"], "--fits", files["--fits"]],
+    }[command]
+    result = runner.invoke(main, [command, *argv, "--out", str(out / "fits.json")
+                                  if command == "fit" else str(out)])
+    lines = result.output.strip().splitlines()
+    assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output
+    assert not out.exists()
+    if kind == "directory" and option != "--scenario":  # a file option: click refuses it
+        assert result.exit_code == 2
+        assert lines[-1] == f"Error: Invalid value for '{option}': File '{bad}' is a directory."
+        return
+    if kind == "directory":
+        reason = f"[Errno 21] Is a directory: '{bad}'"
+    what = {"--scenario": "scenario", "--data": "data", "--config": "config",
+            "--fits": "posteriors"}[option]
+    advice = "; rerun `tbd fit`" if what == "posteriors" else ""
+    assert result.exit_code == 1
+    assert lines == [f"Error: {what} {bad} refused: {reason}{advice}"]
+
+
+def test_fit_leaves_out_a_visit_whose_sigma_reaches_the_grid_end(runner, tmp_path):
+    # every outcome at month 3 is 1: the sigma posterior piles up in the
+    # lowest cell of its grid, so that visit has no posterior to write
+    rng = np.random.default_rng(8)
+    data = {"follow_up_months": 15.0, "visit_times": [3, 6], "patients": [
+        {"id": i, "x": [rng.normal()], "w": i % 2, "t_obs": 15.0, "d_obs": 0,
+         "y_obs": {"3": 1.0, "6": rng.normal()}} for i in range(40)]}
+    observed, cfg, fits = tmp_path / "observed.json", tmp_path / "config.json", tmp_path / "fits.json"
+    observed.write_text(json.dumps(data))
+    cfg.write_text(json.dumps({"mcmc": FAST_MCMC}))
+    result = runner.invoke(main, ["fit", "--data", str(observed), "--out", str(fits),
+                                  "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+    assert ("warning: no longitudinal fit at t=3.0, left out: sigma posterior at t=3.0 reaches "
+            "the grid end at 0.01") in result.output
+    assert set(json.loads(fits.read_text())["longitudinal"]) == {"6"}

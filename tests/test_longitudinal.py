@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from oracles import LongParams, SurvivalParams, predict_s_mis, predict_y_mis
+from tbd import longitudinal
 from tbd.longitudinal import (
     LongitudinalFitError,
     LongPriors,
@@ -272,12 +273,24 @@ class TestGriddySampler:
         assert post.sigma.mean() == pytest.approx(mean, abs=4 * sd / math.sqrt(k))
         assert post.sigma.std() == pytest.approx(sd, rel=0.03)
 
-    def test_sigma_mass_at_grid_end_is_flagged(self):
+    def test_sigma_mass_at_grid_end_is_refused(self):
         # noiseless outcomes: the sigma posterior piles up below the grid
         pats = [_obs(id=i, w=i % 2, y_obs={6.0: -2.0 + 0.5 * i}, x=(float(i),)) for i in range(40)]
         data = ObservedDataset(patients=tuple(pats), follow_up=15.0)
-        post = fit_longitudinal(data, 6.0, np.ones(40), LongPriors(), McmcConfig(seed=1))
-        assert not post.converged
+        with pytest.raises(LongitudinalFitError, match=r"t=6.0 reaches the grid end at 0.01 "):
+            fit_longitudinal(data, 6.0, np.ones(40), LongPriors(), McmcConfig(seed=1))
+
+    def test_end_mass_tolerance_alone_refuses_a_fit_that_mixes(self, monkeypatch):
+        # every outcome 1: diagnostics pass, as the draws are independent, but
+        # the grid holds a tenth of the sigma mass in its lowest cell, so no
+        # seed or sample size can make the fit usable
+        rng = np.random.default_rng(4)
+        pats = [_obs(id=i, w=i % 2, y_obs={3.0: 1.0}, x=(rng.normal(),)) for i in range(40)]
+        data = ObservedDataset(patients=tuple(pats), follow_up=15.0)
+        with pytest.raises(LongitudinalFitError, match=r"grid end at 0.01 \(0.1\d of its mass"):
+            fit_longitudinal(data, 3.0, np.ones(40), LongPriors(), McmcConfig(seed=1))
+        monkeypatch.setattr(longitudinal, "END_MASS_TOL", 0.5)
+        assert fit_longitudinal(data, 3.0, np.ones(40), LongPriors(), McmcConfig(seed=1)).converged
 
 
 def test_intercept_prior_sensitivity_is_negligible_with_data():

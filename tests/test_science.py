@@ -5,6 +5,7 @@ the package evaluates them as array code."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,17 +21,22 @@ from oracles import (
     observed_composite,
     potential_composite,
 )
-from tbd.codec import decode, encode
+from tbd.codec import DecodeError, decode, encode
+from tbd.longitudinal import LongitudinalPosterior
+from tbd.mcmc import McmcConfig
 from tbd.science import (
     InvariantError,
     ObservedPatient,
     PatientTruth,
+    dump_json,
+    load_json,
     observed_from_json,
     observed_to_json,
     science_from_json,
     science_to_json,
     ScienceTable,
     ObservedDataset,
+    replacing,
 )
 
 times = st.floats(min_value=0.01, max_value=50, allow_nan=False)
@@ -321,3 +327,78 @@ class TestObservedColumns:
         assert observed_to_json(data) == doc
         again = observed_from_json(doc)
         assert again == data and "columns" not in again.__dict__
+
+
+class TestCodecGate:
+    @pytest.mark.parametrize("hint, value, refused", [
+        (str, 5, "expected a string, got 5"),
+        (bool, 1.0, "expected a boolean, got 1.0"),
+        (bool, "true", "expected a boolean, got 'true'"),
+        (float, "7", "could not convert string to float: '7'"),
+        (float, "NaN", "could not convert string to float: 'NaN'"),
+        (float, None, "expected a number, got None"),
+        (int, math.inf, "expected an integer, got inf"),
+        (tuple[float, ...], "369", "expected a list, got '369'"),
+        (tuple[float, ...], {"0": 5.0}, "expected a list, got {'0': 5.0}"),
+        (np.ndarray, "12", "expected a list, got '12'"),
+        (np.ndarray, [1.0, "7"], "could not convert string to float: '7'"),
+        (np.ndarray, [[1.0, 2.0], [3.0, None]], "expected a number, got None"),
+        (np.ndarray, [True, False], "expected a number, got True"),
+        (np.ndarray, [[1.0], [2.0, 3.0]], "inhomogeneous"),
+        (dict[float, float], [1.0, 2.0], "expected an object, got [1.0, 2.0]"),
+        (dict[str, dict[str, float]], {"sigma": [1.0]}, "expected an object, got [1.0]"),
+        (McmcConfig, [4], "McmcConfig: expected an object, got [4]"),
+    ], ids=["int-as-str", "float-as-bool", "str-as-bool", "digit-string", "other-nan-spelling",
+            "null-float", "infinite-int", "string-as-tuple", "object-as-tuple", "string-as-array",
+            "digit-string-in-array", "null-in-nested-array", "booleans-as-array", "ragged-array",
+            "list-as-dict", "list-in-dict", "list-as-dataclass"])
+    def test_misshapen_value_is_refused(self, hint, value, refused):
+        with pytest.raises(ValueError, match=re.escape(refused)):
+            decode(hint, value)
+
+    def test_refusal_names_the_dataclass_and_field(self):
+        doc = {"id": 0, "x": "05", "w": 0, "t_obs": 15.0, "d_obs": 0, "y_obs": {}}
+        with pytest.raises(DecodeError, match=re.escape("ObservedPatient.x: expected a list, got '05'")):
+            decode(ObservedPatient, doc)
+        with pytest.raises(DecodeError, match=re.escape("ObservedPatient.y_obs: expected an object")):
+            decode(ObservedPatient, {**doc, "x": [0.0], "y_obs": [[3, 1.0]]})
+
+    def test_non_finite_spellings_and_month_keys_still_read(self):
+        back = decode(np.ndarray, [[1.0, "nan"], ["-inf", 2]])
+        assert back.dtype == float
+        np.testing.assert_array_equal(back, [[1.0, math.nan], [-math.inf, 2.0]])
+        assert decode(float, "inf") == math.inf and decode(int, 5.0) == 5
+        assert decode(dict[float, float], {"3": 1.0, "4.5": "nan"}).keys() == {3.0, 4.5}
+        assert decode(bool, False) is False and decode(str, "nan") == "nan"
+
+    def test_numpy_booleans_are_written_as_booleans(self):
+        post = LongitudinalPosterior(t=3.0, beta0=np.zeros((2, 2)), beta1=np.zeros((2, 2, 1)),
+                                     sigma=np.ones(2), diagnostics={}, converged=np.bool_(True))
+        doc = json.loads(json.dumps(post.to_json()))
+        assert doc["converged"] is True
+        assert LongitudinalPosterior.from_json(doc).converged is True
+        with pytest.raises(DecodeError, match="LongitudinalPosterior.converged: expected a boolean"):
+            LongitudinalPosterior.from_json({**doc, "converged": 1.0})  # as written before
+
+
+class TestFileGate:
+    def test_interrupted_write_leaves_the_old_file_whole(self, tmp_path):
+        path = tmp_path / "fits.json"
+        dump_json({"old": [1.0, 2.0]}, path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):  # json.dump streams part of the file, then fails
+            dump_json({"a": list(range(10_000)), "b": object()}, path)
+        with pytest.raises(RuntimeError):
+            with replacing(path) as fh:
+                fh.write('{"new": ')
+                raise RuntimeError("killed mid-file")
+        assert path.read_bytes() == before and load_json(path) == {"old": [1.0, 2.0]}
+        assert [p.name for p in tmp_path.iterdir()] == ["fits.json"]
+
+    def test_writer_creates_the_directory_and_keeps_the_bytes(self, tmp_path):
+        doc = {"b": [1.5, "nan"], "a": {"3": -1.0}}
+        path = tmp_path / "new" / "deeper" / "doc.json"
+        dump_json(doc, path)
+        assert path.read_text() == json.dumps(doc, sort_keys=True) + "\n"
+        dump_json(doc, path, indent=1)
+        assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"

@@ -1,15 +1,19 @@
 """Study driver: determinism, caching, failure isolation, and reports."""
 
+import dataclasses
 import json
 import math
+import os
 import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from tbd import study
+from tbd.cli import main
 from tbd.estimators import EstimandSummary
 from tbd.longitudinal import LongitudinalFitError, compute_weights
 from tbd.metrics import BiasCoverage, bias_and_coverage
@@ -129,13 +133,13 @@ class TestRunStudy:
 
     def test_cell_files_are_replaced_atomically(self, tmp_path, monkeypatch):
         moves = []
-        real = study.os.replace
+        real = os.replace
 
         def spy(src, dst):
             moves.append((Path(src), Path(dst)))
             real(src, dst)
 
-        monkeypatch.setattr(study.os, "replace", spy)
+        monkeypatch.setattr(os, "replace", spy)
         run_study(_config(replicates=1), tmp_path, workers=1)
         cell_file = tmp_path / "cells" / "no_effect__r0000.json"
         assert moves == [(cell_file.with_name(cell_file.name + ".tmp"), cell_file)]
@@ -151,6 +155,41 @@ class TestRunStudy:
         with pytest.warns(UserWarning, match="unreadable cell file"):
             run_study(cfg, out2, workers=1)
         assert victim.read_bytes() == intact
+
+    @pytest.mark.parametrize("misshape", ["top-level-array", "cell-array", "summaries-array",
+                                          "number-hash"])
+    def test_misshapen_cell_is_left_out_and_recomputed(self, study_dir, tmp_path, misshape):
+        cfg, out, _ = study_dir
+        out2 = tmp_path / "copy"
+        shutil.copytree(out / "cells", out2 / "cells")
+        victim = out2 / "cells" / "no_effect__r0001.json"
+        intact = victim.read_bytes()
+        doc = json.loads(intact)
+        if misshape == "top-level-array":
+            doc = [doc]
+        elif misshape == "cell-array":
+            doc["cell"] = [doc["cell"]]
+        elif misshape == "summaries-array":
+            doc["cell"]["times"][0]["summaries"] = list(doc["cell"]["times"][0]["summaries"].values())
+        else:
+            doc["config_hash"] = 7
+        victim.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match="ignoring unreadable cell file"):
+            result = CliRunner().invoke(main, ["report", "--results", str(out2),
+                                               "--out", str(tmp_path / "report")])
+        assert result.exit_code == 0, result.output
+        metrics = (tmp_path / "report" / "metrics.csv").read_text().splitlines()
+        assert {line.split(",")[1] for line in metrics[1:]} == {"0.0000"}  # replicate 1 left out
+        with pytest.warns(UserWarning, match="ignoring unreadable cell file"):
+            run_study(cfg, out2, workers=1)
+        assert victim.read_bytes() == intact
+
+    def test_cell_path_that_cannot_be_opened_is_skipped(self, study_dir, tmp_path):
+        cfg, out, _ = study_dir
+        shutil.copytree(out / "cells", tmp_path / "cells")
+        (tmp_path / "cells" / "stray.json").mkdir()
+        with pytest.warns(UserWarning, match="ignoring unreadable cell file .*stray.json"):
+            assert [cell.replicate for _, cell in study.load_cells(tmp_path)] == [0, 1]
 
     def test_truths_recorded_exactly(self, study_dir):
         _, _, results = study_dir
@@ -582,6 +621,7 @@ class TestBuildConfig:
             return build_config(doc).content_hash()
 
         assert chash({"mcmc": {"min_ess": 5}}) == chash({"mcmc": {"min_ess": 5.0}})
-        assert chash({"grid_cutpoints": [0, 3, 6, 9, 12, 15]}) == chash(
-            {"grid_cutpoints": [0.0, 3.0, 6.0, 9.0, 12.0, 15.0]}
+        inline = dataclasses.asdict(get_scenario("mixed"))
+        assert chash({"scenarios": [{**inline, "visit_times": [3, 6, 9, 12, 15]}]}) == chash(
+            {"scenarios": [{**inline, "visit_times": [3.0, 6.0, 9.0, 12.0, 15.0]}]}
         )
