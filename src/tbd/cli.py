@@ -11,11 +11,22 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import estimators, longitudinal, science, simulate, study, survival
+from . import longitudinal, science, simulate, study, survival
 from .codec import decode, encode
 
 
-@click.group()
+class _Commands(click.Group):
+    """The commands; an output file that cannot be written ends any of them
+    in the one-line error ``output <path> refused: <reason>``."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except science.OutputRefused as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Treatment effects for longitudinal outcomes truncated by death."""
 
@@ -151,23 +162,24 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
             f"--draws {draws} refused: the fits hold {pool} draws to pair; use 1..{pool}")
     if not spost.converged:
         click.echo("warning: survival fit flagged by convergence diagnostics", err=True)
+    for t, lpost in sorted(lposts.items()):
+        if not lpost.converged:
+            click.echo(f"warning: longitudinal fit at t={t} flagged by diagnostics", err=True)
     out_dir = Path(out)
     est_rows = []
     summary_rows = []
-    for t, lpost in lposts.items():
-        if not lpost.converged:
-            click.echo(f"warning: longitudinal fit at t={t} flagged by diagnostics", err=True)
-        result = estimators.estimand_draws(spost, lpost, data, t, draws)
-        for name, summ in result.summaries().items():
-            values = result.values(name)
+    for visit in study.estimate_visits(spost, lposts, data, draws):
+        t = visit.time
+        for name, values in visit.draws.items():
+            summ = visit.summaries[name]
             est_rows.extend(zip(
                 repeat(label), repeat(0), repeat(t), repeat(name), range(len(values)),
                 study.fmt_floats(values.tolist(), ".6g"), np.isinf(values).astype(int).tolist(),
             ))
             summary_rows.append((name, t, _cell(summ.median), _cell(summ.lo95),
                                  _cell(summ.hi95), study.fmt(summ.frac_undefined)))
-        for reference, value in (("naive_reference_biased", result.naive),
-                                 ("wmw_reference", result.wmw)):
+        for reference, value in (("naive_reference_biased", visit.naive),
+                                 ("wmw_reference", visit.wmw)):
             summary_rows.append((reference, t, _cell(value), "-", "-", "-"))
     study.write_rows(out_dir / "estimates.csv", ESTIMATE_COLUMNS, est_rows)
     study.write_rows(out_dir / "summary.csv", SUMMARY_COLUMNS, summary_rows)
@@ -179,7 +191,8 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
               default=None, help="Study JSON; defaults to all four library scenarios at desk scale.")
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=None, help="Override the master seed.")
-@click.option("--workers", type=int, default=1, show_default=True, help="Worker processes.")
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker processes.")
 def study_cmd(config_path: str | None, out: str, seed: int | None, workers: int) -> None:
     """Run the scenario x replicate study and write report CSVs."""
     cfg = _load_config(config_path)

@@ -117,30 +117,24 @@ def summarize(draws) -> EstimandSummary:
 class EstimandDraws:
     """Aligned per-draw values of the four estimators at one visit time."""
 
-    time: float
     sace: np.ndarray
     pc: np.ndarray
     sim: np.ndarray
     rmst: np.ndarray
-    naive: float | None
-    wmw: float | None
 
-    def values(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
-    def summaries(self) -> dict[str, EstimandSummary]:
-        """``summarize`` of each estimand."""
-        return summaries_of([self])[0]
+    def by_name(self) -> dict[str, np.ndarray]:
+        """Each estimand's draws, in ``ESTIMANDS`` order."""
+        return {name: getattr(self, name) for name in ESTIMANDS}
 
 
-def summaries_of(results) -> list[dict[str, EstimandSummary]]:
-    """``EstimandDraws.summaries`` of each of ``results``, which all hold
-    one number of draws. The estimands whose draws are all finite share one
-    percentile call, which takes each row's order statistics and
-    interpolates them as a one-row call does."""
-    if not results:
+def summaries_of(rows) -> list[EstimandSummary]:
+    """``summarize`` of each of ``rows``, arrays that all hold one number of
+    draws. The rows whose draws are all finite share one percentile call,
+    which takes each row's order statistics and interpolates them as a
+    one-row call does."""
+    if not rows:
         return []
-    rows = np.stack([np.asarray(r.values(name), dtype=float) for r in results for name in ESTIMANDS])
+    rows = np.stack([np.asarray(row, dtype=float) for row in rows])
     whole = np.isfinite(rows).all(axis=1) & (rows.shape[1] > 0)
     batched = {}
     if whole.any():
@@ -149,9 +143,7 @@ def summaries_of(results) -> list[dict[str, EstimandSummary]]:
             i: EstimandSummary(float(m), float(l), float(h), 0.0, rows.shape[1])
             for i, l, m, h in zip(np.flatnonzero(whole), lo, med, hi)
         }
-    flat = [batched[i] if i in batched else summarize(row) for i, row in enumerate(rows)]
-    n = len(ESTIMANDS)
-    return [dict(zip(ESTIMANDS, flat[i:i + n])) for i in range(0, len(flat), n)]
+    return [batched[i] if i in batched else summarize(row) for i, row in enumerate(rows)]
 
 
 def rmst_estimand_draws(
@@ -243,12 +235,4 @@ def estimand_draws(
             n / 2.0,
         )
 
-    return EstimandDraws(
-        time=t,
-        sace=sace,
-        pc=pc,
-        sim=sim,
-        rmst=rmst,
-        naive=naive_effect(data, t),
-        wmw=wmw(data, t),
-    )
+    return EstimandDraws(sace=sace, pc=pc, sim=sim, rmst=rmst)

@@ -35,6 +35,11 @@ class InvariantError(ValueError):
     """A value violates one of the data-model invariants."""
 
 
+class OutputRefused(OSError):
+    """An output file that could not be written: ``output <path> refused:
+    <reason>``."""
+
+
 def composite_metric(t0, t1, y0, y1, t):
     """Signed distance between the composite outcomes at horizon t, treated
     minus control, elementwise over death times ``t0``/``t1`` and scores
@@ -327,16 +332,22 @@ def science_from_json(doc: Mapping) -> ScienceTable:
 def replacing(path):
     """A text file that replaces ``path`` when the block ends cleanly: it is
     written beside ``path``, its directory created, then renamed over it, so
-    a reader finds the old file or the new one. Every file is written here."""
+    a reader finds the old file or the new one. Every file is written here;
+    an ``OSError`` while writing is raised as ``OutputRefused``."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
+    except OSError as exc:
+        # name a directory that could not be made; the file is named already
+        at = "" if exc.filename in (None, str(path), str(tmp)) else f": {exc.filename}"
+        raise OutputRefused(f"output {path} refused: {exc.strerror or exc}{at}") from exc
     finally:
-        tmp.unlink(missing_ok=True)
+        if tmp.is_file():
+            tmp.unlink()
 
 
 def dump_json(doc: dict, path, indent: int | None = None) -> None:

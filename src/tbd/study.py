@@ -38,7 +38,6 @@ from .estimators import (
     naive_effect,
     rmst_estimand_draws,
     summaries_of,
-    summarize,
     wmw,
 )
 from .longitudinal import (
@@ -51,7 +50,7 @@ from .longitudinal import (
 )
 from .mcmc import McmcConfig, diagnostic_extremes
 from .metrics import BiasCoverage, bias_and_coverage, cdauc, ibs, mae_reconstruction
-from .science import dump_json, load_json, replacing
+from .science import OutputRefused, dump_json, load_json, replacing
 from .simulate import (
     ScenarioParams,
     TruthRecord,
@@ -208,6 +207,31 @@ def fit_posteriors(data, config: StudyConfig, *seed_parts) -> Posteriors:
     return fits
 
 
+@dataclass
+class VisitEstimates:
+    """One visit's estimand draws and summaries, and its two references."""
+
+    time: float
+    draws: dict[str, np.ndarray]
+    summaries: dict[str, EstimandSummary]
+    naive: float | None
+    wmw: float | None
+
+
+def estimate_visits(spost: SurvivalPosterior, lposts: dict[float, LongitudinalPosterior],
+                    data, k: int) -> list[VisitEstimates]:
+    """The one step from fits to estimates, for study cells and ``tbd estimate``:
+    at each visit of ``data``, in time order, the four estimands over ``k``
+    paired draws where ``lposts`` holds its posterior, else RMST alone, which
+    needs none; every visit's summaries come from one ``summaries_of`` call."""
+    draws = [estimand_draws(spost, lposts[t], data, t, k).by_name() if t in lposts
+             else {"rmst": rmst_estimand_draws(spost, data, t, k)} for t in data.visit_times]
+    flat = iter(summaries_of([row for by_name in draws for row in by_name.values()]))
+    # zip stops at the end of each visit's names without drawing from ``flat``
+    return [VisitEstimates(t, by_name, dict(zip(by_name, flat)), naive_effect(data, t),
+                           wmw(data, t)) for t, by_name in zip(data.visit_times, draws)]
+
+
 def _draw_mean(draws: np.ndarray) -> np.ndarray:
     """``draws.mean(axis=0)`` of a (draws, d, ...) array with d > 1, in under
     half its time: numpy sums such an axis draw by draw, as a running sum
@@ -230,36 +254,24 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
         failure = f"survival fit: {fits.survival_failure}"
         return CellResult(scenario.name, replicate, times=[], failed=True, failure=failure)
     spost = fits.survival
+    # a visit whose fit is flagged is estimated as one without, and recorded as failed
+    usable = {t: lpost for t, lpost in fits.longitudinal.items() if t not in fits.failures}
 
     cols = data.columns
-    x, w = cols.x, cols.w
-    draws = {t: estimand_draws(spost, lpost, data, t, config.k_draws)
-             for t, lpost in fits.longitudinal.items() if t not in fits.failures}
-    # one percentile call for every visit's estimands with all draws finite
-    summaries_at = dict(zip(draws, summaries_of(list(draws.values()))))
-
     results: list[CellTimeResult] = []
-    for t in scenario.visit_times:
-        failure = fits.failures.get(t)
-        if failure is None:
-            summaries, naive, wmw_ref = summaries_at[t], draws[t].naive, draws[t].wmw
-            lpost = fits.longitudinal[t]
-            mu_mis_mean = counterfactual_mean(_draw_mean(lpost.beta0), _draw_mean(lpost.beta1), x, w)
-            mae = mae_reconstruction(science, mu_mis_mean, t)
-        else:
-            # the restricted-mean contrast and the data-only references do
-            # not need the longitudinal fit; keep them
-            summaries = {"rmst": summarize(rmst_estimand_draws(spost, data, t, config.k_draws))}
-            naive, wmw_ref, mae = naive_effect(data, t), wmw(data, t), None
+    for visit in estimate_visits(spost, usable, data, config.k_draws):
+        t, lpost, failure = visit.time, usable.get(visit.time), fits.failures.get(visit.time)
+        mae = None if lpost is None else mae_reconstruction(science, counterfactual_mean(
+            _draw_mean(lpost.beta0), _draw_mean(lpost.beta1), cols.x, cols.w), t)
         results.append(
             CellTimeResult(
                 time=t,
                 truth=truths[t],
-                summaries=summaries,
+                summaries=visit.summaries,
                 bias_coverage={name: bias_and_coverage(summary, getattr(truths[t], name))
-                               for name, summary in summaries.items()},
-                naive=naive,
-                wmw=wmw_ref,
+                               for name, summary in visit.summaries.items()},
+                naive=visit.naive,
+                wmw=visit.wmw,
                 death_pct=100.0 * float(np.mean(~cols.at(t).alive)),
                 mae=mae,
                 failed=failure is not None,
@@ -270,10 +282,7 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
     # reconstruction metrics for the observed-arm survival fit; the grid
     # stops a month short of the censoring horizon where controls run out
     months = np.arange(2.0, scenario.follow_up)
-    overlaps = spost.grid.overlaps(months)
-    base = np.stack([overlaps @ spost.lambda0.mean(axis=0), overlaps @ spost.lambda1.mean(axis=0)])
-    scale = np.exp(np.where(w == 1, x @ spost.alpha1.mean(axis=0), x @ spost.alpha0.mean(axis=0)))
-    surv_pred = np.exp(-base[w] * scale[:, None])
+    surv_pred = spost.assigned_survival(data, months)
     try:
         cell_ibs = ibs(surv_pred, data, months)
         cell_cdauc = cdauc(1.0 - surv_pred, data, months)
@@ -308,10 +317,14 @@ def run_study(config: StudyConfig, out_dir, workers: int = 1) -> StudyResults:
     """Run all (scenario, replicate) cells, caching each in ``out_dir``.
 
     Cells already present with a matching config hash are loaded instead of
-    recomputed; each new one is written whole or not at all. ``workers``
-    processes run the cells; each cell is deterministic given the master
-    seed, so scheduling does not affect results.
+    recomputed; each new one is written whole or not at all. A cell file
+    that cannot be written does not stop the others: the first
+    ``OutputRefused`` is raised once every cell has run. ``workers`` (at
+    least 1) processes run the cells; each cell is deterministic given the
+    master seed, so scheduling does not affect results.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
     chash = config.content_hash()
 
@@ -329,12 +342,18 @@ def run_study(config: StudyConfig, out_dir, workers: int = 1) -> StudyResults:
 
     jobs = [(config, s, r) for s, r in pending]
     parallel = workers > 1 and bool(jobs)
+    refused = []
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         done = (pool.map if parallel else map)(_run_cell_job, jobs)
         for (scenario, rep), cell in zip(pending, done):
             cells[(scenario.name, rep)] = cell
-            dump_json({"config_hash": chash, "cell": cell.to_doc()},
-                      out_dir / "cells" / f"{scenario.name}__r{rep:04d}.json", indent=1)
+            try:
+                dump_json({"config_hash": chash, "cell": cell.to_doc()},
+                          out_dir / "cells" / f"{scenario.name}__r{rep:04d}.json", indent=1)
+            except OutputRefused as exc:
+                refused.append(exc)
+    if refused:
+        raise refused[0]
 
     ordered = [
         cells[(s.name, r)]
@@ -394,21 +413,26 @@ def _estimand_groups(results: StudyResults):
 
 
 def coverage_rows(results: StudyResults) -> list[dict]:
-    """One row per (scenario, time, estimand): mean truth, coverage percent,
-    death percent range across replicates. Coverage counts only cells where
-    the estimand was computed and its truth is defined; undefined truths
-    print as '-'; cells whose fit failed for this estimand are counted in
-    ``n_failed``."""
+    """One row per (scenario, time, estimand): mean truth, coverage percent
+    and its Monte Carlo standard error ``100 sqrt(p (1 - p) / n_cells)`` in
+    percentage points (Morris, White & Crowther 2019), death percent range
+    across replicates. Coverage counts only cells where the estimand was
+    computed and its truth is defined; undefined truths print as '-'; cells
+    whose fit failed for this estimand are counted in ``n_failed``."""
     rows = []
     for key, slices, summaries, defined in _estimand_groups(results):
         deaths = [ct.death_pct for ct in slices]
         truths = [bc.truth for bc in defined]
-        covered = [bc.covered for bc in defined]
+        pct = mcse = None
+        if defined:
+            p = float(np.mean([bc.covered for bc in defined]))
+            pct, mcse = 100.0 * p, 100.0 * math.sqrt(p * (1.0 - p) / len(defined))
         rows.append(
             {
                 **key,
                 "truth": float(np.mean(truths)) if truths else None,
-                "coverage_pct": 100.0 * float(np.mean(covered)) if covered else None,
+                "coverage_pct": pct,
+                "coverage_mcse": mcse,
                 "n_cells": len(defined),
                 "n_undefined": len(summaries) - len(defined),
                 "n_failed": len(slices) - len(summaries),

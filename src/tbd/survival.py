@@ -279,6 +279,19 @@ class SurvivalPosterior:
             out[rows, sel] = _rmst_batch(lam, scale, overlaps)
         return out
 
+    def assigned_survival(self, data: ObservedDataset, months) -> np.ndarray:
+        """Plug-in survival of each patient under the assigned arm at each of
+        ``months``, shape (patients, len(months)): the posterior-mean segment
+        rates and covariate effects put into the hazard model. This is the
+        observed-arm curve that the integrated Brier score and the
+        cumulative/dynamic AUC score."""
+        cols = data.columns
+        overlaps = self.grid.overlaps(months)
+        base = np.stack([overlaps @ self.lambda0.mean(axis=0), overlaps @ self.lambda1.mean(axis=0)])
+        scale = np.exp(np.where(cols.w == 1, cols.x @ self.alpha1.mean(axis=0),
+                                cols.x @ self.alpha0.mean(axis=0)))
+        return np.exp(-base[cols.w] * scale[:, None])
+
     def to_json(self) -> dict:
         return encode(self)
 

@@ -317,7 +317,7 @@ def test_criterion_5_brute_force_equivalence():
     ok = True
     for name, (value, tol) in expected.items():
         ok &= abs(scalar[name] - value) < tol
-        ok &= abs(shipped.values(name)[0] - value) < tol
+        ok &= abs(getattr(shipped, name)[0] - value) < tol
     assert _verdict("criterion 5 (4-patient enumeration oracle, scalar and shipped)", bool(ok))
 
 

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from tbd import cli, science, simulate, study
 from tbd.cli import main
+from tbd.codec import encode
 from tbd.study import _seed_int, build_config
 from tbd.survival import default_grid, fit_survival
 
@@ -456,9 +457,23 @@ def test_fit_leaves_out_visits_it_cannot_fit(runner, tmp_path):
     result = runner.invoke(main, ["estimate", "--data", str(sim / "observed.json"),
                                   "--fits", str(fits), "--out", str(est), "--draws", "5"])
     assert result.exit_code == 0, result.output
-    with open(est / "estimates.csv", newline="") as fh:
-        times = {row["time"] for row in csv.DictReader(fh)}
-    assert times == {f"{float(v)}" for v in visits}
+    # SACE, PC and SIM at the fitted visits only; the restricted-mean
+    # contrast and the references, which need no longitudinal fit, at every
+    # visit, each visit's rows in time order
+    every = ["3.0", "6.0", "9.0", "12.0", "15.0"]
+    fitted = [t for t in every if t[:-2] in visits]
+    for name, rows_per_visit, estimands in (("estimates.csv", 5, ("sace", "pc", "sim", "rmst")),
+                                            ("summary.csv", 1, ("sace", "pc", "sim", "rmst",
+                                                                "naive_reference_biased",
+                                                                "wmw_reference"))):
+        with open(est / name, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        times = [row["time"] for row in rows]
+        assert times == sorted(times, key=float), name
+        for estimand in estimands:
+            want = every if estimand not in ("sace", "pc", "sim") else fitted
+            got = [row["time"] for row in rows if row["estimand"] == estimand]
+            assert got == [t for t in want for _ in range(rows_per_visit)], (name, estimand)
 
 
 def test_study_and_report_round_trip(runner, tmp_path):
@@ -627,3 +642,94 @@ def test_fit_leaves_out_a_visit_whose_sigma_reaches_the_grid_end(runner, tmp_pat
     assert ("warning: no longitudinal fit at t=3.0, left out: sigma posterior at t=3.0 reaches "
             "the grid end at 0.01") in result.output
     assert set(json.loads(fits.read_text())["longitudinal"]) == {"6"}
+
+
+def test_cell_and_estimate_take_one_estimation_step(runner, tmp_path, monkeypatch):
+    # one fit_posteriors result goes to a study cell and, through the file
+    # tbd fit writes, to tbd estimate: the summaries and references agree bit
+    # for bit at every visit, and a visit left out of the fits holds the
+    # restricted-mean contrast alone on both paths
+    killed = simulate.get_scenario("mixed").with_updates(n=30, th1_0=4.0, th1_x=0.0)
+    cfg = replace(build_config({"scenarios": [], "k_draws": 10, "mcmc": FAST_MCMC}),
+                  scenarios=(killed,))
+    fit_posteriors, shared = study.fit_posteriors, {}
+
+    def fit_once(data, config, *seed_parts):
+        shared["data"], shared["fits"] = data, fit_posteriors(data, config, *seed_parts)
+        return shared["fits"]
+
+    monkeypatch.setattr(study, "fit_posteriors", fit_once)
+    cell = study.run_cell(cfg, killed, 0)
+    fits = shared["fits"]
+    left_out = [t for t in killed.visit_times if t not in fits.longitudinal]
+    assert left_out and set(fits.failures) == set(left_out)  # no flagged fit was written
+
+    observed, fits_file = tmp_path / "observed.json", tmp_path / "fits.json"
+    science.dump_json(science.observed_to_json(shared["data"]), observed)
+    science.dump_json(encode(cli.PosteriorFile(fits.survival, fits.longitudinal)), fits_file)
+    estimate_visits, estimated = study.estimate_visits, []
+
+    def spy(*args):
+        estimated.extend(estimate_visits(*args))
+        return estimated
+
+    monkeypatch.setattr(study, "estimate_visits", spy)
+    result = runner.invoke(main, ["estimate", "--data", str(observed), "--fits", str(fits_file),
+                                  "--out", str(tmp_path / "est"), "--draws", "10"])
+    assert result.exit_code == 0, result.output
+
+    def bits(time, summaries, naive, wmw):  # json writes -0.0 and every float's bits
+        return json.dumps(encode([time, summaries, naive, wmw]))
+
+    assert [bits(ct.time, ct.summaries, ct.naive, ct.wmw) for ct in cell.times] == [
+        bits(v.time, v.summaries, v.naive, v.wmw) for v in estimated]
+    assert [list(v.summaries) for v in estimated] == [
+        ["rmst"] if v.time in left_out else ["sace", "pc", "sim", "rmst"] for v in estimated]
+    assert [v.time for v in estimated] == list(killed.visit_times)
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "estimate", "study", "report"])
+def test_unwritable_output_is_a_one_line_error(runner, sim_dir, fits_path, tmp_path, command):
+    # a directory where an output file belongs; for tbd fit, whose --out
+    # option itself refuses a directory, a file where its directory belongs
+    out = tmp_path / "out"
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({"scenarios": ["no_effect"], "replicates": 2, "n": 30,
+                                  "k_draws": 10, "master_seed": 5, "mcmc": FAST_MCMC}))
+    if command == "report":
+        result = runner.invoke(main, ["study", "--config", str(config), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+    target, reason = {
+        "simulate": (out / "truths.csv", "Is a directory"),
+        "fit": (out / "fits.json", f"File exists: {out}"),
+        "estimate": (out / "estimates.csv", "Is a directory"),
+        "study": (out / "cells" / "no_effect__r0000.json", "Is a directory"),
+        "report": (out / "metrics.csv", "Is a directory"),
+    }[command]
+    if command == "fit":
+        out.write_text("")
+    else:
+        target.mkdir(parents=True)
+    argv = {
+        "simulate": ["--scenario", "no_effect", "--n", "30", "--out", str(out)],
+        "fit": ["--data", str(sim_dir / "observed.json"), "--out", str(target)],
+        "estimate": ["--data", str(sim_dir / "observed.json"), "--fits", str(fits_path),
+                     "--draws", "5", "--out", str(out)],
+        "study": ["--config", str(config), "--out", str(out)],
+        "report": ["--results", str(tmp_path), "--out", str(out)],
+    }[command]
+    result = runner.invoke(main, [command, *argv])
+    assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines()[-1] == f"Error: output {target} refused: {reason}"
+    assert not list(tmp_path.rglob("*.tmp"))
+    if command == "study":  # the other cell is written all the same; the report is not
+        assert (out / "cells" / "no_effect__r0001.json").is_file()
+        assert not (out / "coverage_table.csv").exists()
+
+
+def test_study_refuses_workers_below_one(runner, tmp_path):
+    result = runner.invoke(main, ["study", "--out", str(tmp_path / "out"), "--workers", "0"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--workers': 0 is not in the range x>=1." in result.output
+    assert not (tmp_path / "out").exists()

@@ -27,7 +27,6 @@ from oracles import (
     survival_prob,
 )
 from tbd.estimators import (
-    EstimandDraws,
     estimand_draws,
     naive_effect,
     rmst_estimand_draws,
@@ -849,36 +848,35 @@ class TestSummariesShareOnePercentileCall:
                 drawn = [r.copy() for r in rows]
                 if bad is not None:
                     drawn[bad][:: 3] = np.inf
-                d = EstimandDraws(T, *drawn, naive=None, wmw=None)
-                got = d.summaries()
-                assert list(got) == ["sace", "pc", "sim", "rmst"]
-                for name, row in zip(got, drawn):
+                got = summaries_of(drawn)
+                assert len(got) == len(drawn)
+                for one, row in zip(got, drawn):
                     want = summarize(row)
-                    assert got[name] == want
+                    assert one == want
                     for f in ("median", "lo95", "hi95"):  # == takes -0.0 for 0.0
-                        a, b = getattr(got[name], f), getattr(want, f)
+                        a, b = getattr(one, f), getattr(want, f)
                         assert a is None and b is None or _same_bits(a, b)
 
     def test_several_results_share_the_call(self):
-        # a study cell summarizes all its visits at once
+        # a study cell summarizes all its visits at once, a visit without a
+        # longitudinal fit holding the restricted-mean draws alone
         rng = np.random.default_rng(4)
-        results = []
+        rows = []
         for bad in (None, 2, None, 0):
             drawn = [rng.normal(size=100) * 10 for _ in range(4)]
             if bad is not None:
                 drawn[bad][::4] = -np.inf
-            results.append(EstimandDraws(T, *drawn, naive=None, wmw=None))
-        got = summaries_of(results)
-        assert len(got) == len(results)
-        for one, d in zip(got, results):
-            want = d.summaries()
-            assert list(one) == list(want)
-            for name in want:
-                for f in ("median", "lo95", "hi95", "frac_undefined", "n_draws"):
-                    assert _same_bits(getattr(one[name], f), getattr(want[name], f)), (name, f)
+            rows.extend(drawn)
+        rows.insert(8, rng.normal(size=100))
+        got = summaries_of(rows)
+        assert len(got) == len(rows)
+        for one, row in zip(got, rows):
+            want = summarize(row)
+            for f in ("median", "lo95", "hi95", "frac_undefined", "n_draws"):
+                assert _same_bits(getattr(one, f), getattr(want, f)), f
         assert summaries_of([]) == []
 
     def test_no_draws_refused(self):
         empty = np.array([])
         with pytest.raises(ValueError, match="no draws"):
-            EstimandDraws(T, empty, empty, empty, empty, naive=None, wmw=None).summaries()
+            summaries_of([empty, empty])

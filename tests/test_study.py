@@ -145,6 +145,11 @@ class TestRunStudy:
         assert moves == [(cell_file.with_name(cell_file.name + ".tmp"), cell_file)]
         assert [p.name for p in (tmp_path / "cells").iterdir()] == [cell_file.name]
 
+    def test_workers_below_one_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            run_study(_config(), tmp_path, workers=0)
+        assert not list(tmp_path.iterdir())
+
     def test_truncated_cell_file_is_recomputed(self, study_dir, tmp_path):
         cfg, out, _ = study_dir
         out2 = tmp_path / "copy"
@@ -284,6 +289,27 @@ class TestFailureIsolation:
         ok_times = [ct for ct in cell.times if not ct.failed]
         assert ok_times  # early visit still produced estimates
 
+    def test_flagged_fit_is_estimated_as_none(self, monkeypatch):
+        # a visit whose longitudinal fit is drawn but flagged reads as one
+        # without a fit: RMST alone, with the same bits, no MAE, failed
+        cfg = _config(replicates=1)
+        clean = run_cell(cfg, cfg.scenarios[0], 0)
+        fit_posteriors = study.fit_posteriors
+
+        def flag_first_visit(data, config, *seed_parts):
+            fits = fit_posteriors(data, config, *seed_parts)
+            fits.failures[3.0] = "convergence failure after retry"
+            return fits
+
+        monkeypatch.setattr(study, "fit_posteriors", flag_first_visit)
+        flagged = run_cell(cfg, cfg.scenarios[0], 0)
+        first, later = flagged.times
+        assert first.failure == "longitudinal fit: convergence failure after retry"
+        assert list(first.summaries) == ["rmst"] and first.mae is None
+        assert first.summaries["rmst"] == clean.times[0].summaries["rmst"]
+        assert (first.naive, first.wmw) == (clean.times[0].naive, clean.times[0].wmw)
+        assert later == clean.times[1]
+
 
 def _handmade_slice(truth, death_pct, failure=None, **summaries):
     """A scored slice: each summary is (median, lo95, hi95, frac_undefined)."""
@@ -329,23 +355,23 @@ def _handmade_results():
 # the four report files of _handmade_results, pinned byte for byte (csv rows end in \r\n)
 HANDMADE_REPORT = {
     "coverage_table.csv": """\
-scenario,time,estimand,truth,coverage_pct,n_cells,n_undefined,n_failed,death_pct_min,death_pct_max
-a,3.0000,sace,0.0000,100.0000,1.0000,0.0000,0.0000,5.0000,5.0000
-a,3.0000,pc,0.5000,100.0000,1.0000,0.0000,0.0000,5.0000,5.0000
-a,3.0000,sim,0.0000,100.0000,1.0000,0.0000,0.0000,5.0000,5.0000
-a,3.0000,rmst,0.0000,100.0000,1.0000,0.0000,0.0000,5.0000,5.0000
-a,9.0000,sace,-,-,0.0000,0.0000,1.0000,15.0000,15.0000
-a,9.0000,pc,-,-,0.0000,0.0000,1.0000,15.0000,15.0000
-a,9.0000,sim,-,-,0.0000,0.0000,1.0000,15.0000,15.0000
-a,9.0000,rmst,0.0000,100.0000,1.0000,0.0000,0.0000,15.0000,15.0000
-b,3.0000,sace,1.0000,100.0000,1.0000,1.0000,0.0000,10.0000,20.0000
-b,3.0000,pc,0.3750,100.0000,2.0000,0.0000,0.0000,10.0000,20.0000
-b,3.0000,sim,0.0000,0.0000,1.0000,1.0000,0.0000,10.0000,20.0000
-b,3.0000,rmst,0.5000,50.0000,2.0000,0.0000,0.0000,10.0000,20.0000
-b,9.0000,sace,3.0000,100.0000,1.0000,0.0000,1.0000,30.0000,40.0000
-b,9.0000,pc,0.5000,100.0000,1.0000,0.0000,1.0000,30.0000,40.0000
-b,9.0000,sim,-,-,0.0000,1.0000,1.0000,30.0000,40.0000
-b,9.0000,rmst,0.0000,100.0000,2.0000,0.0000,0.0000,30.0000,40.0000
+scenario,time,estimand,truth,coverage_pct,coverage_mcse,n_cells,n_undefined,n_failed,death_pct_min,death_pct_max
+a,3.0000,sace,0.0000,100.0000,0.0000,1.0000,0.0000,0.0000,5.0000,5.0000
+a,3.0000,pc,0.5000,100.0000,0.0000,1.0000,0.0000,0.0000,5.0000,5.0000
+a,3.0000,sim,0.0000,100.0000,0.0000,1.0000,0.0000,0.0000,5.0000,5.0000
+a,3.0000,rmst,0.0000,100.0000,0.0000,1.0000,0.0000,0.0000,5.0000,5.0000
+a,9.0000,sace,-,-,-,0.0000,0.0000,1.0000,15.0000,15.0000
+a,9.0000,pc,-,-,-,0.0000,0.0000,1.0000,15.0000,15.0000
+a,9.0000,sim,-,-,-,0.0000,0.0000,1.0000,15.0000,15.0000
+a,9.0000,rmst,0.0000,100.0000,0.0000,1.0000,0.0000,0.0000,15.0000,15.0000
+b,3.0000,sace,1.0000,100.0000,0.0000,1.0000,1.0000,0.0000,10.0000,20.0000
+b,3.0000,pc,0.3750,100.0000,0.0000,2.0000,0.0000,0.0000,10.0000,20.0000
+b,3.0000,sim,0.0000,0.0000,0.0000,1.0000,1.0000,0.0000,10.0000,20.0000
+b,3.0000,rmst,0.5000,50.0000,35.3553,2.0000,0.0000,0.0000,10.0000,20.0000
+b,9.0000,sace,3.0000,100.0000,0.0000,1.0000,0.0000,1.0000,30.0000,40.0000
+b,9.0000,pc,0.5000,100.0000,0.0000,1.0000,0.0000,1.0000,30.0000,40.0000
+b,9.0000,sim,-,-,-,0.0000,1.0000,1.0000,30.0000,40.0000
+b,9.0000,rmst,0.0000,100.0000,0.0000,2.0000,0.0000,0.0000,30.0000,40.0000
 """,
     "bias_table.csv": """\
 scenario,time,estimand,truth,bias_lo,bias_hi,bias_min,bias_max,bias_mean,n_cells
@@ -472,22 +498,22 @@ class TestReports:
         nan = math.nan
         expected = {
             coverage_rows: [
-                ("a", 3.0, "sace", 0.0, 100.0, 1, 0, 0, 5.0, 5.0),
-                ("a", 3.0, "pc", 0.5, 100.0, 1, 0, 0, 5.0, 5.0),
-                ("a", 3.0, "sim", 0.0, 100.0, 1, 0, 0, 5.0, 5.0),
-                ("a", 3.0, "rmst", 0.0, 100.0, 1, 0, 0, 5.0, 5.0),
-                ("a", 9.0, "sace", None, None, 0, 0, 1, 15.0, 15.0),
-                ("a", 9.0, "pc", None, None, 0, 0, 1, 15.0, 15.0),
-                ("a", 9.0, "sim", None, None, 0, 0, 1, 15.0, 15.0),
-                ("a", 9.0, "rmst", 0.0, 100.0, 1, 0, 0, 15.0, 15.0),
-                ("b", 3.0, "sace", 1.0, 100.0, 1, 1, 0, 10.0, 20.0),
-                ("b", 3.0, "pc", 0.375, 100.0, 2, 0, 0, 10.0, 20.0),
-                ("b", 3.0, "sim", 0.0, 0.0, 1, 1, 0, 10.0, 20.0),
-                ("b", 3.0, "rmst", 0.5, 50.0, 2, 0, 0, 10.0, 20.0),
-                ("b", 9.0, "sace", 3.0, 100.0, 1, 0, 1, 30.0, 40.0),
-                ("b", 9.0, "pc", 0.5, 100.0, 1, 0, 1, 30.0, 40.0),
-                ("b", 9.0, "sim", None, None, 0, 1, 1, 30.0, 40.0),
-                ("b", 9.0, "rmst", 0.0, 100.0, 2, 0, 0, 30.0, 40.0),
+                ("a", 3.0, "sace", 0.0, 100.0, 0.0, 1, 0, 0, 5.0, 5.0),
+                ("a", 3.0, "pc", 0.5, 100.0, 0.0, 1, 0, 0, 5.0, 5.0),
+                ("a", 3.0, "sim", 0.0, 100.0, 0.0, 1, 0, 0, 5.0, 5.0),
+                ("a", 3.0, "rmst", 0.0, 100.0, 0.0, 1, 0, 0, 5.0, 5.0),
+                ("a", 9.0, "sace", None, None, None, 0, 0, 1, 15.0, 15.0),
+                ("a", 9.0, "pc", None, None, None, 0, 0, 1, 15.0, 15.0),
+                ("a", 9.0, "sim", None, None, None, 0, 0, 1, 15.0, 15.0),
+                ("a", 9.0, "rmst", 0.0, 100.0, 0.0, 1, 0, 0, 15.0, 15.0),
+                ("b", 3.0, "sace", 1.0, 100.0, 0.0, 1, 1, 0, 10.0, 20.0),
+                ("b", 3.0, "pc", 0.375, 100.0, 0.0, 2, 0, 0, 10.0, 20.0),
+                ("b", 3.0, "sim", 0.0, 0.0, 0.0, 1, 1, 0, 10.0, 20.0),
+                ("b", 3.0, "rmst", 0.5, 50.0, 100 * math.sqrt(0.25 / 2), 2, 0, 0, 10.0, 20.0),
+                ("b", 9.0, "sace", 3.0, 100.0, 0.0, 1, 0, 1, 30.0, 40.0),
+                ("b", 9.0, "pc", 0.5, 100.0, 0.0, 1, 0, 1, 30.0, 40.0),
+                ("b", 9.0, "sim", None, None, None, 0, 1, 1, 30.0, 40.0),
+                ("b", 9.0, "rmst", 0.0, 100.0, 0.0, 2, 0, 0, 30.0, 40.0),
             ],
             # truth, then the 2.5/97.5 percentiles, extremes and mean of the bias
             study.bias_rows: [

@@ -253,6 +253,17 @@ class TestSMisMatrix:
         assert np.array_equal(rows, np.stack([post.s_mis_matrix(self.data, t, idx)
                                               for t in times]))
 
+    def test_assigned_survival_is_the_scalar_path_at_posterior_means(self):
+        post = _random_posterior(9, seed=5)
+        means = _params(post.lambda0.mean(axis=0), post.lambda1.mean(axis=0),
+                        post.alpha0.mean(), post.alpha1.mean(), grid=post.grid)
+        months = np.arange(2.0, 15.0)
+        got = post.assigned_survival(self.data, months)
+        assert got.shape == (len(self.data), len(months))
+        for i, p in enumerate(self.data.patients):
+            want = [survival_prob(means, p.x, p.w, m) for m in months]
+            np.testing.assert_allclose(got[i], want, rtol=1e-12)
+
     def test_indices_select_rows_across_blocks(self):
         k, t = 3 * S_MIS_BLOCK, 6.0
         post = _random_posterior(k)
