@@ -14,7 +14,10 @@ The command set:
   ``no_effect`` at n=2000 and at n=2003 (``science.json``,
   ``observed.json``, ``truths.csv``); the arms of 1001 and 1002 patients at
   n=2003 are wider than 192 and not multiples of 8, the sizes at which
-  OpenBLAS takes its edge kernel for the last columns of a product;
+  OpenBLAS takes its edge kernel for the last columns of a product; and of
+  an inline scenario file, ``beneficial`` with the unmeasured covariate u
+  loading both arms' slopes (0.5) and Weibull scales (2) at n=300, the one
+  simulator path that draws u;
 - ``tbd fit`` of each simulated trial, then ``tbd estimate --draws 400`` and
   ``--draws 4000`` on each fit;
 - ``tbd study`` plus ``tbd report`` over three configs: the four scenarios
@@ -39,8 +42,14 @@ import tempfile
 from pathlib import Path
 
 SCENARIOS = ("no_effect_no_censoring", "no_effect", "beneficial", "mixed")
+U_LOADING = {  # `beneficial` with u in both arms' slopes and scales
+    "a0_0": -2.0, "a1_0": -1.0, "a0_x": 1.0, "a1_x": 1.0, "a0_u": 0.5, "a1_u": 0.5,
+    "th0_0": 10.0, "th1_0": 15.0, "th0_x": 1.0, "th1_x": 1.0, "th0_u": 2.0, "th1_u": 2.0,
+    "sigma": 2.4, "rho": 3.5, "follow_up": 15.0, "visit_times": [3, 6, 9, 12, 15], "n": 300,
+}
 SIMULATIONS = [(name, name, 200) for name in SCENARIOS] + [
-    (f"no_effect_n{n}", "no_effect", n) for n in (2000, 2003)]
+    (f"no_effect_n{n}", "no_effect", n) for n in (2000, 2003)] + [
+    ("beneficial_u", "beneficial_u.json", 300)]
 LOW_SCALE = {  # `mixed` with treated scale 4: the treated arm dies out before month 12
     "name": "mixed_low_scale",
     "a0_0": -2.0, "a1_0": -1.0, "a0_x": 1.0, "a1_x": 1.0, "a0_u": 0.0, "a1_u": 0.0,
@@ -67,6 +76,7 @@ def run_commands(tree: Path, out: Path) -> None:
             raise SystemExit(f"{tree}: {' '.join(args)} exited {done.returncode}:\n{done.stderr}")
 
     (out / "fits").mkdir(parents=True)
+    (out / "beneficial_u.json").write_text(json.dumps({"beneficial_u": U_LOADING}))
     for label, scenario, n in SIMULATIONS:
         tbd("simulate", "--scenario", scenario, "--seed", "1", "--n", str(n), "--out", f"sim/{label}")
         tbd("fit", "--data", f"sim/{label}/observed.json", "--out", f"fits/{label}.json",

@@ -24,7 +24,6 @@ from .science import (
     InvariantError,
     ObservedDataset,
     ObservedPatient,
-    PatientTruth,
     ScienceTable,
     composite_metric,
     mass_median,

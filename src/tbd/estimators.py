@@ -69,7 +69,7 @@ def wmw(data: ObservedDataset, t: float) -> float | None:
     enumerated. The count of wins plus half the ties is exact in floating
     point, so the fraction equals the pairwise sum's."""
     cols = data.columns
-    data.check_measured(t, KeyError)
+    data.check_measured(t)
     at = cols.at(t)
     treated, control = cols.w == 1, cols.w == 0
     n1, n0 = int(treated.sum()), int(control.sum())

@@ -55,19 +55,19 @@ def bias_and_coverage(summary: EstimandSummary, truth: float | None) -> BiasCove
 def mae_reconstruction(science: ScienceTable, imputed_means, t: float) -> float | None:
     """Mean absolute error of imputed counterfactual outcomes at horizon t.
 
-    ``imputed_means`` aligns with ``science.patients``. Only patients whose
+    ``imputed_means`` aligns with the table's rows. Only patients whose
     counterfactual outcome exists (alive under the unassigned arm at t)
     contribute; returns None when there are none.
     """
     imputed = np.asarray(imputed_means, dtype=float)
     if len(imputed) != len(science):
         raise ValueError("imputed means must align with the science table")
-    v = science.at(t)
-    treated = v.w == 1
-    exists = np.where(treated, v.t0, v.t1) > t
+    y0, y1 = science.at(t)
+    treated = science.w == 1
+    exists = np.where(treated, science.t0, science.t1) > t
     if not exists.any():
         return None
-    y_mis = np.where(treated, v.y0, v.y1)
+    y_mis = np.where(treated, y0, y1)
     return float(np.mean(np.abs(y_mis[exists] - imputed[exists])))
 
 

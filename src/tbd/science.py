@@ -2,11 +2,11 @@
 
 A "science table" records, for every patient, the full set of potential
 outcomes under both treatment arms: the longitudinal trajectory (change from
-baseline), the uncensored death time, and the administrative follow-up
-horizon. Observed datasets keep only the realized arm. Death makes the
-longitudinal outcome undefined (not merely missing), so comparisons across
-arms are expressed through a composite outcome ordered with death as the
-worst state (``composite_metric``).
+baseline) and the uncensored death time, as columns with one row per
+patient. Observed datasets keep only the realized arm, one record per
+patient. Death makes the longitudinal outcome undefined (not merely
+missing), so comparisons across arms are expressed through a composite
+outcome ordered with death as the worst state (``composite_metric``).
 
 All times are in months; longitudinal values are in score units.
 """
@@ -82,16 +82,6 @@ def mass_median(values: np.ndarray, masses: np.ndarray, half: float) -> np.ndarr
     return np.where(at_boundary, mid, lo)
 
 
-def _check_trajectory(y: Mapping[float, float], t_death: float, label: str) -> None:
-    for visit, value in y.items():
-        if visit > t_death:
-            raise InvariantError(
-                f"{label} has a value at month {visit} after death at {t_death}"
-            )
-        if not math.isfinite(value):
-            raise InvariantError(f"{label} has a non-finite value at month {visit}")
-
-
 def check_visit_times(visit_times, follow_up: float, error: type[ValueError]) -> None:
     """Raise ``error`` unless the visit times are finite, strictly
     increasing and within (0, follow_up]."""
@@ -99,38 +89,6 @@ def check_visit_times(visit_times, follow_up: float, error: type[ValueError]) ->
         if not (before < v <= follow_up and math.isfinite(v)):
             raise error(f"visit times must be finite, strictly increasing and within "
                         f"(0, {follow_up}], got {list(visit_times)}")
-
-
-@dataclass(frozen=True)
-class PatientTruth:
-    """One row of the science table: both arms' potential outcomes.
-
-    ``y0``/``y1`` map visit time to the change-from-baseline score and carry
-    entries only while the patient is alive under that arm.
-    """
-
-    id: int
-    x: tuple[float, ...]
-    w: int
-    y0: dict[float, float]
-    y1: dict[float, float]
-    t0: float
-    t1: float
-
-    def __post_init__(self) -> None:
-        if self.w not in (0, 1):
-            raise InvariantError(f"treatment w must be 0 or 1, got {self.w}")
-        for name, td in (("t0", self.t0), ("t1", self.t1)):
-            if not (td > 0 and math.isfinite(td)):
-                raise InvariantError(f"{name} must be positive and finite, got {td}")
-        _check_trajectory(self.y0, self.t0, "y0")
-        _check_trajectory(self.y1, self.t1, "y1")
-
-    def death_time(self, arm: int) -> float:
-        return self.t1 if arm == 1 else self.t0
-
-    def trajectory(self, arm: int) -> dict[float, float]:
-        return self.y1 if arm == 1 else self.y0
 
 
 @dataclass(frozen=True)
@@ -155,52 +113,68 @@ class ObservedPatient:
             raise InvariantError(f"d_obs must be 0 or 1, got {self.d_obs}")
         if not (self.t_obs > 0 and math.isfinite(self.t_obs)):
             raise InvariantError(f"t_obs must be positive and finite, got {self.t_obs}")
-        _check_trajectory(self.y_obs, self.t_obs, "y_obs")
+        for visit, value in self.y_obs.items():
+            if visit > self.t_obs:
+                raise InvariantError(f"y_obs has a value at month {visit} after death at {self.t_obs}")
+            if not math.isfinite(value):
+                raise InvariantError(f"y_obs has a non-finite value at month {visit}")
 
     def alive_at(self, t: float) -> bool:
         """True iff the patient is known alive at horizon t (death time > t)."""
         return self.d_obs == 0 or self.t_obs > t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScienceTable:
-    """Full potential-outcomes table for a simulated trial."""
+    """Full potential-outcomes table for a simulated trial, as read-only
+    columns with one row per patient: covariates ``x`` (patients, p), arm
+    ``w``, death times ``t0``/``t1`` and scores ``y0``/``y1`` (patients,
+    visits), finite exactly while alive under that arm, NaN from death on."""
 
-    patients: tuple[PatientTruth, ...]
+    x: np.ndarray
+    w: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+    y0: np.ndarray
+    y1: np.ndarray
     follow_up: float
     visit_times: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.follow_up <= 0:
             raise InvariantError("follow_up must be positive")
+        check_visit_times(self.visit_times, self.follow_up, InvariantError)
+        cols = {c: np.array(getattr(self, c), dtype=None if c == "w" else float)
+                for c in ("x", "w", "t0", "t1", "y0", "y1")}
+        n, k = len(cols["w"]), len(self.visit_times)
+        got = {c: a.shape for c, a in cols.items()}
+        want = {"x": (n, *got["x"][1:]), "w": (n,), "t0": (n,), "t1": (n,), "y0": (n, k), "y1": (n, k)}
+        if len(got["x"]) != 2 or got != want:
+            raise InvariantError(f"columns must be x (n, p), w, t0 and t1 (n,), y0 and y1 (n, {k} "
+                                 f"visits); got {got}")
+        if arms := np.setdiff1d(cols["w"], (0, 1)).tolist():
+            raise InvariantError(f"treatment w must be 0 or 1, got {arms[0]}")
+        for arm in "01":
+            t, y = cols["t" + arm], cols["y" + arm]
+            if bad := np.flatnonzero(~((t > 0) & np.isfinite(t))).tolist():
+                raise InvariantError(f"t{arm} must be positive and finite, got {t[bad[0]]}")
+            alive = t[:, None] > np.array(self.visit_times)
+            if bad := np.argwhere(np.where(alive, ~np.isfinite(y), ~np.isnan(y))).tolist():
+                (i, j), what = bad[0], "no finite value" if alive[tuple(bad[0])] else "a value"
+                raise InvariantError(f"y{arm} of patient {i} has {what} at month "
+                                     f"{self.visit_times[j]}, death at {t[i]}")
+        for c, a in cols.items():
+            object.__setattr__(self, c, _frozen(a.astype(int) if c == "w" else a))
 
     def __len__(self) -> int:
-        return len(self.patients)
+        return len(self.w)
 
-    def at(self, t: float) -> ScienceVisit:
-        """The records as arrays at visit t; ``KeyError`` for a patient alive
-        at t under an arm whose trajectory has no value there."""
-        ps = self.patients
-        return ScienceVisit(
-            w=np.array([p.w for p in ps]),
-            t0=np.array([p.t0 for p in ps]),
-            t1=np.array([p.t1 for p in ps]),
-            y0=np.array([p.y0[t] if p.t0 > t else np.nan for p in ps]),
-            y1=np.array([p.y1[t] if p.t1 > t else np.nan for p in ps]),
-        )
-
-
-@dataclass(frozen=True)
-class ScienceVisit:
-    """Both arms' potential outcomes at one visit, in patient order: arm
-    ``w``, death times ``t0``/``t1`` and scores ``y0``/``y1``, NaN where
-    dead at t under that arm."""
-
-    w: np.ndarray
-    t0: np.ndarray
-    t1: np.ndarray
-    y0: np.ndarray
-    y1: np.ndarray
+    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Both arms' scores ``y0``/``y1`` at visit t, NaN where dead at t."""
+        if t not in self.visit_times:
+            raise ValueError(f"t={t} is not a visit time of this table")
+        j = self.visit_times.index(t)
+        return self.y0[:, j], self.y1[:, j]
 
 
 @dataclass(frozen=True)
@@ -277,11 +251,12 @@ class ObservedDataset:
     def __len__(self) -> int:
         return len(self.patients)
 
-    def check_measured(self, t: float, error: type[Exception] = ValueError) -> None:
-        """Raise ``error`` naming the first patient known alive at t without a value there."""
+    def check_measured(self, t: float) -> None:
+        """Raise ``ValueError`` naming the first patient known alive at t without a value there."""
         at = self.columns.at(t)
         if gaps := np.flatnonzero(at.alive & ~at.measured).tolist():
-            raise error(f"patient {self.patients[gaps[0]].id} alive at month {t} without a measurement")
+            raise ValueError(
+                f"patient {self.patients[gaps[0]].id} alive at month {t} without a measurement")
 
     @functools.cached_property
     def columns(self) -> ObservedColumns:
@@ -292,40 +267,37 @@ class ObservedDataset:
 # --- files: the JSON layouts, the one reader and the one writer -------------
 
 
-def _to_file(table: ObservedDataset | ScienceTable) -> dict:
-    """``codec.encode`` of the table (visit-time keys read "3", "4.5"), but
+def observed_to_json(data: ObservedDataset) -> dict:
+    """``codec.encode`` of the dataset (visit-time keys read "3", "4.5"), but
     with the trial's follow-up written as ``follow_up_months``."""
-    doc = encode(table)
+    doc = encode(data)
     doc["follow_up_months"] = doc.pop("follow_up")
     return doc
 
 
-def _from_file(cls, patient_cls, doc: Mapping):
-    """Inverse of ``_to_file``; ``KeyError`` for a missing follow-up or
-    patient list. The file's own keys are checked first, then each patient on
-    its own, so a misfit reads ``ObservedPatient.x: ...`` and a broken
-    invariant as raised, then the patients against the follow-up."""
+def observed_from_json(doc: Mapping) -> ObservedDataset:
+    """Inverse of ``observed_to_json``; ``KeyError`` for a missing follow-up
+    or patient list. The file's own keys are checked first, then each
+    patient on its own, so a misfit reads ``ObservedPatient.x: ...`` and a
+    broken invariant as raised, then the patients against the follow-up."""
     rest = {k: v for k, v in decode(dict[str, object], doc).items() if k != "follow_up_months"}
     if "follow_up" in rest:
-        raise DecodeError(f"{cls.__name__}: unknown keys ['follow_up']")
-    shell = decode(cls, {**rest, "patients": [], "follow_up": doc["follow_up_months"]})
-    return replace(shell, patients=decode(tuple[patient_cls, ...], doc["patients"]))
-
-
-def observed_to_json(data: ObservedDataset) -> dict:
-    return _to_file(data)
-
-
-def observed_from_json(doc: Mapping) -> ObservedDataset:
-    return _from_file(ObservedDataset, ObservedPatient, doc)
+        raise DecodeError("ObservedDataset: unknown keys ['follow_up']")
+    shell = decode(ObservedDataset, {**rest, "patients": [], "follow_up": doc["follow_up_months"]})
+    return replace(shell, patients=decode(tuple[ObservedPatient, ...], doc["patients"]))
 
 
 def science_to_json(table: ScienceTable) -> dict:
-    return _to_file(table)
-
-
-def science_from_json(doc: Mapping) -> ScienceTable:
-    return _from_file(ScienceTable, PatientTruth, doc)
+    """The table as per-patient records, ids the row indices, with the
+    finite scores keyed by visit month, as ``observed_to_json`` writes them."""
+    visits = table.visit_times
+    rows = zip(table.x.tolist(), table.w.tolist(), table.t0.tolist(), table.t1.tolist(),
+               table.y0.tolist(), table.y1.tolist())
+    patients = [{"id": i, "x": x, "w": w, "t0": t0, "t1": t1,
+                 "y0": {v: y for v, y in zip(visits, y0) if y == y},  # y == y: not NaN
+                 "y1": {v: y for v, y in zip(visits, y1) if y == y}}
+                for i, (x, w, t0, t1, y0, y1) in enumerate(rows)]
+    return encode({"patients": patients, "follow_up_months": table.follow_up, "visit_times": visits})
 
 
 @contextmanager
@@ -342,8 +314,9 @@ def replacing(path):
             yield fh
         os.replace(tmp, path)
     except OSError as exc:
-        # name a directory that could not be made; the file is named already
-        at = "" if exc.filename in (None, str(path), str(tmp)) else f": {exc.filename}"
+        # name the path that failed if not the file; a failed rename (two names) is the file's
+        failed = None if exc.filename2 is not None else exc.filename
+        at = "" if failed in (None, str(path)) else f": {failed}"
         raise OutputRefused(f"output {path} refused: {exc.strerror or exc}{at}") from exc
     finally:
         if tmp.is_file():

@@ -3,7 +3,8 @@
 Each patient gets one shared longitudinal noise draw and one shared survival
 quantile draw used under *both* arms, so arm-to-arm contrasts are
 deterministic given covariates (rank preservation). Trajectories are linear
-in time; survival times are Weibull with a covariate-shifted scale.
+in time; survival times are Weibull with a covariate-shifted scale. Every
+array here, the science table's columns included, has one row per patient.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .codec import decode
-from .science import (ObservedDataset, ObservedPatient, PatientTruth, ScienceTable,
-                      check_visit_times, composite_metric, load_json, mass_median)
+from .science import (ObservedDataset, ObservedPatient, ScienceTable, check_visit_times,
+                      composite_metric, load_json, mass_median)
 
 
 class ScenarioError(ValueError):
@@ -161,28 +162,27 @@ def simulate_science_table(params: ScenarioParams, seed) -> ScienceTable:
     t0 = weibull_quantile(u_surv, scale0, params.rho)
     t1 = weibull_quantile(u_surv, scale1, params.rho)
 
-    visits = params.visit_times
-    patients = tuple(
-        PatientTruth(id=i, x=(float(x[i]),), w=int(w[i]), t0=float(t0[i]), t1=float(t1[i]),
-                     y0={v: slope0[i] * v + eps[i] for v in visits if v < t0[i]},
-                     y1={v: slope1[i] * v + eps[i] for v in visits if v < t1[i]})
-        for i in range(n)
-    )
-    return ScienceTable(patients=patients, follow_up=params.follow_up, visit_times=visits)
+    visits = np.array(params.visit_times)
+    # slope * visit + noise, as the same two IEEE operations per score
+    y0 = np.where(t0[:, None] > visits, slope0[:, None] * visits + eps[:, None], np.nan)
+    y1 = np.where(t1[:, None] > visits, slope1[:, None] * visits + eps[:, None], np.nan)
+    return ScienceTable(x=x[:, None], w=w, t0=t0, t1=t1, y0=y0, y1=y1,
+                        follow_up=params.follow_up, visit_times=params.visit_times)
 
 
 def observe(science: ScienceTable) -> ObservedDataset:
-    """Reduce a science table to the observed dataset of the assigned arms."""
-    out = []
-    for p in science.patients:
-        td = p.death_time(p.w)
-        t_obs = min(td, science.follow_up)
-        y_obs = {v: y for v, y in p.trajectory(p.w).items() if v <= t_obs}
-        out.append(ObservedPatient(id=p.id, x=p.x, w=p.w, t_obs=float(t_obs),
-                                   d_obs=int(td <= science.follow_up), y_obs=y_obs))
-    return ObservedDataset(
-        patients=tuple(out), follow_up=science.follow_up, visit_times=science.visit_times
-    )
+    """Reduce a science table to the observed dataset of the assigned arms,
+    one patient per row, ids the row indices."""
+    fu, visits, treated = science.follow_up, science.visit_times, science.w == 1
+    td = np.where(treated, science.t1, science.t0)
+    y = np.where(treated[:, None], science.y1, science.y0)
+    rows = zip(science.x.tolist(), science.w.tolist(), np.minimum(td, fu).tolist(),
+               (td <= fu).tolist(), y.tolist())
+    # s == s: the score is not NaN
+    patients = tuple(ObservedPatient(id=i, x=tuple(x), w=w, t_obs=t, d_obs=int(d),
+                                     y_obs={v: s for v, s in zip(visits, ys) if s == s})
+                     for i, (x, w, t, d, ys) in enumerate(rows))
+    return ObservedDataset(patients=patients, follow_up=fu, visit_times=visits)
 
 
 def true_estimands(science: ScienceTable, t: float) -> TruthRecord:
@@ -194,17 +194,15 @@ def true_estimands(science: ScienceTable, t: float) -> TruthRecord:
     unit masses (None between opposite infinities).
     RMST is the mean difference of the restricted death times.
     """
-    if t not in science.visit_times:
-        raise ValueError(f"t={t} is not a visit time of this table")
-    v = science.at(t)
+    (y0, y1), t0, t1 = science.at(t), science.t0, science.t1
     n = len(science)
-    metric = composite_metric(v.t0, v.t1, v.y0, v.y1, t)
-    ll = (v.t0 > t) & (v.t1 > t)
+    metric = composite_metric(t0, t1, y0, y1, t)
+    ll = (t0 > t) & (t1 > t)
     n_ll = int(np.count_nonzero(ll))
     # wins plus half the ties: sums of halves, exact in floating point
     pc = int(np.count_nonzero(metric > 0)) + 0.5 * int(np.count_nonzero(metric == 0))
     # cumsum adds in patient order, as a running sum does
-    rmst = float(np.cumsum(np.minimum(v.t1, t) - np.minimum(v.t0, t))[-1])
+    rmst = float(np.cumsum(np.minimum(t1, t) - np.minimum(t0, t))[-1])
     sim = float(mass_median(np.sort(metric, kind="stable")[None], np.ones((1, n)), n / 2)[0])
     return TruthRecord(
         time=t,
@@ -212,8 +210,8 @@ def true_estimands(science: ScienceTable, t: float) -> TruthRecord:
         pc=pc / n,
         sim=None if math.isnan(sim) else sim,
         rmst=rmst / n,
-        death_frac_control=int(np.count_nonzero(v.t0 <= t)) / n,
-        death_frac_treated=int(np.count_nonzero(v.t1 <= t)) / n,
+        death_frac_control=int(np.count_nonzero(t0 <= t)) / n,
+        death_frac_treated=int(np.count_nonzero(t1 <= t)) / n,
         n_ll=n_ll,
     )
 

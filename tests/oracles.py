@@ -8,6 +8,12 @@ science table (``science.composite_metric``, ``simulate.true_estimands``,
 that array code and, with quadrature and enumeration, as oracles of the
 acceptance criteria 2, 4 and 5.
 
+A science table is columns; ``PatientTruth`` is its per-patient record
+(``science_table`` and ``records`` go from one to the other). The simulator,
+``science.json`` and ``observe`` one record at a time (``simulate_records``,
+``science_doc``, ``observe``) are the reference that the columns are checked
+against bit for bit.
+
 It also keeps the counterfactual-survival traversal without patient tiles
 (``untiled_s_mis_matrix``, ``untiled_rmst_matrix``), the reference that the
 tiled kernels are compared with bit for bit, and the convergence diagnostics
@@ -24,13 +30,112 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr
 
+from tbd.codec import encode
 from tbd.longitudinal import LongitudinalPosterior
 from tbd.mcmc import McmcConfig
-from tbd.science import InvariantError, ObservedDataset, ObservedPatient, PatientTruth, ScienceTable
-from tbd.simulate import TruthRecord
+from tbd.science import InvariantError, ObservedDataset, ObservedPatient, ScienceTable
+from tbd.simulate import ScenarioError, ScenarioParams, TruthRecord, weibull_quantile
 from tbd.survival import S_MIS_BLOCK, HazardGrid, SurvivalPosterior, _rmst_batch
 
 _MASS_TOL = 1e-12
+
+
+# --- the science table as per-patient records -----------------------------------
+
+
+@dataclass(frozen=True)
+class PatientTruth:
+    """One row of a science table as a record: both arms' potential outcomes.
+
+    ``y0``/``y1`` map visit time to the change-from-baseline score and carry
+    entries only while the patient is alive under that arm. The record
+    checks nothing; ``ScienceTable`` checks its columns.
+    """
+
+    id: int
+    x: tuple[float, ...]
+    w: int
+    y0: dict[float, float]
+    y1: dict[float, float]
+    t0: float
+    t1: float
+
+    def death_time(self, arm: int) -> float:
+        return self.t1 if arm == 1 else self.t0
+
+    def trajectory(self, arm: int) -> dict[float, float]:
+        return self.y1 if arm == 1 else self.y0
+
+
+def science_table(records, follow_up: float, visit_times) -> ScienceTable:
+    """The columns of ``records`` in their order; a score a record lacks is NaN."""
+    visit_times = tuple(visit_times)
+
+    def scores(arm):
+        return [[p.trajectory(arm).get(v, math.nan) for v in visit_times] for p in records]
+
+    return ScienceTable(x=[p.x for p in records], w=[p.w for p in records],
+                        t0=[p.t0 for p in records], t1=[p.t1 for p in records],
+                        y0=scores(0), y1=scores(1), follow_up=follow_up, visit_times=visit_times)
+
+
+def records(table: ScienceTable) -> tuple[PatientTruth, ...]:
+    """The rows of ``table`` as records, ids the row indices, each arm's
+    finite scores by visit time."""
+    def scores(row):
+        return {v: y for v, y in zip(table.visit_times, row.tolist()) if not math.isnan(y)}
+
+    return tuple(
+        PatientTruth(id=i, x=tuple(table.x[i].tolist()), w=int(table.w[i]), y0=scores(table.y0[i]),
+                     y1=scores(table.y1[i]), t0=float(table.t0[i]), t1=float(table.t1[i]))
+        for i in range(len(table))
+    )
+
+
+def simulate_records(params: ScenarioParams, seed) -> tuple[PatientTruth, ...]:
+    """``simulate.simulate_science_table``'s draws, one record built per
+    patient: the reference for the columns it builds."""
+    rng = np.random.default_rng(seed)
+    n = params.n
+    x = rng.standard_normal(n)
+    u_cov = rng.standard_normal(n) if params.uses_unmeasured else np.zeros(n)
+    eps = rng.normal(0.0, params.sigma, size=n)
+    u_surv = rng.uniform(size=n)
+    w = np.zeros(n, dtype=int)
+    w[: n // 2] = 1
+    w = rng.permutation(w)
+    slope0, slope1 = params.slopes(x, u_cov)
+    scale0, scale1 = params.scales(x, u_cov)
+    if np.any(scale0 <= 0) or np.any(scale1 <= 0):
+        raise ScenarioError(f"scenario {params.name!r}: non-positive Weibull scale")
+    t0 = weibull_quantile(u_surv, scale0, params.rho)
+    t1 = weibull_quantile(u_surv, scale1, params.rho)
+    visits = params.visit_times
+    return tuple(
+        PatientTruth(id=i, x=(float(x[i]),), w=int(w[i]), t0=float(t0[i]), t1=float(t1[i]),
+                     y0={v: slope0[i] * v + eps[i] for v in visits if v < t0[i]},
+                     y1={v: slope1[i] * v + eps[i] for v in visits if v < t1[i]})
+        for i in range(n)
+    )
+
+
+def science_doc(records, follow_up: float, visit_times) -> dict:
+    """The ``science.json`` document of ``records``: each record through
+    ``codec.encode``, the follow-up as ``follow_up_months``."""
+    return encode({"patients": tuple(records), "follow_up_months": follow_up,
+                   "visit_times": tuple(visit_times)})
+
+
+def observe(records, follow_up: float, visit_times) -> ObservedDataset:
+    """The observed dataset of the assigned arms, one record at a time."""
+    out = []
+    for p in records:
+        td = p.death_time(p.w)
+        t_obs = min(td, follow_up)
+        y_obs = {v: y for v, y in p.trajectory(p.w).items() if v <= t_obs}
+        out.append(ObservedPatient(id=p.id, x=p.x, w=p.w, t_obs=float(t_obs),
+                                   d_obs=int(td <= follow_up), y_obs=y_obs))
+    return ObservedDataset(patients=tuple(out), follow_up=follow_up, visit_times=tuple(visit_times))
 
 
 # --- principal strata and composite outcomes --------------------------------
@@ -184,7 +289,7 @@ def true_estimands(science: ScienceTable, t: float) -> TruthRecord:
     rmst_sum = 0.0
     deaths0 = 0
     deaths1 = 0
-    for p in science.patients:
+    for p in records(science):
         stratum = classify_stratum(p.t0, p.t1, t)
         z1 = potential_composite(p, 1, t)
         z0 = potential_composite(p, 0, t)
@@ -212,7 +317,7 @@ def mae_reconstruction(science: ScienceTable, imputed_means, t: float) -> float 
     """Mean absolute error of imputed counterfactual outcomes at horizon t,
     over the patients alive at t under their unassigned arm."""
     errors = []
-    for p, mu in zip(science.patients, imputed_means):
+    for p, mu in zip(records(science), imputed_means):
         arm_mis = 1 - p.w
         if p.death_time(arm_mis) > t:
             errors.append(abs(p.trajectory(arm_mis)[t] - mu))

@@ -834,7 +834,7 @@ class TestWmwByCounting:
         data = ObservedDataset(
             patients=(_obs(0, 1, 15.0, 0, y=1.0), _obs(7, 0, 15.0, 0)), follow_up=15.0
         )
-        with pytest.raises(KeyError, match="patient 7"):
+        with pytest.raises(ValueError, match="patient 7"):
             wmw(data, T)
 
 

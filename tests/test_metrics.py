@@ -16,7 +16,8 @@ from tbd.metrics import (
     km_survival,
     mae_reconstruction,
 )
-from tbd.science import ObservedColumns, ObservedDataset, ObservedPatient, PatientTruth, ScienceTable
+from oracles import PatientTruth, records, science_table
+from tbd.science import ObservedColumns, ObservedDataset, ObservedPatient
 from tbd.simulate import get_scenario, observe, simulate_science_table
 
 
@@ -59,7 +60,7 @@ class TestMae:
         table = _science_pair(n=50)
         t = 9.0
         imputed = [
-            p.trajectory(1 - p.w).get(t, 0.0) for p in table.patients
+            p.trajectory(1 - p.w).get(t, 0.0) for p in records(table)
         ]
         assert mae_reconstruction(table, imputed, t) == 0.0
 
@@ -67,7 +68,7 @@ class TestMae:
         table = _science_pair(n=50)
         t = 9.0
         imputed = [
-            p.trajectory(1 - p.w).get(t, 0.0) + 0.7 for p in table.patients
+            p.trajectory(1 - p.w).get(t, 0.0) + 0.7 for p in records(table)
         ]
         assert mae_reconstruction(table, imputed, t) == pytest.approx(0.7)
 
@@ -77,7 +78,7 @@ class TestMae:
         params = get_scenario("no_effect").with_updates(n=100_000)
         table = simulate_science_table(params, seed=5)
         t = 9.0
-        imputed = [(-2.0 + p.x[0]) * t for p in table.patients]
+        imputed = (-2.0 + table.x[:, 0]) * t
         expected = params.sigma * math.sqrt(2 / math.pi)
         got = mae_reconstruction(table, imputed, t)
         assert got == pytest.approx(expected, rel=0.02)
@@ -87,7 +88,7 @@ class TestMae:
             id=0, x=(0.0,), w=1, y0={}, y1={3.0: -1.0, 9.0: -2.0},
             t0=2.0, t1=20.0,
         )
-        table = ScienceTable(patients=(p,), follow_up=15.0, visit_times=(3.0, 9.0))
+        table = science_table([p], 15.0, (3.0, 9.0))
         assert mae_reconstruction(table, [0.0], 9.0) is None
 
 

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 from oracles import (
     CompositeOutcome,
+    PatientTruth,
     Stratum,
     classify_stratum,
     composite_metric,
     composite_order,
     observed_composite,
     potential_composite,
+    science_table,
 )
 from tbd.codec import DecodeError, decode, encode
 from tbd.longitudinal import LongitudinalPosterior
@@ -27,12 +29,11 @@ from tbd.mcmc import McmcConfig
 from tbd.science import (
     InvariantError,
     ObservedPatient,
-    PatientTruth,
+    OutputRefused,
     dump_json,
     load_json,
     observed_from_json,
     observed_to_json,
-    science_from_json,
     science_to_json,
     ScienceTable,
     ObservedDataset,
@@ -167,14 +168,51 @@ def _patient_truth(**kwargs):
     return PatientTruth(**defaults)
 
 
+def _columns(**kwargs):
+    """The columns of a two-patient table at visits 3 and 6: one dying at
+    month 4 under control, one alive throughout; ``kwargs`` replace some."""
+    nan = math.nan
+    cols = dict(x=[[0.5], [0.0]], w=[1, 0], t0=[4.0, 20.0], t1=[8.0, 20.0],
+                y0=[[-6.0, nan], [-1.0, -2.0]], y1=[[-3.0, -6.0], [-1.0, -2.0]],
+                follow_up=15.0, visit_times=(3.0, 6.0))
+    return {**cols, **kwargs}
+
+
 class TestDataModel:
     def test_trajectory_after_death_rejected(self):
-        with pytest.raises(InvariantError):
-            _patient_truth(y0={3.0: -6.0, 6.0: -12.0})  # dies at 4 under control
+        with pytest.raises(InvariantError):  # dies at 4 under control
+            science_table([_patient_truth(y0={3.0: -6.0, 6.0: -12.0})], 15.0, (3.0, 6.0))
 
     def test_nonpositive_death_time_rejected(self):
         with pytest.raises(InvariantError):
-            _patient_truth(t0=0.0)
+            science_table([_patient_truth(t0=0.0)], 15.0, (3.0, 6.0))
+
+    def test_columns_are_read_only_and_at_gives_the_scores(self):
+        table = ScienceTable(**_columns())
+        assert len(table) == 2 and table.w.dtype.kind == "i"
+        for name in ("x", "w", "t0", "t1", "y0", "y1"):
+            assert not getattr(table, name).flags.writeable, name
+        y0, y1 = table.at(6.0)
+        np.testing.assert_array_equal(y0, [math.nan, -2.0])
+        np.testing.assert_array_equal(y1, [-6.0, -2.0])
+        with pytest.raises(ValueError, match="not a visit time"):
+            table.at(4.5)
+
+    @pytest.mark.parametrize("change, refused", [
+        (dict(y0=[[-6.0, -12.0], [-1.0, -2.0]]), "y0 of patient 0 has a value at month 6.0, death at 4.0"),
+        (dict(y1=[[-3.0, math.nan], [-1.0, -2.0]]), "y1 of patient 0 has no finite value at month 6.0"),
+        (dict(y1=[[-3.0, -6.0], [math.inf, -2.0]]), "y1 of patient 1 has no finite value at month 3.0"),
+        (dict(t0=[0.0, 20.0]), "t0 must be positive and finite, got 0.0"),
+        (dict(t0=[4.0, math.inf]), "t0 must be positive and finite, got inf"),
+        (dict(w=[1, 2]), "treatment w must be 0 or 1, got 2"),
+        (dict(t1=[8.0]), "(n, 2 visits); got {'x': (2, 1), 'w': (2,), 't0': (2,), 't1': (1,)"),
+        (dict(y0=[[-6.0], [-1.0]]), "'y0': (2, 1)"),
+        (dict(x=[0.5, 0.0]), "got {'x': (2,)"),
+    ], ids=["score-after-death", "missing-score-while-alive", "infinite-score", "t0-zero",
+            "t0-infinite", "arm-2", "short-column", "too-few-visits", "x-not-a-matrix"])
+    def test_constructor_refuses(self, change, refused):
+        with pytest.raises(InvariantError, match=re.escape(refused)):
+            ScienceTable(**_columns(**change))
 
     def test_censored_patient_must_sit_at_follow_up(self):
         patient = ObservedPatient(id=0, x=(0.0,), w=0, t_obs=10.0, d_obs=0, y_obs={})
@@ -203,10 +241,6 @@ class TestDataModel:
         assert potential_composite(p, 0, 6.0) == CompositeOutcome(y=None, t=4.0, d=1)
 
     def test_json_round_trip(self):
-        table = ScienceTable(
-            patients=(_patient_truth(),), follow_up=15.0, visit_times=(3.0, 6.0)
-        )
-        assert science_from_json(science_to_json(table)) == table
         obs = ObservedDataset(
             patients=(
                 ObservedPatient(
@@ -262,19 +296,16 @@ class TestDataModel:
         assert observed_from_json(json.loads(text)) == obs
 
     def test_science_file_text(self):
-        table = ScienceTable(
-            patients=(_patient_truth(id=7, y1={3.0: -3.0, 4.5: -4.5, 6.0: -6.0}),),
-            follow_up=15.0,
-            visit_times=(3.0, 4.5, 6.0),
-        )
+        # ids are the row indices: the record's id 7 is not kept
+        table = science_table([_patient_truth(id=7, y1={3.0: -3.0, 4.5: -4.5, 6.0: -6.0})],
+                              15.0, (3.0, 4.5, 6.0))
         text = (
             '{"follow_up_months": 15.0, "patients": ['
-            '{"id": 7, "t0": 4.0, "t1": 8.0, "w": 1, "x": [0.5], "y0": {"3": -6.0}, '
+            '{"id": 0, "t0": 4.0, "t1": 8.0, "w": 1, "x": [0.5], "y0": {"3": -6.0}, '
             '"y1": {"3": -3.0, "4.5": -4.5, "6": -6.0}}], '
             '"visit_times": [3.0, 4.5, 6.0]}'
         )
         assert json.dumps(science_to_json(table), sort_keys=True) == text
-        assert science_from_json(json.loads(text)) == table
 
 
 class TestObservedColumns:
@@ -394,6 +425,14 @@ class TestFileGate:
                 raise RuntimeError("killed mid-file")
         assert path.read_bytes() == before and load_json(path) == {"old": [1.0, 2.0]}
         assert [p.name for p in tmp_path.iterdir()] == ["fits.json"]
+
+    def test_refusal_names_a_temporary_that_is_a_directory(self, tmp_path):
+        (tmp_path / "t.json.tmp").mkdir()
+        with pytest.raises(OutputRefused) as refused:
+            dump_json({}, tmp_path / "t.json")
+        assert str(refused.value) == (
+            f"output {tmp_path / 't.json'} refused: Is a directory: {tmp_path / 't.json.tmp'}")
+        assert (tmp_path / "t.json.tmp").is_dir() and not (tmp_path / "t.json").exists()
 
     def test_writer_creates_the_directory_and_keeps_the_bytes(self, tmp_path):
         doc = {"b": [1.5, "nan"], "a": {"3": -1.0}}

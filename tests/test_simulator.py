@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import Stratum, classify_stratum
+from oracles import PatientTruth, Stratum, classify_stratum, records, science_table
 from tbd.metrics import mae_reconstruction
-from tbd.science import PatientTruth, ScienceTable, mass_median
+from tbd.science import InvariantError, mass_median, observed_to_json, science_to_json
 from tbd.simulate import (
     ScenarioError,
     _params_from_dict,
@@ -36,7 +36,7 @@ def test_no_censoring_scenario_has_essentially_no_deaths(scenarios):
     params = scenarios["no_effect_no_censoring"]
     assert params.th0_0 == 150.0
     table = simulate_science_table(params.with_updates(n=2000), seed=11)
-    frac = np.mean([p.t0 <= 15.0 or p.t1 <= 15.0 for p in table.patients])
+    frac = np.mean((table.t0 <= 15.0) | (table.t1 <= 15.0))
     assert frac <= 0.01
 
 
@@ -52,14 +52,13 @@ def test_weibull_median_matches_closed_form():
 
 def test_identical_arm_parameters_give_identical_potential_outcomes(scenarios):
     table = simulate_science_table(scenarios["no_effect"], seed=3)
-    for p in table.patients:
-        assert p.t0 == p.t1
-        assert p.y0 == p.y1
+    np.testing.assert_array_equal(table.t0, table.t1)
+    np.testing.assert_array_equal(table.y0, table.y1)  # the NaNs too: both arms die together
 
 
 def test_beneficial_slope_contrast_is_one_per_month(scenarios):
     table = simulate_science_table(scenarios["beneficial"], seed=5)
-    for p in table.patients:
+    for p in records(table):
         for v, y1 in p.y1.items():
             if v in p.y0:
                 assert y1 - p.y0[v] == pytest.approx(v, abs=1e-9)
@@ -68,7 +67,7 @@ def test_beneficial_slope_contrast_is_one_per_month(scenarios):
 def test_rank_preservation_empties_harmed_stratum(scenarios):
     # treated scale exceeds control scale for every x, so nobody is harmed
     table = simulate_science_table(scenarios["beneficial"], seed=7)
-    for p in table.patients:
+    for p in records(table):
         assert p.t1 > p.t0
         for t in table.visit_times:
             assert classify_stratum(p.t0, p.t1, t) is not Stratum.LD
@@ -76,15 +75,13 @@ def test_rank_preservation_empties_harmed_stratum(scenarios):
 
 def test_assignment_is_exactly_balanced(scenarios):
     table = simulate_science_table(scenarios["no_effect"], seed=9)
-    w = [p.w for p in table.patients]
-    assert sum(w) == len(w) // 2
+    assert table.w.sum() == len(table) // 2
 
 
 def test_reproducible_given_params_and_seed(scenarios):
-    a = simulate_science_table(scenarios["mixed"], seed=21)
-    b = simulate_science_table(scenarios["mixed"], seed=21)
+    a, b, c = (science_to_json(simulate_science_table(scenarios["mixed"], seed=seed))
+               for seed in (21, 21, 22))
     assert a == b
-    c = simulate_science_table(scenarios["mixed"], seed=22)
     assert a != c
 
 
@@ -113,7 +110,7 @@ class TestObserve:
     def test_death_truncates_trajectory(self, scenarios):
         table = simulate_science_table(scenarios["mixed"], seed=13)
         data = observe(table)
-        for truth, obs in zip(table.patients, data.patients):
+        for truth, obs in zip(records(table), data.patients):
             td = truth.death_time(truth.w)
             if td <= 15.0:
                 assert obs.d_obs == 1 and obs.t_obs == td
@@ -240,14 +237,13 @@ def _random_table(rng, n):
         t1 = t0 if rng.uniform() < 0.3 else _random_time(rng)
         y = {v: float(rng.choice([-2.0, 0.0, 1.5]) if rng.uniform() < 0.3 else rng.normal(-5, 4))
              for v in VISITS}
-        # a value at a visit equal to the death time is allowed and unused
         patients.append(PatientTruth(
             id=i, x=(float(rng.normal()),), w=int(rng.integers(2)),
-            y0={v: y[v] for v in VISITS if v <= t0},
-            y1={v: y[v] + float(rng.choice([0.0, 1.0])) for v in VISITS if v <= t1},
+            y0={v: y[v] for v in VISITS if v < t0},
+            y1={v: y[v] + float(rng.choice([0.0, 1.0])) for v in VISITS if v < t1},
             t0=t0, t1=t1,
         ))
-    return ScienceTable(patients=tuple(patients), follow_up=15.0, visit_times=VISITS)
+    return science_table(patients, 15.0, VISITS)
 
 
 def _patient(id, t0, t1, y0=None, y1=None, w=0):
@@ -279,52 +275,70 @@ class TestTruthsAgainstOracle:
                 oracles.mae_reconstruction(table, imputed, t))
 
     def test_equal_death_times_tie(self):
-        table = ScienceTable(patients=(_patient(0, 5.0, 5.0), _patient(1, 7.0, 7.0)),
-                             follow_up=15.0, visit_times=(9.0,))
+        table = science_table((_patient(0, 5.0, 5.0), _patient(1, 7.0, 7.0)), 15.0, (9.0,))
         tr = true_estimands(table, 9.0)
         _same_record(tr, oracles.true_estimands(table, 9.0))
         assert (tr.pc, tr.sim, tr.rmst, tr.sace, tr.n_ll) == (0.5, 0.0, 0.0, None, 0)
 
     def test_death_at_the_horizon_counts_as_dead(self):
         # the control death at t == 6 loses to the treated survivor
-        table = ScienceTable(patients=(_patient(0, 6.0, 8.0, y0={3.0: -1.0, 6.0: -2.0},
-                                                y1={3.0: -1.0, 6.0: -9.0}),),
-                             follow_up=15.0, visit_times=(6.0,))
+        table = science_table((_patient(0, 6.0, 8.0, y0={3.0: -1.0}, y1={3.0: -1.0, 6.0: -9.0}),),
+                              15.0, (6.0,))
         tr = true_estimands(table, 6.0)
         _same_record(tr, oracles.true_estimands(table, 6.0))
         assert (tr.pc, tr.sim, tr.sace, tr.death_frac_control) == (1.0, math.inf, None, 1.0)
 
     def test_single_patient(self):
-        table = ScienceTable(patients=(_patient(0, 20.0, 20.0, y0={3.0: -1.0}, y1={3.0: 0.5}),),
-                             follow_up=15.0, visit_times=(3.0,))
+        table = science_table((_patient(0, 20.0, 20.0, y0={3.0: -1.0}, y1={3.0: 0.5}),), 15.0, (3.0,))
         tr = true_estimands(table, 3.0)
         _same_record(tr, oracles.true_estimands(table, 3.0))
         assert (tr.sace, tr.pc, tr.sim, tr.n_ll) == (1.5, 1.0, 1.5, 1)
 
     def test_opposite_infinite_pair_has_no_median(self):
         # one treated-only survivor (+inf) and one control-only survivor (-inf)
-        table = ScienceTable(patients=(_patient(0, 2.0, 20.0, y1={3.0: 0.0}),
-                                       _patient(1, 20.0, 2.0, y0={3.0: 0.0})),
-                             follow_up=15.0, visit_times=(3.0,))
+        table = science_table((_patient(0, 2.0, 20.0, y1={3.0: 0.0}),
+                               _patient(1, 20.0, 2.0, y0={3.0: 0.0})), 15.0, (3.0,))
         tr = true_estimands(table, 3.0)
         _same_record(tr, oracles.true_estimands(table, 3.0))
         assert tr.sim is None and tr.sace is None and tr.pc == 0.5
 
     def test_empty_always_survivor_stratum(self):
-        table = ScienceTable(patients=(_patient(0, 2.0, 20.0, y1={3.0: 0.0}),
-                                       _patient(1, 1.0, 2.5)),
-                             follow_up=15.0, visit_times=(3.0,))
+        table = science_table((_patient(0, 2.0, 20.0, y1={3.0: 0.0}), _patient(1, 1.0, 2.5)),
+                              15.0, (3.0,))
         tr = true_estimands(table, 3.0)
         _same_record(tr, oracles.true_estimands(table, 3.0))
         assert tr.sace is None and tr.n_ll == 0
 
     def test_survivor_without_a_value_raises(self):
-        table = ScienceTable(patients=(_patient(0, 20.0, 20.0, y0={3.0: 0.0}, y1={3.0: 0.0}),
-                                       _patient(1, 20.0, 20.0, y0={3.0: 0.0})),
-                             follow_up=15.0, visit_times=(3.0,))
-        with pytest.raises(KeyError):
-            true_estimands(table, 3.0)
-        with pytest.raises(KeyError):
-            oracles.true_estimands(table, 3.0)
-        with pytest.raises(KeyError):
-            mae_reconstruction(table, [0.0, 0.0], 3.0)
+        with pytest.raises(InvariantError, match="y1 of patient 1 has no finite value at month 3.0"):
+            science_table((_patient(0, 20.0, 20.0, y0={3.0: 0.0}, y1={3.0: 0.0}),
+                           _patient(1, 20.0, 20.0, y0={3.0: 0.0})), 15.0, (3.0,))
+
+
+def _u_loading(scenarios):
+    """``beneficial`` with the unmeasured covariate u in both arms' slopes
+    and scales: the only simulator path that draws u."""
+    params = scenarios["beneficial"].with_updates(name="beneficial_u", a0_u=0.5, a1_u=0.5,
+                                                  th0_u=2.0, th1_u=2.0)
+    assert params.uses_unmeasured
+    return params
+
+
+class TestColumnsAgainstRecords:
+    """The simulator, ``science.json`` and ``observe`` build columns; the
+    per-record code in ``tests/oracles.py`` must give the same bits."""
+
+    @pytest.mark.parametrize("name", ["no_effect_no_censoring", "no_effect", "beneficial", "mixed",
+                                      "beneficial_u"])
+    @pytest.mark.parametrize("n", [1, 2, 200, 2003])
+    def test_library_tables(self, scenarios, name, n):
+        params = (_u_loading(scenarios) if name == "beneficial_u" else scenarios[name]).with_updates(n=n)
+        table = simulate_science_table(params, seed=n)
+        want = oracles.simulate_records(params, seed=n)
+        file = params.follow_up, params.visit_times
+        assert json.dumps(science_to_json(table), sort_keys=True) == json.dumps(
+            oracles.science_doc(want, *file), sort_keys=True)
+        data, want_data = observe(table), oracles.observe(want, *file)
+        assert data == want_data
+        assert json.dumps(observed_to_json(data)) == json.dumps(observed_to_json(want_data))
+        assert records(table) == want
