@@ -14,6 +14,12 @@ on each side, recording wall seconds, CPU seconds of the study and its worker
 processes, and whether both sides at both worker counts wrote the same
 cells at each seed.
 
+The pseudo-workload ``estimate_n2000`` times ``estimate_visits`` in process:
+each side simulates a ``no_effect`` trial of n=2000 at the seed and fits it
+(``tbd simulate``, ``tbd fit``), then a fresh Python process loads the data
+and the fits and evaluates every visit over 4000 paired draws, recording
+the call's wall seconds and the process's peak resident memory.
+
 Each call updates one section of ``--out``: ``workloads[W]``, or
 ``held_out[W]`` with ``--held-out`` (seeds not used while the change was
 written). A section holds every run's metrics, each side's median and
@@ -44,6 +50,22 @@ BENCH_WORKLOADS = ("study_n200", "study_n2000", "analyst_estimate")
 STUDY = {"scenarios": ["no_effect"], "n": 2000, "replicates": 6}
 STUDY_WORKERS = (1, 2)
 CONFIG_HASH = re.compile(rb'"config_hash": "[0-9a-f]+"')
+ESTIMATE = {"scenario": "no_effect", "n": 2000, "draws": 4000}
+# run in a fresh process with the trial directory and the draws as arguments
+ESTIMATE_IN_PROCESS = """
+import json, resource, sys, time
+from tbd import cli, codec, longitudinal, science, study, survival
+work, draws = sys.argv[1], int(sys.argv[2])
+data = science.observed_from_json(science.load_json(work + "/sim/observed.json"))
+fits = codec.decode(cli.PosteriorFile, science.load_json(work + "/fits.json"))
+spost = survival.SurvivalPosterior.from_json(fits.survival)
+lposts = {t: longitudinal.LongitudinalPosterior.from_json(doc)
+          for t, doc in fits.longitudinal.items()}
+start = time.perf_counter()
+study.estimate_visits(spost, lposts, data, draws)
+print(json.dumps({"estimate_visits_s": time.perf_counter() - start,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
 
 
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -92,6 +114,21 @@ def study_run(tree: Path, seed: int, work: Path) -> dict:
     return out
 
 
+def estimate_run(tree: Path, seed: int, work: Path) -> dict:
+    """``estimate_visits`` over ``ESTIMATE`` in a fresh process, from ``tree``'s sources."""
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
+    tbd = [sys.executable, "-m", "tbd.cli"]
+    for cmd in (["simulate", "--scenario", ESTIMATE["scenario"], "--seed", str(seed),
+                 "--n", str(ESTIMATE["n"]), "--out", str(work / "sim")],
+                ["fit", "--data", str(work / "sim" / "observed.json"),
+                 "--out", str(work / "fits.json"), "--seed", str(seed)]):
+        subprocess.run(tbd + cmd, env=env, capture_output=True, check=True)
+    done = subprocess.run([sys.executable, "-c", ESTIMATE_IN_PROCESS, str(work),
+                           str(ESTIMATE["draws"])], env=env, capture_output=True, text=True,
+                          check=True)
+    return {"metrics": json.loads(done.stdout.splitlines()[-1]), "nproc": os.cpu_count()}
+
+
 def quartiles(values: list[float]) -> dict:
     if len(values) == 1:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -123,7 +160,8 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True, help="source tree of the parent")
     ap.add_argument("--change", type=Path, required=True, help="source tree of the change")
     ap.add_argument("--out", type=Path, required=True, help="BENCH_*.json to create or update")
-    ap.add_argument("--workload", required=True, choices=(*BENCH_WORKLOADS, "study_workers"))
+    pseudo = {"study_workers": study_run, "estimate_n2000": estimate_run}
+    ap.add_argument("--workload", required=True, choices=(*BENCH_WORKLOADS, *pseudo))
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--held-out", action="store_true",
                     help="record the seeds as held out: not used while the change was written")
@@ -138,9 +176,9 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair: dict = {"seed": seed, "first": order[0]}
         for side in order:
-            if args.workload == "study_workers":
+            if args.workload in pseudo:
                 with tempfile.TemporaryDirectory() as tmp:
-                    pair[side] = study_run(trees[side], seed, Path(tmp))
+                    pair[side] = pseudo[args.workload](trees[side], seed, Path(tmp))
             else:
                 pair[side] = bench_run(trees[side], args.workload, seed, seconds)
             print(f"{args.workload} seed {seed} {side}: "
@@ -155,6 +193,11 @@ def main(argv=None) -> int:
                    for p in pairs)
         extra = {"seeds_with_the_same_cells_on_both_sides_and_worker_counts":
                  f"{same}/{len(pairs)}"}
+    elif args.workload == "estimate_n2000":
+        command = (f"tbd simulate --scenario {ESTIMATE['scenario']} --n {ESTIMATE['n']} "
+                   f"--seed <seed>; tbd fit --seed <seed>; then in a fresh process "
+                   f"estimate_visits(..., {ESTIMATE['draws']})")
+        extra = {"nproc": sorted({p[s]["nproc"] for p in pairs for s in trees})}
     else:
         command = (f"python3 bench/run.py --workload {args.workload} --seed <seed> "
                    f"--seconds {seconds:g} --trace 0")

@@ -16,6 +16,13 @@ residual enters the pairwise-comparison probability through the Normal
 cdf). The median estimator pools every patient's atoms and takes the mass
 median, placing finite atoms at the counterfactual predictive mean.
 
+``estimand_draws`` walks the paired draws in the blocks of
+``survival.draw_blocks`` (256 draws) and evaluates every estimator on a
+block before taking the next, so the arrays it holds have 256 rows and a
+column per patient however many draws are asked for. The blocks are those
+the survival kernels split their draws into, so every draw keeps the bits
+of one evaluation over all of them.
+
 Two reference estimators are included for contrast only: the naive
 observed-survivor contrast (biased by selection) and the across-arm rank
 statistic computed on observed composites.
@@ -30,12 +37,13 @@ from scipy.special import ndtr
 
 from .longitudinal import LongitudinalPosterior, counterfactual_mean
 from .science import ObservedDataset, mass_median
-from .survival import SurvivalPosterior
+from .survival import SurvivalPosterior, draw_blocks
 
 ESTIMANDS = ("sace", "pc", "sim", "rmst")
-# SIM takes its draws in blocks of about this many atoms. Whole-batch
-# (draws, atoms) arrays of a few MB left that much free but unreturned heap
-# behind each call, raising the peak memory of the next fit.
+# SIM takes each block's draws a few at a time, about this many atoms (two
+# a patient) per sub-block: (draws, atoms) arrays of a few MB left that much
+# free but unreturned heap behind each call, raising the peak memory of the
+# next fit.
 _SIM_BLOCK_ATOMS = 1 << 16
 
 
@@ -153,11 +161,63 @@ def rmst_estimand_draws(
 
     Each patient's observed time restricted to t minus the integral of the
     counterfactual survival curve (``SurvivalPosterior.rmst_matrix``), with
-    the assignment sign, averaged over patients."""
+    the assignment sign, averaged over patients. Each block of
+    ``survival.draw_blocks`` is reduced to its patient means in turn."""
     cols = data.columns
-    integral = spost.rmst_matrix(data, t, spost.subsample_indices(k))
+    s_idx = spost.subsample_indices(k)
     sign = 2 * cols.w - 1
-    return (sign[None, :] * (np.minimum(cols.t_obs, t)[None, :] - integral)).mean(axis=1)
+    restricted = np.minimum(cols.t_obs, t)
+    rmst = np.empty(len(s_idx))
+    for b in draw_blocks(len(s_idx)):
+        integral = spost.rmst_matrix(data, t, s_idx[b])
+        rmst[b] = (sign[None, :] * (restricted[None, :] - integral)).mean(axis=1)
+    return rmst
+
+
+def _sace(s_surv: np.ndarray, d_surv: np.ndarray) -> np.ndarray:
+    """SACE of each row: the survivors' signed differences ``d_surv``
+    averaged with their counterfactual survival ``s_surv`` as weights, NaN
+    where all weights are zero."""
+    den = s_surv.sum(axis=1)
+    num = (s_surv * d_surv).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(den > 0, num / den, np.nan)
+
+
+def _pc(s_mis, diff, sigma, treated, surv) -> np.ndarray:
+    """PC of each row: the probability, averaged over patients, that the
+    patient's composite under treatment beats the one under control. A
+    survivor whose counterfactual survives too compares by the Normal
+    residual, one whose counterfactual died wins if treated; a death wins
+    if treated and the counterfactual died first, or if control and the
+    counterfactual outlived it."""
+    p_fin = ndtr(diff / sigma[:, None])
+    pc_surv = s_mis * p_fin + (1.0 - s_mis) * treated[None, :]
+    pc_dead = np.where(treated[None, :], 1.0 - s_mis, s_mis)
+    return (np.where(surv[None, :], pc_surv, pc_dead)).sum(axis=1) / s_mis.shape[1]
+
+
+def _sim(d_surv, s_surv, s_dead, neg, pos, half) -> np.ndarray:
+    """SIM of each row: the mass median of every patient's atoms. The
+    survivors' finite atoms sit at ``d_surv`` with masses ``s_surv``; the
+    infinite atoms have the masses of ``1 - s_surv``, ``s_dead`` and
+    ``1 - s_dead`` side by side, at -inf in columns ``neg`` and at +inf in
+    columns ``pos``. They sit where they do for every draw, so only the
+    finite atoms are sorted; the -inf atoms go before them and the +inf
+    atoms after, each group in index order. That is the order a stable sort
+    of all the atoms gives, so the cumulative masses add in the same
+    sequence."""
+    order = np.argsort(d_surv, axis=1, kind="stable")
+    m_inf = np.concatenate([1.0 - s_surv, s_dead, 1.0 - s_dead], axis=1)
+    rows = len(d_surv)
+    return mass_median(
+        np.concatenate([np.full((rows, len(neg)), -np.inf),
+                        np.take_along_axis(d_surv, order, axis=1),
+                        np.full((rows, len(pos)), np.inf)], axis=1),
+        np.concatenate([m_inf[:, neg], np.take_along_axis(s_surv, order, axis=1),
+                        m_inf[:, pos]], axis=1),
+        half,
+    )
 
 
 def estimand_draws(
@@ -172,6 +232,8 @@ def estimand_draws(
     Draw k of the survival posterior is paired with draw k of the
     longitudinal posterior (both subsampled evenly from their pools), so
     the result depends on nothing but the posteriors, the data, t and k.
+    The draws are taken a block of ``survival.draw_blocks`` at a time, so
+    no array of k rows and a column per patient is built.
     """
     n = len(data)
     cols = data.columns
@@ -179,60 +241,29 @@ def estimand_draws(
     sign = 2 * w - 1
     data.check_measured(t)
     at = cols.at(t)
-    alive, y = at.alive, at.y
+    surv, y = at.alive, at.y
+    dead = ~surv
 
     s_idx = spost.subsample_indices(k)
     l_idx = lpost.subsample_indices(k)
-    s_mis = spost.s_mis_matrix(data, t, s_idx)  # (K, n)
-    sigma = lpost.sigma[l_idx]
-    mu_mis = counterfactual_mean(lpost.beta0[l_idx], lpost.beta1[l_idx], x, w)
-
-    surv = alive
-    dead = ~alive
-
-    # SACE
-    diff = sign[None, :] * (y[None, :] - mu_mis)
-    s_surv = s_mis[:, surv]
-    den = s_surv.sum(axis=1)
-    num = (s_surv * diff[:, surv]).sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sace = np.where(den > 0, num / den, np.nan)
-
-    # PC
-    z = diff / sigma[:, None]
-    p_fin = ndtr(z)
-    pc_surv = s_mis * p_fin + (1.0 - s_mis) * (w == 1)[None, :]
-    pc_dead = np.where((w == 1)[None, :], 1.0 - s_mis, s_mis)
-    pc = (np.where(surv[None, :], pc_surv, pc_dead)).sum(axis=1) / n
-
-    # RMST
-    rmst = rmst_estimand_draws(spost, data, t, k)
-
-    # SIM: each patient's atoms as the module docstring lists them, finite atoms at
-    # the predictive mean. The infinite atoms sit where they do for every draw, so
-    # only the finite ones are sorted; the -inf atoms go before them and the +inf
-    # atoms after, each group in index order. That is the order a stable sort of
-    # all the atoms gives, so the cumulative masses add in the same sequence.
+    sace, pc, sim = (np.empty(len(s_idx)) for _ in range(3))
+    # each patient's infinite atoms, as the module docstring lists them;
+    # they sit where they do for every draw
     v_inf = np.concatenate([np.where(sign[surv] > 0, np.inf, -np.inf),
                             np.where(sign[dead] > 0, -np.inf, np.inf),
                             np.where(sign[dead] > 0, np.inf, -np.inf)])
     neg, pos = np.flatnonzero(v_inf < 0), np.flatnonzero(v_inf > 0)
-    m_dead = s_mis[:, dead]
-    sim = np.empty(k)
-    step = max(1, _SIM_BLOCK_ATOMS // (2 * n))
-    for start in range(0, k, step):
-        b = slice(start, start + step)
-        v_fin = sign[surv] * (y[surv] - mu_mis[b][:, surv])
-        order = np.argsort(v_fin, axis=1, kind="stable")
-        m_inf = np.concatenate([1.0 - s_surv[b], m_dead[b], 1.0 - m_dead[b]], axis=1)
-        rows = len(v_fin)
-        sim[b] = mass_median(
-            np.concatenate([np.full((rows, len(neg)), -np.inf),
-                            np.take_along_axis(v_fin, order, axis=1),
-                            np.full((rows, len(pos)), np.inf)], axis=1),
-            np.concatenate([m_inf[:, neg], np.take_along_axis(s_surv[b], order, axis=1),
-                            m_inf[:, pos]], axis=1),
-            n / 2.0,
-        )
-
+    step = max(1, _SIM_BLOCK_ATOMS // (2 * n))  # draws per SIM sub-block
+    for b in draw_blocks(len(s_idx)):
+        s_mis = spost.s_mis_matrix(data, t, s_idx[b])  # (block, n)
+        mu_mis = counterfactual_mean(lpost.beta0[l_idx[b]], lpost.beta1[l_idx[b]], x, w)
+        diff = sign[None, :] * (y[None, :] - mu_mis)
+        sace[b] = _sace(s_mis[:, surv], diff[:, surv])
+        pc[b] = _pc(s_mis, diff, lpost.sigma[l_idx[b]], w == 1, surv)
+        sim_b = sim[b]
+        for r in range(0, len(s_mis), step):
+            rows = slice(r, r + step)
+            sim_b[rows] = _sim(diff[rows][:, surv], s_mis[rows][:, surv], s_mis[rows][:, dead],
+                               neg, pos, n / 2.0)
+    rmst = rmst_estimand_draws(spost, data, t, k)
     return EstimandDraws(sace=sace, pc=pc, sim=sim, rmst=rmst)

@@ -119,6 +119,15 @@ S_MIS_BLOCK = 256  # posterior draws per block of the counterfactual kernels
 S_MIS_TILE = 128
 
 
+def draw_blocks(k: int):
+    """Slices of ``S_MIS_BLOCK`` draws covering k draws, starting on its
+    multiples. The counterfactual kernels split their draws there, and
+    OpenBLAS rounds a product over other row splits differently, so a
+    caller that walks its draws by these slices gets, in each block, the
+    bits of one kernel call over all k draws."""
+    return (slice(start, start + S_MIS_BLOCK) for start in range(0, k, S_MIS_BLOCK))
+
+
 def _add(a, b):
     """a + b, in place in ``a``; None stands for an exact zero."""
     if a is None or b is None:
@@ -227,12 +236,13 @@ class SurvivalPosterior:
         cols = data.columns
         for arm, lam, alpha in ((0, self.lambda0, self.alpha0), (1, self.lambda1, self.alpha1)):
             sel_arm = np.flatnonzero(cols.w != arm)
-            tiles = np.array_split(sel_arm, max(1, -(-len(sel_arm) // S_MIS_TILE)))
-            for start in range(0, len(idx), S_MIS_BLOCK):
-                block = idx[start:start + S_MIS_BLOCK]
-                rows, lam_b, alpha_b = slice(start, start + len(block)), lam[block], alpha[block]
-                for sel in tiles:
-                    yield sel, rows, lam_b, np.exp(alpha_b @ cols.x[sel].T)
+            tiles = [(sel, cols.x[sel].T) for sel in
+                     np.array_split(sel_arm, max(1, -(-len(sel_arm) // S_MIS_TILE)))]
+            for rows in draw_blocks(len(idx)):
+                block = idx[rows]
+                lam_b, alpha_b = lam[block], alpha[block]
+                for sel, x_t in tiles:
+                    yield sel, rows, lam_b, np.exp(alpha_b @ x_t)
 
     def s_mis_matrix(self, data: ObservedDataset, t, indices=None) -> np.ndarray:
         """Counterfactual survival probabilities under each patient's unassigned arm,
@@ -257,10 +267,11 @@ class SurvivalPosterior:
         else:
             out = np.empty((len(times), len(idx), len(data)))
         for sel, rows, lam, scale in self._unassigned_blocks(data, idx):
+            neg_scale = -scale  # -(a * b) is a * -b, bit for bit
             for ov, res in zip(overlaps, out):
                 s = lam @ ov[sel].T
-                s *= scale
-                np.exp(np.negative(s, out=s), out=s)
+                s *= neg_scale
+                np.exp(s, out=s)
                 if indices is None:
                     res[sel] += s.sum(axis=0)
                 else:

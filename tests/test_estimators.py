@@ -3,6 +3,7 @@ reduction and symmetry properties, and batched/scalar agreement."""
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -532,6 +533,24 @@ class TestBatchedEvaluation:
             assert result.pc[kk] == pytest.approx(np.mean(phis), abs=1e-10)
 
 
+def test_memory_does_not_grow_with_draws():
+    # the draws are evaluated a block at a time: 4000 draws may hold no more
+    # than one block's arrays, and the per-draw results, at once
+    data = _mixed_data(60, 200)
+    spost, lpost = _synthetic_posteriors(61, n_draws=4000)
+
+    def peak(k):
+        tracemalloc.start()
+        try:
+            estimand_draws(spost, lpost, data, T, k)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_block = peak(S_MIS_BLOCK)
+    assert peak(4000) <= 1.5 * one_block, one_block
+
+
 # --- bitwise agreement with the retired per-draw loops ---------------------------
 #
 # The references below are the per-draw SIM loop and the both-arm RMST that
@@ -574,6 +593,34 @@ def _reference_sim_draws(spost, lpost, data, t, k):
         "knp,np->kn", lpost.beta1[l_idx][:, arm_mis, :], x
     )
     return _reference_sim(s_mis, mu_mis, y, 2 * w - 1, alive)
+
+
+def _reference_sace_pc(spost, lpost, data, t, k):
+    """SACE and PC draws from whole (draws, patients) arrays, as
+    estimand_draws computed them before it took its draws block by block."""
+    cols = data.columns
+    w, n = cols.w, len(data)
+    sign = 2 * w - 1
+    at = cols.at(t)
+    surv, y = at.alive, at.y
+    s_mis = spost.s_mis_matrix(data, t, spost.subsample_indices(k))
+    l_idx = lpost.subsample_indices(k)
+    sigma = lpost.sigma[l_idx]
+    arm_mis = 1 - w
+    mu_mis = lpost.beta0[l_idx][:, arm_mis] + np.einsum(
+        "knp,np->kn", lpost.beta1[l_idx][:, arm_mis, :], cols.x
+    )
+    diff = sign[None, :] * (y[None, :] - mu_mis)
+    s_surv = s_mis[:, surv]
+    den = s_surv.sum(axis=1)
+    num = (s_surv * diff[:, surv]).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sace = np.where(den > 0, num / den, np.nan)
+    p_fin = ndtr(diff / sigma[:, None])
+    pc_surv = s_mis * p_fin + (1.0 - s_mis) * (w == 1)[None, :]
+    pc_dead = np.where((w == 1)[None, :], 1.0 - s_mis, s_mis)
+    pc = (np.where(surv[None, :], pc_surv, pc_dead)).sum(axis=1) / n
+    return sace, pc
 
 
 def _reference_rmst_batch(lam, scale, overlaps):
@@ -659,7 +706,7 @@ def _integer_longitudinal(n_draws, seed):
 
 
 class TestBitIdenticalToPerDrawLoops:
-    K = 36
+    K = 2 * S_MIS_BLOCK + 40  # two full blocks of draws and a partial third
 
     def _cases(self):
         synthetic = _synthetic_posteriors(5, n_draws=self.K)
@@ -685,10 +732,18 @@ class TestBitIdenticalToPerDrawLoops:
         if block_atoms is not None:
             monkeypatch.setattr("tbd.estimators._SIM_BLOCK_ATOMS", block_atoms)
         for name, (data, spost, lpost) in self._cases().items():
-            for k in (self.K, 7):
+            for k in (self.K, 36, 7):
                 got = estimand_draws(spost, lpost, data, T, k)
                 assert _same_bits(got.sim, _reference_sim_draws(spost, lpost, data, T, k)), name
                 assert _same_bits(got.rmst, _reference_rmst_draws(spost, data, T, k)), name
+
+    def test_sace_and_pc_match_whole_array_reference(self):
+        for name, (data, spost, lpost) in self._cases().items():
+            for k in (self.K, 36, 7):
+                got = estimand_draws(spost, lpost, data, T, k)
+                sace, pc = _reference_sace_pc(spost, lpost, data, T, k)
+                assert _same_bits(got.sace, sace), name
+                assert _same_bits(got.pc, pc), name
 
     def test_boundary_on_exact_half_averages_neighbours(self):
         # even n, counterfactual survival exactly 1: the cumulative mass lands
