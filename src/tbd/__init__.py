@@ -8,7 +8,15 @@ comparison, survival-incorporated median, restricted-mean survival time),
 and score bias and coverage across replicated scenarios.
 """
 
-from .estimators import EstimandDraws, EstimandSummary, estimand_draws, naive_effect, summarize, wmw
+from .estimators import (
+    EstimandDraws,
+    EstimandSummary,
+    estimand_draws,
+    naive_effect,
+    rmst_estimand_draws,
+    summarize,
+    wmw,
+)
 from .longitudinal import LongitudinalPosterior, LongPriors, compute_weights, fit_longitudinal
 from .mcmc import Block, McmcConfig, McmcResult, ModelSpec, ess, rhat, run_chains
 from .metrics import (

@@ -5,7 +5,6 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import repeat
 from pathlib import Path
 
 import click
@@ -166,22 +165,24 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
         if not lpost.converged:
             click.echo(f"warning: longitudinal fit at t={t} flagged by diagnostics", err=True)
     out_dir = Path(out)
-    est_rows = []
+    est_lines = []
     summary_rows = []
     for visit in study.estimate_visits(spost, lposts, data, draws):
         t = visit.time
         for name, values in visit.draws.items():
             summ = visit.summaries[name]
-            est_rows.extend(zip(
-                repeat(label), repeat(0), repeat(t), repeat(name), range(len(values)),
-                study.fmt_floats(values.tolist(), ".6g"), np.isinf(values).astype(int).tolist(),
-            ))
+            # the row's leading fields through csv, which quotes a label that needs it;
+            # the draw index, value and flag never need quoting
+            prefix = study.csv_line((label, 0, t, name))
+            est_lines.extend(f"{prefix},{i},{value},{is_inf}" for i, value, is_inf in zip(
+                range(len(values)), study.fmt_floats(values.tolist(), ".6g"),
+                np.isinf(values).astype(int).tolist()))
             summary_rows.append((name, t, _cell(summ.median), _cell(summ.lo95),
                                  _cell(summ.hi95), study.fmt(summ.frac_undefined)))
         for reference, value in (("naive_reference_biased", visit.naive),
                                  ("wmw_reference", visit.wmw)):
             summary_rows.append((reference, t, _cell(value), "-", "-", "-"))
-    study.write_rows(out_dir / "estimates.csv", ESTIMATE_COLUMNS, est_rows)
+    study.write_lines(out_dir / "estimates.csv", ESTIMATE_COLUMNS, est_lines)
     study.write_rows(out_dir / "summary.csv", SUMMARY_COLUMNS, summary_rows)
     click.echo(f"wrote estimates.csv and summary.csv to {out_dir}")
 

@@ -14,14 +14,17 @@ classification:
 The average-style estimators integrate the finite part analytically (the
 residual enters the pairwise-comparison probability through the Normal
 cdf). The median estimator pools every patient's atoms and takes the mass
-median, placing finite atoms at the counterfactual predictive mean.
+median, placing finite atoms at the counterfactual predictive mean; it sorts
+only the finite atoms, with numpy's default sort.
 
 ``estimand_draws`` walks the paired draws in the blocks of
-``survival.draw_blocks`` (256 draws) and evaluates every estimator on a
+``survival.draw_blocks`` (256 draws) and evaluates SACE, PC and SIM on a
 block before taking the next, so the arrays it holds have 256 rows and a
-column per patient however many draws are asked for. The blocks are those
-the survival kernels split their draws into, so every draw keeps the bits
-of one evaluation over all of them.
+column per patient however many draws are asked for. The restricted mean
+needs no longitudinal draw: ``rmst_estimand_draws`` evaluates every visit
+in one pass over the same blocks. The blocks are those the survival kernels
+split their draws into, so every draw keeps the bits of one evaluation over
+all of them.
 
 Two reference estimators are included for contrast only: the naive
 observed-survivor contrast (biased by selection) and the across-arm rank
@@ -30,6 +33,7 @@ statistic computed on observed composites.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +88,10 @@ def wmw(data: ObservedDataset, t: float) -> float | None:
     if not n1 or not n0:
         return None
     alive, dead = at.alive, ~at.alive
-    y_score = wins_and_half_ties(at.y[treated & alive], at.y[control & alive]).sum()
-    t_score = wins_and_half_ties(cols.t_obs[treated & dead], cols.t_obs[control & dead]).sum()
-    survivor_over_death = int((treated & alive).sum()) * int((control & dead).sum())
+    treated_alive, control_dead = treated & alive, control & dead
+    y_score = wins_and_half_ties(at.y[treated_alive], at.y[control & alive]).sum()
+    t_score = wins_and_half_ties(cols.t_obs[treated & dead], cols.t_obs[control_dead]).sum()
+    survivor_over_death = int(np.count_nonzero(treated_alive)) * int(np.count_nonzero(control_dead))
     return (float(y_score) + float(t_score) + survivor_over_death) / (n1 * n0)
 
 
@@ -123,55 +128,97 @@ def summarize(draws) -> EstimandSummary:
 
 @dataclass
 class EstimandDraws:
-    """Aligned per-draw values of the four estimators at one visit time."""
+    """Aligned per-draw values of the estimators that need a longitudinal
+    posterior, at one visit time (RMST: ``rmst_estimand_draws``)."""
 
     sace: np.ndarray
     pc: np.ndarray
     sim: np.ndarray
-    rmst: np.ndarray
 
     def by_name(self) -> dict[str, np.ndarray]:
         """Each estimand's draws, in ``ESTIMANDS`` order."""
-        return {name: getattr(self, name) for name in ESTIMANDS}
+        return {"sace": self.sace, "pc": self.pc, "sim": self.sim}
+
+
+# the median and the centered 95% interval, scaled as np.percentile scales them
+_QUANTILES = np.true_divide([2.5, 50.0, 97.5], 100)
+
+
+@functools.lru_cache(maxsize=256)
+def _linear_order_statistics(n: int):
+    """What ``np.percentile`` (method "linear") of n values at ``_QUANTILES``
+    takes: the order statistics it partitions at, the lower and upper
+    neighbours of each quantile's virtual index, and its weight. At or past
+    the last value (n = 1) both neighbours are the last, weighted by the
+    virtual index plus one, as numpy does. Cached by n."""
+    virtual = (n - 1) * _QUANTILES
+    lower = np.floor(virtual).astype(np.intp)
+    upper = lower + 1
+    last = virtual >= n - 1
+    lower[last] = upper[last] = -1
+    kth = np.unique(np.concatenate(([0, -1], lower, upper)))
+    gamma = virtual - lower
+    for a in (kth, lower, upper, gamma):
+        a.flags.writeable = False  # shared by every call with this n
+    return kth, lower, upper, gamma
 
 
 def summaries_of(rows) -> list[EstimandSummary]:
     """``summarize`` of each of ``rows``, arrays that all hold one number of
-    draws. The rows whose draws are all finite share one percentile call,
-    which takes each row's order statistics and interpolates them as a
-    one-row call does."""
+    draws, with its bits. Rows with the same number of finite draws are
+    partitioned together at the order statistics ``np.percentile`` takes
+    for that number and interpolated with its arithmetic (``_lerp``'s two
+    formulas, split at weight 0.5), which spares a study cell most of
+    ``np.percentile``'s cost per call, about 70 us in argument handling."""
     if not rows:
         return []
     rows = np.stack([np.asarray(row, dtype=float) for row in rows])
-    whole = np.isfinite(rows).all(axis=1) & (rows.shape[1] > 0)
-    batched = {}
-    if whole.any():
-        lo, med, hi = np.percentile(rows[whole], [2.5, 50.0, 97.5], axis=1)
-        batched = {
-            i: EstimandSummary(float(m), float(l), float(h), 0.0, rows.shape[1])
-            for i, l, m, h in zip(np.flatnonzero(whole), lo, med, hi)
-        }
-    return [batched[i] if i in batched else summarize(row) for i, row in enumerate(rows)]
+    if rows.shape[1] == 0:
+        raise ValueError("no draws to summarize")
+    finite = np.isfinite(rows)
+    counts = finite.sum(axis=1)
+    quantiles = np.empty((len(rows), len(_QUANTILES)))
+    for n in np.unique(counts[counts > 0]).tolist():
+        group = np.flatnonzero(counts == n)
+        # each row's finite draws, in order
+        values = rows[group][finite[group]].reshape(len(group), n)
+        kth, lower, upper, gamma = _linear_order_statistics(n)
+        values.partition(kth, axis=1)
+        a, b = values[:, lower], values[:, upper]
+        diff = b - a
+        lerp = a + diff * gamma
+        np.subtract(b, diff * (1 - gamma), out=lerp, where=gamma >= 0.5)
+        quantiles[group] = lerp
+    return [
+        EstimandSummary(float(med), float(lo), float(hi), 1.0 - n / rows.shape[1], rows.shape[1])
+        if n else EstimandSummary(None, None, None, 1.0, rows.shape[1])
+        for n, (lo, med, hi) in zip(counts.tolist(), quantiles.tolist())
+    ]
 
 
-def rmst_estimand_draws(
-    spost: SurvivalPosterior, data: ObservedDataset, t: float, k: int
-) -> np.ndarray:
+def rmst_estimand_draws(spost: SurvivalPosterior, data: ObservedDataset, t, k: int) -> np.ndarray:
     """Restricted-mean contrast draws; needs only the survival posterior.
 
     Each patient's observed time restricted to t minus the integral of the
     counterfactual survival curve (``SurvivalPosterior.rmst_matrix``), with
-    the assignment sign, averaged over patients. Each block of
-    ``survival.draw_blocks`` is reduced to its patient means in turn."""
+    the assignment sign, averaged over patients: shape (k,). A sequence of
+    times ``t`` adds a leading axis of its length, and all of them are
+    evaluated in one pass over the draws. Each block of
+    ``survival.draw_blocks`` is reduced to its patient means in turn, in the
+    integral's own buffer."""
     cols = data.columns
     s_idx = spost.subsample_indices(k)
     sign = 2 * cols.w - 1
-    restricted = np.minimum(cols.t_obs, t)
-    rmst = np.empty(len(s_idx))
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    restricted = np.minimum(cols.t_obs, times[:, None])
+    rmst = np.empty((len(times), len(s_idx)))
     for b in draw_blocks(len(s_idx)):
-        integral = spost.rmst_matrix(data, t, s_idx[b])
-        rmst[b] = (sign[None, :] * (restricted[None, :] - integral)).mean(axis=1)
-    return rmst
+        integral = spost.rmst_matrix(data, times, s_idx[b])  # (times, block, patients)
+        np.subtract(restricted[:, None, :], integral, out=integral)
+        integral *= sign  # a sign flip, exact
+        rmst[:, b] = integral.mean(axis=2)
+        del integral  # freed before the next block's is built
+    return rmst if np.ndim(t) else rmst[0]
 
 
 def _sace(s_surv: np.ndarray, d_surv: np.ndarray) -> np.ndarray:
@@ -203,11 +250,13 @@ def _sim(d_surv, s_surv, s_dead, neg, pos, half) -> np.ndarray:
     infinite atoms have the masses of ``1 - s_surv``, ``s_dead`` and
     ``1 - s_dead`` side by side, at -inf in columns ``neg`` and at +inf in
     columns ``pos``. They sit where they do for every draw, so only the
-    finite atoms are sorted; the -inf atoms go before them and the +inf
-    atoms after, each group in index order. That is the order a stable sort
-    of all the atoms gives, so the cumulative masses add in the same
-    sequence."""
-    order = np.argsort(d_surv, axis=1, kind="stable")
+    finite atoms are sorted, by numpy's default sort; the -inf atoms go
+    before them and the +inf atoms after. Tied finite atoms may come in any
+    order. They share their value, read as ``d_surv + 0.0`` so that a -0.0
+    is a +0.0 and SIM is never -0.0; only the last bits of the cumulative
+    masses within their run depend on the order."""
+    d_surv = d_surv + 0.0
+    order = np.argsort(d_surv, axis=1)
     m_inf = np.concatenate([1.0 - s_surv, s_dead, 1.0 - s_dead], axis=1)
     rows = len(d_surv)
     return mass_median(
@@ -227,7 +276,7 @@ def estimand_draws(
     t: float,
     k: int,
 ) -> EstimandDraws:
-    """Evaluate all estimators over k paired posterior draws.
+    """Evaluate SACE, PC and SIM over k paired posterior draws.
 
     Draw k of the survival posterior is paired with draw k of the
     longitudinal posterior (both subsampled evenly from their pools), so
@@ -265,5 +314,4 @@ def estimand_draws(
             rows = slice(r, r + step)
             sim_b[rows] = _sim(diff[rows][:, surv], s_mis[rows][:, surv], s_mis[rows][:, dead],
                                neg, pos, n / 2.0)
-    rmst = rmst_estimand_draws(spost, data, t, k)
-    return EstimandDraws(sace=sace, pc=pc, sim=sim, rmst=rmst)
+    return EstimandDraws(sace=sace, pc=pc, sim=sim)

@@ -12,8 +12,9 @@ of draws and, within a block, tiles of patients, so each (block x tile)
 array stays in cache and each matrix product is too small to wake a second
 BLAS thread. No kernel builds an array with a segment axis: the survival
 mean serves every visit time from one traversal, computing each tile's
-covariate scales once, and the restricted mean adds its segments one at a
-time. Beyond the last cutpoint the final segment rate is extended.
+covariate scales once, and the restricted mean computes each segment's term
+once per block, shared by every visit. Beyond the last cutpoint the final
+segment rate is extended.
 
 The posterior is sampled collapsed: with the Gamma-prior segment rates
 integrated out, alpha has a concave log marginal, sampled by independence
@@ -129,11 +130,10 @@ def draw_blocks(k: int):
 
 
 def _add(a, b):
-    """a + b, in place in ``a``; None stands for an exact zero."""
+    """a + b in a new array; None stands for an exact zero."""
     if a is None or b is None:
         return b if a is None else a
-    a += b
-    return a
+    return a + b
 
 
 def _pairwise_sum(terms, n: int):
@@ -142,8 +142,8 @@ def _pairwise_sum(terms, n: int):
     contiguous axis of length ``n``: sequentially below 8 terms, in 8
     running sums combined pairwise up to 128, and split in halves (rounded
     down to a multiple of 8) beyond. So the result has the bits of
-    ``np.sum`` over the stacked terms, without stacking them. Consumes the
-    arrays it adds into."""
+    ``np.sum`` over the stacked terms, without stacking them. The terms are
+    left as they are, so one term may serve several sums."""
     if n < 8:
         total = None
         for _ in range(n):
@@ -163,38 +163,48 @@ def _pairwise_sum(terms, n: int):
 
 
 def _rmst_batch(lam: np.ndarray, scale: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-    """Restricted-mean integral, in closed form.
+    """Restricted-mean integral at several times, in closed form.
 
     lam (K, J) segment rates, scale (K, n) covariate multipliers, overlaps
-    (J,) segment lengths inside [0, t]; returns (K, n). Each segment adds
-    exp(-H(a)) * (1 - exp(-r * dt)) / r, with r the segment hazard and H(a)
-    the cumulative hazard at its start, and its full length where r = 0.
-    The segments are taken one at a time on (K, n) arrays, H as a running
-    sum. A segment past t adds an exact zero and is not evaluated; the
-    terms are added in the order ``np.sum`` adds a (K, n, J) stack of them
-    (``_pairwise_sum``), so the result has the same bits for any J.
+    (T, J) each time's segment lengths inside [0, t]; returns (T, K, n).
+    Each segment adds exp(-H(a)) * (1 - exp(-r * dt)) / r, with r the
+    segment hazard and H(a) the cumulative hazard at its start, and its full
+    length where r = 0. The segments are taken one at a time on (K, n)
+    arrays, H as a running sum. A term is kept by the segment lengths up to
+    its segment, and times whose lengths agree that far share it and the H
+    after it: each segment's term is computed once per block, shared by
+    every visit, a segment at its full length serving every time beyond it
+    and a partial segment getting its own. A segment past t adds an exact zero
+    and is not evaluated. Each time adds its own terms in the order
+    ``np.sum`` adds a (K, n, J) stack of them (``_pairwise_sum``), so each
+    row has the bits of a call at that time alone, for any J. (A running
+    prefix of the times' totals would not: from 8 segments on ``np.sum``
+    adds pairwise.)
     """
-
-    def terms():
-        prefix = None
-        for j, dt in enumerate(overlaps):
+    terms: dict[tuple, tuple] = {}  # segment lengths up to a segment -> its term, H after it
+    out = np.empty((len(overlaps), *scale.shape))
+    for lengths, res in zip(overlaps.tolist(), out):
+        row, prefix = [], None
+        for j, dt in enumerate(lengths):
             if dt <= 0:
-                yield None
+                row.append(None)
                 continue
-            r = lam[:, j, None] * scale
-            seg_haz = r * dt
-            with np.errstate(invalid="ignore", divide="ignore"):
-                piece = np.where(r > 0, -np.expm1(-seg_haz) / np.where(r > 0, r, 1.0), dt)
-            if prefix is None:  # exp(-0) * piece is piece
-                prefix = seg_haz
-                yield piece
-            else:
-                piece *= np.exp(-prefix)
-                prefix += seg_haz
-                yield piece
-
-    total = _pairwise_sum(terms(), len(overlaps))
-    return np.zeros(scale.shape) if total is None else total
+            key = tuple(lengths[:j + 1])
+            if key not in terms:
+                r = lam[:, j, None] * scale
+                seg_haz = r * dt
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    piece = np.where(r > 0, -np.expm1(-seg_haz) / np.where(r > 0, r, 1.0), dt)
+                if prefix is None:  # exp(-0) * piece is piece
+                    terms[key] = piece, seg_haz
+                else:
+                    piece *= np.exp(-prefix)
+                    terms[key] = piece, prefix + seg_haz
+            piece, prefix = terms[key]
+            row.append(piece)
+        total = _pairwise_sum(iter(row), len(row))
+        res[...] = 0.0 if total is None else total
+    return out
 
 
 @dataclass
@@ -280,15 +290,18 @@ class SurvivalPosterior:
             out /= len(idx)
         return out if np.ndim(t) else out[0]
 
-    def rmst_matrix(self, data: ObservedDataset, t: float, indices) -> np.ndarray:
+    def rmst_matrix(self, data: ObservedDataset, t, indices) -> np.ndarray:
         """Restricted-mean survival time to t under each patient's unassigned
-        arm, one row per listed draw: shape (len(indices), patients)."""
+        arm, one row per listed draw: shape (len(indices), patients). A
+        sequence of times ``t`` adds a leading axis of its length, and each
+        block's segment terms then serve all the times (``_rmst_batch``);
+        each time's result has the bits of a call at that time alone."""
         idx = np.asarray(indices)
-        overlaps = self.grid.overlaps(float(t))  # (J,)
-        out = np.empty((len(idx), len(data)))
+        overlaps = self.grid.overlaps(np.atleast_1d(np.asarray(t, dtype=float)))  # (T, J)
+        out = np.empty((len(overlaps), len(idx), len(data)))
         for sel, rows, lam, scale in self._unassigned_blocks(data, idx):
-            out[rows, sel] = _rmst_batch(lam, scale, overlaps)
-        return out
+            out[:, rows, sel] = _rmst_batch(lam, scale, overlaps)
+        return out if np.ndim(t) else out[0]
 
     def assigned_survival(self, data: ObservedDataset, months) -> np.ndarray:
         """Plug-in survival of each patient under the assigned arm at each of

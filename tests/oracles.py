@@ -452,14 +452,14 @@ def untiled_s_mis_matrix(post: SurvivalPosterior, data: ObservedDataset, t, indi
     return out if np.ndim(t) else out[0]
 
 
-def untiled_rmst_matrix(post: SurvivalPosterior, data: ObservedDataset, t: float, indices):
+def untiled_rmst_matrix(post: SurvivalPosterior, data: ObservedDataset, t, indices):
     """``SurvivalPosterior.rmst_matrix`` over the untiled traversal."""
     idx = np.asarray(indices)
-    overlaps = post.grid.overlaps(float(t))
-    out = np.empty((len(idx), len(data)))
+    overlaps = post.grid.overlaps(np.atleast_1d(np.asarray(t, dtype=float)))
+    out = np.empty((len(overlaps), len(idx), len(data)))
     for sel, rows, lam, scale in _untiled_blocks(post, data, idx):
-        out[rows, sel] = _rmst_batch(lam, scale, overlaps)
-    return out
+        out[:, rows, sel] = _rmst_batch(lam, scale, overlaps)
+    return out if np.ndim(t) else out[0]
 
 
 # --- convergence diagnostics ---------------------------------------------------

@@ -311,13 +311,13 @@ def test_criterion_5_brute_force_equivalence():
               "rmst": rmst_draw(s, data, t), "sim": sim_draw(s, l, data, t)}
     lpost = tbd.LongitudinalPosterior(t=t, beta0=l.beta0[None], beta1=l.beta1[None],
                                       sigma=np.array([l.sigma]), diagnostics={}, converged=True)
-    shipped = tbd.estimand_draws(
-        _one_draw_survival(s.grid, s.lambda0, s.lambda1, s.alpha0, s.alpha1), lpost, data, t, 1
-    )
+    spost = _one_draw_survival(s.grid, s.lambda0, s.lambda1, s.alpha0, s.alpha1)
+    shipped = {**tbd.estimand_draws(spost, lpost, data, t, 1).by_name(),
+               "rmst": tbd.rmst_estimand_draws(spost, data, t, 1)}
     ok = True
     for name, (value, tol) in expected.items():
         ok &= abs(scalar[name] - value) < tol
-        ok &= abs(getattr(shipped, name)[0] - value) < tol
+        ok &= abs(shipped[name][0] - value) < tol
     assert _verdict("criterion 5 (4-patient enumeration oracle, scalar and shipped)", bool(ok))
 
 

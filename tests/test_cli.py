@@ -1,6 +1,7 @@
 """End-to-end command-line workflows on tiny configurations."""
 
 import csv
+import io
 import json
 import math
 from dataclasses import replace
@@ -168,6 +169,21 @@ def test_estimate_outputs(runner, sim_dir, fits_path, tmp_path):
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     assert summary[0] == "estimand,time,median,lo95,hi95,frac_undefined"
     assert any("naive_reference_biased" in line for line in summary)
+
+
+def test_estimate_rows_are_what_csv_writes(runner, sim_dir, fits_path, tmp_path):
+    # a label with a comma and a quote is quoted in every row, as csv.writer quotes it
+    label = 'a,"b x'
+    result = runner.invoke(main, ["estimate", "--data", str(sim_dir / "observed.json"),
+                                  "--fits", str(fits_path), "--out", str(tmp_path),
+                                  "--draws", "3", "--label", label])
+    assert result.exit_code == 0, result.output
+    text = (tmp_path / "estimates.csv").read_bytes().decode()
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert len(rows) == 1 + 5 * 4 * 3 and {row[0] for row in rows[1:]} == {label}
+    rewritten = io.StringIO()
+    csv.writer(rewritten).writerows(rows)
+    assert rewritten.getvalue() == text
 
 
 def test_estimate_seed_has_no_effect(runner, sim_dir, fits_path, tmp_path):

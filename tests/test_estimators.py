@@ -28,6 +28,7 @@ from oracles import (
     survival_prob,
 )
 from tbd.estimators import (
+    _sim,
     estimand_draws,
     naive_effect,
     rmst_estimand_draws,
@@ -35,7 +36,7 @@ from tbd.estimators import (
     summarize,
     wmw,
 )
-from tbd.longitudinal import LongitudinalPosterior
+from tbd.longitudinal import LongitudinalPosterior, counterfactual_mean
 from tbd.science import ObservedDataset, ObservedPatient
 from tbd.simulate import get_scenario, observe, simulate_science_table
 from tbd.survival import S_MIS_BLOCK, HazardGrid, SurvivalPosterior, _rmst_batch
@@ -466,6 +467,7 @@ class TestBatchedEvaluation:
         spost, lpost = _synthetic_posteriors(31)
         k = 10
         result = estimand_draws(spost, lpost, data, T, k)
+        rmst = rmst_estimand_draws(spost, data, T, k)
         s_idx = spost.subsample_indices(k)
         l_idx = lpost.subsample_indices(k)
         for kk in (0, 4, 9):
@@ -473,7 +475,7 @@ class TestBatchedEvaluation:
             l = long_draw(lpost, int(l_idx[kk]))
             assert result.sace[kk] == pytest.approx(sace_draw(s, l, data, T), abs=1e-10)
             assert result.pc[kk] == pytest.approx(pc_draw(s, l, data, T), abs=1e-10)
-            assert result.rmst[kk] == pytest.approx(rmst_draw(s, data, T), abs=1e-10)
+            assert rmst[kk] == pytest.approx(rmst_draw(s, data, T), abs=1e-10)
             assert result.sim[kk] == pytest.approx(sim_draw(s, l, data, T), abs=1e-10)
 
     def test_arm_swap_antisymmetry(self):
@@ -485,7 +487,8 @@ class TestBatchedEvaluation:
         b = estimand_draws(spost2, lpost2, swapped, T, k)
         assert np.allclose(b.pc, 1.0 - a.pc, atol=1e-10)
         assert np.allclose(b.sace, -a.sace, atol=1e-10)
-        assert np.allclose(b.rmst, -a.rmst, atol=1e-10)
+        assert np.allclose(rmst_estimand_draws(spost2, swapped, T, k),
+                           -rmst_estimand_draws(spost, data, T, k), atol=1e-10)
         finite = np.isfinite(a.sim)
         assert np.array_equal(finite, np.isfinite(b.sim))
         assert np.allclose(b.sim[finite], -a.sim[finite], atol=1e-10)
@@ -496,7 +499,7 @@ class TestBatchedEvaluation:
             spost, lpost = _synthetic_posteriors(seed + 100)
             r = estimand_draws(spost, lpost, data, T, 15)
             assert np.all((0.0 <= r.pc) & (r.pc <= 1.0))
-            assert np.all(np.abs(r.rmst) <= T + 1e-9)
+            assert np.all(np.abs(rmst_estimand_draws(spost, data, T, 15)) <= T + 1e-9)
 
     def test_certain_survival_reductions(self):
         # with counterfactual survival pinned at 1 the estimators collapse
@@ -551,6 +554,26 @@ def test_memory_does_not_grow_with_draws():
     assert peak(4000) <= 1.5 * one_block, one_block
 
 
+def test_rmst_memory_does_not_grow_with_draws():
+    # every visit's restricted mean in one pass: 4000 draws may hold no more
+    # than one block's (visits x block x patients) integrals at once; at
+    # n=1000 they outweigh the kernel's per-tile arrays
+    data = _mixed_data(62, 1000)
+    spost, _ = _synthetic_posteriors(63, n_draws=4000)
+    times = (3.0, 6.0, T, 12.0, 15.0)
+
+    def peak(k):
+        tracemalloc.start()
+        try:
+            rmst_estimand_draws(spost, data, times, k)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_block = peak(S_MIS_BLOCK)
+    assert peak(4000) <= 1.5 * one_block, one_block
+
+
 # --- bitwise agreement with the retired per-draw loops ---------------------------
 #
 # The references below are the per-draw SIM loop and the both-arm RMST that
@@ -565,7 +588,7 @@ def _reference_sim(s_mis, y_mis, y, sign, alive):
     inf = np.inf
     sim = np.empty(len(s_mis))
     for kk in range(len(s_mis)):
-        v_fin = sign[surv] * (y[surv] - y_mis[kk, surv])
+        v_fin = sign[surv] * (y[surv] - y_mis[kk, surv]) + 0.0  # -0.0 reads as +0.0
         m_fin = s_mis[kk, surv]
         v_inf_surv = np.where(sign[surv] > 0, inf, -inf)
         m_inf_surv = 1.0 - m_fin
@@ -593,6 +616,24 @@ def _reference_sim_draws(spost, lpost, data, t, k):
         "knp,np->kn", lpost.beta1[l_idx][:, arm_mis, :], x
     )
     return _reference_sim(s_mis, mu_mis, y, 2 * w - 1, alive)
+
+
+def _sim_inputs(spost, lpost, data, t, k):
+    """``_sim``'s arguments for all k draws at once, as ``estimand_draws``
+    builds them for each block."""
+    cols = data.columns
+    sign = 2 * cols.w - 1
+    at = cols.at(t)
+    surv, dead = at.alive, ~at.alive
+    s_mis = spost.s_mis_matrix(data, t, spost.subsample_indices(k))
+    l_idx = lpost.subsample_indices(k)
+    diff = sign * (at.y - counterfactual_mean(lpost.beta0[l_idx], lpost.beta1[l_idx],
+                                              cols.x, cols.w))
+    v_inf = np.concatenate([np.where(sign[surv] > 0, np.inf, -np.inf),
+                            np.where(sign[dead] > 0, -np.inf, np.inf),
+                            np.where(sign[dead] > 0, np.inf, -np.inf)])
+    return (diff[:, surv], s_mis[:, surv], s_mis[:, dead], np.flatnonzero(v_inf < 0),
+            np.flatnonzero(v_inf > 0), len(data) / 2.0)
 
 
 def _reference_sace_pc(spost, lpost, data, t, k):
@@ -735,7 +776,8 @@ class TestBitIdenticalToPerDrawLoops:
             for k in (self.K, 36, 7):
                 got = estimand_draws(spost, lpost, data, T, k)
                 assert _same_bits(got.sim, _reference_sim_draws(spost, lpost, data, T, k)), name
-                assert _same_bits(got.rmst, _reference_rmst_draws(spost, data, T, k)), name
+                assert _same_bits(rmst_estimand_draws(spost, data, T, k),
+                                  _reference_rmst_draws(spost, data, T, k)), name
 
     def test_sace_and_pc_match_whole_array_reference(self):
         for name, (data, spost, lpost) in self._cases().items():
@@ -744,6 +786,38 @@ class TestBitIdenticalToPerDrawLoops:
                 sace, pc = _reference_sace_pc(spost, lpost, data, T, k)
                 assert _same_bits(got.sace, sace), name
                 assert _same_bits(got.pc, pc), name
+
+    def test_sim_ignores_the_order_of_tied_atoms(self):
+        # numpy's default sort may put tied finite atoms in any order:
+        # permuting the finite atoms with their masses changes no bit (the
+        # survivors' infinite atoms, whose masses _sim takes from s_surv,
+        # are re-pointed so that they keep their order)
+        rng = np.random.default_rng(71)
+        cases = self._cases()
+        for name in ("tied_finite_values", "tied_and_extreme", "hundreds_of_tied_atoms"):
+            data, spost, lpost = cases[name]
+            d_surv, s_surv, s_dead, neg, pos, half = _sim_inputs(spost, lpost, data, T, self.K)
+            sim = _sim(d_surv, s_surv, s_dead, neg, pos, half)
+            assert _same_bits(sim, estimand_draws(spost, lpost, data, T, self.K).sim), name
+            n_surv = d_surv.shape[1]
+            for _ in range(3):
+                perm = rng.permutation(n_surv)
+                moved = np.concatenate([np.argsort(perm),
+                                        np.arange(n_surv, n_surv + 2 * s_dead.shape[1])])
+                got = _sim(d_surv[:, perm], s_surv[:, perm], s_dead, moved[neg], moved[pos], half)
+                assert _same_bits(got, sim), name
+
+    def test_sim_is_never_negative_zero(self):
+        # a median on a -0.0 atom, alone or tied with a +0.0 in either order
+        for d_surv in ([[-0.0]], [[-0.0, 0.0, 5.0]], [[0.0, -0.0, 5.0]]):
+            d_surv = np.array(d_surv)
+            n = d_surv.shape[1]  # treated survivors, certain to survive under control
+            got = _sim(d_surv, np.ones_like(d_surv), np.empty((1, 0)), np.array([], dtype=int),
+                       np.arange(n), n / 2.0)
+            assert got[0] == 0.0 and not np.signbit(got[0]), d_surv
+        for name, (data, spost, lpost) in self._cases().items():
+            sim = estimand_draws(spost, lpost, data, T, self.K).sim
+            assert not np.signbit(sim[sim == 0]).any(), name
 
     def test_boundary_on_exact_half_averages_neighbours(self):
         # even n, counterfactual survival exactly 1: the cumulative mass lands
@@ -792,34 +866,47 @@ class TestBitIdenticalToPerDrawLoops:
     def test_rmst_matches_both_arm_reference_on_any_grid(self, cuts):
         grid = HazardGrid(tuple(float(c) for c in cuts))
         k = 2 * S_MIS_BLOCK + 40  # two full blocks of the kernel and a partial third
+        # at 0, inside segments, on every cutpoint, past the last one, and repeated:
+        # each time of one call shares segment terms with the others
+        times = (0.0, 0.25, 7.7, 10.0, 21.0, *grid.cutpoints[1:], 7.7, 0.0)
         for seed in range(3):
             data = _mixed_data(20 + seed, 31 + seed)
             spost, lpost = _synthetic_posteriors(30 + seed, n_draws=25, grid=grid)
             blocked, _ = _synthetic_posteriors(40 + seed, n_draws=k + 60, grid=grid)
-            for t in (0.0, 0.25, 3.0, 7.7, 10.0, 15.0, 21.0):
-                got = rmst_estimand_draws(spost, data, t, 25)
-                assert _same_bits(got, _reference_rmst_draws(spost, data, t, 25)), (seed, t)
-                got = rmst_estimand_draws(blocked, data, t, k)
-                assert _same_bits(got, _reference_rmst_draws(blocked, data, t, k)), (seed, t, k)
+            idx = blocked.subsample_indices(k)
+            every_time = rmst_estimand_draws(blocked, data, times, k)
+            every_matrix = blocked.rmst_matrix(data, times, idx)
+            assert every_time.shape == (len(times), k)
+            for t, got, matrix in zip(times, every_time, every_matrix):
+                one = rmst_estimand_draws(spost, data, t, 25)
+                assert _same_bits(one, _reference_rmst_draws(spost, data, t, 25)), (seed, t)
+                one = rmst_estimand_draws(blocked, data, t, k)
+                assert _same_bits(one, _reference_rmst_draws(blocked, data, t, k)), (seed, t, k)
+                assert _same_bits(got, one), (seed, t, k)
+                assert _same_bits(matrix, blocked.rmst_matrix(data, t, idx)), (seed, t, k)
             draws = estimand_draws(spost, lpost, data, T, 25)
-            assert _same_bits(draws.rmst, _reference_rmst_draws(spost, data, T, 25))
             assert _same_bits(draws.sim, _reference_sim_draws(spost, lpost, data, T, 25))
 
     @pytest.mark.parametrize("n_segments", [8, 16, 17, 130])
     def test_rmst_batch_matches_reference_on_long_grids(self, n_segments):
         # from 8 segments on, np.sum adds in running sums combined pairwise,
         # and beyond 128 it splits the axis: the per-segment kernel must
-        # add its terms in that order, a dead segment as an exact zero
+        # add each time's terms in that order, a dead segment as an exact
+        # zero, however many times share them (a running prefix of the
+        # times' totals would add them in segment order)
         grid = HazardGrid(tuple(float(c) for c in np.linspace(0.0, 15.0, n_segments + 1)))
         rng = np.random.default_rng(n_segments)
         lam = rng.uniform(0.01, 0.3, size=(37, n_segments))
         lam[0] = 0.0  # the full segment length where the hazard is zero
         lam[1, ::3] = 1e300  # survival exactly 0 from the first such segment
         scale = np.exp(rng.normal(0, 0.5, size=(37, 23)))
-        for t in (0.1, 2.0, 7.7, 14.9, 15.0, 21.0):
-            overlaps = grid.overlaps(t)
-            got = _rmst_batch(lam, scale, overlaps)
-            assert _same_bits(got, _reference_rmst_batch(lam, scale, overlaps)), t
+        times = (0.1, 2.0, 7.7, 14.9, 15.0, 21.0, *grid.cutpoints[1::3], 0.0, 7.7)
+        overlaps = grid.overlaps(times)
+        every_time = _rmst_batch(lam, scale, overlaps)
+        assert every_time.shape == (len(times), *scale.shape)
+        for t, ov, got in zip(times, overlaps, every_time):
+            assert _same_bits(got, _reference_rmst_batch(lam, scale, ov)), t
+            assert _same_bits(got, _rmst_batch(lam, scale, ov[None])[0]), t
         assert (grid.overlaps(7.7) == 0).any()  # trailing segments are dead
 
     def test_rmst_with_two_covariates_matches_reference_closely(self):
@@ -930,6 +1017,24 @@ class TestSummariesShareOnePercentileCall:
             for f in ("median", "lo95", "hi95", "frac_undefined", "n_draws"):
                 assert _same_bits(getattr(one, f), getattr(want, f)), f
         assert summaries_of([]) == []
+
+    def test_zeros_of_both_signs_ties_and_few_finite_draws(self):
+        # rows grouped by their number of finite draws, from none to all, hold
+        # +0.0 and -0.0 among ties, so the order statistics the partition
+        # places decide the sign of a zero
+        rng = np.random.default_rng(5)
+        for k in (1, 2, 3, 23, 100):
+            rows = []
+            for _ in range(60):
+                row = rng.choice([-0.0, 0.0, 1.0, -1.0, 2.5], size=k) * rng.choice([1.0, 1e-300])
+                row[rng.random(k) < rng.choice([0.0, 0.1, 0.5, 1.0])] = rng.choice(
+                    [np.inf, -np.inf, np.nan])
+                rows.append(row)
+            for one, row in zip(summaries_of(rows), rows):
+                want = summarize(row)
+                for f in ("median", "lo95", "hi95", "frac_undefined", "n_draws"):
+                    a, b = getattr(one, f), getattr(want, f)
+                    assert a is None and b is None or _same_bits(a, b), (k, f, row)
 
     def test_no_draws_refused(self):
         empty = np.array([])

@@ -359,9 +359,12 @@ class TestPatientTiles:
     def test_rmst_keeps_its_bits(self, case):
         data, post = case
         idx = np.arange(self.K)
-        for t in (0.25, 7.7, 15.0, 21.0):
+        times = (0.25, 7.7, 15.0, 21.0)
+        for t in times:
             assert np.array_equal(post.rmst_matrix(data, t, idx),
                                   untiled_rmst_matrix(post, data, t, idx)), t
+        assert np.array_equal(post.rmst_matrix(data, times, idx),
+                              untiled_rmst_matrix(post, data, times, idx))
 
 
 class TestFitSurvival:
