@@ -15,7 +15,10 @@ The average-style estimators integrate the finite part analytically (the
 residual enters the pairwise-comparison probability through the Normal
 cdf). The median estimator pools every patient's atoms and takes the mass
 median, placing finite atoms at the counterfactual predictive mean; it sorts
-only the finite atoms, with numpy's default sort.
+only the finite atoms, with numpy's default sort, and passes the infinite
+atoms as their masses at -inf and at +inf alone. Only the survivors have a
+counterfactual mean and a finite difference: the deaths' atoms are all
+infinite, and no estimand reads a difference of theirs.
 
 ``estimand_draws`` walks the paired draws in the blocks of
 ``survival.draw_blocks`` (256 draws) and evaluates SACE, PC and SIM on a
@@ -47,7 +50,10 @@ ESTIMANDS = ("sace", "pc", "sim", "rmst")
 # SIM takes each block's draws a few at a time, about this many atoms (two
 # a patient) per sub-block: (draws, atoms) arrays of a few MB left that much
 # free but unreturned heap behind each call, raising the peak memory of the
-# next fit.
+# next fit. The step counts both atoms of every patient; a sub-block's
+# arrays hold only the survivors' finite atoms and the masses at -inf and
+# +inf, each a fraction of those 2n columns. Rows are independent, so no
+# bit depends on the step.
 _SIM_BLOCK_ATOMS = 1 << 16
 
 
@@ -231,42 +237,66 @@ def _sace(s_surv: np.ndarray, d_surv: np.ndarray) -> np.ndarray:
         return np.where(den > 0, num / den, np.nan)
 
 
-def _pc(s_mis, diff, sigma, treated, surv) -> np.ndarray:
+def _pc(s_surv, s_dead, diff, sigma, treated, surv, dead) -> np.ndarray:
     """PC of each row: the probability, averaged over patients, that the
-    patient's composite under treatment beats the one under control. A
-    survivor whose counterfactual survives too compares by the Normal
-    residual, one whose counterfactual died wins if treated; a death wins
-    if treated and the counterfactual died first, or if control and the
-    counterfactual outlived it."""
-    p_fin = ndtr(diff / sigma[:, None])
-    pc_surv = s_mis * p_fin + (1.0 - s_mis) * treated[None, :]
-    pc_dead = np.where(treated[None, :], 1.0 - s_mis, s_mis)
-    return (np.where(surv[None, :], pc_surv, pc_dead)).sum(axis=1) / s_mis.shape[1]
+    patient's composite under treatment beats the one under control. The
+    patients in columns ``surv`` are alive: one whose counterfactual
+    survives too (``s_surv``) compares by the Normal residual of its
+    difference in ``diff``, one whose counterfactual died wins if treated.
+    Those in columns ``dead`` died: one wins if treated and the
+    counterfactual (``s_dead``) died first, or if control and the
+    counterfactual outlived it. Each group's terms are written into its
+    columns of one array, so each row sums its patients' terms in patient
+    order."""
+    pc = np.empty((len(s_surv), len(treated)))
+    pc[:, dead] = np.where(treated[dead], 1.0 - s_dead, s_dead)
+    p_fin = np.divide(diff, sigma[:, None])
+    ndtr(p_fin, out=p_fin)
+    p_fin *= s_surv
+    p_fin += (1.0 - s_surv) * treated[surv]
+    pc[:, surv] = p_fin
+    return pc.sum(axis=1) / len(treated)
+
+
+def _infinite_columns(treated_surv, treated_dead):
+    """The atoms at -inf and at +inf, as ``_sim`` takes them: for each side
+    a triple of column sets, of ``1 - s_surv`` (the survivors' infinite
+    atoms), ``s_dead`` and ``1 - s_dead`` (the deaths' two atoms). A treated
+    survivor's sits at +inf and a control's at -inf; a treated death's
+    ``s_dead`` atom (the counterfactual outlived it) sits at -inf and its
+    ``1 - s_dead`` atom at +inf, a control death's the other way round."""
+    ctrl_surv, trt_surv = np.flatnonzero(~treated_surv), np.flatnonzero(treated_surv)
+    ctrl_dead, trt_dead = np.flatnonzero(~treated_dead), np.flatnonzero(treated_dead)
+    return (ctrl_surv, trt_dead, ctrl_dead), (trt_surv, ctrl_dead, trt_dead)
+
+
+def _infinite_masses(s_surv, s_dead, cols) -> np.ndarray:
+    """The masses of one side's infinite atoms, in the order of ``cols``'
+    three column sets (``_infinite_columns``)."""
+    surv, dead, dead_complement = cols
+    return np.concatenate([1.0 - s_surv[:, surv], s_dead[:, dead],
+                           1.0 - s_dead[:, dead_complement]], axis=1)
 
 
 def _sim(d_surv, s_surv, s_dead, neg, pos, half) -> np.ndarray:
     """SIM of each row: the mass median of every patient's atoms. The
     survivors' finite atoms sit at ``d_surv`` with masses ``s_surv``; the
-    infinite atoms have the masses of ``1 - s_surv``, ``s_dead`` and
-    ``1 - s_dead`` side by side, at -inf in columns ``neg`` and at +inf in
-    columns ``pos``. They sit where they do for every draw, so only the
-    finite atoms are sorted, by numpy's default sort; the -inf atoms go
-    before them and the +inf atoms after. Tied finite atoms may come in any
-    order. They share their value, read as ``d_surv + 0.0`` so that a -0.0
-    is a +0.0 and SIM is never -0.0; only the last bits of the cumulative
-    masses within their run depend on the order."""
+    masses of the infinite atoms are those of ``1 - s_surv``, ``s_dead`` and
+    ``1 - s_dead`` in the column sets ``neg`` (at -inf) and ``pos`` (at
+    +inf) of ``_infinite_columns``. They sit where they do for every draw,
+    so only the finite atoms are sorted, by numpy's default sort, and
+    ``mass_median`` takes the infinite atoms' masses alone. Tied finite
+    atoms may come in any order. They share their value, read as
+    ``d_surv + 0.0`` so that a -0.0 is a +0.0 and SIM is never -0.0; only
+    the last bits of the cumulative masses within their run depend on the
+    order."""
     d_surv = d_surv + 0.0
     order = np.argsort(d_surv, axis=1)
-    m_inf = np.concatenate([1.0 - s_surv, s_dead, 1.0 - s_dead], axis=1)
-    rows = len(d_surv)
-    return mass_median(
-        np.concatenate([np.full((rows, len(neg)), -np.inf),
-                        np.take_along_axis(d_surv, order, axis=1),
-                        np.full((rows, len(pos)), np.inf)], axis=1),
-        np.concatenate([m_inf[:, neg], np.take_along_axis(s_surv, order, axis=1),
-                        m_inf[:, pos]], axis=1),
-        half,
-    )
+    # as flat positions, which np.take gathers faster than take_along_axis
+    order += np.arange(len(order))[:, None] * order.shape[1]
+    return mass_median(np.take(d_surv, order), np.take(s_surv, order), half,
+                       _infinite_masses(s_surv, s_dead, neg),
+                       _infinite_masses(s_surv, s_dead, pos))
 
 
 def estimand_draws(
@@ -282,36 +312,40 @@ def estimand_draws(
     longitudinal posterior (both subsampled evenly from their pools), so
     the result depends on nothing but the posteriors, the data, t and k.
     The draws are taken a block of ``survival.draw_blocks`` at a time, so
-    no array of k rows and a column per patient is built.
+    no array of k rows and a column per patient is built. Only the
+    patients alive at t have a counterfactual mean and a difference: no
+    estimand reads the others'.
     """
     n = len(data)
     cols = data.columns
-    w, x = cols.w, cols.x
-    sign = 2 * w - 1
+    w = cols.w
     data.check_measured(t)
     at = cols.at(t)
-    surv, y = at.alive, at.y
-    dead = ~surv
+    treated = w == 1
+    # the survivors' and the deaths' columns, as indices (which numpy gathers
+    # and writes a little faster than by mask), the survivors' covariates and
+    # the infinite atoms' column sets, once per visit
+    surv, dead = np.flatnonzero(at.alive), np.flatnonzero(~at.alive)
+    x_surv, w_surv = cols.x[surv], w[surv]
+    y_surv, sign_surv = at.y[surv], 2 * w_surv - 1
+    neg, pos = _infinite_columns(treated[surv], treated[dead])
 
     s_idx = spost.subsample_indices(k)
     l_idx = lpost.subsample_indices(k)
     sace, pc, sim = (np.empty(len(s_idx)) for _ in range(3))
-    # each patient's infinite atoms, as the module docstring lists them;
-    # they sit where they do for every draw
-    v_inf = np.concatenate([np.where(sign[surv] > 0, np.inf, -np.inf),
-                            np.where(sign[dead] > 0, -np.inf, np.inf),
-                            np.where(sign[dead] > 0, np.inf, -np.inf)])
-    neg, pos = np.flatnonzero(v_inf < 0), np.flatnonzero(v_inf > 0)
     step = max(1, _SIM_BLOCK_ATOMS // (2 * n))  # draws per SIM sub-block
     for b in draw_blocks(len(s_idx)):
         s_mis = spost.s_mis_matrix(data, t, s_idx[b])  # (block, n)
-        mu_mis = counterfactual_mean(lpost.beta0[l_idx[b]], lpost.beta1[l_idx[b]], x, w)
-        diff = sign[None, :] * (y[None, :] - mu_mis)
-        sace[b] = _sace(s_mis[:, surv], diff[:, surv])
-        pc[b] = _pc(s_mis, diff, lpost.sigma[l_idx[b]], w == 1, surv)
+        s_surv, s_dead = s_mis[:, surv], s_mis[:, dead]
+        del s_mis  # freed before the block's other arrays are built
+        # the survivors' signed differences (block, survivors), in the means' buffer
+        diff = counterfactual_mean(lpost.beta0[l_idx[b]], lpost.beta1[l_idx[b]], x_surv, w_surv)
+        np.subtract(y_surv, diff, out=diff)
+        diff *= sign_surv
+        sace[b] = _sace(s_surv, diff)
+        pc[b] = _pc(s_surv, s_dead, diff, lpost.sigma[l_idx[b]], treated, surv, dead)
         sim_b = sim[b]
-        for r in range(0, len(s_mis), step):
+        for r in range(0, len(s_surv), step):
             rows = slice(r, r + step)
-            sim_b[rows] = _sim(diff[rows][:, surv], s_mis[rows][:, surv], s_mis[rows][:, dead],
-                               neg, pos, n / 2.0)
+            sim_b[rows] = _sim(diff[rows], s_surv[rows], s_dead[rows], neg, pos, n / 2.0)
     return EstimandDraws(sace=sace, pc=pc, sim=sim)

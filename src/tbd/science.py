@@ -58,28 +58,55 @@ def composite_metric(t0, t1, y0, y1, t):
     return np.where(alive0 & alive1, y1 - y0, infinite)
 
 
-def mass_median(values: np.ndarray, masses: np.ndarray, half: float) -> np.ndarray:
-    """Mass median of every row of ``values`` / ``masses`` (rows, atoms),
-    whose rows are sorted by value: the value where the cumulative mass
-    first reaches ``half``, or, at a boundary exactly between two atoms,
-    their mean, where an infinity wins and opposite infinities give NaN.
-    Unit masses give the order-statistic median over the extended reals.
+def mass_median(values: np.ndarray, masses: np.ndarray, half: float,
+                below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """Mass median of every row of the atoms [-inf x a, ``values``, +inf x b]:
+    the value where the cumulative mass first reaches ``half``, or, at a
+    boundary exactly between two atoms, their mean, where an infinity wins
+    and opposite infinities give NaN. ``values`` and ``masses`` (rows, f) are
+    the finite atoms, sorted by value; ``below`` (rows, a) and ``above``
+    (rows, b) are the masses of the atoms at -inf and at +inf, in their
+    order. Each row's masses add up to 2 * ``half``. Unit masses give the
+    order-statistic median over the extended reals.
 
-    Zero-mass atoms may stay in the rows: adding 0.0 leaves each cumulative
-    sum as it was, and such an atom is never the one picked nor the
-    neighbour at a boundary."""
-    cum = np.cumsum(masses, axis=1)
-    rows = np.arange(len(masses))
-    # the first atom reaching half; there is one, as the masses add up to 2 * half
+    The cumulative masses are one running sum over ``below`` and then
+    ``masses``, so each has the bits of a running sum over the whole row. A
+    half point past the finite atoms is +inf: no mass of ``above`` is
+    summed, and ``above > 0`` is read only for a boundary with no later
+    finite atom of positive mass. Zero-mass atoms may stay in the rows:
+    adding 0.0 leaves each cumulative sum as it was, and such an atom is
+    never the one picked nor the neighbour at a boundary."""
+    a, f = below.shape[1], values.shape[1]
+    mass = np.concatenate([below, masses], axis=1)
+    cum = np.cumsum(mass, axis=1)
+    # the first atom reaching half; past the finite atoms, one at +inf
     idx = (cum < half - _MASS_TOL).sum(axis=1)
-    later = (masses > 0) & (np.arange(masses.shape[1])[None, :] > idx[:, None])
-    at_boundary = np.abs(cum[rows, idx] - half) <= _MASS_TOL  # half the mass is later
-    lo = values[rows, idx]
-    hi = values[rows, np.argmax(later, axis=1)]
+    rows = np.flatnonzero(idx < a + f)
+    at = idx[rows]
+    finite = at >= a
+    lo = np.full(len(values), np.inf)
+    lo[rows] = -np.inf
+    lo[rows[finite]] = values[rows[finite], at[finite] - a]
+    boundary = np.abs(cum[rows, at] - half) <= _MASS_TOL  # half the mass is later
+    rows, at = rows[boundary], at[boundary]
+    if not len(rows):
+        return lo
+    # the next atom of positive mass: at -inf, finite, else at +inf; with
+    # none at all, the row's first atom
+    later = (mass[rows] > 0) & (np.arange(a + f) > at[:, None])
+    nxt, has = np.argmax(later, axis=1), later.any(axis=1)
+    hi = np.full(len(rows), -np.inf)
+    fin = has & (nxt >= a)
+    hi[fin] = values[rows[fin], nxt[fin] - a]
+    none = np.flatnonzero(~has)
+    first = -np.inf if a else values[rows[none], 0]  # a row reached has an atom
+    hi[none] = np.where((above[rows[none]] > 0).any(axis=1), np.inf, first)
+    low = lo[rows]
     with np.errstate(invalid="ignore"):
-        mid = np.where(np.isinf(lo), lo, np.where(np.isinf(hi), hi, 0.5 * (lo + hi)))
-    mid[np.isinf(lo) & np.isinf(hi) & (lo != hi)] = np.nan
-    return np.where(at_boundary, mid, lo)
+        mid = np.where(np.isinf(low), low, np.where(np.isinf(hi), hi, 0.5 * (low + hi)))
+    mid[np.isinf(low) & np.isinf(hi) & (low != hi)] = np.nan
+    lo[rows] = mid
+    return lo
 
 
 def check_visit_times(visit_times, follow_up: float, error: type[ValueError]) -> None:

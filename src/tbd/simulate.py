@@ -191,7 +191,8 @@ def true_estimands(science: ScienceTable, t: float) -> TruthRecord:
     All four read each patient's ``composite_metric`` (treated minus
     control): SACE is its mean over the always-survivors, PC the share of
     positive values with half credit for zeros, SIM its ``mass_median`` with
-    unit masses (None between opposite infinities).
+    unit masses, the infinite values as runs of them at -inf and +inf (None
+    between opposite infinities).
     RMST is the mean difference of the restricted death times.
     """
     (y0, y1), t0, t1 = science.at(t), science.t0, science.t1
@@ -203,7 +204,10 @@ def true_estimands(science: ScienceTable, t: float) -> TruthRecord:
     pc = int(np.count_nonzero(metric > 0)) + 0.5 * int(np.count_nonzero(metric == 0))
     # cumsum adds in patient order, as a running sum does
     rmst = float(np.cumsum(np.minimum(t1, t) - np.minimum(t0, t))[-1])
-    sim = float(mass_median(np.sort(metric, kind="stable")[None], np.ones((1, n)), n / 2)[0])
+    # unit masses, the infinities as runs of them: every running sum is an exact integer
+    finite = np.sort(metric[np.isfinite(metric)], kind="stable")[None]
+    runs = (np.ones((1, int(np.count_nonzero(metric == inf)))) for inf in (-np.inf, np.inf))
+    sim = float(mass_median(finite, np.ones_like(finite), n / 2, *runs)[0])
     return TruthRecord(
         time=t,
         sace=float(np.mean(metric[ll])) if n_ll else None,

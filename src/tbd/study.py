@@ -184,21 +184,23 @@ def fit_posteriors(data, config: StudyConfig, *seed_parts) -> Posteriors:
     weighted by the posterior-mean counterfactual survival. Fit seeds derive
     from ``config.master_seed`` and ``seed_parts``; each fit is retried once
     on diagnostic failure."""
-    seed = config.master_seed
-    grid = default_grid(data.follow_up, data.visit_times)
+    seed, visits = config.master_seed, data.visit_times
+    grid = default_grid(data.follow_up, visits)
+    # every fit's seed, and below every visit's weights, in one run: each
+    # such small step costs several times more right after a fit has
+    # filled the caches with its own arrays
+    cfgs = [replace(config.mcmc, seed=_seed_int(seed, *seed_parts, "surv")),
+            *(replace(config.mcmc, seed=_seed_int(seed, *seed_parts, "long", ti))
+              for ti in range(len(visits)))]
     spost, serr = _fit_with_retry(
-        lambda c: fit_survival(data, grid, config.survival_priors, c),
-        replace(config.mcmc, seed=_seed_int(seed, *seed_parts, "surv")),
-    )
+        lambda c: fit_survival(data, grid, config.survival_priors, c), cfgs[0])
     fits = Posteriors(survival=spost, survival_failure=serr, longitudinal={}, failures={})
-    s_mis = spost.s_mis_matrix(data, data.visit_times)
-    for ti, t in enumerate(data.visit_times):
-        weights = compute_weights(s_mis[ti], data, t)
+    s_mis = spost.s_mis_matrix(data, visits)
+    weights = [compute_weights(s_mis_t, data, t) for s_mis_t, t in zip(s_mis, visits)]
+    for t, weights_t, cfg in zip(visits, weights, cfgs[1:]):
         try:
             lpost, lerr = _fit_with_retry(
-                lambda c: fit_longitudinal(data, t, weights, config.long_priors, c),
-                replace(config.mcmc, seed=_seed_int(seed, *seed_parts, "long", ti)),
-            )
+                lambda c: fit_longitudinal(data, t, weights_t, config.long_priors, c), cfg)
         except LongitudinalFitError as exc:
             fits.failures[t] = str(exc)
             continue

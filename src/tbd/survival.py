@@ -193,8 +193,13 @@ def _rmst_batch(lam: np.ndarray, scale: np.ndarray, overlaps: np.ndarray) -> np.
             if key not in terms:
                 r = lam[:, j, None] * scale
                 seg_haz = r * dt
+                # -(expm1(-h) / r), in one buffer: (-a) / b is -(a / b) exactly
+                piece = np.negative(seg_haz)
+                np.expm1(piece, out=piece)
                 with np.errstate(invalid="ignore", divide="ignore"):
-                    piece = np.where(r > 0, -np.expm1(-seg_haz) / np.where(r > 0, r, 1.0), dt)
+                    piece /= r
+                np.negative(piece, out=piece)
+                piece[~(r > 0)] = dt
                 if prefix is None:  # exp(-0) * piece is piece
                     terms[key] = piece, seg_haz
                 else:

@@ -18,7 +18,10 @@ It also keeps the counterfactual-survival traversal without patient tiles
 (``untiled_s_mis_matrix``, ``untiled_rmst_matrix``), the reference that the
 tiled kernels are compared with bit for bit, and the convergence diagnostics
 one coordinate and one chain at a time (``rhat``, ``ess``,
-``stream_diagnostics``), the reference for ``tbd.mcmc``'s stacked ones.
+``stream_diagnostics``), the reference for ``tbd.mcmc``'s stacked ones. The
+mass median over whole rows, the atoms at -inf and +inf among the others
+(``full_row_mass_median``), is the reference for ``science.mass_median``,
+which takes only the finite atoms' values.
 """
 
 from __future__ import annotations
@@ -678,6 +681,28 @@ def _pooled_median(values: np.ndarray, masses: np.ndarray, half: float) -> float
     if math.isinf(hi):
         return hi
     return 0.5 * (lo + hi)
+
+
+def full_row_mass_median(values: np.ndarray, masses: np.ndarray, half: float) -> np.ndarray:
+    """``science.mass_median`` over whole rows, the infinite atoms among
+    ``values`` (rows, atoms), each row sorted by value: the value where the
+    cumulative mass first reaches ``half``, or, at a boundary exactly
+    between two atoms, their mean, where an infinity wins and opposite
+    infinities give NaN. One running sum over every atom of a row, the
+    +inf run included, with no atom left out: the reference for the
+    finite-atom form, bit for bit."""
+    cum = np.cumsum(masses, axis=1)
+    rows = np.arange(len(masses))
+    # the first atom reaching half; there is one, as the masses add up to 2 * half
+    idx = (cum < half - _MASS_TOL).sum(axis=1)
+    later = (masses > 0) & (np.arange(masses.shape[1])[None, :] > idx[:, None])
+    at_boundary = np.abs(cum[rows, idx] - half) <= _MASS_TOL  # half the mass is later
+    lo = values[rows, idx]
+    hi = values[rows, np.argmax(later, axis=1)]
+    with np.errstate(invalid="ignore"):
+        mid = np.where(np.isinf(lo), lo, np.where(np.isinf(hi), hi, 0.5 * (lo + hi)))
+    mid[np.isinf(lo) & np.isinf(hi) & (lo != hi)] = np.nan
+    return np.where(at_boundary, mid, lo)
 
 
 def sim_draw(

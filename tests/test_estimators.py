@@ -28,6 +28,7 @@ from oracles import (
     survival_prob,
 )
 from tbd.estimators import (
+    _infinite_columns,
     _sim,
     estimand_draws,
     naive_effect,
@@ -629,11 +630,8 @@ def _sim_inputs(spost, lpost, data, t, k):
     l_idx = lpost.subsample_indices(k)
     diff = sign * (at.y - counterfactual_mean(lpost.beta0[l_idx], lpost.beta1[l_idx],
                                               cols.x, cols.w))
-    v_inf = np.concatenate([np.where(sign[surv] > 0, np.inf, -np.inf),
-                            np.where(sign[dead] > 0, -np.inf, np.inf),
-                            np.where(sign[dead] > 0, np.inf, -np.inf)])
-    return (diff[:, surv], s_mis[:, surv], s_mis[:, dead], np.flatnonzero(v_inf < 0),
-            np.flatnonzero(v_inf > 0), len(data) / 2.0)
+    neg, pos = _infinite_columns(sign[surv] > 0, sign[dead] > 0)
+    return diff[:, surv], s_mis[:, surv], s_mis[:, dead], neg, pos, len(data) / 2.0
 
 
 def _reference_sace_pc(spost, lpost, data, t, k):
@@ -799,12 +797,11 @@ class TestBitIdenticalToPerDrawLoops:
             d_surv, s_surv, s_dead, neg, pos, half = _sim_inputs(spost, lpost, data, T, self.K)
             sim = _sim(d_surv, s_surv, s_dead, neg, pos, half)
             assert _same_bits(sim, estimand_draws(spost, lpost, data, T, self.K).sim), name
-            n_surv = d_surv.shape[1]
             for _ in range(3):
-                perm = rng.permutation(n_surv)
-                moved = np.concatenate([np.argsort(perm),
-                                        np.arange(n_surv, n_surv + 2 * s_dead.shape[1])])
-                got = _sim(d_surv[:, perm], s_surv[:, perm], s_dead, moved[neg], moved[pos], half)
+                perm = rng.permutation(d_surv.shape[1])
+                moved = np.argsort(perm)  # where each survivor's column went
+                got = _sim(d_surv[:, perm], s_surv[:, perm], s_dead,
+                           (moved[neg[0]], *neg[1:]), (moved[pos[0]], *pos[1:]), half)
                 assert _same_bits(got, sim), name
 
     def test_sim_is_never_negative_zero(self):
@@ -812,8 +809,8 @@ class TestBitIdenticalToPerDrawLoops:
         for d_surv in ([[-0.0]], [[-0.0, 0.0, 5.0]], [[0.0, -0.0, 5.0]]):
             d_surv = np.array(d_surv)
             n = d_surv.shape[1]  # treated survivors, certain to survive under control
-            got = _sim(d_surv, np.ones_like(d_surv), np.empty((1, 0)), np.array([], dtype=int),
-                       np.arange(n), n / 2.0)
+            got = _sim(d_surv, np.ones_like(d_surv), np.empty((1, 0)),
+                       *_infinite_columns(np.ones(n, dtype=bool), np.empty(0, dtype=bool)), n / 2.0)
             assert got[0] == 0.0 and not np.signbit(got[0]), d_surv
         for name, (data, spost, lpost) in self._cases().items():
             sim = estimand_draws(spost, lpost, data, T, self.K).sim
@@ -908,6 +905,27 @@ class TestBitIdenticalToPerDrawLoops:
             assert _same_bits(got, _reference_rmst_batch(lam, scale, ov)), t
             assert _same_bits(got, _rmst_batch(lam, scale, ov[None])[0]), t
         assert (grid.overlaps(7.7) == 0).any()  # trailing segments are dead
+
+    def test_rmst_batch_where_the_segment_hazard_is_zero(self):
+        # a segment rate of exactly 0, and covariate scales that underflow to
+        # 0: the segment adds its full length, as the reference's np.where
+        # gives it, and the other terms keep their bits
+        grid = HazardGrid((0.0, 2.0, 5.0, 9.0, 15.0))
+        rng = np.random.default_rng(77)
+        lam = rng.uniform(0.01, 0.3, size=(11, grid.n_segments))
+        lam[2, 1] = 0.0
+        lam[5, :] = 0.0
+        scale = np.exp(rng.normal(0, 0.5, size=(11, 7)))
+        scale[:, 3] = np.exp(-800.0)
+        scale[7, :] = np.exp(-800.0)
+        assert (scale[:, 3] == 0).all()
+        times = (1.0, 5.0, 7.7, 15.0)
+        overlaps = grid.overlaps(times)
+        every_time = _rmst_batch(lam, scale, overlaps)
+        for ov, got in zip(overlaps, every_time):
+            want = _reference_rmst_batch(lam, scale, ov)
+            assert _same_bits(got, want)
+            assert (got[:, 3] == ov.sum()).all() and (got[5] == ov.sum()).all()
 
     def test_rmst_with_two_covariates_matches_reference_closely(self):
         # at p > 1 the covariate scales are matrix products over each arm's

@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from oracles import (
@@ -19,6 +19,7 @@ from oracles import (
     classify_stratum,
     composite_metric,
     composite_order,
+    full_row_mass_median,
     observed_composite,
     potential_composite,
     science_table,
@@ -32,6 +33,7 @@ from tbd.science import (
     OutputRefused,
     dump_json,
     load_json,
+    mass_median,
     observed_from_json,
     observed_to_json,
     science_to_json,
@@ -306,6 +308,112 @@ class TestDataModel:
             '"visit_times": [3.0, 4.5, 6.0]}'
         )
         assert json.dumps(science_to_json(table), sort_keys=True) == text
+
+
+def _same_bits(a, b):
+    """Equal arrays, NaN where NaN, and every zero of the same sign."""
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a[~np.isnan(a)]), np.signbit(b[~np.isnan(b)])))
+
+
+def _median_both_ways(values, masses, half, below, above):
+    """``mass_median`` of the finite atoms and the masses at -inf and +inf,
+    and the oracle's over the whole row [-inf x a, values, +inf x b]."""
+    rows = len(values)
+    full_values = np.concatenate([np.full((rows, below.shape[1]), -np.inf), values,
+                                  np.full((rows, above.shape[1]), np.inf)], axis=1)
+    full_masses = np.concatenate([below, masses, above], axis=1)
+    return (mass_median(values, masses, half, below, above),
+            full_row_mass_median(full_values, full_masses, half))
+
+
+# masses that sum exactly (dyadic), masses under _MASS_TOL, zeros and any others
+_masses = st.one_of(st.sampled_from([0.0, 1e-13, 0.125, 0.25, 0.5, 0.75, 1.0]),
+                    st.floats(0.0, 1.0))
+# a few values, so that finite atoms tie, -0.0 among them
+_values = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -2.5]), st.floats(-1e6, 1e6))
+
+
+class TestMassMedian:
+    """``mass_median`` over the finite atoms, with the masses at -inf and
+    +inf alone, against the oracle's whole rows, bit for bit."""
+
+    @given(st.data())
+    def test_patient_rows_match_the_full_row(self, data):
+        # rows as SIM builds them: survivors have a finite atom of mass s and
+        # an infinite one of mass 1 - s; deaths two infinite atoms, s and
+        # 1 - s on opposite sides. Every row's masses add up to about n.
+        n_surv = data.draw(st.integers(0, 12))
+        dead_low = data.draw(st.integers(0, 6))  # deaths with mass s at -inf
+        dead_high = data.draw(st.integers(0, 6))  # deaths with mass s at +inf
+        surv_low = data.draw(st.lists(st.booleans(), min_size=n_surv, max_size=n_surv))
+        n = n_surv + dead_low + dead_high
+        if not n:
+            return
+        rows = data.draw(st.integers(1, 4))
+        draw = lambda count: np.array(data.draw(
+            st.lists(st.lists(_masses, min_size=count, max_size=count),
+                     min_size=rows, max_size=rows))).reshape(rows, count)
+        s_surv, s_low, s_high = draw(n_surv), draw(dead_low), draw(dead_high)
+        values = np.sort(np.array(data.draw(st.lists(
+            st.lists(_values, min_size=n_surv, max_size=n_surv), min_size=rows, max_size=rows)))
+            .reshape(rows, n_surv) + 0.0, axis=1)
+        low = np.array(surv_low, dtype=bool)
+        below = np.concatenate([1.0 - s_surv[:, low], s_low, 1.0 - s_high], axis=1)
+        above = np.concatenate([1.0 - s_surv[:, ~low], 1.0 - s_low, s_high], axis=1)
+        got, want = _median_both_ways(values, s_surv, n / 2.0, below, above)
+        assert _same_bits(got, want), (got, want)
+
+    @given(below=st.lists(_masses, max_size=20), finite=st.lists(st.tuples(_values, _masses),
+           max_size=20), above=st.lists(_masses, max_size=20))
+    # the half point on the -inf run's end, then a later -inf atom under the tolerance
+    @example(below=[1.0, 1e-13], finite=[], above=[1.0])
+    @example(below=[1.0, 0.0], finite=[], above=[1.0])
+    # exactly on half among the finite atoms, and at the +inf edge
+    @example(below=[0.25], finite=[(-1.0, 0.75), (2.0, 0.5), (3.0, 0.5)], above=[])
+    @example(below=[0.5], finite=[(-0.0, 0.5), (0.0, 0.0)], above=[1.0])
+    # masses that a pairwise sum rounds apart from a running one
+    @example(below=[0.1] * 10, finite=[(1.0, 0.3)] * 10, above=[0.7] * 10)
+    def test_any_row_matches_the_full_row(self, below, finite, above):
+        # one row of at least one atom, its half point half its running
+        # total: wherever it lands it is reached, as the masses add up to 2 * half
+        assume(below or finite or above)
+        finite = sorted(finite, key=lambda atom: atom[0])
+        values = np.array([[v + 0.0 for v, _ in finite]]).reshape(1, -1)
+        masses = np.array([[m for _, m in finite]]).reshape(1, -1)
+        below, above = np.array([below]).reshape(1, -1), np.array([above]).reshape(1, -1)
+        half = np.cumsum(np.concatenate([below, masses, above], axis=1))[-1] / 2
+        got, want = _median_both_ways(values, masses, half, below, above)
+        assert _same_bits(got, want), (got, want)
+
+    @pytest.mark.parametrize("below, finite, above, median", [
+        ([1.0, 1e-13], [], [1.0], -math.inf),  # a later -inf atom, however light
+        ([1.0, 0.0], [], [1.0], math.nan),  # none: opposite infinities
+        ([0.5], [(-1.0, 0.5), (3.0, 1.0)], [], 1.0),  # between two finite atoms
+        ([0.5], [(-1.0, 0.5)], [1.0], math.inf),  # at the +inf edge
+        ([], [(2.0, 1.0), (4.0, 1.0)], [], 3.0),  # no infinite atom
+        ([1.0], [], [], -math.inf),  # no finite atom, no +inf atom
+    ])
+    def test_exact_half_points(self, below, finite, above, median):
+        values = np.array([[v for v, _ in finite]]).reshape(1, -1)
+        masses = np.array([[m for _, m in finite]]).reshape(1, -1)
+        below, above = np.array([below]).reshape(1, -1), np.array([above]).reshape(1, -1)
+        half = (below.sum() + masses.sum() + above.sum()) / 2  # dyadic: exact
+        got, want = _median_both_ways(values, masses, half, below, above)
+        assert _same_bits(got, want) and _same_bits(got, np.array([median]))
+
+
+    def test_finite_sums_continue_the_running_sum_of_the_low_run(self):
+        # ten masses of 0.1 at -inf run to 0.9999999999999999, where np.sum
+        # reads 1.0; the half point is set on 1.0, so a finite atom's
+        # cumulative mass that started from np.sum would reach it one atom early
+        below = np.full((1, 10), 0.1)
+        values, masses = np.array([[5.0, 7.0]]), np.array([[0.0, 0.5]])
+        half = 1.0 + 1e-12
+        assert half - 1e-12 == 1.0 and np.sum(below) == 1.0 > np.cumsum(below)[-1]
+        above = np.array([[2 * half - 1.5]])
+        got, want = _median_both_ways(values, masses, half, below, above)
+        assert _same_bits(got, want) and got[0] == 7.0
 
 
 class TestObservedColumns:

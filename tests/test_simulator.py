@@ -181,13 +181,16 @@ class TestTrueEstimands:
 
 
 class TestExtendedMedian:
-    """``mass_median`` with unit masses: the order-statistic median over the
-    extended reals, as ``true_estimands`` takes it."""
+    """``mass_median`` with unit masses, the infinite values as runs of them:
+    the order-statistic median over the extended reals, as
+    ``true_estimands`` takes it."""
 
     @staticmethod
     def median(values):
-        vals = np.sort(np.asarray(values, dtype=float), kind="stable")
-        return float(mass_median(vals[None], np.ones((1, len(vals))), len(vals) / 2)[0])
+        vals = np.asarray(values, dtype=float)
+        finite = np.sort(vals[np.isfinite(vals)], kind="stable")[None]
+        runs = (np.ones((1, int(np.count_nonzero(vals == inf)))) for inf in (-math.inf, math.inf))
+        return float(mass_median(finite, np.ones_like(finite), len(vals) / 2, *runs)[0])
 
     def test_odd_takes_middle(self):
         assert self.median([3.0, -1.0, 2.0]) == 2.0
