@@ -25,6 +25,12 @@ The command set:
   601); and an inline ``mixed`` variant with treated Weibull scale 4 at
   n=30, whose month-12 slices fail.
 
+Each tree also reads every ``observed.json`` it wrote back through
+``science.observed_from_json`` and writes it again with
+``science.observed_to_json`` and ``science.dump_json``: the bytes must be
+the ones ``tbd simulate`` wrote, since ``tbd fit`` and ``tbd estimate`` only
+read the file. A file that does not round-trip exits 1 as well.
+
 Usage, with ``DIR`` a checkout or a ``git archive`` of each side::
 
     python scripts/byte_identity.py --parent DIR --change DIR [--work DIR]
@@ -63,6 +69,22 @@ STUDIES = {
     "failed_slices": {"scenarios": [LOW_SCALE], "replicates": 2, "master_seed": 7},
 }
 CONFIG_HASH = re.compile(rb'"config_hash": "[0-9a-f]+"')
+# run with a tree's sources: every sim/*/observed.json under argv[1] read,
+# written again, and the names of those whose bytes changed printed as JSON
+ROUND_TRIP = """
+import json, sys, tempfile
+from pathlib import Path
+from tbd import science
+changed, files = [], sorted(Path(sys.argv[1]).glob("sim/*/observed.json"))
+with tempfile.TemporaryDirectory() as tmp:
+    for path in files:
+        again = Path(tmp) / "observed.json"
+        science.dump_json(science.observed_to_json(science.observed_from_json(
+            science.load_json(path))), again)
+        if again.read_bytes() != path.read_bytes():
+            changed.append(path.relative_to(sys.argv[1]).as_posix())
+print(json.dumps({"files": len(files), "changed": changed}))
+"""
 
 
 def run_commands(tree: Path, out: Path) -> None:
@@ -91,6 +113,18 @@ def run_commands(tree: Path, out: Path) -> None:
         tbd("report", "--results", f"studies/{label}", "--out", f"reports/{label}")
 
 
+def round_trip(tree: Path, out: Path) -> dict:
+    """``ROUND_TRIP`` over ``out`` with ``tree``'s sources: the number of
+    ``observed.json`` files read back and the names of those that changed."""
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
+    done = subprocess.run([sys.executable, "-c", ROUND_TRIP, str(out)], env=env,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{tree}: observed.json round trip exited {done.returncode}:\n"
+                         f"{done.stderr}")
+    return json.loads(done.stdout)
+
+
 def contents(root: Path) -> dict[str, bytes]:
     """Every file under ``root`` by relative path, cells' config hashes masked."""
     files = {}
@@ -111,9 +145,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
-        sides = {}
+        sides, trips = {}, {}
         for side in ("parent", "change"):
             run_commands(getattr(args, side), work / side)
+            trips[side] = round_trip(getattr(args, side), work / side)
             sides[side] = contents(work / side)
     parent, change = sides["parent"], sides["change"]
     differ = sorted(k for k in parent.keys() & change.keys() if parent[k] != change[k])
@@ -127,7 +162,13 @@ def main(argv=None) -> int:
         print(f"only in {'parent' if name in parent else 'change'}: {name}")
     same = len(parent.keys() & change.keys()) - len(differ)
     print(f"{same} identical, {len(differ)} different, {len(only)} on one side only")
-    return 1 if differ or only or left else 0
+    for side, trip in trips.items():
+        for name in trip["changed"]:
+            print(f"{side}: observed.json does not round-trip: {name}")
+        print(f"{side}: {trip['files'] - len(trip['changed'])} of {trip['files']} observed.json "
+              f"files round-trip to identical bytes")
+    changed = any(trip["changed"] for trip in trips.values())
+    return 1 if differ or only or left or changed else 0
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from .metrics import (
 from .science import (
     InvariantError,
     ObservedDataset,
-    ObservedPatient,
     ScienceTable,
     composite_metric,
     mass_median,

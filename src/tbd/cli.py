@@ -146,7 +146,7 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
         spost = survival.SurvivalPosterior.from_json(fits.survival)
         lposts = {t: longitudinal.LongitudinalPosterior.from_json(ldoc)
                   for t, ldoc in fits.longitudinal.items()}
-        width = data.columns.x.shape[1]
+        width = data.x.shape[1]
         fitted = {spost.alpha0.shape[-1], spost.alpha1.shape[-1],
                   *(lp.beta1.shape[-1] for lp in lposts.values())}
         if fitted != {width}:

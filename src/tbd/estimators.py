@@ -60,10 +60,9 @@ _SIM_BLOCK_ATOMS = 1 << 16
 def naive_effect(data: ObservedDataset, t: float) -> float | None:
     """Observed-survivor arm contrast (biased reference; conditions on
     post-randomization survival)."""
-    cols = data.columns
-    at = cols.at(t)
-    treated = at.y[at.measured & (cols.w == 1)]
-    control = at.y[at.measured & (cols.w == 0)]
+    at = data.at(t)
+    treated = at.y[at.measured & (data.w == 1)]
+    control = at.y[at.measured & (data.w == 0)]
     if not len(treated) or not len(control):
         return None
     return float(np.mean(treated) - np.mean(control))
@@ -86,17 +85,16 @@ def wmw(data: ObservedDataset, t: float) -> float | None:
     survivors by outcome; the pairs are counted by sorting, not
     enumerated. The count of wins plus half the ties is exact in floating
     point, so the fraction equals the pairwise sum's."""
-    cols = data.columns
     data.check_measured(t)
-    at = cols.at(t)
-    treated, control = cols.w == 1, cols.w == 0
+    at = data.at(t)
+    treated, control = data.w == 1, data.w == 0
     n1, n0 = int(treated.sum()), int(control.sum())
     if not n1 or not n0:
         return None
     alive, dead = at.alive, ~at.alive
     treated_alive, control_dead = treated & alive, control & dead
     y_score = wins_and_half_ties(at.y[treated_alive], at.y[control & alive]).sum()
-    t_score = wins_and_half_ties(cols.t_obs[treated & dead], cols.t_obs[control_dead]).sum()
+    t_score = wins_and_half_ties(data.t_obs[treated & dead], data.t_obs[control_dead]).sum()
     survivor_over_death = int(np.count_nonzero(treated_alive)) * int(np.count_nonzero(control_dead))
     return (float(y_score) + float(t_score) + survivor_over_death) / (n1 * n0)
 
@@ -212,11 +210,10 @@ def rmst_estimand_draws(spost: SurvivalPosterior, data: ObservedDataset, t, k: i
     evaluated in one pass over the draws. Each block of
     ``survival.draw_blocks`` is reduced to its patient means in turn, in the
     integral's own buffer."""
-    cols = data.columns
     s_idx = spost.subsample_indices(k)
-    sign = 2 * cols.w - 1
+    sign = 2 * data.w - 1
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    restricted = np.minimum(cols.t_obs, times[:, None])
+    restricted = np.minimum(data.t_obs, times[:, None])
     rmst = np.empty((len(times), len(s_idx)))
     for b in draw_blocks(len(s_idx)):
         integral = spost.rmst_matrix(data, times, s_idx[b])  # (times, block, patients)
@@ -317,16 +314,14 @@ def estimand_draws(
     estimand reads the others'.
     """
     n = len(data)
-    cols = data.columns
-    w = cols.w
     data.check_measured(t)
-    at = cols.at(t)
-    treated = w == 1
+    at = data.at(t)
+    treated = data.w == 1
     # the survivors' and the deaths' columns, as indices (which numpy gathers
     # and writes a little faster than by mask), the survivors' covariates and
     # the infinite atoms' column sets, once per visit
     surv, dead = np.flatnonzero(at.alive), np.flatnonzero(~at.alive)
-    x_surv, w_surv = cols.x[surv], w[surv]
+    x_surv, w_surv = data.x[surv], data.w[surv]
     y_surv, sign_surv = at.y[surv], 2 * w_surv - 1
     neg, pos = _infinite_columns(treated[surv], treated[dead])
 

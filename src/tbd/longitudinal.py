@@ -52,7 +52,7 @@ def compute_weights(s_mis, data: ObservedDataset, t: float) -> np.ndarray:
     (from one survival draw or the posterior mean). The weight is that
     probability for patients alive and measured at t, and zero otherwise.
     """
-    return np.where(data.columns.at(t).measured, s_mis, 0.0)
+    return np.where(data.at(t).measured, s_mis, 0.0)
 
 
 def counterfactual_mean(beta0, beta1, x, w) -> np.ndarray:
@@ -197,16 +197,15 @@ def fit_longitudinal(
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(data):
         raise ValueError("weights must align with the dataset")
-    cols = data.columns
     rows = weights > 0
     for arm in (0, 1):
-        if not np.any(rows & (cols.w == arm)):
+        if not np.any(rows & (data.w == arm)):
             raise LongitudinalFitError(f"arm {arm} has zero total weight at t={t}; cannot fit")
-    y = cols.at(t).y[rows]
+    y = data.at(t).y[rows]
     if np.isnan(y).any():
         raise ValueError(f"positive weight on a patient with no measurement at t={t}")
     model = VisitModel.build(
-        x=cols.x[rows], y=y, arm=cols.w[rows], wgt=weights[rows], priors=priors
+        x=data.x[rows], y=y, arm=data.w[rows], wgt=weights[rows], priors=priors
     )
     log_dens = model.log_sigma_marginal(np.exp(LOG_SIGMA_GRID)) + LOG_SIGMA_GRID
     mass = np.exp(log_dens - log_dens.max())

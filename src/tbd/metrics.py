@@ -95,12 +95,6 @@ def km_survival(times: np.ndarray, events: np.ndarray):
     return evaluate
 
 
-def _censoring_weights(data: ObservedDataset):
-    times, events = data.columns.t_obs, data.columns.d_obs
-    g = km_survival(times, 1 - events)
-    return times, events, g
-
-
 def brier_scores(surv_pred: np.ndarray, data: ObservedDataset, grid) -> np.ndarray:
     """IPCW Brier score at each grid time.
 
@@ -109,7 +103,8 @@ def brier_scores(surv_pred: np.ndarray, data: ObservedDataset, grid) -> np.ndarr
     """
     grid = np.asarray(grid, dtype=float)
     surv_pred = np.asarray(surv_pred, dtype=float)
-    times, events, g = _censoring_weights(data)
+    times, events = data.t_obs, data.d_obs
+    g = km_survival(times, 1 - events)  # the censoring survival
     n = len(times)
     scores = np.empty(len(grid))
     g_at_event = g(times, left=True)
@@ -159,7 +154,8 @@ def cdauc(risk, data: ObservedDataset, times) -> float:
     risk = np.asarray(risk, dtype=float)
     if risk.ndim == 1:
         risk = np.repeat(risk[:, None], len(times), axis=1)
-    obs_times, events, g = _censoring_weights(data)
+    obs_times, events = data.t_obs, data.d_obs
+    g = km_survival(obs_times, 1 - events)  # the censoring survival
     g_at_event = g(obs_times, left=True)
     case_w = np.where(g_at_event > 0, 1.0 / np.where(g_at_event > 0, g_at_event, 1.0), 0.0)
     event_km = km_survival(obs_times, events)

@@ -3,29 +3,28 @@
 A "science table" records, for every patient, the full set of potential
 outcomes under both treatment arms: the longitudinal trajectory (change from
 baseline) and the uncensored death time, as columns with one row per
-patient. Observed datasets keep only the realized arm, one record per
-patient. Death makes the longitudinal outcome undefined (not merely
-missing), so comparisons across arms are expressed through a composite
-outcome ordered with death as the worst state (``composite_metric``).
+patient. An observed dataset keeps only the realized arm, as columns too;
+only the files hold one record per patient. Death makes the longitudinal
+outcome undefined (not merely missing), so comparisons across arms are
+expressed through a composite outcome ordered with death as the worst state
+(``composite_metric``).
 
 All times are in months; longitudinal values are in score units.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from itertools import chain
+from dataclasses import dataclass, field, make_dataclass
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .codec import DecodeError, decode, encode
+from .codec import decode, encode
 
 
 _MASS_TOL = 1e-12
@@ -118,37 +117,30 @@ def check_visit_times(visit_times, follow_up: float, error: type[ValueError]) ->
                         f"(0, {follow_up}], got {list(visit_times)}")
 
 
-@dataclass(frozen=True)
-class ObservedPatient:
-    """A patient as seen in the trial: assigned arm only.
+_INTEGER = ("id", "w", "d_obs")
 
-    ``t_obs`` is min(death time, the trial's follow-up); ``d_obs`` is 1 iff
-    the death was observed at ``t_obs`` and 0 for administrative censoring.
-    """
 
-    id: int
-    x: tuple[float, ...]
-    w: int
-    t_obs: float
-    d_obs: int
-    y_obs: dict[float, float]
+def _columns(obj, vectors: tuple[str, ...], scores: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """``obj``'s columns as fresh arrays, float but for ``_INTEGER``, once its
+    trial and their shapes are checked: a positive, finite ``follow_up``, the
+    ``visit_times``, and ``x`` (n, p), ``vectors`` (n,) and ``scores`` (n, visits)."""
+    fu, k = obj.follow_up, len(obj.visit_times)
+    if not (fu > 0 and math.isfinite(fu)):
+        raise InvariantError(f"follow_up must be positive and finite, got {fu}")
+    check_visit_times(obj.visit_times, fu, InvariantError)
+    names = ("x", *vectors, *scores)
+    cols = {c: np.array(getattr(obj, c), dtype=None if c in _INTEGER else float) for c in names}
+    n, got = len(cols["w"]), {c: a.shape for c, a in cols.items()}
+    want = {c: (n, *got["x"][1:]) if c == "x" else (n, k) if c in scores else (n,) for c in names}
+    if len(got["x"]) != 2 or got != want:
+        raise InvariantError(f"columns must be x (n, p), {', '.join(vectors)} (n,) and "
+                             f"{', '.join(scores)} (n, {k} visits); got {got}")
+    return cols
 
-    def __post_init__(self) -> None:
-        if self.w not in (0, 1):
-            raise InvariantError(f"treatment w must be 0 or 1, got {self.w}")
-        if self.d_obs not in (0, 1):
-            raise InvariantError(f"d_obs must be 0 or 1, got {self.d_obs}")
-        if not (self.t_obs > 0 and math.isfinite(self.t_obs)):
-            raise InvariantError(f"t_obs must be positive and finite, got {self.t_obs}")
-        for visit, value in self.y_obs.items():
-            if visit > self.t_obs:
-                raise InvariantError(f"y_obs has a value at month {visit} after death at {self.t_obs}")
-            if not math.isfinite(value):
-                raise InvariantError(f"y_obs has a non-finite value at month {visit}")
 
-    def alive_at(self, t: float) -> bool:
-        """True iff the patient is known alive at horizon t (death time > t)."""
-        return self.d_obs == 0 or self.t_obs > t
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,17 +160,7 @@ class ScienceTable:
     visit_times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.follow_up <= 0:
-            raise InvariantError("follow_up must be positive")
-        check_visit_times(self.visit_times, self.follow_up, InvariantError)
-        cols = {c: np.array(getattr(self, c), dtype=None if c == "w" else float)
-                for c in ("x", "w", "t0", "t1", "y0", "y1")}
-        n, k = len(cols["w"]), len(self.visit_times)
-        got = {c: a.shape for c, a in cols.items()}
-        want = {"x": (n, *got["x"][1:]), "w": (n,), "t0": (n,), "t1": (n,), "y0": (n, k), "y1": (n, k)}
-        if len(got["x"]) != 2 or got != want:
-            raise InvariantError(f"columns must be x (n, p), w, t0 and t1 (n,), y0 and y1 (n, {k} "
-                                 f"visits); got {got}")
+        cols = _columns(self, ("w", "t0", "t1"), ("y0", "y1"))
         if arms := np.setdiff1d(cols["w"], (0, 1)).tolist():
             raise InvariantError(f"treatment w must be 0 or 1, got {arms[0]}")
         for arm in "01":
@@ -191,7 +173,7 @@ class ScienceTable:
                 raise InvariantError(f"y{arm} of patient {i} has {what} at month "
                                      f"{self.visit_times[j]}, death at {t[i]}")
         for c, a in cols.items():
-            object.__setattr__(self, c, _frozen(a.astype(int) if c == "w" else a))
+            object.__setattr__(self, c, _frozen(a.astype(int) if c in _INTEGER else a))
 
     def __len__(self) -> int:
         return len(self.w)
@@ -208,123 +190,160 @@ class ScienceTable:
 class VisitColumns:
     """Per-patient status at one visit time, in patient order."""
 
-    alive: np.ndarray  # bool: known alive at t (``ObservedPatient.alive_at``)
+    alive: np.ndarray  # bool: known alive at t, no death observed at or before t
     measured: np.ndarray  # bool: alive with a measurement at t
     y: np.ndarray  # float: outcome at t, NaN where there is none
 
 
-class ObservedColumns:
-    """Read-only array view of an ``ObservedDataset``, one entry per patient
-    in patient order: arm ``w``, covariates ``x`` (patients, p), ``t_obs``
-    and ``d_obs``, plus ``at(t)`` for each visit, built once per time. The
-    outcomes are one (patients, months) matrix over every month at which
-    some patient has a value, NaN where a patient has none."""
-
-    def __init__(self, patients: tuple[ObservedPatient, ...]) -> None:
-        self.w = _frozen(np.array([p.w for p in patients]))
-        # an empty dataset still has one covariate column
-        x = np.array([p.x for p in patients], dtype=float) if patients else np.zeros((0, 1))
-        self.x = _frozen(x)
-        self.t_obs = _frozen(np.array([p.t_obs for p in patients]))
-        self.d_obs = _frozen(np.array([p.d_obs for p in patients]))
-        month = np.fromiter(chain.from_iterable(p.y_obs for p in patients), float)
-        value = np.fromiter(chain.from_iterable(p.y_obs.values() for p in patients), float)
-        row = np.repeat(np.arange(len(patients)), [len(p.y_obs) for p in patients])
-        months, col = np.unique(month, return_inverse=True)
-        # column-major: each month's column is contiguous; the all-NaN last one is for other months
-        self._y = np.full((len(patients), len(months) + 1), np.nan, order="F")
-        self._y[row, col] = value
-        _frozen(self._y)
-        self._column = {m: j for j, m in enumerate(months.tolist())}
-        self._visits: dict[float, VisitColumns] = {}
-
-    def at(self, t: float) -> VisitColumns:
-        if t not in self._visits:
-            # alive_at, vectorised; measured values are finite (checked on
-            # construction), so NaN marks exactly the missing ones
-            alive = (self.d_obs == 0) | (self.t_obs > t)
-            y = self._y[:, self._column.get(t, -1)]
-            self._visits[t] = VisitColumns(
-                alive=_frozen(alive), measured=_frozen(alive & ~np.isnan(y)), y=y
-            )
-        return self._visits[t]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservedDataset:
-    """Observed trial data: one realized arm per patient."""
+    """Observed trial data, the assigned arm only, as read-only columns with
+    one row per patient: ``id``, covariates ``x`` (patients, p >= 1), arm
+    ``w``, ``t_obs`` = min(death time, follow-up), ``d_obs`` (1 for a death
+    at ``t_obs``, 0 for administrative censoring) and scores ``y`` (patients,
+    visits), NaN where there is none. A score at a death's own month is kept
+    and read as not measured. ``at(t)`` is the view at one month."""
 
-    patients: tuple[ObservedPatient, ...]
+    id: np.ndarray
+    x: np.ndarray
+    w: np.ndarray
+    t_obs: np.ndarray
+    d_obs: np.ndarray
+    y: np.ndarray
     follow_up: float
-    visit_times: tuple[float, ...] = field(default=())
+    visit_times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (self.follow_up > 0 and math.isfinite(self.follow_up)):
-            raise InvariantError(f"follow_up must be positive and finite, got {self.follow_up}")
-        check_visit_times(self.visit_times, self.follow_up, InvariantError)
-        for p in self.patients:
-            if p.d_obs == 1 and p.t_obs > self.follow_up:
-                raise InvariantError(f"death at t_obs {p.t_obs} after follow-up {self.follow_up}")
-            if p.d_obs == 0 and p.t_obs != self.follow_up:
-                raise InvariantError("censored patients must carry t_obs = follow_up")
-        if len(lengths := {len(p.x) for p in self.patients}) > 1:
-            raise InvariantError(f"covariate vectors must share one length, got {sorted(lengths)}")
+        cols = _columns(self, ("id", "w", "t_obs", "d_obs"), ("y",))
+        fu, visits = self.follow_up, self.visit_times
+        if not cols["x"].shape[1]:
+            raise InvariantError("covariate vectors must hold at least one covariate, got 0")
+        w, t, d, y = cols["w"], cols["t_obs"], cols["d_obs"], cols["y"]
+        late = ~np.isnan(y) & (np.array(visits) > t[:, None])
+        # each check names its first offending row
+        for bad, why in (
+            ((w != 0) & (w != 1), lambda i: f"treatment w must be 0 or 1, got {w[i]}"),
+            ((d != 0) & (d != 1), lambda i: f"d_obs must be 0 or 1, got {d[i]}"),
+            (~(t > 0) | np.isinf(t), lambda i: f"t_obs must be positive and finite, got {t[i]}"),
+            (late.any(axis=1), lambda i: f"y_obs has a value at month {visits[late[i].argmax()]} "
+                                         f"after death at {t[i]}"),
+            (np.isinf(y).any(axis=1), lambda i: "y_obs has a non-finite value at month "
+                                                f"{visits[np.isinf(y[i]).argmax()]}"),
+            ((d == 1) & (t > fu), lambda i: f"death at t_obs {t[i]} after follow-up {fu}"),
+            ((d == 0) & (t != fu), lambda i: "censored patients must carry t_obs = follow_up"),
+        ):
+            if rows := np.flatnonzero(bad).tolist():
+                raise InvariantError(why(rows[0]))
+        for c, a in cols.items():
+            object.__setattr__(self, c, _frozen(a.astype(int) if c in _INTEGER else a))
+        object.__setattr__(self, "_visits", {})
 
     def __len__(self) -> int:
-        return len(self.patients)
+        return len(self.w)
+
+    def at(self, t: float) -> VisitColumns:
+        """Each patient's status at month t, built once per month; at a
+        month that is not a visit, nobody is measured."""
+        if t not in self._visits:
+            alive = (self.d_obs == 0) | (self.t_obs > t)
+            y = (self.y[:, self.visit_times.index(t)] if t in self.visit_times
+                 else _frozen(np.full(len(self), np.nan)))
+            self._visits[t] = VisitColumns(
+                alive=_frozen(alive), measured=_frozen(alive & ~np.isnan(y)), y=y)
+        return self._visits[t]
 
     def check_measured(self, t: float) -> None:
         """Raise ``ValueError`` naming the first patient known alive at t without a value there."""
-        at = self.columns.at(t)
+        at = self.at(t)
         if gaps := np.flatnonzero(at.alive & ~at.measured).tolist():
-            raise ValueError(
-                f"patient {self.patients[gaps[0]].id} alive at month {t} without a measurement")
-
-    @functools.cached_property
-    def columns(self) -> ObservedColumns:
-        """The patients as arrays; not a field, so not serialized or compared."""
-        return ObservedColumns(self.patients)
+            raise ValueError(f"patient {self.id[gaps[0]]} alive at month {t} without a measurement")
 
 
 # --- files: the JSON layouts, the one reader and the one writer -------------
 
 
+@dataclass(frozen=True)
+class ObservedPatient:
+    """A patient record of ``observed.json``, the file's row schema: it
+    checks nothing, and ``observed_dataset`` turns the records into columns."""
+
+    id: int
+    x: tuple[float, ...]
+    w: int
+    t_obs: float
+    d_obs: int
+    y_obs: dict[float, float]
+
+
+def observed_dataset(patients, follow_up: float, visit_times) -> ObservedDataset:
+    """The dataset of the records ``patients`` (``ObservedPatient``), a row
+    each in their order. Covariate vectors of different lengths, and a score
+    that is not finite or at a month that is not a visit, are refused here."""
+    visit_times = tuple(visit_times)
+    if len(lengths := {len(p.x) for p in patients}) > 1:
+        raise InvariantError(f"covariate vectors must share one length, got {sorted(lengths)}")
+    column = {v: j for j, v in enumerate(visit_times)}
+    y = np.full((len(patients), len(visit_times)), np.nan)
+    for i, p in enumerate(patients):
+        for month, value in p.y_obs.items():
+            if month not in column:
+                raise InvariantError(f"patient {p.id} has a value at month {month}, which is not "
+                                     f"a visit time {list(visit_times)}")
+            if not math.isfinite(value):
+                raise InvariantError(f"y_obs has a non-finite value at month {month}")
+            y[i, column[month]] = value
+    cols = {c: [getattr(p, c) for p in patients] for c in ("id", "x", "w", "t_obs", "d_obs")}
+    cols["x"] = cols["x"] or np.zeros((0, 1))  # an empty dataset still has one covariate column
+    return ObservedDataset(**cols, y=y, follow_up=follow_up, visit_times=visit_times)
+
+
+def _by_visit(scores: np.ndarray, visit_times) -> list[dict[float, float]]:
+    """Each row of a (patients, visits) score matrix as ``{visit: score}``,
+    NaN left out."""
+    return [{v: y for v, y in zip(visit_times, row) if y == y}  # y == y: not NaN
+            for row in scores.tolist()]
+
+
+def _file(follow_up: float, visit_times, **columns: list) -> dict:
+    """The document of a trial: one record per patient, of the ``columns``
+    (lists in patient order) by name, and the trial's follow-up once, as
+    ``follow_up_months``; visit-month keys read "3", "4.5"."""
+    patients = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return encode({"patients": patients, "follow_up_months": follow_up,
+                   "visit_times": visit_times})
+
+
 def observed_to_json(data: ObservedDataset) -> dict:
-    """``codec.encode`` of the dataset (visit-time keys read "3", "4.5"), but
-    with the trial's follow-up written as ``follow_up_months``."""
-    doc = encode(data)
-    doc["follow_up_months"] = doc.pop("follow_up")
-    return doc
+    """The dataset as ``observed.json``: a record per patient (``ObservedPatient``)."""
+    return _file(data.follow_up, data.visit_times, id=data.id.tolist(), x=data.x.tolist(),
+                 w=data.w.tolist(), t_obs=data.t_obs.tolist(), d_obs=data.d_obs.tolist(),
+                 y_obs=_by_visit(data.y, data.visit_times))
+
+
+# the file's own keys, named as its refusals name them: "ObservedDataset.visit_times: ..."
+_ObservedFile = make_dataclass("ObservedDataset", [
+    ("follow_up_months", float), ("patients", tuple[ObservedPatient, ...]),
+    ("visit_times", tuple[float, ...], field(default=()))], frozen=True)
 
 
 def observed_from_json(doc: Mapping) -> ObservedDataset:
     """Inverse of ``observed_to_json``; ``KeyError`` for a missing follow-up
-    or patient list. The file's own keys are checked first, then each
-    patient on its own, so a misfit reads ``ObservedPatient.x: ...`` and a
-    broken invariant as raised, then the patients against the follow-up."""
-    rest = {k: v for k, v in decode(dict[str, object], doc).items() if k != "follow_up_months"}
-    if "follow_up" in rest:
-        raise DecodeError("ObservedDataset: unknown keys ['follow_up']")
-    shell = decode(ObservedDataset, {**rest, "patients": [], "follow_up": doc["follow_up_months"]})
-    return replace(shell, patients=decode(tuple[ObservedPatient, ...], doc["patients"]))
+    or patient list. The file's own keys are checked first, then each record's
+    shape (``ObservedPatient.x: ...``), then the records and the columns."""
+    top = decode(dict[str, object], doc)
+    if missing := [k for k in ("follow_up_months", "patients") if k not in top]:
+        raise KeyError(missing[0])
+    file = decode(_ObservedFile, top)
+    return observed_dataset(file.patients, file.follow_up_months, file.visit_times)
 
 
 def science_to_json(table: ScienceTable) -> dict:
-    """The table as per-patient records, ids the row indices, with the
-    finite scores keyed by visit month, as ``observed_to_json`` writes them."""
+    """The table as ``science.json``: a record per patient, ids the row
+    indices, each arm's scores by visit as ``observed_to_json`` writes them."""
     visits = table.visit_times
-    rows = zip(table.x.tolist(), table.w.tolist(), table.t0.tolist(), table.t1.tolist(),
-               table.y0.tolist(), table.y1.tolist())
-    patients = [{"id": i, "x": x, "w": w, "t0": t0, "t1": t1,
-                 "y0": {v: y for v, y in zip(visits, y0) if y == y},  # y == y: not NaN
-                 "y1": {v: y for v, y in zip(visits, y1) if y == y}}
-                for i, (x, w, t0, t1, y0, y1) in enumerate(rows)]
-    return encode({"patients": patients, "follow_up_months": table.follow_up, "visit_times": visits})
+    return _file(table.follow_up, visits, id=list(range(len(table))), x=table.x.tolist(),
+                 w=table.w.tolist(), t0=table.t0.tolist(), t1=table.t1.tolist(),
+                 y0=_by_visit(table.y0, visits), y1=_by_visit(table.y1, visits))
 
 
 @contextmanager

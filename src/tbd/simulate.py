@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .codec import decode
-from .science import (ObservedDataset, ObservedPatient, ScienceTable, check_visit_times,
-                      composite_metric, load_json, mass_median)
+from .science import (ObservedDataset, ScienceTable, check_visit_times, composite_metric,
+                      load_json, mass_median)
 
 
 class ScenarioError(ValueError):
@@ -173,16 +173,12 @@ def simulate_science_table(params: ScenarioParams, seed) -> ScienceTable:
 def observe(science: ScienceTable) -> ObservedDataset:
     """Reduce a science table to the observed dataset of the assigned arms,
     one patient per row, ids the row indices."""
-    fu, visits, treated = science.follow_up, science.visit_times, science.w == 1
+    fu, treated = science.follow_up, science.w == 1
     td = np.where(treated, science.t1, science.t0)
-    y = np.where(treated[:, None], science.y1, science.y0)
-    rows = zip(science.x.tolist(), science.w.tolist(), np.minimum(td, fu).tolist(),
-               (td <= fu).tolist(), y.tolist())
-    # s == s: the score is not NaN
-    patients = tuple(ObservedPatient(id=i, x=tuple(x), w=w, t_obs=t, d_obs=int(d),
-                                     y_obs={v: s for v, s in zip(visits, ys) if s == s})
-                     for i, (x, w, t, d, ys) in enumerate(rows))
-    return ObservedDataset(patients=patients, follow_up=fu, visit_times=visits)
+    return ObservedDataset(id=np.arange(len(td)), x=science.x, w=science.w,
+                           t_obs=np.minimum(td, fu), d_obs=td <= fu,
+                           y=np.where(treated[:, None], science.y1, science.y0),
+                           follow_up=fu, visit_times=science.visit_times)
 
 
 def true_estimands(science: ScienceTable, t: float) -> TruthRecord:

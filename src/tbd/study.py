@@ -264,12 +264,11 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
     # a visit whose fit is flagged is estimated as one without, and recorded as failed
     usable = {t: lpost for t, lpost in fits.longitudinal.items() if t not in fits.failures}
 
-    cols = data.columns
     results: list[CellTimeResult] = []
     for visit in estimate_visits(spost, usable, data, config.k_draws):
         t, lpost, failure = visit.time, usable.get(visit.time), fits.failures.get(visit.time)
         mae = None if lpost is None else mae_reconstruction(science, counterfactual_mean(
-            _draw_mean(lpost.beta0), _draw_mean(lpost.beta1), cols.x, cols.w), t)
+            _draw_mean(lpost.beta0), _draw_mean(lpost.beta1), data.x, data.w), t)
         results.append(
             CellTimeResult(
                 time=t,
@@ -279,7 +278,7 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
                                for name, summary in visit.summaries.items()},
                 naive=visit.naive,
                 wmw=visit.wmw,
-                death_pct=100.0 * float(np.mean(~cols.at(t).alive)),
+                death_pct=100.0 * float(np.mean(~data.at(t).alive)),
                 mae=mae,
                 failed=failure is not None,
                 failure=None if failure is None else f"longitudinal fit: {failure}",

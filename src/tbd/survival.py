@@ -248,10 +248,9 @@ class SurvivalPosterior:
         computes a column of a wide product as it does in a narrow one;
         OpenBLAS rounds the last (size mod 8) columns of a product over more
         than 192 patients differently, by a few ulp after the exponential."""
-        cols = data.columns
         for arm, lam, alpha in ((0, self.lambda0, self.alpha0), (1, self.lambda1, self.alpha1)):
-            sel_arm = np.flatnonzero(cols.w != arm)
-            tiles = [(sel, cols.x[sel].T) for sel in
+            sel_arm = np.flatnonzero(data.w != arm)
+            tiles = [(sel, data.x[sel].T) for sel in
                      np.array_split(sel_arm, max(1, -(-len(sel_arm) // S_MIS_TILE)))]
             for rows in draw_blocks(len(idx)):
                 block = idx[rows]
@@ -272,10 +271,9 @@ class SurvivalPosterior:
         ``fit_posteriors`` takes every visit's weights from one call. Each
         time's result has the bits of a call at that time alone.
         """
-        cols = data.columns
         idx = np.arange(self.n_draws) if indices is None else np.asarray(indices)
         times = np.atleast_1d(np.asarray(t, dtype=float))[:, None]  # (T, 1)
-        horizon = np.where((cols.d_obs == 1) & (cols.t_obs <= times), cols.t_obs, times)
+        horizon = np.where((data.d_obs == 1) & (data.t_obs <= times), data.t_obs, times)
         overlaps = self.grid.overlaps(horizon)  # (T, n, J)
         if indices is None:
             out = np.zeros((len(times), len(data)))
@@ -314,12 +312,11 @@ class SurvivalPosterior:
         rates and covariate effects put into the hazard model. This is the
         observed-arm curve that the integrated Brier score and the
         cumulative/dynamic AUC score."""
-        cols = data.columns
         overlaps = self.grid.overlaps(months)
         base = np.stack([overlaps @ self.lambda0.mean(axis=0), overlaps @ self.lambda1.mean(axis=0)])
-        scale = np.exp(np.where(cols.w == 1, cols.x @ self.alpha1.mean(axis=0),
-                                cols.x @ self.alpha0.mean(axis=0)))
-        return np.exp(-base[cols.w] * scale[:, None])
+        scale = np.exp(np.where(data.w == 1, data.x @ self.alpha1.mean(axis=0),
+                                data.x @ self.alpha0.mean(axis=0)))
+        return np.exp(-base[data.w] * scale[:, None])
 
     def to_json(self) -> dict:
         return encode(self)
@@ -343,9 +340,8 @@ class _Arm:
 
 
 def _arm(data: ObservedDataset, grid: HazardGrid, w: int) -> _Arm:
-    cols = data.columns
-    sel = cols.w == w
-    x, t_obs, died = cols.x[sel], cols.t_obs[sel], cols.d_obs[sel] == 1
+    sel = data.w == w
+    x, t_obs, died = data.x[sel], data.t_obs[sel], data.d_obs[sel] == 1
     events = np.bincount(grid.segment_of(t_obs[died]), minlength=grid.n_segments)
     return _Arm(x=x, overlap=grid.overlaps(t_obs), events=events, sum_dx=x[died].sum(axis=0))
 

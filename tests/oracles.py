@@ -9,10 +9,12 @@ that array code and, with quadrature and enumeration, as oracles of the
 acceptance criteria 2, 4 and 5.
 
 A science table is columns; ``PatientTruth`` is its per-patient record
-(``science_table`` and ``records`` go from one to the other). The simulator,
-``science.json`` and ``observe`` one record at a time (``simulate_records``,
-``science_doc``, ``observe``) are the reference that the columns are checked
-against bit for bit.
+(``science_table`` and ``records`` go from one to the other). An observed
+dataset is columns too; ``ObservedRecord`` is its per-patient record
+(``observed_dataset`` and ``patients`` go from one to the other). The
+simulator, the two files and ``observe`` one record at a time
+(``simulate_records``, ``file_doc``, ``observed_records``) are the reference
+that the columns are checked against bit for bit (``assert_same_columns``).
 
 It also keeps the counterfactual-survival traversal without patient tiles
 (``untiled_s_mis_matrix``, ``untiled_rmst_matrix``), the reference that the
@@ -33,6 +35,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr
 
+from tbd import science
 from tbd.codec import encode
 from tbd.longitudinal import LongitudinalPosterior
 from tbd.mcmc import McmcConfig
@@ -122,23 +125,71 @@ def simulate_records(params: ScenarioParams, seed) -> tuple[PatientTruth, ...]:
     )
 
 
-def science_doc(records, follow_up: float, visit_times) -> dict:
-    """The ``science.json`` document of ``records``: each record through
-    ``codec.encode``, the follow-up as ``follow_up_months``."""
+def file_doc(records, follow_up: float, visit_times) -> dict:
+    """The ``science.json`` or ``observed.json`` document of ``records``:
+    each record through ``codec.encode``, the follow-up as
+    ``follow_up_months``."""
     return encode({"patients": tuple(records), "follow_up_months": follow_up,
                    "visit_times": tuple(visit_times)})
 
 
-def observe(records, follow_up: float, visit_times) -> ObservedDataset:
-    """The observed dataset of the assigned arms, one record at a time."""
+# --- the observed dataset as per-patient records --------------------------------
+
+
+class ObservedRecord(ObservedPatient):
+    """One row of an observed dataset as a record: the file's patient record
+    (``science.ObservedPatient``), which checks nothing, and ``alive_at``."""
+
+    def alive_at(self, t: float) -> bool:
+        """True iff the patient is known alive at horizon t (death time > t)."""
+        return self.d_obs == 0 or self.t_obs > t
+
+
+def observed_dataset(records, follow_up: float, visit_times=None) -> ObservedDataset:
+    """``science.observed_dataset`` of ``records``, the function that turns
+    the file's records into columns; by default the visits are the months at
+    which some record has a value."""
+    if visit_times is None:
+        visit_times = sorted({month for p in records for month in p.y_obs})
+    return science.observed_dataset(records, follow_up, visit_times)
+
+
+def patients(data: ObservedDataset) -> tuple[ObservedRecord, ...]:
+    """The rows of ``data`` as records, each patient's scores by visit, NaN
+    left out."""
+    return tuple(
+        ObservedRecord(id=int(data.id[i]), x=tuple(data.x[i].tolist()), w=int(data.w[i]),
+                       t_obs=float(data.t_obs[i]), d_obs=int(data.d_obs[i]),
+                       y_obs={v: y for v, y in zip(data.visit_times, data.y[i].tolist())
+                              if not math.isnan(y)})
+        for i in range(len(data))
+    )
+
+
+def observed_records(records, follow_up: float) -> tuple[ObservedRecord, ...]:
+    """The assigned arm of each science-table record, one at a time."""
     out = []
     for p in records:
         td = p.death_time(p.w)
         t_obs = min(td, follow_up)
         y_obs = {v: y for v, y in p.trajectory(p.w).items() if v <= t_obs}
-        out.append(ObservedPatient(id=p.id, x=p.x, w=p.w, t_obs=float(t_obs),
-                                   d_obs=int(td <= follow_up), y_obs=y_obs))
-    return ObservedDataset(patients=tuple(out), follow_up=follow_up, visit_times=tuple(visit_times))
+        out.append(ObservedRecord(id=p.id, x=p.x, w=p.w, t_obs=float(t_obs),
+                                  d_obs=int(td <= follow_up), y_obs=y_obs))
+    return tuple(out)
+
+
+def observe(records, follow_up: float, visit_times) -> ObservedDataset:
+    """The observed dataset of the assigned arms, one record at a time."""
+    return observed_dataset(observed_records(records, follow_up), follow_up, visit_times)
+
+
+def assert_same_columns(got: ObservedDataset, want: ObservedDataset) -> None:
+    """Every column of ``got`` has the dtype, shape and bits of ``want``'s,
+    NaN and the sign of zero included, and the two trials are the same."""
+    for name in ("id", "x", "w", "t_obs", "d_obs", "y"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert (got.follow_up, got.visit_times) == (want.follow_up, want.visit_times)
 
 
 # --- principal strata and composite outcomes --------------------------------
@@ -241,7 +292,7 @@ def composite_metric(z1: CompositeOutcome, z0: CompositeOutcome) -> float:
     return math.inf if z0.d == 1 else -math.inf
 
 
-def observed_composite(p: ObservedPatient, t: float) -> CompositeOutcome:
+def observed_composite(p: ObservedRecord, t: float) -> CompositeOutcome:
     """Observed composite outcome of a patient at horizon t."""
     if p.alive_at(t):
         if t not in p.y_obs:
@@ -395,7 +446,7 @@ def rmst_integral(p: SurvivalParams, x, w: int, t: float) -> float:
     return total
 
 
-def predict_s_mis(p: SurvivalParams, patient: ObservedPatient, t: float) -> float:
+def predict_s_mis(p: SurvivalParams, patient: ObservedRecord, t: float) -> float:
     """Probability of surviving under the unassigned arm.
 
     Evaluated at horizon t for patients observed alive at t, and at the
@@ -420,10 +471,9 @@ def survival_draw(post: SurvivalPosterior, k: int) -> SurvivalParams:
 def _untiled_blocks(post: SurvivalPosterior, data: ObservedDataset, idx: np.ndarray):
     """``SurvivalPosterior._unassigned_blocks`` without patient tiles: each
     arm's patients in one (block x arm) product."""
-    cols = data.columns
     for arm, lam, alpha in ((0, post.lambda0, post.alpha0), (1, post.lambda1, post.alpha1)):
-        sel = np.flatnonzero(cols.w != arm)
-        x_arm = cols.x[sel]
+        sel = np.flatnonzero(data.w != arm)
+        x_arm = data.x[sel]
         for start in range(0, len(idx), S_MIS_BLOCK):
             block = idx[start:start + S_MIS_BLOCK]
             scale = np.exp(alpha[block] @ x_arm.T)
@@ -432,10 +482,9 @@ def _untiled_blocks(post: SurvivalPosterior, data: ObservedDataset, idx: np.ndar
 
 def untiled_s_mis_matrix(post: SurvivalPosterior, data: ObservedDataset, t, indices=None):
     """``SurvivalPosterior.s_mis_matrix`` over the untiled traversal."""
-    cols = data.columns
     idx = np.arange(post.n_draws) if indices is None else np.asarray(indices)
     times = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
-    horizon = np.where((cols.d_obs == 1) & (cols.t_obs <= times), cols.t_obs, times)
+    horizon = np.where((data.d_obs == 1) & (data.t_obs <= times), data.t_obs, times)
     overlaps = post.grid.overlaps(horizon)
     if indices is None:
         out = np.zeros((len(times), len(data)))
@@ -565,7 +614,7 @@ class LongParams:
         return float(self.beta0[w] + np.dot(np.asarray(x, dtype=float), self.beta1[w]))
 
 
-def predict_y_mis(params: LongParams, patient: ObservedPatient, t: float) -> tuple[float, float]:
+def predict_y_mis(params: LongParams, patient: ObservedRecord, t: float) -> tuple[float, float]:
     """Counterfactual predictive mean and residual scale for one patient."""
     return params.mean(patient.x, 1 - patient.w), params.sigma
 
@@ -598,7 +647,7 @@ class CompositeDiffDistribution:
 def composite_diff_dist(
     s_draw: SurvivalParams,
     l_draw: LongParams,
-    patient: ObservedPatient,
+    patient: ObservedRecord,
     t: float,
 ) -> CompositeDiffDistribution:
     """Atoms of (2w - 1) * (observed minus imputed composite) at horizon t,
@@ -622,7 +671,7 @@ def sace_draw(
     carries positive weight."""
     num = 0.0
     den = 0.0
-    for p in data.patients:
+    for p in patients(data):
         if not p.alive_at(t):
             continue
         s = predict_s_mis(s_draw, p, t)
@@ -641,7 +690,7 @@ def pc_draw(
     over patients, with latent-stratum and residual uncertainty integrated
     analytically."""
     total = 0.0
-    for p in data.patients:
+    for p in patients(data):
         sign = 2 * p.w - 1
         s = predict_s_mis(s_draw, p, t)
         if p.alive_at(t):
@@ -716,7 +765,7 @@ def sim_draw(
     """
     values = []
     masses = []
-    for p in data.patients:
+    for p in patients(data):
         for v, m in composite_diff_dist(s_draw, l_draw, p, t).atoms:
             values.append(v)
             masses.append(m)
@@ -728,7 +777,7 @@ def rmst_draw(s_draw: SurvivalParams, data: ObservedDataset, t: float) -> float:
     time minus the integrated counterfactual survival curve, averaged with
     the assignment sign."""
     total = 0.0
-    for p in data.patients:
+    for p in patients(data):
         integral = rmst_integral(s_draw, p.x, 1 - p.w, t)
         total += (2 * p.w - 1) * (min(p.t_obs, t) - integral)
     return total / len(data)

@@ -16,7 +16,10 @@ import oracles
 import tbd
 from oracles import (
     LongParams,
+    ObservedRecord,
     SurvivalParams,
+    observed_dataset,
+    patients,
     pc_draw,
     predict_s_mis,
     rmst_draw,
@@ -26,7 +29,6 @@ from oracles import (
     survival_prob,
 )
 from tbd.mcmc import Block, McmcConfig, ModelSpec, run_chains
-from tbd.science import ObservedDataset, ObservedPatient
 from tbd.study import StudyConfig, bias_rows, coverage_rows, figure_rows, run_study
 
 
@@ -194,9 +196,9 @@ def test_criterion_4_closed_forms_vs_quadrature():
         )
         post = _one_draw_survival(grid, lam, lam[::-1], [alpha], [-alpha])
         died = trial % 2
-        patient = ObservedPatient(id=0, x=x, w=1, t_obs=t if died else 15.0, d_obs=died,
+        patient = ObservedRecord(id=0, x=x, w=1, t_obs=t if died else 15.0, d_obs=died,
                                   y_obs={})
-        data = ObservedDataset(patients=(patient,), follow_up=15.0)
+        data = observed_dataset((patient,), 15.0)
         scale = math.exp(alpha * x[0])
         cuts = list(grid.cutpoints)
 
@@ -224,19 +226,19 @@ def test_criterion_4_closed_forms_vs_quadrature():
 
 def _fixture():
     def obs(id, w, t_obs, d_obs, y=None, x=0.0):
-        return ObservedPatient(
+        return ObservedRecord(
             id=id, x=(x,), w=w, t_obs=t_obs, d_obs=d_obs,
             y_obs={} if y is None else {10.0: y},
         )
 
-    data = ObservedDataset(
-        patients=(
+    data = observed_dataset(
+        (
             obs(0, 1, 15.0, 0, y=-3.0, x=0.3),
             obs(1, 0, 15.0, 0, y=-6.0, x=-0.5),
             obs(2, 1, 7.0, 1, x=0.1),
             obs(3, 0, 4.0, 1, x=-1.2),
         ),
-        follow_up=15.0,
+        15.0,
     )
     s = SurvivalParams(
         grid=tbd.HazardGrid((0.0, 5.0, 15.0)),
@@ -254,14 +256,14 @@ def test_criterion_5_brute_force_equivalence():
     posterior of the same draw, against enumeration and quadrature."""
     data, s, l = _fixture()
     t = 10.0
-    probs = [predict_s_mis(s, p, t) for p in data.patients]
+    probs = [predict_s_mis(s, p, t) for p in patients(data)]
 
     num = den = pc_total = 0.0
     for config in itertools.product([True, False], repeat=4):
         weight = math.prod(pr if c else 1 - pr for pr, c in zip(probs, config))
         diffs = []
         win = 0.0
-        for p, alive_cf in zip(data.patients, config):
+        for p, alive_cf in zip(patients(data), config):
             if p.alive_at(t):
                 if alive_cf:
                     mu = l.mean(p.x, 1 - p.w)
@@ -276,7 +278,7 @@ def test_criterion_5_brute_force_equivalence():
         pc_total += weight * win / 4
 
     rmst_total = 0.0
-    for p in data.patients:
+    for p in patients(data):
         integral, _ = integrate.quad(
             lambda u: survival_prob(s, p.x, 1 - p.w, u), 0, t,
             points=[5.0], limit=200, epsabs=1e-12, epsrel=1e-12,
@@ -284,7 +286,7 @@ def test_criterion_5_brute_force_equivalence():
         rmst_total += (2 * p.w - 1) * (min(p.t_obs, t) - integral)
 
     atoms = []
-    for p, prob in zip(data.patients, probs):
+    for p, prob in zip(patients(data), probs):
         sign = 2 * p.w - 1
         if p.alive_at(t):
             mu = l.mean(p.x, 1 - p.w)
@@ -448,22 +450,20 @@ def test_criterion_7_mixed_patterns(mixed_study):
 
 def test_criterion_8_metrics_sanity():
     def obs(id, t_obs, d_obs=1):
-        return ObservedPatient(
+        return ObservedRecord(
             id=id, x=(0.0,), w=0, t_obs=t_obs, d_obs=d_obs, y_obs={},
         )
 
-    patients = tuple(obs(i, t) for i, t in enumerate([2.0, 5.0, 9.0, 13.0]))
-    data = ObservedDataset(patients=patients, follow_up=20.0)
+    pats = tuple(obs(i, t) for i, t in enumerate([2.0, 5.0, 9.0, 13.0]))
+    data = observed_dataset(pats, 20.0)
     grid = np.array([1.0, 4.0, 8.0, 12.0])
-    step = np.array([[1.0 if p.t_obs > g else 0.0 for g in grid] for p in data.patients])
+    step = np.array([[1.0 if p.t_obs > g else 0.0 for g in grid] for p in pats])
     ok = tbd.ibs(step, data, grid) == 0.0
     ok &= abs(tbd.ibs(np.full((4, 4), 0.5), data, grid) - 0.25) < 1e-12
 
     rng = np.random.default_rng(88)
     times = rng.uniform(1, 14, size=10_000)
-    big = ObservedDataset(
-        patients=tuple(obs(i, t) for i, t in enumerate(times)), follow_up=20.0
-    )
+    big = observed_dataset(tuple(obs(i, t) for i, t in enumerate(times)), 20.0)
     ok &= abs(tbd.cdauc(-times, big, np.array([3.0, 6.0, 9.0])) - 1.0) < 1e-12
     random_auc = tbd.cdauc(rng.normal(size=10_000), big, np.array([3.0, 6.0, 9.0]))
     ok &= abs(random_auc - 0.5) < 0.02

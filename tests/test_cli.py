@@ -422,6 +422,12 @@ def _death(t_obs):
      "follow_up must be positive and finite, got -1.0"),
     ({"follow_up_months": 15.0, "patients": [_death(5.0), {**_death(6.0), "id": 1, "x": [0.1, 2.0]}]},
      "covariate vectors must share one length, got [1, 2]"),
+    ({"follow_up_months": 15.0, "patients": [{**_death(5.0), "x": []},
+                                             {**_death(6.0), "id": 1, "x": []}]},
+     "covariate vectors must hold at least one covariate, got 0"),
+    ({"follow_up_months": 15.0, "visit_times": [3, 6], "patients": [
+        {**_death(10.0), "id": 7, "y_obs": {"3": 1.0, "4": 2.0, "6": 3.0}}]},
+     "patient 7 has a value at month 4.0, which is not a visit time [3.0, 6.0]"),
     *(({"follow_up_months": 15.0, "visit_times": visits, "patients": [_death(5.0)]},
        f"visit times must be finite, strictly increasing and within (0, 15.0], got {shown}")
       for visits, shown in (([3, 3, 6], "[3.0, 3.0, 6.0]"), ([0, 3], "[0.0, 3.0]"),
@@ -436,8 +442,9 @@ def _death(t_obs):
 ], ids=["no-follow-up", "bad-arm", "scalar-x", "patient-unknown-key", "patient-follow-up",
         "top-level-unknown-key", "top-level-follow-up", "negative-death", "nan-death",
         "infinite-death", "zero-death", "death-after-follow-up", "zero-follow-up",
-        "negative-follow-up", "ragged-x", "repeated-visit", "zero-visit", "negative-visit",
-        "nan-visit", "visit-after-follow-up", "gap-before-death", "gap-while-censored"])
+        "negative-follow-up", "ragged-x", "no-covariates", "non-visit-month", "repeated-visit",
+        "zero-visit", "negative-visit", "nan-visit", "visit-after-follow-up", "gap-before-death",
+        "gap-while-censored"])
 @pytest.mark.parametrize("command", ["fit", "estimate"])
 def test_refused_data_is_a_one_line_error(runner, fits_path, tmp_path, command, doc, refused):
     data = tmp_path / "observed.json"

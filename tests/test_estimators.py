@@ -13,12 +13,15 @@ from scipy.special import ndtr
 
 from oracles import (
     LongParams,
+    ObservedRecord,
     SurvivalParams,
     _pooled_median,
     composite_diff_dist,
     composite_order,
     long_draw,
     observed_composite,
+    observed_dataset,
+    patients,
     pc_draw,
     predict_s_mis,
     rmst_draw,
@@ -38,7 +41,6 @@ from tbd.estimators import (
     wmw,
 )
 from tbd.longitudinal import LongitudinalPosterior, counterfactual_mean
-from tbd.science import ObservedDataset, ObservedPatient
 from tbd.simulate import get_scenario, observe, simulate_science_table
 from tbd.survival import S_MIS_BLOCK, HazardGrid, SurvivalPosterior, _rmst_batch
 
@@ -48,21 +50,21 @@ T = 10.0
 
 def _obs(id, w, t_obs, d_obs, y=None, x=0.0):
     y_obs = {} if y is None else {T: y}
-    return ObservedPatient(
+    return ObservedRecord(
         id=id, x=(x,), w=w, t_obs=t_obs, d_obs=d_obs, y_obs=y_obs,
     )
 
 
 @pytest.fixture
 def fixture_data():
-    return ObservedDataset(
-        patients=(
+    return observed_dataset(
+        (
             _obs(0, 1, 15.0, 0, y=-3.0, x=0.3),
             _obs(1, 0, 15.0, 0, y=-6.0, x=-0.5),
             _obs(2, 1, 7.0, 1, x=0.1),
             _obs(3, 0, 4.0, 1, x=-1.2),
         ),
-        follow_up=15.0,
+        15.0,
     )
 
 
@@ -125,10 +127,7 @@ class TestSaceDraw:
     def test_plain_mean_under_unit_weights(self):
         s = _sparams_const(1e-300, 1e-300)
         l = LongParams(beta0=np.array([-5.0, 0.0]), beta1=np.zeros((2, 1)), sigma=1.0)
-        data = ObservedDataset(
-            patients=(_obs(0, 1, 15.0, 0, y=-3.0), _obs(1, 1, 15.0, 0, y=-5.0)),
-            follow_up=15.0,
-        )
+        data = observed_dataset((_obs(0, 1, 15.0, 0, y=-3.0), _obs(1, 1, 15.0, 0, y=-5.0)), 15.0)
         # diffs are +2 and 0 against the counterfactual mean of -5
         assert sace_draw(s, l, data, T) == pytest.approx(1.0)
 
@@ -141,19 +140,19 @@ class TestSaceDraw:
             alpha1=np.zeros(1),
         )
         l = LongParams(beta0=np.array([-5.0, 0.0]), beta1=np.zeros((2, 1)), sigma=1.0)
-        data = ObservedDataset(
-            patients=(
+        data = observed_dataset(
+            (
                 _obs(0, 1, 15.0, 0, y=-3.0, x=0.0),
                 _obs(1, 1, 15.0, 0, y=-5.0, x=1.0),
             ),
-            follow_up=15.0,
+            15.0,
         )
         assert sace_draw(s, l, data, T) == pytest.approx(2.0)
 
     def test_no_survivors_is_undefined(self):
         s = _sparams_const(0.05, 0.05)
         l = LongParams(beta0=np.zeros(2), beta1=np.zeros((2, 1)), sigma=1.0)
-        data = ObservedDataset(patients=(_obs(0, 1, 4.0, 1),), follow_up=15.0)
+        data = observed_dataset((_obs(0, 1, 4.0, 1),), 15.0)
         assert math.isnan(sace_draw(s, l, data, T))
 
 
@@ -162,21 +161,18 @@ class TestPcDraw:
         # every observed value equals its counterfactual predictive mean
         s = _sparams_const(1e-300, 1e-300)
         l = LongParams(beta0=np.array([-6.0, -3.0]), beta1=np.zeros((2, 1)), sigma=1.0)
-        data = ObservedDataset(
-            patients=(_obs(0, 1, 15.0, 0, y=-6.0), _obs(1, 0, 15.0, 0, y=-3.0)),
-            follow_up=15.0,
-        )
+        data = observed_dataset((_obs(0, 1, 15.0, 0, y=-6.0), _obs(1, 0, 15.0, 0, y=-3.0)), 15.0)
         assert pc_draw(s, l, data, T) == pytest.approx(0.5)
 
     def test_degenerate_scale_uses_indicator_with_half_ties(self):
         s = _sparams_const(1e-300, 1e-300)
         l = LongParams(beta0=np.array([-6.0, 0.0]), beta1=np.zeros((2, 1)), sigma=1e-12)
-        data = ObservedDataset(
-            patients=(
+        data = observed_dataset(
+            (
                 _obs(0, 1, 15.0, 0, y=-5.0),  # above the counterfactual mean
                 _obs(1, 1, 15.0, 0, y=-6.0),  # exactly at it
             ),
-            follow_up=15.0,
+            15.0,
         )
         l_zero = LongParams(beta0=np.array([-6.0, 0.0]), beta1=np.zeros((2, 1)), sigma=1e-12)
         got = pc_draw(s, l_zero, data, T)
@@ -187,19 +183,19 @@ class TestPcDraw:
 class TestRmstDraw:
     def test_zero_when_counterfactual_certainly_survives(self):
         s = _sparams_const(1e-300, 1e-300)
-        data = ObservedDataset(patients=(_obs(0, 1, 15.0, 0, y=0.0),), follow_up=15.0)
+        data = observed_dataset((_obs(0, 1, 15.0, 0, y=0.0),), 15.0)
         assert rmst_draw(s, data, T) == pytest.approx(0.0)
 
     def test_bounded_by_horizon(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             s = _sparams_const(rng.uniform(0.001, 0.5), rng.uniform(0.001, 0.5))
-            data = ObservedDataset(
-                patients=tuple(
+            data = observed_dataset(
+                tuple(
                     _obs(i, i % 2, 15.0, 0, y=0.0) if i % 3 else _obs(i, i % 2, rng.uniform(1, 9), 1)
                     for i in range(9)
                 ),
-                follow_up=15.0,
+                15.0,
             )
             assert abs(rmst_draw(s, data, T)) <= T + 1e-12
 
@@ -212,7 +208,7 @@ class TestBruteForceOracle:
     def _branch_probs(self, s, data):
         # probability that each patient's counterfactual survives the
         # relevant horizon (t for survivors, t_obs for deaths)
-        return [predict_s_mis(s, p, T) for p in data.patients]
+        return [predict_s_mis(s, p, T) for p in patients(data)]
 
     def test_sace_matches_enumeration(self, fixture_data, fixture_draws):
         s, l = fixture_draws
@@ -222,7 +218,7 @@ class TestBruteForceOracle:
         for config in itertools.product([True, False], repeat=4):
             weight = math.prod(p if c else 1 - p for p, c in zip(probs, config))
             diffs = []
-            for p, alive_cf in zip(fixture_data.patients, config):
+            for p, alive_cf in zip(patients(fixture_data), config):
                 if p.alive_at(T) and alive_cf:
                     mu = l.mean(p.x, 1 - p.w)
                     diffs.append((2 * p.w - 1) * (p.y_obs[T] - mu))
@@ -237,7 +233,7 @@ class TestBruteForceOracle:
         for config in itertools.product([True, False], repeat=4):
             weight = math.prod(p if c else 1 - p for p, c in zip(probs, config))
             win = 0.0
-            for p, alive_cf in zip(fixture_data.patients, config):
+            for p, alive_cf in zip(patients(fixture_data), config):
                 if p.alive_at(T):
                     if alive_cf:
                         mu = l.mean(p.x, 1 - p.w)
@@ -257,7 +253,7 @@ class TestBruteForceOracle:
     def test_rmst_matches_independent_quadrature(self, fixture_data, fixture_draws):
         s, _ = fixture_draws
         total = 0.0
-        for p in fixture_data.patients:
+        for p in patients(fixture_data):
             integral, _ = integrate.quad(
                 lambda u: survival_prob(s, p.x, 1 - p.w, u),
                 0.0, T, points=[5.0], limit=200, epsabs=1e-12, epsrel=1e-12,
@@ -289,7 +285,7 @@ class TestBruteForceOracle:
         s, l = fixture_draws
         probs = self._branch_probs(s, fixture_data)
         atoms = []
-        for p, prob in zip(fixture_data.patients, probs):
+        for p, prob in zip(patients(fixture_data), probs):
             sign = 2 * p.w - 1
             if p.alive_at(T):
                 mu = l.mean(p.x, 1 - p.w)
@@ -304,29 +300,26 @@ class TestBruteForceOracle:
     def test_sim_dominant_infinite_mass_returns_infinity(self):
         s = _sparams_const(0.5, 0.5)  # counterfactual survival gets tiny
         l = LongParams(beta0=np.zeros(2), beta1=np.zeros((2, 1)), sigma=1.0)
-        data = ObservedDataset(
-            patients=tuple(_obs(i, 1, 15.0, 0, y=0.0) for i in range(6)),
-            follow_up=15.0,
-        )
+        data = observed_dataset(tuple(_obs(i, 1, 15.0, 0, y=0.0) for i in range(6)), 15.0)
         # treated survivors with near-zero counterfactual survival: most mass at +inf
         assert sim_draw(s, l, data, T) == math.inf
 
 
 class TestReferenceEstimators:
     def test_naive_zero_for_equal_arms(self):
-        data = ObservedDataset(
-            patients=(
+        data = observed_dataset(
+            (
                 _obs(0, 1, 15.0, 0, y=-2.0),
                 _obs(1, 0, 15.0, 0, y=-3.0),
                 _obs(2, 1, 15.0, 0, y=-4.0),
                 _obs(3, 0, 15.0, 0, y=-3.0),
             ),
-            follow_up=15.0,
+            15.0,
         )
         assert naive_effect(data, T) == pytest.approx(0.0)
 
     def test_naive_none_when_arm_empty(self):
-        data = ObservedDataset(patients=(_obs(0, 1, 15.0, 0, y=-2.0),), follow_up=15.0)
+        data = observed_dataset((_obs(0, 1, 15.0, 0, y=-2.0),), 15.0)
         assert naive_effect(data, T) is None
 
     def test_naive_beneficial_early_visit_near_slope_difference(self):
@@ -343,26 +336,26 @@ class TestReferenceEstimators:
         assert abs(naive - 15.0) > 1.0
 
     def test_wmw_identical_arms_is_half(self):
-        data = ObservedDataset(
-            patients=(
+        data = observed_dataset(
+            (
                 _obs(0, 1, 15.0, 0, y=-2.0),
                 _obs(1, 0, 15.0, 0, y=-2.0),
                 _obs(2, 1, 8.0, 1),
                 _obs(3, 0, 8.0, 1),
             ),
-            follow_up=15.0,
+            15.0,
         )
         assert wmw(data, T) == pytest.approx(0.5)
 
     def test_wmw_all_treated_better(self):
-        data = ObservedDataset(
-            patients=(
+        data = observed_dataset(
+            (
                 _obs(0, 1, 15.0, 0, y=-1.0),
                 _obs(1, 1, 15.0, 0, y=-2.0),
                 _obs(2, 0, 9.0, 1),
                 _obs(3, 0, 15.0, 0, y=-8.0),
             ),
-            follow_up=15.0,
+            15.0,
         )
         assert wmw(data, T) == 1.0
 
@@ -375,7 +368,7 @@ class TestReferenceEstimators:
                 pats.append(_obs(i, w, rng.uniform(0.5, 9.9), 1))
             else:
                 pats.append(_obs(i, w, 15.0, 0, y=rng.normal()))
-        data = ObservedDataset(patients=tuple(pats), follow_up=15.0)
+        data = observed_dataset(tuple(pats), 15.0)
         assert wmw(data, T) == pytest.approx(0.5, abs=0.03)
 
 
@@ -423,16 +416,15 @@ def _synthetic_posteriors(seed, n_draws=40, grid=GRID):
 
 
 def _swap_arms(data, spost, lpost):
-    swapped = ObservedDataset(
-        patients=tuple(
-            ObservedPatient(
+    swapped = observed_dataset(
+        tuple(
+            ObservedRecord(
                 id=p.id, x=p.x, w=1 - p.w, t_obs=p.t_obs, d_obs=p.d_obs,
                 y_obs=p.y_obs,
             )
-            for p in data.patients
+            for p in patients(data)
         ),
-        follow_up=data.follow_up,
-        visit_times=data.visit_times,
+        data.follow_up, data.visit_times,
     )
     spost2 = SurvivalPosterior(
         grid=spost.grid,
@@ -461,7 +453,7 @@ class TestBatchedEvaluation:
                 pats.append(_obs(i, w, rng.uniform(0.5, 9.5), 1, x=x))
             else:
                 pats.append(_obs(i, w, 15.0, 0, y=rng.normal(-4, 2), x=x))
-        return ObservedDataset(patients=tuple(pats), follow_up=15.0)
+        return observed_dataset(tuple(pats), 15.0)
 
     def test_matches_scalar_draw_functions(self):
         data = self._data()
@@ -504,10 +496,8 @@ class TestBatchedEvaluation:
 
     def test_certain_survival_reductions(self):
         # with counterfactual survival pinned at 1 the estimators collapse
-        data = ObservedDataset(
-            patients=tuple(_obs(i, i % 2, 15.0, 0, y=float(-i), x=0.0) for i in range(8)),
-            follow_up=15.0,
-        )
+        data = observed_dataset([_obs(i, i % 2, 15.0, 0, y=float(-i), x=0.0) for i in range(8)],
+                                15.0)
         k = 5
         rng = np.random.default_rng(3)
         spost = SurvivalPosterior(
@@ -528,11 +518,11 @@ class TestBatchedEvaluation:
         result = estimand_draws(spost, lpost, data, T, k)
         for kk in range(k):
             l = long_draw(lpost, kk)
-            diffs = [(2 * p.w - 1) * (p.y_obs[T] - l.mean(p.x, 1 - p.w)) for p in data.patients]
+            diffs = [(2 * p.w - 1) * (p.y_obs[T] - l.mean(p.x, 1 - p.w)) for p in patients(data)]
             assert result.sace[kk] == pytest.approx(np.mean(diffs), abs=1e-10)
             phis = [
                 float(ndtr((2 * p.w - 1) * (p.y_obs[T] - l.mean(p.x, 1 - p.w)) / l.sigma))
-                for p in data.patients
+                for p in patients(data)
             ]
             assert result.pc[kk] == pytest.approx(np.mean(phis), abs=1e-10)
 
@@ -606,10 +596,10 @@ def _reference_sim(s_mis, y_mis, y, sign, alive):
 
 def _reference_sim_draws(spost, lpost, data, t, k):
     """SIM draws as the retired loop computed them, from the same inputs."""
-    w = np.array([p.w for p in data.patients])
-    x = np.array([p.x for p in data.patients], dtype=float)
-    alive = np.array([p.alive_at(t) for p in data.patients])
-    y = np.array([p.y_obs.get(t, np.nan) for p in data.patients])
+    w = np.array([p.w for p in patients(data)])
+    x = np.array([p.x for p in patients(data)], dtype=float)
+    alive = np.array([p.alive_at(t) for p in patients(data)])
+    y = np.array([p.y_obs.get(t, np.nan) for p in patients(data)])
     s_mis = spost.s_mis_matrix(data, t, spost.subsample_indices(k))
     l_idx = lpost.subsample_indices(k)
     arm_mis = 1 - w
@@ -622,14 +612,13 @@ def _reference_sim_draws(spost, lpost, data, t, k):
 def _sim_inputs(spost, lpost, data, t, k):
     """``_sim``'s arguments for all k draws at once, as ``estimand_draws``
     builds them for each block."""
-    cols = data.columns
-    sign = 2 * cols.w - 1
-    at = cols.at(t)
+    sign = 2 * data.w - 1
+    at = data.at(t)
     surv, dead = at.alive, ~at.alive
     s_mis = spost.s_mis_matrix(data, t, spost.subsample_indices(k))
     l_idx = lpost.subsample_indices(k)
     diff = sign * (at.y - counterfactual_mean(lpost.beta0[l_idx], lpost.beta1[l_idx],
-                                              cols.x, cols.w))
+                                              data.x, data.w))
     neg, pos = _infinite_columns(sign[surv] > 0, sign[dead] > 0)
     return diff[:, surv], s_mis[:, surv], s_mis[:, dead], neg, pos, len(data) / 2.0
 
@@ -637,17 +626,16 @@ def _sim_inputs(spost, lpost, data, t, k):
 def _reference_sace_pc(spost, lpost, data, t, k):
     """SACE and PC draws from whole (draws, patients) arrays, as
     estimand_draws computed them before it took its draws block by block."""
-    cols = data.columns
-    w, n = cols.w, len(data)
+    w, n = data.w, len(data)
     sign = 2 * w - 1
-    at = cols.at(t)
+    at = data.at(t)
     surv, y = at.alive, at.y
     s_mis = spost.s_mis_matrix(data, t, spost.subsample_indices(k))
     l_idx = lpost.subsample_indices(k)
     sigma = lpost.sigma[l_idx]
     arm_mis = 1 - w
     mu_mis = lpost.beta0[l_idx][:, arm_mis] + np.einsum(
-        "knp,np->kn", lpost.beta1[l_idx][:, arm_mis, :], cols.x
+        "knp,np->kn", lpost.beta1[l_idx][:, arm_mis, :], data.x
     )
     diff = sign[None, :] * (y[None, :] - mu_mis)
     s_surv = s_mis[:, surv]
@@ -677,9 +665,9 @@ def _reference_rmst_batch(lam, scale, overlaps):
 def _reference_rmst_draws(spost, data, t, k):
     """Both arms' integrals for every patient, then each patient's
     unassigned arm kept."""
-    w = np.array([p.w for p in data.patients])
-    x = np.array([p.x for p in data.patients], dtype=float)
-    t_obs = np.array([p.t_obs for p in data.patients])
+    w = np.array([p.w for p in patients(data)])
+    x = np.array([p.x for p in patients(data)], dtype=float)
+    t_obs = np.array([p.t_obs for p in patients(data)])
     s_idx = spost.subsample_indices(k)
     overlaps = spost.grid.overlaps(float(t))
     scale0 = np.exp(spost.alpha0[s_idx] @ x.T)
@@ -709,7 +697,7 @@ def _mixed_data(seed, n, p_dead=0.3, treated=None, y=None):
         else:
             value = rng.normal(-4, 2) if y is None else y(rng)
             pats.append(_obs(i, w, 15.0, 0, y=float(value), x=x))
-    return ObservedDataset(patients=tuple(pats), follow_up=15.0)
+    return observed_dataset(tuple(pats), 15.0)
 
 
 def _extreme_survival(n_draws, grid=GRID):
@@ -826,7 +814,7 @@ class TestBitIdenticalToPerDrawLoops:
         assert _same_bits(got.sim, _reference_sim_draws(spost, lpost, data, T, 1))
         l = long_draw(lpost, 0)
         diffs = sorted((2 * p.w - 1) * (p.y_obs[T] - l.mean(p.x, 1 - p.w))
-                       for p in data.patients)
+                       for p in patients(data))
         assert got.sim[0] == 0.5 * (diffs[3] + diffs[4])
 
     def test_opposite_infinite_neighbours_give_nan(self):
@@ -845,9 +833,7 @@ class TestBitIdenticalToPerDrawLoops:
     def test_infinite_and_finite_neighbour_gives_the_infinity(self):
         # one control death with survival exactly 1 puts mass one at +inf
         # right after the finite atoms; with n = 2 the boundary falls between
-        data = ObservedDataset(
-            patients=(_obs(0, 1, 15.0, 0, y=-3.0), _obs(1, 0, 4.0, 1)), follow_up=15.0
-        )
+        data = observed_dataset((_obs(0, 1, 15.0, 0, y=-3.0), _obs(1, 0, 4.0, 1)), 15.0)
         spost = _extreme_survival(1)
         lpost = _synthetic_posteriors(16, n_draws=1)[1]
         got = estimand_draws(spost, lpost, data, T, 1)
@@ -931,10 +917,9 @@ class TestBitIdenticalToPerDrawLoops:
         # at p > 1 the covariate scales are matrix products over each arm's
         # patients, which may round differently from the reference's
         rng = np.random.default_rng(52)
-        data = ObservedDataset(
-            patients=tuple(replace(p, x=(p.x[0], float(rng.normal())))
-                           for p in _mixed_data(53, 45).patients),
-            follow_up=15.0,
+        data = observed_dataset(
+            [replace(p, x=(p.x[0], float(rng.normal()))) for p in patients(_mixed_data(53, 45))],
+            15.0,
         )
         k = 2 * S_MIS_BLOCK + 40
         spost, _ = _synthetic_posteriors(54, n_draws=k)
@@ -947,8 +932,8 @@ class TestBitIdenticalToPerDrawLoops:
 
 def _reference_wmw(data, t):
     """The pairwise double loop over observed composites."""
-    treated = [observed_composite(p, t) for p in data.patients if p.w == 1]
-    control = [observed_composite(p, t) for p in data.patients if p.w == 0]
+    treated = [observed_composite(p, t) for p in patients(data) if p.w == 1]
+    control = [observed_composite(p, t) for p in patients(data) if p.w == 0]
     if not treated or not control:
         return None
     total = 0.0
@@ -970,7 +955,7 @@ class TestWmwByCounting:
                 pats.append(_obs(i, w, float(rng.integers(1, 5)) * 2.0, 1))
             else:  # integer outcomes: tied survivor values
                 pats.append(_obs(i, w, 15.0, 0, y=float(rng.integers(-3, 3))))
-        data = ObservedDataset(patients=tuple(pats), follow_up=15.0)
+        data = observed_dataset(tuple(pats), 15.0)
         assert wmw(data, T) == _reference_wmw(data, T)
 
     def test_matches_double_loop_continuous(self):
@@ -983,17 +968,15 @@ class TestWmwByCounting:
         assert wmw(data, T) is None and _reference_wmw(data, T) is None
 
     def test_only_deaths_in_one_arm(self):
-        data = ObservedDataset(
-            patients=(_obs(0, 1, 3.0, 1), _obs(1, 1, 3.0, 1), _obs(2, 0, 3.0, 1),
-                      _obs(3, 0, 15.0, 0, y=1.0), _obs(4, 0, 2.0, 1)),
-            follow_up=15.0,
+        data = observed_dataset(
+            (_obs(0, 1, 3.0, 1), _obs(1, 1, 3.0, 1), _obs(2, 0, 3.0, 1),
+             _obs(3, 0, 15.0, 0, y=1.0), _obs(4, 0, 2.0, 1)),
+            15.0,
         )
         assert wmw(data, T) == _reference_wmw(data, T)
 
     def test_alive_without_measurement_is_refused(self):
-        data = ObservedDataset(
-            patients=(_obs(0, 1, 15.0, 0, y=1.0), _obs(7, 0, 15.0, 0)), follow_up=15.0
-        )
+        data = observed_dataset((_obs(0, 1, 15.0, 0, y=1.0), _obs(7, 0, 15.0, 0)), 15.0)
         with pytest.raises(ValueError, match="patient 7"):
             wmw(data, T)
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import LongParams, SurvivalParams, predict_s_mis, predict_y_mis
+from oracles import (LongParams, ObservedRecord, SurvivalParams, observed_dataset, patients,
+                     predict_s_mis, predict_y_mis)
 from tbd import longitudinal
 from tbd.longitudinal import (
     LongitudinalFitError,
@@ -18,7 +19,6 @@ from tbd.longitudinal import (
     VisitModel,
 )
 from tbd.mcmc import Block, McmcConfig, ModelSpec, run_chains
-from tbd.science import ObservedDataset, ObservedPatient
 from tbd.simulate import get_scenario, observe, simulate_science_table
 from tbd.survival import HazardGrid
 
@@ -35,7 +35,7 @@ def _sparams(lam0, lam1, grid=HazardGrid((0.0, 15.0))):
 
 
 def _obs(id=0, w=0, t_obs=15.0, d_obs=0, y_obs=None, x=(0.0,)):
-    return ObservedPatient(
+    return ObservedRecord(
         id=id, x=x, w=w, t_obs=t_obs, d_obs=d_obs,
         y_obs={3.0: -1.0, 12.0: -2.0} if y_obs is None else y_obs,
     )
@@ -43,31 +43,27 @@ def _obs(id=0, w=0, t_obs=15.0, d_obs=0, y_obs=None, x=(0.0,)):
 
 class TestComputeWeights:
     def test_death_before_horizon_gets_zero(self):
-        data = ObservedDataset(
-            patients=(_obs(w=1, t_obs=8.0, d_obs=1, y_obs={3.0: -1.0}),), follow_up=15.0
-        )
+        data = observed_dataset((_obs(w=1, t_obs=8.0, d_obs=1, y_obs={3.0: -1.0}),), 15.0)
         draw = _sparams(0.05, 0.05)
-        w = compute_weights([predict_s_mis(draw, p, 12.0) for p in data.patients], data, 12.0)
+        w = compute_weights([predict_s_mis(draw, p, 12.0) for p in patients(data)], data, 12.0)
         assert w.tolist() == [0.0]
 
     def test_survivor_gets_counterfactual_probability(self):
-        data = ObservedDataset(patients=(_obs(w=1),), follow_up=15.0)
+        data = observed_dataset((_obs(w=1),), 15.0)
         draw = _sparams(0.05, 0.1)
-        w = compute_weights([predict_s_mis(draw, p, 12.0) for p in data.patients], data, 12.0)
+        w = compute_weights([predict_s_mis(draw, p, 12.0) for p in patients(data)], data, 12.0)
         assert w[0] == pytest.approx(math.exp(-0.05 * 12))
 
     def test_zero_counterfactual_hazard_gives_weight_one(self):
-        data = ObservedDataset(patients=(_obs(w=1),), follow_up=15.0)
+        data = observed_dataset((_obs(w=1),), 15.0)
         draw = _sparams(1e-300, 0.1)
-        w = compute_weights([predict_s_mis(draw, p, 12.0) for p in data.patients], data, 12.0)
+        w = compute_weights([predict_s_mis(draw, p, 12.0) for p in patients(data)], data, 12.0)
         assert w[0] == pytest.approx(1.0)
 
     def test_missing_measurement_gets_zero(self):
-        data = ObservedDataset(
-            patients=(_obs(w=0, y_obs={3.0: -1.0}),), follow_up=15.0
-        )
+        data = observed_dataset((_obs(w=0, y_obs={3.0: -1.0}),), 15.0)
         draw = _sparams(0.05, 0.05)
-        w = compute_weights([predict_s_mis(draw, p, 12.0) for p in data.patients], data, 12.0)
+        w = compute_weights([predict_s_mis(draw, p, 12.0) for p in patients(data)], data, 12.0)
         assert w.tolist() == [0.0]
 
 
@@ -108,12 +104,13 @@ class TestFitLongitudinal:
             w = i % 2
             y = (-4.0 if w == 0 else -1.0) + 2.0 * x + rng.normal(0, 1.5)
             pats.append(_obs(id=i, w=w, y_obs={9.0: y}, x=(x,)))
-        data = ObservedDataset(patients=tuple(pats), follow_up=15.0)
+        data = observed_dataset(tuple(pats), 15.0)
         weights = rng.uniform(0.2, 1.0, size=len(data))
         flat = LongPriors(beta0_mean=0, beta0_sd=1e4, beta1_mean=0, beta1_sd=1e4, sigma_sd=1e4)
         post = fit_longitudinal(data, 9.0, weights, flat, McmcConfig(seed=11))
         for arm in (0, 1):
-            rows = [(p.x[0], p.y_obs[9.0], wi) for p, wi in zip(data.patients, weights) if p.w == arm]
+            rows = [(p.x[0], p.y_obs[9.0], wi) for p, wi in zip(patients(data), weights)
+                    if p.w == arm]
             X = np.array([[1.0, x] for x, _, _ in rows])
             y = np.array([v for _, v, _ in rows])
             wv = np.array([wi for _, _, wi in rows])
@@ -123,14 +120,14 @@ class TestFitLongitudinal:
 
     def test_zero_weight_arm_raises_with_arm_and_time(self):
         pats = [_obs(id=i, w=1, y_obs={6.0: -1.0}) for i in range(10)]
-        data = ObservedDataset(patients=tuple(pats), follow_up=15.0)
+        data = observed_dataset(tuple(pats), 15.0)
         with pytest.raises(LongitudinalFitError, match="arm 0.*t=6"):
             fit_longitudinal(data, 6.0, np.ones(10), LongPriors(), McmcConfig(seed=0))
 
     def test_positive_weight_on_unmeasured_patient_raises(self):
         pats = [_obs(id=i, w=i % 2, y_obs={6.0: -1.0}) for i in range(10)]
         pats[3] = _obs(id=3, w=1, y_obs={})
-        data = ObservedDataset(patients=tuple(pats), follow_up=15.0)
+        data = observed_dataset(tuple(pats), 15.0)
         with pytest.raises(ValueError, match="no measurement at t=6"):
             fit_longitudinal(data, 6.0, np.ones(10), LongPriors(), McmcConfig(seed=0))
 
@@ -260,12 +257,12 @@ class TestGriddySampler:
         mass = moment(0)
         mean = moment(1) / mass
         sd = math.sqrt(moment(2) / mass - mean**2)
-        data = ObservedDataset(
-            patients=tuple(
+        data = observed_dataset(
+            tuple(
                 _obs(id=i, w=int(arm[i]), y_obs={9.0: float(y[i])}, x=(float(x[i, 0]),))
                 for i in range(len(y))
             ),
-            follow_up=15.0,
+            15.0,
         )
         post = fit_longitudinal(data, 9.0, wgt, self.PRIORS, McmcConfig(samples=10_000, seed=3))
         k = post.n_draws
@@ -276,7 +273,7 @@ class TestGriddySampler:
     def test_sigma_mass_at_grid_end_is_refused(self):
         # noiseless outcomes: the sigma posterior piles up below the grid
         pats = [_obs(id=i, w=i % 2, y_obs={6.0: -2.0 + 0.5 * i}, x=(float(i),)) for i in range(40)]
-        data = ObservedDataset(patients=tuple(pats), follow_up=15.0)
+        data = observed_dataset(tuple(pats), 15.0)
         with pytest.raises(LongitudinalFitError, match=r"t=6.0 reaches the grid end at 0.01 "):
             fit_longitudinal(data, 6.0, np.ones(40), LongPriors(), McmcConfig(seed=1))
 
@@ -286,7 +283,7 @@ class TestGriddySampler:
         # seed or sample size can make the fit usable
         rng = np.random.default_rng(4)
         pats = [_obs(id=i, w=i % 2, y_obs={3.0: 1.0}, x=(rng.normal(),)) for i in range(40)]
-        data = ObservedDataset(patients=tuple(pats), follow_up=15.0)
+        data = observed_dataset(tuple(pats), 15.0)
         with pytest.raises(LongitudinalFitError, match=r"grid end at 0.01 \(0.1\d of its mass"):
             fit_longitudinal(data, 3.0, np.ones(40), LongPriors(), McmcConfig(seed=1))
         monkeypatch.setattr(longitudinal, "END_MASS_TOL", 0.5)
@@ -300,7 +297,7 @@ def test_intercept_prior_sensitivity_is_negligible_with_data():
     data = observe(simulate_science_table(params, seed=17))
     t = 6.0
     weights = np.array(
-        [1.0 if (p.alive_at(t) and t in p.y_obs) else 0.0 for p in data.patients]
+        [1.0 if (p.alive_at(t) and t in p.y_obs) else 0.0 for p in patients(data)]
     )
     posts = []
     for mean in (-2.0, -1.0):
@@ -334,7 +331,7 @@ def test_oracle_weights_recover_true_contrast():
         )
         # exact counterfactual survival probabilities from the generative law
         weights = np.zeros(len(data))
-        for i, p in enumerate(data.patients):
+        for i, p in enumerate(patients(data)):
             if p.alive_at(t) and t in p.y_obs:
                 scale = (params.th1_0 if p.w == 0 else params.th0_0) + p.x[0]
                 weights[i] = math.exp(-((t / scale) ** params.rho))

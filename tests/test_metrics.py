@@ -16,8 +16,7 @@ from tbd.metrics import (
     km_survival,
     mae_reconstruction,
 )
-from oracles import PatientTruth, records, science_table
-from tbd.science import ObservedColumns, ObservedDataset, ObservedPatient
+from oracles import ObservedRecord, PatientTruth, observed_dataset, records, science_table
 from tbd.simulate import get_scenario, observe, simulate_science_table
 
 
@@ -93,16 +92,17 @@ class TestMae:
 
 
 def _obs(id, t_obs, d_obs, w=0):
-    return ObservedPatient(
+    return ObservedRecord(
         id=id, x=(0.0,), w=w, t_obs=t_obs, d_obs=d_obs, y_obs={},
     )
 
 
-def _censored_at_random(patients):
-    """What the IPCW metrics read of a dataset, its columns, for patients
-    censored at times of their own. An ``ObservedDataset`` refuses them: it
-    censors only at its one follow-up."""
-    return SimpleNamespace(columns=ObservedColumns(tuple(patients)))
+def _censored_at_random(rows):
+    """What the IPCW metrics read of a dataset, its ``t_obs`` and ``d_obs``
+    columns, for patients censored at times of their own. An
+    ``ObservedDataset`` refuses them: it censors only at its one follow-up."""
+    return SimpleNamespace(t_obs=np.array([p.t_obs for p in rows]),
+                           d_obs=np.array([p.d_obs for p in rows]))
 
 
 class TestKaplanMeier:
@@ -151,15 +151,15 @@ class TestKaplanMeier:
 
 class TestBrier:
     def test_oracle_step_predictions_score_zero(self):
-        patients = [_obs(i, t, 1) for i, t in enumerate([2.0, 5.0, 9.0, 13.0])]
-        data = ObservedDataset(patients=tuple(patients), follow_up=20.0)
+        pats = [_obs(i, t, 1) for i, t in enumerate([2.0, 5.0, 9.0, 13.0])]
+        data = observed_dataset(tuple(pats), 20.0)
         grid = np.array([1.0, 4.0, 8.0, 12.0])
-        pred = np.array([[1.0 if p.t_obs > g else 0.0 for g in grid] for p in data.patients])
+        pred = np.array([[1.0 if p.t_obs > g else 0.0 for g in grid] for p in pats])
         assert ibs(pred, data, grid) == 0.0
 
     def test_constant_half_prediction_scores_quarter(self):
-        patients = [_obs(i, t, 1) for i, t in enumerate([2.0, 5.0, 9.0, 13.0])]
-        data = ObservedDataset(patients=tuple(patients), follow_up=20.0)
+        pats = [_obs(i, t, 1) for i, t in enumerate([2.0, 5.0, 9.0, 13.0])]
+        data = observed_dataset(tuple(pats), 20.0)
         grid = np.array([1.0, 4.0, 8.0, 12.0])
         pred = np.full((4, 4), 0.5)
         scores = brier_scores(pred, data, grid)
@@ -172,19 +172,19 @@ class TestBrier:
         n = 150
         raw = rng.weibull(1.5, size=n) * 10
         cens = rng.uniform(2, 15, size=n)
-        patients = []
+        pats = []
         for i in range(n):
             t_obs = min(raw[i], cens[i])
             d = int(raw[i] <= cens[i])
-            patients.append(
-                ObservedPatient(id=i, x=(0.0,), w=0, t_obs=t_obs, d_obs=d, y_obs={})
+            pats.append(
+                ObservedRecord(id=i, x=(0.0,), w=0, t_obs=t_obs, d_obs=d, y_obs={})
             )
-        data = _censored_at_random(patients)
+        data = _censored_at_random(pats)
         grid = np.array([2.0, 4.0, 6.0])
         pred = rng.uniform(0.2, 0.95, size=(n, 3))
 
-        times = np.array([p.t_obs for p in patients])
-        events = np.array([p.d_obs for p in patients])
+        times = np.array([p.t_obs for p in pats])
+        events = np.array([p.d_obs for p in pats])
         g = km_survival(times, 1 - events)
         expected = []
         for k, tau in enumerate(grid):
@@ -198,8 +198,8 @@ class TestBrier:
         assert np.allclose(brier_scores(pred, data, grid), expected)
 
     def test_degenerate_late_grid_truncated_with_warning(self):
-        patients = [_obs(0, 5.0, 1), _obs(1, 6.0, 0), _obs(2, 7.0, 1, w=1)]
-        data = _censored_at_random(patients)
+        pats = [_obs(0, 5.0, 1), _obs(1, 6.0, 0), _obs(2, 7.0, 1, w=1)]
+        data = _censored_at_random(pats)
         grid = np.array([4.0, 8.0])  # past the last censoring time G hits 0
         pred = np.full((3, 2), 0.5)
         with pytest.warns(UserWarning, match="truncated"):
@@ -211,8 +211,8 @@ class TestCdAuc:
     def test_perfect_risk_ordering_scores_one(self):
         rng = np.random.default_rng(1)
         times = rng.uniform(1, 14, size=200)
-        patients = tuple(_obs(i, t, 1) for i, t in enumerate(times))
-        data = ObservedDataset(patients=patients, follow_up=20.0)
+        pats = tuple(_obs(i, t, 1) for i, t in enumerate(times))
+        data = observed_dataset(pats, 20.0)
         risk = -times  # earlier death = higher risk
         assert cdauc(risk, data, np.array([3.0, 6.0, 9.0])) == pytest.approx(1.0)
 
@@ -220,8 +220,8 @@ class TestCdAuc:
         rng = np.random.default_rng(2)
         n = 10_000
         times = rng.uniform(1, 14, size=n)
-        patients = tuple(_obs(i, t, 1) for i, t in enumerate(times))
-        data = ObservedDataset(patients=patients, follow_up=20.0)
+        pats = tuple(_obs(i, t, 1) for i, t in enumerate(times))
+        data = observed_dataset(pats, 20.0)
         risk = rng.normal(size=n)
         assert cdauc(risk, data, np.array([3.0, 6.0, 9.0])) == pytest.approx(0.5, abs=0.02)
 
@@ -229,13 +229,13 @@ class TestCdAuc:
         rng = np.random.default_rng(3)
         n = 300
         times = rng.uniform(1, 14, size=n)
-        patients = tuple(_obs(i, t, int(rng.uniform() < 0.8)) if rng.uniform() < 0.9
-                         else _obs(i, t, 0) for i, t in enumerate(times))
+        pats = tuple(_obs(i, t, int(rng.uniform() < 0.8)) if rng.uniform() < 0.9
+                     else _obs(i, t, 0) for i, t in enumerate(times))
         # rebuild with consistent censoring flags
         pats = []
         for i, t in enumerate(times):
             d = int(rng.uniform() < 0.8)
-            pats.append(ObservedPatient(id=i, x=(0.0,), w=0, t_obs=t, d_obs=d, y_obs={}))
+            pats.append(ObservedRecord(id=i, x=(0.0,), w=0, t_obs=t, d_obs=d, y_obs={}))
         data = _censored_at_random(pats)
         risk = rng.normal(size=n)
         a = cdauc(risk, data, np.array([4.0, 8.0]))
@@ -250,7 +250,7 @@ class TestCdAuc:
         for i in range(n):
             t = rng.uniform(1, 14)
             d = int(rng.uniform() < 0.7)
-            pats.append(ObservedPatient(id=i, x=(0.0,), w=0, t_obs=t, d_obs=d, y_obs={}))
+            pats.append(ObservedRecord(id=i, x=(0.0,), w=0, t_obs=t, d_obs=d, y_obs={}))
         data = _censored_at_random(pats)
         risk = rng.normal(size=n)
         if tied:
@@ -278,7 +278,7 @@ class TestCdAuc:
 
     def test_times_without_events_skipped_with_warning(self):
         pats = tuple(_obs(i, t, 1) for i, t in enumerate([5.0, 6.0, 9.0, 12.0]))
-        data = ObservedDataset(patients=pats, follow_up=20.0)
+        data = observed_dataset(pats, 20.0)
         with pytest.warns(UserWarning, match="skipped"):
             val = cdauc(np.array([4.0, 3.0, 2.0, 1.0]), data, np.array([1.0, 7.0]))
         assert 0.0 <= val <= 1.0

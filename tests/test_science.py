@@ -14,14 +14,20 @@ from hypothesis import strategies as st
 
 from oracles import (
     CompositeOutcome,
+    ObservedRecord,
     PatientTruth,
     Stratum,
+    assert_same_columns,
     classify_stratum,
     composite_metric,
     composite_order,
     full_row_mass_median,
     observed_composite,
+    observed_dataset,
+    observed_records,
+    patients,
     potential_composite,
+    records,
     science_table,
 )
 from tbd.codec import DecodeError, decode, encode
@@ -180,6 +186,17 @@ def _columns(**kwargs):
     return {**cols, **kwargs}
 
 
+def _observed_columns(**kwargs):
+    """The columns of a three-patient dataset at visits 3, 6 and 15: a death
+    at month 6, measured there too, a censored patient and a death at 9.5;
+    ``kwargs`` replace some."""
+    nan = math.nan
+    cols = dict(id=[0, 1, 2], x=[[0.5], [-1.0], [0.0]], w=[1, 0, 0], t_obs=[6.0, 15.0, 9.5],
+                d_obs=[1, 0, 1], y=[[-3.0, -6.0, nan], [-1.0, nan, -2.0], [1.0, 2.0, nan]],
+                follow_up=15.0, visit_times=(3.0, 6.0, 15.0))
+    return {**cols, **kwargs}
+
+
 class TestDataModel:
     def test_trajectory_after_death_rejected(self):
         with pytest.raises(InvariantError):  # dies at 4 under control
@@ -216,21 +233,81 @@ class TestDataModel:
         with pytest.raises(InvariantError, match=re.escape(refused)):
             ScienceTable(**_columns(**change))
 
+    @pytest.mark.parametrize("change, refused", [
+        (dict(w=[1, 2, 0]), "treatment w must be 0 or 1, got 2"),
+        (dict(w=[1, 0, 0.5]), "treatment w must be 0 or 1, got 0.5"),
+        (dict(d_obs=[1, 0, 3]), "d_obs must be 0 or 1, got 3"),
+        (dict(t_obs=[6.0, 15.0, -1.0]), "t_obs must be positive and finite, got -1.0"),
+        (dict(t_obs=[math.nan, 15.0, 9.5]), "t_obs must be positive and finite, got nan"),
+        (dict(t_obs=[6.0, 15.0, 40.0]), "death at t_obs 40.0 after follow-up 15.0"),
+        (dict(t_obs=[6.0, 10.0, 9.5], y=[[-3.0, -6.0, math.nan], [-1.0, math.nan, math.nan],
+                                         [1.0, 2.0, math.nan]]),
+         "censored patients must carry t_obs = follow_up"),
+        (dict(y=[[-3.0, -6.0, math.nan], [-1.0, math.nan, -2.0], [1.0, 2.0, 3.0]]),
+         "y_obs has a value at month 15.0 after death at 9.5"),
+        (dict(y=[[-3.0, -6.0, math.nan], [-1.0, math.inf, -2.0], [1.0, 2.0, math.nan]]),
+         "y_obs has a non-finite value at month 6.0"),
+        (dict(follow_up=0.0), "follow_up must be positive and finite, got 0.0"),
+        (dict(follow_up=math.inf), "follow_up must be positive and finite, got inf"),
+        (dict(visit_times=(3.0, 3.0, 15.0)), "visit times must be finite, strictly increasing"),
+        (dict(x=np.zeros((3, 0))), "covariate vectors must hold at least one covariate, got 0"),
+        (dict(x=[0.5, -1.0, 0.0]), "got {'x': (3,)"),
+        (dict(t_obs=[6.0, 15.0]), "'t_obs': (2,)"),
+        (dict(id=[0, 1]), "'id': (2,)"),
+        (dict(y=[[-3.0], [-1.0], [1.0]]), "(n, 3 visits); got {"),
+    ], ids=["arm-2", "arm-half", "d-obs-3", "negative-time", "nan-time", "death-after-follow-up",
+            "censored-early", "score-after-death", "infinite-score", "zero-follow-up",
+            "infinite-follow-up", "repeated-visit", "no-covariates", "x-not-a-matrix",
+            "short-column", "short-ids", "too-few-visits"])
+    def test_observed_constructor_refuses(self, change, refused):
+        with pytest.raises(InvariantError, match=re.escape(refused)):
+            ObservedDataset(**_observed_columns(**change))
+
+    def test_observed_columns_are_read_only(self):
+        data = ObservedDataset(**_observed_columns())
+        assert len(data) == 3
+        assert [getattr(data, c).dtype.kind for c in ("id", "w", "d_obs")] == ["i"] * 3
+        for name in ("id", "x", "w", "t_obs", "d_obs", "y"):
+            assert not getattr(data, name).flags.writeable, name
+        for t in (*data.visit_times, 7.5):
+            for name in ("alive", "measured", "y"):
+                assert not getattr(data.at(t), name).flags.writeable, (t, name)
+
+    @pytest.mark.parametrize("y_obs, refused", [
+        ({3.0: 1.0, 4.0: 2.0},
+         "patient 7 has a value at month 4.0, which is not a visit time [3.0, 6.0]"),
+        ({3.0: math.nan}, "y_obs has a non-finite value at month 3.0"),
+    ], ids=["non-visit-month", "nan-score"])
+    def test_records_are_refused_before_the_columns(self, y_obs, refused):
+        record = ObservedRecord(id=7, x=(0.0,), w=0, t_obs=15.0, d_obs=0, y_obs=y_obs)
+        with pytest.raises(InvariantError, match=re.escape(refused)):
+            observed_dataset([record], 15.0, (3.0, 6.0))
+
+    def test_a_score_at_the_month_of_death_is_kept_and_not_measured(self):
+        record = ObservedRecord(id=0, x=(0.0,), w=0, t_obs=6.0, d_obs=1, y_obs={3.0: 1.0, 6.0: 2.0})
+        data = observed_dataset([record], 15.0, (3.0, 6.0))
+        np.testing.assert_array_equal(data.y, [[1.0, 2.0]])
+        assert data.at(3.0).measured.tolist() == [True]
+        assert data.at(6.0).measured.tolist() == data.at(6.0).alive.tolist() == [False]
+        assert patients(observed_from_json(observed_to_json(data))) == (record,)
+
     def test_censored_patient_must_sit_at_follow_up(self):
-        patient = ObservedPatient(id=0, x=(0.0,), w=0, t_obs=10.0, d_obs=0, y_obs={})
+        patient = ObservedRecord(id=0, x=(0.0,), w=0, t_obs=10.0, d_obs=0, y_obs={})
         with pytest.raises(InvariantError, match="censored patients must carry t_obs = follow_up"):
-            ObservedDataset(patients=(patient,), follow_up=15.0)
+            observed_dataset([patient], 15.0)
 
     def test_alive_at_uses_strict_death_time(self):
-        p = ObservedPatient(
+        p = ObservedRecord(
             id=0, x=(0.0,), w=0, t_obs=9.0, d_obs=1, y_obs={3.0: -1.0}
         )
         assert p.alive_at(8.9)
         assert not p.alive_at(9.0)
         assert not p.alive_at(12.0)
+        data = observed_dataset([p], 15.0)
+        assert [data.at(t).alive[0] for t in (8.9, 9.0, 12.0)] == [True, False, False]
 
     def test_observed_composite_branches(self):
-        p = ObservedPatient(
+        p = ObservedRecord(
             id=0, x=(0.0,), w=1, t_obs=9.0, d_obs=1,
             y_obs={3.0: -1.0, 6.0: -2.0},
         )
@@ -243,28 +320,16 @@ class TestDataModel:
         assert potential_composite(p, 0, 6.0) == CompositeOutcome(y=None, t=4.0, d=1)
 
     def test_json_round_trip(self):
-        obs = ObservedDataset(
-            patients=(
-                ObservedPatient(
-                    id=0, x=(0.5,), w=1, t_obs=8.0, d_obs=1,
-                    y_obs={3.0: -3.0, 6.0: -6.0},
-                ),
-            ),
-            follow_up=15.0,
-            visit_times=(3.0, 6.0),
-        )
-        assert observed_from_json(observed_to_json(obs)) == obs
+        obs = observed_dataset(
+            [ObservedRecord(id=0, x=(0.5,), w=1, t_obs=8.0, d_obs=1, y_obs={3.0: -3.0, 6.0: -6.0})],
+            15.0, (3.0, 6.0))
+        assert_same_columns(observed_from_json(observed_to_json(obs)), obs)
 
     def test_json_visit_keys_are_decimal_month_strings(self):
-        obs = ObservedDataset(
-            patients=(
-                ObservedPatient(
-                    id=0, x=(0.0,), w=0, t_obs=15.0, d_obs=0,
-                    y_obs={3.0: -1.0, 4.5: -2.0},
-                ),
-            ),
-            follow_up=15.0,
-        )
+        obs = observed_dataset(
+            [ObservedRecord(id=0, x=(0.0,), w=0, t_obs=15.0, d_obs=0,
+                            y_obs={3.0: -1.0, 4.5: -2.0})],
+            15.0)
         doc = observed_to_json(obs)
         assert set(doc["patients"][0]["y_obs"]) == {"3", "4.5"}
 
@@ -276,16 +341,12 @@ class TestDataModel:
 
     def test_observed_file_text(self):
         # the whole format, pinned: the follow-up once at the top, none per patient
-        obs = ObservedDataset(
-            patients=(
-                ObservedPatient(id=0, x=(0.5, -1.0), w=1, t_obs=8.0, d_obs=1,
-                                y_obs={3.0: -3.0, 4.5: -4.25, 6.0: -6.0}),
-                ObservedPatient(id=1, x=(0.0, 2.0), w=0, t_obs=15.0, d_obs=0,
-                                y_obs={3.0: -1.5, 15.0: 2.0}),
-            ),
-            follow_up=15.0,
-            visit_times=(3.0, 4.5, 6.0, 15.0),
-        )
+        obs = observed_dataset([
+            ObservedRecord(id=0, x=(0.5, -1.0), w=1, t_obs=8.0, d_obs=1,
+                           y_obs={3.0: -3.0, 4.5: -4.25, 6.0: -6.0}),
+            ObservedRecord(id=1, x=(0.0, 2.0), w=0, t_obs=15.0, d_obs=0,
+                           y_obs={3.0: -1.5, 15.0: 2.0}),
+        ], 15.0, (3.0, 4.5, 6.0, 15.0))
         text = (
             '{"follow_up_months": 15.0, "patients": ['
             '{"d_obs": 1, "id": 0, "t_obs": 8.0, "w": 1, "x": [0.5, -1.0], '
@@ -295,7 +356,7 @@ class TestDataModel:
             '"visit_times": [3.0, 4.5, 6.0, 15.0]}'
         )
         assert json.dumps(observed_to_json(obs), sort_keys=True) == text
-        assert observed_from_json(json.loads(text)) == obs
+        assert_same_columns(observed_from_json(json.loads(text)), obs)
 
     def test_science_file_text(self):
         # ids are the row indices: the record's id 7 is not kept
@@ -421,31 +482,32 @@ class TestObservedColumns:
         from tbd.simulate import get_scenario, observe, simulate_science_table
 
         params = get_scenario("mixed").with_updates(n=60)
-        return observe(simulate_science_table(params, seed=5))
+        table = simulate_science_table(params, seed=5)
+        return observe(table), observed_records(records(table), table.follow_up)
 
     @pytest.mark.parametrize("handmade", [False, True])
     def test_same_arrays_as_per_patient_comprehensions(self, handmade):
         # handmade: a death exactly at a visit, a censored patient, and a
         # survivor missing a measurement
-        data = ObservedDataset(
-            patients=(
-                ObservedPatient(id=0, x=(0.5, 1.0), w=1, t_obs=6.0, d_obs=1,
-                                y_obs={3.0: -3.0, 6.0: -6.0}),
-                ObservedPatient(id=1, x=(-1.0, 0.0), w=0, t_obs=15.0, d_obs=0,
-                                y_obs={3.0: -1.0, 15.0: -2.0}),
-                ObservedPatient(id=2, x=(0.0, 2.0), w=0, t_obs=9.5, d_obs=1,
-                                y_obs={9.0: 1.5}),
-            ),
-            follow_up=15.0,
-            visit_times=(3.0, 6.0, 9.0, 15.0),
-        ) if handmade else self._data()
-        cols = data.columns
-        ps = data.patients
+        if handmade:
+            ps = (
+                ObservedRecord(id=0, x=(0.5, 1.0), w=1, t_obs=6.0, d_obs=1,
+                               y_obs={3.0: -3.0, 6.0: -6.0}),
+                ObservedRecord(id=1, x=(-1.0, 0.0), w=0, t_obs=15.0, d_obs=0,
+                               y_obs={3.0: -1.0, 15.0: -2.0}),
+                ObservedRecord(id=2, x=(0.0, 2.0), w=0, t_obs=9.5, d_obs=1,
+                               y_obs={9.0: 1.5}),
+            )
+            data = observed_dataset(ps, 15.0, (3.0, 6.0, 9.0, 15.0))
+        else:
+            data, ps = self._data()
         expected = {
+            "id": np.array([p.id for p in ps]),
             "w": np.array([p.w for p in ps]),
             "x": np.array([p.x for p in ps], dtype=float),
             "t_obs": np.array([p.t_obs for p in ps]),
             "d_obs": np.array([p.d_obs for p in ps]),
+            "y": np.array([[p.y_obs.get(t, np.nan) for t in data.visit_times] for p in ps]),
         }
         for t in (*data.visit_times, 7.5):  # 7.5: no patient has a value there
             expected[f"alive@{t}"] = np.array([p.alive_at(t) for p in ps])
@@ -453,19 +515,21 @@ class TestObservedColumns:
             expected[f"y@{t}"] = np.array([p.y_obs.get(t, np.nan) for p in ps])
         for key, want in expected.items():
             name, _, t = key.partition("@")
-            got = getattr(cols.at(float(t)), name) if t else getattr(cols, name)
+            got = getattr(data.at(float(t)), name) if t else getattr(data, name)
             assert got.dtype == want.dtype and got.shape == want.shape, key
             assert np.array_equal(got, want, equal_nan=True), key
             assert not got.flags.writeable, key
+        assert patients(data) == ps
 
     def test_built_once_and_left_out_of_json_and_equality(self):
-        data = self._data()
+        data, _ = self._data()
         doc = observed_to_json(data)
-        assert data.columns is data.columns
-        assert data.columns.at(6.0) is data.columns.at(6.0)
+        assert data.at(6.0) is data.at(6.0)
         assert observed_to_json(data) == doc
+        assert set(doc) == {"patients", "follow_up_months", "visit_times"}
         again = observed_from_json(doc)
-        assert again == data and "columns" not in again.__dict__
+        assert_same_columns(again, data)
+        assert again != data  # datasets compare by identity, not by value
 
 
 class TestCodecGate:

@@ -110,7 +110,7 @@ class TestObserve:
     def test_death_truncates_trajectory(self, scenarios):
         table = simulate_science_table(scenarios["mixed"], seed=13)
         data = observe(table)
-        for truth, obs in zip(records(table), data.patients):
+        for truth, obs in zip(records(table), oracles.patients(data)):
             td = truth.death_time(truth.w)
             if td <= 15.0:
                 assert obs.d_obs == 1 and obs.t_obs == td
@@ -126,7 +126,7 @@ class TestObserve:
         # a treated patient dying at month 8 carries visits 3 and 6 only
         table = simulate_science_table(scenarios["mixed"], seed=13)
         data = observe(table)
-        victims = [p for p in data.patients if p.d_obs == 1 and 6 < p.t_obs <= 9]
+        victims = [p for p in oracles.patients(data) if p.d_obs == 1 and 6 < p.t_obs <= 9]
         assert victims
         for p in victims:
             assert set(p.y_obs) == {3.0, 6.0}
@@ -340,8 +340,10 @@ class TestColumnsAgainstRecords:
         want = oracles.simulate_records(params, seed=n)
         file = params.follow_up, params.visit_times
         assert json.dumps(science_to_json(table), sort_keys=True) == json.dumps(
-            oracles.science_doc(want, *file), sort_keys=True)
-        data, want_data = observe(table), oracles.observe(want, *file)
-        assert data == want_data
-        assert json.dumps(observed_to_json(data)) == json.dumps(observed_to_json(want_data))
+            oracles.file_doc(want, *file), sort_keys=True)
+        data, want_obs = observe(table), oracles.observed_records(want, params.follow_up)
+        oracles.assert_same_columns(data, oracles.observe(want, *file))
+        assert json.dumps(observed_to_json(data), sort_keys=True) == json.dumps(
+            oracles.file_doc(want_obs, *file), sort_keys=True)
+        assert oracles.patients(data) == want_obs
         assert records(table) == want

@@ -239,9 +239,9 @@ def test_fit_posteriors_weights_every_visit_by_its_own_mean(monkeypatch):
     # the weights of all visits come from one s_mis_matrix traversal; each
     # must have the bits of the one-visit mean at its visit
     data = observe(simulate_science_table(get_scenario("mixed"), seed=3))
-    times, cols = data.visit_times, data.columns
-    assert np.any((cols.d_obs == 1) & (cols.t_obs > times[0]) & (cols.t_obs < times[-1])
-                  & ~np.isin(cols.t_obs, times))  # deaths between visits
+    times = data.visit_times
+    assert np.any((data.d_obs == 1) & (data.t_obs > times[0]) & (data.t_obs < times[-1])
+                  & ~np.isin(data.t_obs, times))  # deaths between visits
     k = 2 * S_MIS_BLOCK + 40
     rng = np.random.default_rng(4)
     spost = SurvivalPosterior(

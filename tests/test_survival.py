@@ -10,7 +10,10 @@ import pytest
 from scipy import integrate
 
 from oracles import (
+    ObservedRecord,
     SurvivalParams,
+    observed_dataset,
+    patients,
     predict_s_mis,
     rmst_integral,
     survival_draw,
@@ -19,7 +22,6 @@ from oracles import (
     untiled_s_mis_matrix,
 )
 from tbd.mcmc import McmcConfig
-from tbd.science import ObservedDataset, ObservedPatient
 from tbd.simulate import get_scenario, observe, simulate_science_table
 from tbd.survival import (
     S_MIS_BLOCK,
@@ -36,11 +38,11 @@ GRID = HazardGrid(cutpoints=(0.0, 3.0, 6.0, 9.0, 12.0, 15.0))
 
 
 def _patient(t_obs, d_obs, w=0, x=(0.0,)):
-    return ObservedPatient(id=0, x=x, w=w, t_obs=t_obs, d_obs=d_obs, y_obs={})
+    return ObservedRecord(id=0, x=x, w=w, t_obs=t_obs, d_obs=d_obs, y_obs={})
 
 
-def _dataset(patients):
-    return ObservedDataset(patients=tuple(patients), follow_up=15.0)
+def _dataset(records):
+    return observed_dataset(records, 15.0)
 
 
 def _params(lam0, lam1=None, a0=0.0, a1=0.0, grid=GRID):
@@ -76,7 +78,7 @@ class TestPoissonExpand:
         grid = default_grid(15.0)
         for w in (0, 1):
             arm = _arm(data, grid, w)
-            pats = [p for p in data.patients if p.w == w]
+            pats = [p for p in patients(data) if p.w == w]
             assert arm.overlap.sum() == pytest.approx(sum(p.t_obs for p in pats))
             assert arm.events.sum() == sum(p.d_obs for p in pats)
             assert arm.sum_dx == pytest.approx(sum(p.x[0] for p in pats if p.d_obs == 1))
@@ -101,7 +103,7 @@ def _exposure_and_deaths(data, grid, w, j):
     """Arm w's total exposure and death count in segment j, by a plain loop."""
     lo, hi = grid.cutpoints[j], grid.cutpoints[j + 1]
     exposure = deaths = 0
-    for p in data.patients:
+    for p in patients(data):
         if p.w == w:
             exposure += max(0.0, min(p.t_obs, hi) - lo)
             deaths += p.d_obs == 1 and lo < p.t_obs <= hi
@@ -216,10 +218,10 @@ class TestSMisMatrix:
         matrix = post.s_mis_matrix(self.data, t, np.arange(k))
         assert matrix.shape == (k, len(self.data))
         # dead patients are evaluated at their death time, not at t
-        assert any(p.d_obs == 1 and p.t_obs <= t for p in self.data.patients)
+        assert any(p.d_obs == 1 and p.t_obs <= t for p in patients(self.data))
         for kk in range(k):
             params = survival_draw(post, kk)
-            for i, p in enumerate(self.data.patients):
+            for i, p in enumerate(patients(self.data)):
                 assert matrix[kk, i] == pytest.approx(predict_s_mis(params, p, t), abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, S_MIS_BLOCK + 1, 2 * S_MIS_BLOCK - 1])
@@ -227,9 +229,7 @@ class TestSMisMatrix:
     def test_mean_over_all_draws(self, k, one_arm):
         data = self.data
         if one_arm:  # nobody's counterfactual arm is 0: that group is empty
-            data = ObservedDataset(
-                patients=tuple(replace(p, w=0) for p in data.patients), follow_up=data.follow_up
-            )
+            data = replace(data, w=np.zeros_like(data.w))
         post = _random_posterior(k, seed=k)
         for t in (3.0, 9.0, 15.0):
             mean = post.s_mis_matrix(data, t)
@@ -240,10 +240,10 @@ class TestSMisMatrix:
     def test_visit_sequence_stacks_one_visit_results(self):
         k = 2 * S_MIS_BLOCK + 40  # two full blocks and a partial third
         post = _random_posterior(k, seed=2)
-        times, cols = self.data.visit_times, self.data.columns
+        data, times = self.data, self.data.visit_times
         # deaths between visits give a patient a different horizon at each visit
-        assert np.any((cols.d_obs == 1) & (cols.t_obs > times[0]) & (cols.t_obs < times[-1])
-                      & ~np.isin(cols.t_obs, times))
+        assert np.any((data.d_obs == 1) & (data.t_obs > times[0]) & (data.t_obs < times[-1])
+                      & ~np.isin(data.t_obs, times))
         means = post.s_mis_matrix(self.data, times)
         assert means.shape == (len(times), len(self.data))
         assert np.array_equal(means, np.stack([post.s_mis_matrix(self.data, t) for t in times]))
@@ -260,7 +260,7 @@ class TestSMisMatrix:
         months = np.arange(2.0, 15.0)
         got = post.assigned_survival(self.data, months)
         assert got.shape == (len(self.data), len(months))
-        for i, p in enumerate(self.data.patients):
+        for i, p in enumerate(patients(self.data)):
             want = [survival_prob(means, p.x, p.w, m) for m in months]
             np.testing.assert_allclose(got[i], want, rtol=1e-12)
 
@@ -281,13 +281,13 @@ def _arms_dataset(n_treated, n_control, seed):
     over the follow-up gives patients different horizons."""
     rng = np.random.default_rng(seed)
     arms = rng.permutation(np.repeat([1, 0], [n_treated, n_control]))
-    patients = []
+    records = []
     for i, w in enumerate(arms):
         died = bool(rng.uniform() < 0.4)
         t_obs = float(rng.uniform(0.5, 15.0)) if died else 15.0
-        patients.append(ObservedPatient(id=i, x=(float(rng.normal()),), w=int(w), t_obs=t_obs,
-                                        d_obs=int(died), y_obs={}))
-    return _dataset(patients)
+        records.append(ObservedRecord(id=i, x=(float(rng.normal()),), w=int(w), t_obs=t_obs,
+                                      d_obs=int(died), y_obs={}))
+    return _dataset(records)
 
 
 class TestPatientTiles:
@@ -315,9 +315,8 @@ class TestPatientTiles:
 
     @staticmethod
     def _check(got, want, data):
-        cols = data.columns
         # a patient's unassigned arm is evaluated with every patient of its assigned arm
-        one_tile = np.bincount(cols.w, minlength=2)[cols.w] <= S_MIS_TILE
+        one_tile = np.bincount(data.w, minlength=2)[data.w] <= S_MIS_TILE
         assert got.shape == want.shape
         assert np.array_equal(got[..., one_tile], want[..., one_tile])
         assert not np.any(np.signbit(got) ^ np.signbit(want))
@@ -327,7 +326,7 @@ class TestPatientTiles:
         data, post = case
         idx = np.arange(self.K)
         tiles = [(sel, rows) for sel, rows, _, _ in post._unassigned_blocks(data, idx)]
-        w = data.columns.w
+        w = data.w
         for arm, start in itertools.product((0, 1), range(0, self.K, S_MIS_BLOCK)):
             mine = [sel for sel, rows in tiles if rows.start == start and (w[sel] != arm).all()]
             members = np.flatnonzero(w != arm)
@@ -370,16 +369,7 @@ class TestPatientTiles:
 class TestFitSurvival:
     def test_conjugate_oracle_single_segment_no_covariates(self):
         data = observe(simulate_science_table(get_scenario("no_effect"), seed=1))
-        stripped = ObservedDataset(
-            patients=tuple(
-                ObservedPatient(
-                    id=p.id, x=(0.0,), w=p.w, t_obs=p.t_obs, d_obs=p.d_obs,
-                    y_obs=p.y_obs,
-                )
-                for p in data.patients
-            ),
-            follow_up=data.follow_up,
-        )
+        stripped = replace(data, x=np.zeros_like(data.x))
         grid = HazardGrid((0.0, 15.0))
         priors = SurvivalPriors(lambda_mean=0.035, lambda_sd=10.0, alpha_sd=1e-6)
         post = fit_survival(stripped, grid, priors, McmcConfig(seed=41))
@@ -391,7 +381,7 @@ class TestFitSurvival:
             assert lam[:, 0].std() == pytest.approx(math.sqrt(shape) / rate, rel=0.05)
 
     def test_prior_only_fit_recovers_prior(self):
-        empty = ObservedDataset(patients=(), follow_up=15.0)
+        empty = observed_dataset([], 15.0)
         priors = SurvivalPriors()
         post = fit_survival(empty, HazardGrid((0.0, 15.0)), priors, McmcConfig(seed=4))
         assert post.lambda0[:, 0].mean() == pytest.approx(priors.lambda_mean, rel=0.05)
@@ -415,10 +405,8 @@ class TestFitSurvival:
         data = observe(
             simulate_science_table(get_scenario("no_effect").with_updates(n=100), seed=3)
         )
-        twins = ObservedDataset(
-            patients=tuple(replace(p, w=w) for p in data.patients for w in (0, 1)),
-            follow_up=data.follow_up,
-        )
+        twins = observed_dataset([replace(p, w=w) for p in patients(data) for w in (0, 1)],
+                                 data.follow_up, data.visit_times)
         post = fit_survival(twins, default_grid(15.0), SurvivalPriors(), McmcConfig(seed=5))
         assert not np.array_equal(post.alpha0, post.alpha1)
         assert not np.array_equal(post.lambda0, post.lambda1)
@@ -430,10 +418,7 @@ class TestFitSurvival:
         # with x = 0 the rates do not depend on alpha, so each segment's
         # posterior is exactly Gamma(a + d_j, b + E_j)
         data = observe(simulate_science_table(get_scenario("mixed"), seed=8))
-        stripped = ObservedDataset(
-            patients=tuple(replace(p, x=(0.0,)) for p in data.patients),
-            follow_up=data.follow_up,
-        )
+        stripped = replace(data, x=np.zeros_like(data.x))
         grid = default_grid(15.0)
         priors = SurvivalPriors(lambda_mean=0.035, lambda_sd=0.035)
         post = fit_survival(stripped, grid, priors, McmcConfig(samples=5000, seed=12))
