@@ -88,7 +88,7 @@ def wmw(data: ObservedDataset, t: float) -> float | None:
     data.check_measured(t)
     at = data.at(t)
     treated, control = data.w == 1, data.w == 0
-    n1, n0 = int(treated.sum()), int(control.sum())
+    n1, n0 = int(np.count_nonzero(treated)), int(np.count_nonzero(control))
     if not n1 or not n0:
         return None
     alive, dead = at.alive, ~at.alive
@@ -180,12 +180,13 @@ def summaries_of(rows) -> list[EstimandSummary]:
     if rows.shape[1] == 0:
         raise ValueError("no draws to summarize")
     finite = np.isfinite(rows)
-    counts = finite.sum(axis=1)
+    counts = np.count_nonzero(finite, axis=1)
     quantiles = np.empty((len(rows), len(_QUANTILES)))
-    for n in np.unique(counts[counts > 0]).tolist():
+    for n in sorted(set(counts.tolist()) - {0}):
         group = np.flatnonzero(counts == n)
         # each row's finite draws, in order
-        values = rows[group][finite[group]].reshape(len(group), n)
+        values = (rows[group] if n == rows.shape[1]
+                  else rows[group][finite[group]].reshape(len(group), n))
         kth, lower, upper, gamma = _linear_order_statistics(n)
         values.partition(kth, axis=1)
         a, b = values[:, lower], values[:, upper]

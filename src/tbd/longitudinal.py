@@ -45,14 +45,18 @@ class LongPriors:
             raise ValueError("prior sds must be positive")
 
 
-def compute_weights(s_mis, data: ObservedDataset, t: float) -> np.ndarray:
+def compute_weights(s_mis, data: ObservedDataset, t) -> np.ndarray:
     """Always-survivor membership probabilities p_{i,t}.
 
     ``s_mis`` holds each patient's counterfactual survival probability at t
-    (from one survival draw or the posterior mean). The weight is that
-    probability for patients alive and measured at t, and zero otherwise.
+    (from one survival draw, or the posterior mean, which is NaN for the
+    patients dead at t). The weight is that probability for patients alive
+    and measured at t, and zero otherwise. A sequence of times ``t`` takes
+    ``s_mis`` with a leading axis of its length, as ``s_mis_matrix`` gives
+    it, and gives every time's weights from one ``np.where``.
     """
-    return np.where(data.at(t).measured, s_mis, 0.0)
+    measured = [data.at(month).measured for month in np.atleast_1d(t)]
+    return np.where(measured if np.ndim(t) else measured[0], s_mis, 0.0)
 
 
 def counterfactual_mean(beta0, beta1, x, w) -> np.ndarray:

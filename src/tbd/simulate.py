@@ -65,14 +65,11 @@ class ScenarioParams:
     n: int
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ScenarioError("sigma must be positive")
-        if self.rho <= 0:
-            raise ScenarioError("rho must be positive")
+        for name in ("sigma", "rho", "follow_up"):
+            if not (math.isfinite(value := getattr(self, name)) and value > 0):
+                raise ScenarioError(f"{name} must be positive and finite, got {value}")
         if self.n <= 0:
             raise ScenarioError("n must be positive")
-        if self.follow_up <= 0:
-            raise ScenarioError("follow_up must be positive")
         check_visit_times(self.visit_times, self.follow_up, ScenarioError)
 
     def with_updates(self, **kwargs) -> "ScenarioParams":

@@ -195,8 +195,7 @@ def fit_posteriors(data, config: StudyConfig, *seed_parts) -> Posteriors:
     spost, serr = _fit_with_retry(
         lambda c: fit_survival(data, grid, config.survival_priors, c), cfgs[0])
     fits = Posteriors(survival=spost, survival_failure=serr, longitudinal={}, failures={})
-    s_mis = spost.s_mis_matrix(data, visits)
-    weights = [compute_weights(s_mis_t, data, t) for s_mis_t, t in zip(s_mis, visits)]
+    weights = compute_weights(spost.s_mis_matrix(data, visits), data, visits)
     for t, weights_t, cfg in zip(visits, weights, cfgs[1:]):
         try:
             lpost, lerr = _fit_with_retry(
@@ -278,7 +277,7 @@ def run_cell(config: StudyConfig, scenario: ScenarioParams, replicate: int) -> C
                                for name, summary in visit.summaries.items()},
                 naive=visit.naive,
                 wmw=visit.wmw,
-                death_pct=100.0 * float(np.mean(~data.at(t).alive)),
+                death_pct=100.0 * float(np.count_nonzero(~data.at(t).alive) / len(data)),
                 mae=mae,
                 failed=failure is not None,
                 failure=None if failure is None else f"longitudinal fit: {failure}",

@@ -7,14 +7,15 @@ The hazard for a patient with covariates x under arm w is
 restricted-mean integrals have closed forms under piecewise-constant
 hazards. Both are evaluated under each patient's unassigned arm by one
 traversal of the posterior draws (``s_mis_matrix``, ``rmst_matrix``) and
-checked against quadrature in the test suite. The traversal takes blocks
-of draws and, within a block, tiles of patients, so each (block x tile)
-array stays in cache and each matrix product is too small to wake a second
-BLAS thread. No kernel builds an array with a segment axis: the survival
-mean serves every visit time from one traversal, computing each tile's
-covariate scales once, and the restricted mean computes each segment's term
-once per block, shared by every visit. Beyond the last cutpoint the final
-segment rate is extended.
+checked against quadrature in the test suite. The traversal takes tiles of
+patients and within a tile blocks of draws, so each (block x tile) array
+stays in cache and each matrix product is too small to wake a second BLAS
+thread. No kernel builds an array with a segment axis: the survival mean
+serves every visit time from one traversal, computing each block's
+covariate scales once, and evaluates only the patients alive at each time,
+a prefix of each tile when the tiles are cut in death order; the restricted
+mean computes each segment's term once per block, shared by every visit.
+Beyond the last cutpoint the final segment rate is extended.
 
 The posterior is sampled collapsed: with the Gamma-prior segment rates
 integrated out, alpha has a concave log marginal, sampled by independence
@@ -129,6 +130,14 @@ def draw_blocks(k: int):
     return (slice(start, start + S_MIS_BLOCK) for start in range(0, k, S_MIS_BLOCK))
 
 
+def _scaled_blocks(blocks, x_t: np.ndarray):
+    """Each of ``blocks`` (rows, segment rates, covariate effects) with
+    the covariate scales exp(alpha . x) of the columns of ``x_t`` in place
+    of its effects, computed block by block."""
+    for rows, lam, alpha in blocks:
+        yield rows, lam, np.exp(alpha @ x_t)
+
+
 def _add(a, b):
     """a + b in a new array; None stands for an exact zero."""
     if a is None or b is None:
@@ -233,64 +242,82 @@ class SurvivalPosterior:
         """Evenly spaced draw indices for pairing with another posterior."""
         return mcmc.even_indices(self.n_draws, k)
 
-    def _unassigned_blocks(self, data: ObservedDataset, idx: np.ndarray):
-        """The counterfactual hazards, arm by arm, ``S_MIS_BLOCK`` draws of
-        ``idx`` at a time, and within a block tile by tile of the patients
-        whose unassigned arm it is. Yields a tile's patients (``sel``), the
-        block's rows within ``idx``, its segment rates (B, J) and each
-        patient's covariate scale exp(alpha . x) (B, len(sel)).
+    def _unassigned_tiles(self, data: ObservedDataset, idx: np.ndarray, by_death: bool = False):
+        """The counterfactual hazards, tile by tile of the patients whose
+        unassigned arm it is, and within a tile ``S_MIS_BLOCK`` draws of
+        ``idx`` at a time. Yields a tile's patients (``sel``) with an
+        iterator over its blocks: each block's rows within ``idx``, its
+        segment rates (B, J) and each patient's covariate scale
+        exp(alpha . x) (B, len(sel)).
 
-        An arm's patients are split into tiles of equal size, up to one,
-        of at most ``S_MIS_TILE``, so no tile holds a single patient unless
-        the arm does: a one-column product and column sum take other code
-        paths (matrix-vector product, pairwise sum) than a wider one. The
-        values keep the bits of one product over the whole arm wherever BLAS
-        computes a column of a wide product as it does in a narrow one;
-        OpenBLAS rounds the last (size mod 8) columns of a product over more
-        than 192 patients differently, by a few ulp after the exponential."""
+        An arm's patients are taken in index order, or with ``by_death`` in
+        death order: censored patients first, then deaths, latest first,
+        ties in index order, so the patients alive at any time are a prefix
+        of each tile. (Scattering a tile into a (draws x patients) array
+        runs faster in index order.) The arm is split into tiles of equal
+        size, up to one, of at most ``S_MIS_TILE``, so no tile holds a
+        single patient unless the arm does: a one-column product and column
+        sum take other code paths (matrix-vector product, pairwise sum) than
+        a wider one. The values keep the bits of one product over the whole
+        arm wherever BLAS computes a column of a wide product as it does in
+        a narrow one, whatever the column's neighbours; OpenBLAS rounds the
+        last (size mod 8) columns of a product over more than 192 patients
+        differently, by a few ulp after the exponential."""
+        order = (np.argsort(np.where(data.d_obs == 1, -data.t_obs, -np.inf), kind="stable")
+                 if by_death else np.arange(len(data)))
         for arm, lam, alpha in ((0, self.lambda0, self.alpha0), (1, self.lambda1, self.alpha1)):
-            sel_arm = np.flatnonzero(data.w != arm)
-            tiles = [(sel, data.x[sel].T) for sel in
-                     np.array_split(sel_arm, max(1, -(-len(sel_arm) // S_MIS_TILE)))]
-            for rows in draw_blocks(len(idx)):
-                block = idx[rows]
-                lam_b, alpha_b = lam[block], alpha[block]
-                for sel, x_t in tiles:
-                    yield sel, rows, lam_b, np.exp(alpha_b @ x_t)
+            sel_arm = order[data.w[order] != arm]
+            blocks = [(rows, lam[idx[rows]], alpha[idx[rows]]) for rows in draw_blocks(len(idx))]
+            for sel in np.array_split(sel_arm, max(1, -(-len(sel_arm) // S_MIS_TILE))):
+                yield sel, _scaled_blocks(blocks, data.x[sel].T)
 
     def s_mis_matrix(self, data: ObservedDataset, t, indices=None) -> np.ndarray:
-        """Counterfactual survival probabilities under each patient's unassigned arm,
-        at t for patients alive at t and at the death time for the others.
+        """Counterfactual survival probabilities under each patient's unassigned arm.
 
-        With ``indices``, one row per listed draw: shape (len(indices), patients).
-        With ``indices=None``, the mean over every posterior draw: shape
-        (patients,), the always-survivor weights' input, summed block by
-        block, so it builds no temporary of shape (draws, patients). A
+        With ``indices``, one row per listed draw: shape (len(indices),
+        patients), at t for patients alive at t and at the death time for
+        the others. With ``indices=None``, the mean over every posterior
+        draw: shape (patients,), the always-survivor weights' input, summed
+        block by block, so it builds no temporary of shape (draws,
+        patients). The mean is evaluated only for the patients alive at t,
+        a prefix of each tile in death order, and is NaN for the others. A
         sequence of times ``t`` adds a leading axis of its length, and each
         block's covariate scales exp(alpha . x) then serve all the times:
         ``fit_posteriors`` takes every visit's weights from one call. Each
-        time's result has the bits of a call at that time alone.
+        time's result has the bits of a call at that time alone, and each
+        value the bits it has when every patient is evaluated.
         """
         idx = np.arange(self.n_draws) if indices is None else np.asarray(indices)
         times = np.atleast_1d(np.asarray(t, dtype=float))[:, None]  # (T, 1)
-        horizon = np.where((data.d_obs == 1) & (data.t_obs <= times), data.t_obs, times)
-        overlaps = self.grid.overlaps(horizon)  # (T, n, J)
+        dead = (data.d_obs == 1) & (data.t_obs <= times)  # (T, n)
+        overlaps = self.grid.overlaps(np.where(dead, data.t_obs, times))  # (T, n, J)
         if indices is None:
             out = np.zeros((len(times), len(data)))
         else:
             out = np.empty((len(times), len(idx), len(data)))
-        for sel, rows, lam, scale in self._unassigned_blocks(data, idx):
-            neg_scale = -scale  # -(a * b) is a * -b, bit for bit
-            for ov, res in zip(overlaps, out):
-                s = lam @ ov[sel].T
-                s *= neg_scale
-                np.exp(s, out=s)
-                if indices is None:
-                    res[sel] += s.sum(axis=0)
-                else:
-                    res[rows, sel] = s
+        for sel, blocks in self._unassigned_tiles(data, idx, by_death=indices is None):
+            if indices is None:
+                n_alive = np.count_nonzero(~dead[:, sel], axis=1).tolist()
+            else:
+                n_alive = [len(sel)] * len(times)
+            # each time's columns: every patient for rows of draws, the alive
+            # prefix for the mean, widened to two where it is one, since
+            # numpy sums a one-column array pairwise and a wider one row by row
+            terms = [(res, c, ov[sel[:max(c, min(2, len(sel)))]].T)
+                     for res, c, ov in zip(out, n_alive, overlaps) if c]
+            for rows, lam, scale in blocks:
+                neg_scale = -scale  # -(a * b) is a * -b, bit for bit
+                for res, c, ov_t in terms:
+                    s = lam @ ov_t
+                    s *= neg_scale[:, :ov_t.shape[1]]
+                    np.exp(s, out=s)
+                    if indices is None:
+                        res[sel[:c]] += s.sum(axis=0)[:c]
+                    else:
+                        res[rows, sel] = s
         if indices is None:
             out /= len(idx)
+            out[dead] = np.nan
         return out if np.ndim(t) else out[0]
 
     def rmst_matrix(self, data: ObservedDataset, t, indices) -> np.ndarray:
@@ -302,8 +329,9 @@ class SurvivalPosterior:
         idx = np.asarray(indices)
         overlaps = self.grid.overlaps(np.atleast_1d(np.asarray(t, dtype=float)))  # (T, J)
         out = np.empty((len(overlaps), len(idx), len(data)))
-        for sel, rows, lam, scale in self._unassigned_blocks(data, idx):
-            out[:, rows, sel] = _rmst_batch(lam, scale, overlaps)
+        for sel, blocks in self._unassigned_tiles(data, idx):
+            for rows, lam, scale in blocks:
+                out[:, rows, sel] = _rmst_batch(lam, scale, overlaps)
         return out if np.ndim(t) else out[0]
 
     def assigned_survival(self, data: ObservedDataset, months) -> np.ndarray:
@@ -349,7 +377,9 @@ def _arm(data: ObservedDataset, grid: HazardGrid, w: int) -> _Arm:
 def _exposures(arm: _Arm, alpha: np.ndarray) -> np.ndarray:
     """E_j(alpha) = sum_i overlap_ij exp(alpha . x_i) for each row of
     ``alpha`` (K, p); shape (K, J)."""
-    return np.exp(alpha @ arm.x.T) @ arm.overlap
+    e = alpha @ arm.x.T
+    np.exp(e, out=e)
+    return e @ arm.overlap
 
 
 def _log_marginal(arm: _Arm, priors: SurvivalPriors, alpha: np.ndarray, expo: np.ndarray):

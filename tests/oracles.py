@@ -469,8 +469,8 @@ def survival_draw(post: SurvivalPosterior, k: int) -> SurvivalParams:
 
 
 def _untiled_blocks(post: SurvivalPosterior, data: ObservedDataset, idx: np.ndarray):
-    """``SurvivalPosterior._unassigned_blocks`` without patient tiles: each
-    arm's patients in one (block x arm) product."""
+    """``SurvivalPosterior._unassigned_tiles`` without patient tiles: each
+    arm's patients, in index order, in one (block x arm) product."""
     for arm, lam, alpha in ((0, post.lambda0, post.alpha0), (1, post.lambda1, post.alpha1)):
         sel = np.flatnonzero(data.w != arm)
         x_arm = data.x[sel]
@@ -481,11 +481,13 @@ def _untiled_blocks(post: SurvivalPosterior, data: ObservedDataset, idx: np.ndar
 
 
 def untiled_s_mis_matrix(post: SurvivalPosterior, data: ObservedDataset, t, indices=None):
-    """``SurvivalPosterior.s_mis_matrix`` over the untiled traversal."""
+    """``SurvivalPosterior.s_mis_matrix`` over the untiled traversal; the
+    mean is taken over every patient and then set to NaN for the patients
+    dead at t."""
     idx = np.arange(post.n_draws) if indices is None else np.asarray(indices)
     times = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
-    horizon = np.where((data.d_obs == 1) & (data.t_obs <= times), data.t_obs, times)
-    overlaps = post.grid.overlaps(horizon)
+    dead = (data.d_obs == 1) & (data.t_obs <= times)
+    overlaps = post.grid.overlaps(np.where(dead, data.t_obs, times))
     if indices is None:
         out = np.zeros((len(times), len(data)))
     else:
@@ -501,6 +503,7 @@ def untiled_s_mis_matrix(post: SurvivalPosterior, data: ObservedDataset, t, indi
                 res[rows, sel] = s
     if indices is None:
         out /= len(idx)
+        out[dead] = np.nan
     return out if np.ndim(t) else out[0]
 
 

@@ -67,8 +67,15 @@ MIXED = json.loads(resources.files("tbd").joinpath("scenarios.json").read_text()
        f"got {shown}")
       for visits, shown in (([3, 3, 6], "[3.0, 3.0, 6.0]"), ([6, 3], "[6.0, 3.0]"),
                             (["nan", 3], "[nan, 3.0]"), ([0, 3], "[0.0, 3.0]"))),
+    *((json.dumps({"a": {**MIXED, name: value}}), [],
+       f"scenario 'a': {name} must be positive and finite, got {shown}")
+      for name, value, shown in (("follow_up", "inf", "inf"), ("follow_up", 0, "0.0"),
+                                 ("sigma", "nan", "nan"), ("sigma", -1, "-1.0"),
+                                 ("rho", "inf", "inf"), ("rho", "nan", "nan"))),
 ], ids=["several-none-by-stem", "unknown-key", "malformed-json", "n-zero", "file-not-object",
-        "scenario-not-object", "repeated-visit", "unsorted-visits", "nan-visit", "zero-visit"])
+        "scenario-not-object", "repeated-visit", "unsorted-visits", "nan-visit", "zero-visit",
+        "infinite-follow-up", "zero-follow-up", "nan-sigma", "negative-sigma", "infinite-rho",
+        "nan-rho"])
 def test_refused_scenario_is_a_one_line_error(runner, tmp_path, text, extra, refused):
     scenario = tmp_path / "several.json"
     scenario.write_text(text)

@@ -66,6 +66,16 @@ class TestComputeWeights:
         w = compute_weights([predict_s_mis(draw, p, 12.0) for p in patients(data)], data, 12.0)
         assert w.tolist() == [0.0]
 
+    def test_sequence_of_times_and_nan_for_the_dead(self):
+        # the posterior mean is NaN for a patient dead at t; the weight is zero
+        data = observed_dataset((_obs(id=0, w=1, t_obs=8.0, d_obs=1, y_obs={3.0: -1.0}),
+                                 _obs(id=1, w=0), _obs(id=2, w=1, y_obs={3.0: 0.5})), 15.0)
+        s_mis = np.array([[0.9, 0.8, 0.7], [np.nan, 0.6, 0.5]])
+        w = compute_weights(s_mis, data, (3.0, 12.0))
+        assert w.tolist() == [[0.9, 0.8, 0.7], [0.0, 0.6, 0.0]]
+        for row, t in zip(w, (3.0, 12.0)):
+            assert np.array_equal(row, compute_weights(s_mis[data.visit_times.index(t)], data, t))
+
 
 class TestPredictYMis:
     def test_counterfactual_arm_mean(self):

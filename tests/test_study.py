@@ -262,6 +262,8 @@ def test_fit_posteriors_weights_every_visit_by_its_own_mean(monkeypatch):
     assert list(seen) == list(times)
     for t in times:
         assert np.array_equal(seen[t], compute_weights(spost.s_mis_matrix(data, t), data, t)), t
+        # the mean is NaN for the patients dead at t, whose weight is zero
+        assert np.isfinite(seen[t]).all() and np.any(~data.at(t).alive & (seen[t] == 0.0)), t
 
 
 @pytest.mark.parametrize("shape", [(4000, 2), (4000, 2, 1), (4000, 2, 3), (37, 2)])

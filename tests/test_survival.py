@@ -30,6 +30,7 @@ from tbd.survival import (
     SurvivalPosterior,
     SurvivalPriors,
     default_grid,
+    draw_blocks,
     _arm,
     fit_survival,
 )
@@ -224,6 +225,26 @@ class TestSMisMatrix:
             for i, p in enumerate(patients(self.data)):
                 assert matrix[kk, i] == pytest.approx(predict_s_mis(params, p, t), abs=1e-12)
 
+    @staticmethod
+    def _check_mean(post, data, t):
+        """The mean path against the rows of every draw: over the patients
+        alive at t, the column sums of the rows, block by block of draws as
+        the kernel adds them, divided by the number of draws, bit for bit;
+        NaN for the others. (``rows.mean(axis=0)`` adds the draws in another
+        order and agrees only to the last few bits beyond one block.)"""
+        k = post.n_draws
+        mean = post.s_mis_matrix(data, t)
+        rows = post.s_mis_matrix(data, t, np.arange(k))
+        alive = data.at(t).alive
+        blocked = sum(rows[b].sum(axis=0) for b in draw_blocks(k)) / k
+        assert mean.shape == (len(data),)
+        assert np.array_equal(mean[alive], blocked[alive]), t
+        assert np.isnan(mean[~alive]).all(), t
+        if k == 1:
+            assert np.array_equal(mean[alive], rows[:, alive].mean(axis=0)), t
+        np.testing.assert_allclose(mean[alive], rows[:, alive].mean(axis=0), rtol=0, atol=1e-14)
+        return mean
+
     @pytest.mark.parametrize("k", [1, S_MIS_BLOCK + 1, 2 * S_MIS_BLOCK - 1])
     @pytest.mark.parametrize("one_arm", [False, True], ids=["both-arms", "one-arm"])
     def test_mean_over_all_draws(self, k, one_arm):
@@ -232,10 +253,43 @@ class TestSMisMatrix:
             data = replace(data, w=np.zeros_like(data.w))
         post = _random_posterior(k, seed=k)
         for t in (3.0, 9.0, 15.0):
-            mean = post.s_mis_matrix(data, t)
-            assert mean.shape == (len(data),)
-            expected = post.s_mis_matrix(data, t, np.arange(k)).mean(axis=0)
-            np.testing.assert_allclose(mean, expected, rtol=0, atol=1e-14)
+            self._check_mean(post, data, t)
+
+    @pytest.mark.parametrize("k", [1, S_MIS_BLOCK + 1, 2 * S_MIS_BLOCK - 1])
+    def test_mean_where_one_patient_of_a_tile_is_alive(self, k):
+        # the control arm's treated counterfactuals form one tile of three:
+        # at month 5 one of them is alive, at month 9 nobody is
+        records = [ObservedRecord(id=i, x=(0.3 * i - 1.0,), w=0, t_obs=t_obs, d_obs=d_obs, y_obs={})
+                   for i, (t_obs, d_obs) in enumerate([(4.0, 1), (8.0, 1), (2.0, 1)])]
+        records += [ObservedRecord(id=3 + i, x=(0.2 * i,), w=1, t_obs=t_obs, d_obs=d_obs, y_obs={})
+                    for i, (t_obs, d_obs) in enumerate([(15.0, 0), (6.0, 1), (15.0, 0), (1.0, 1)])]
+        data = _dataset(records)
+        post = _random_posterior(k, seed=k + 7)
+        assert [int(data.at(5.0).alive[:3].sum()), int(data.at(9.0).alive[:3].sum())] == [1, 0]
+        for t in (0.5, 3.0, 5.0, 6.0, 8.0, 9.0, 15.0):  # a death at months 6 and 8: dead there
+            self._check_mean(post, data, t)
+        mean = post.s_mis_matrix(data, 9.0)
+        assert np.isnan(mean[:3]).all() and not np.isnan(mean[[3, 5]]).any()
+
+    def test_mean_where_an_arm_has_nobody_alive(self):
+        # every treated patient died before month 9: their tiles are skipped
+        rng = np.random.default_rng(8)
+        records = [ObservedRecord(id=i, x=(float(rng.normal()),), w=i % 2,
+                                  t_obs=float(rng.uniform(0.5, 8.5)) if i % 2 else 15.0,
+                                  d_obs=i % 2, y_obs={}) for i in range(2 * S_MIS_TILE + 11)]
+        data = _dataset(records)
+        post = _random_posterior(S_MIS_BLOCK + 1, seed=9)
+        for t in (0.25, 9.0, 12.0):
+            mean = self._check_mean(post, data, t)
+        assert np.isnan(mean[data.w == 1]).all() and not np.isnan(mean[data.w == 0]).any()
+
+    def test_one_visit_sequence(self):
+        post = _random_posterior(S_MIS_BLOCK + 1, seed=3)
+        for indices in (None, np.arange(0, post.n_draws, 2)):
+            got = post.s_mis_matrix(self.data, [9.0], indices)
+            want = post.s_mis_matrix(self.data, 9.0, indices)
+            assert got.shape == (1, *want.shape)
+            assert np.array_equal(got[0], want, equal_nan=True)
 
     def test_visit_sequence_stacks_one_visit_results(self):
         k = 2 * S_MIS_BLOCK + 40  # two full blocks and a partial third
@@ -246,7 +300,8 @@ class TestSMisMatrix:
                       & ~np.isin(data.t_obs, times))
         means = post.s_mis_matrix(self.data, times)
         assert means.shape == (len(times), len(self.data))
-        assert np.array_equal(means, np.stack([post.s_mis_matrix(self.data, t) for t in times]))
+        assert np.array_equal(means, np.stack([post.s_mis_matrix(self.data, t) for t in times]),
+                              equal_nan=True)
         idx = np.arange(0, k, 3)
         rows = post.s_mis_matrix(self.data, times, idx)
         assert rows.shape == (len(times), len(idx), len(self.data))
@@ -318,22 +373,36 @@ class TestPatientTiles:
         # a patient's unassigned arm is evaluated with every patient of its assigned arm
         one_tile = np.bincount(data.w, minlength=2)[data.w] <= S_MIS_TILE
         assert got.shape == want.shape
-        assert np.array_equal(got[..., one_tile], want[..., one_tile])
+        assert np.array_equal(got[..., one_tile], want[..., one_tile], equal_nan=True)
         assert not np.any(np.signbit(got) ^ np.signbit(want))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_tiles_cover_each_arm_once_in_order(self, case):
+        # in index order for rows of draws and the restricted mean; in death
+        # order (censored patients first, then deaths, latest first, ties by
+        # index) for the posterior mean
         data, post = case
         idx = np.arange(self.K)
-        tiles = [(sel, rows) for sel, rows, _, _ in post._unassigned_blocks(data, idx)]
-        w = data.w
-        for arm, start in itertools.product((0, 1), range(0, self.K, S_MIS_BLOCK)):
-            mine = [sel for sel, rows in tiles if rows.start == start and (w[sel] != arm).all()]
-            members = np.flatnonzero(w != arm)
-            assert np.array_equal(np.concatenate(mine), members)
-            sizes = [len(sel) for sel in mine]
-            assert max(sizes) <= S_MIS_TILE and max(sizes) - min(sizes) <= 1
-            assert min(sizes) > 1 or len(members) == 1
+        died = data.d_obs == 1
+        for by_death in (False, True):
+            tiles = [(sel, [rows for rows, _, _ in blocks])
+                     for sel, blocks in post._unassigned_tiles(data, idx, by_death)]
+            for arm in (0, 1):
+                mine = [sel for sel, _ in tiles if (data.w[sel] != arm).all()]
+                members = np.flatnonzero(data.w != arm).tolist()
+                if by_death:
+                    members.sort(key=lambda i: (bool(died[i]), -data.t_obs[i] if died[i] else 0.0))
+                assert np.concatenate(mine).tolist() == members
+                sizes = [len(sel) for sel in mine]
+                assert max(sizes) <= S_MIS_TILE and max(sizes) - min(sizes) <= 1
+                assert min(sizes) > 1 or len(members) == 1
+                # in death order the patients alive at any month are a prefix of each tile
+                for sel, t in itertools.product(mine if by_death else [], (0.5, 3.0, 7.5, 15.0)):
+                    alive = data.at(t).alive[sel]
+                    assert not np.any(alive[1:] & ~alive[:-1]), t
+            for sel, rows in tiles:
+                assert [(r.start, r.stop) for r in rows] == [(b.start, b.stop)
+                                                             for b in draw_blocks(self.K)]
 
     def test_mean_over_all_draws(self, case):
         data, post = case
