@@ -11,8 +11,8 @@ the benchmark writes only its own ``.bench_out`` there.
 The pseudo-workload ``study_workers`` times ``tbd study`` instead: six
 ``no_effect`` cells at n=2000 with ``--workers 1`` and then ``--workers 2``,
 on each side, recording wall seconds, CPU seconds of the study and its worker
-processes, and whether both sides at both worker counts wrote the same
-cells at each seed.
+processes; and the seeds at which each side wrote the same cells at both
+worker counts, and those at which both sides wrote the same cells.
 
 The pseudo-workload ``estimate_n2000`` times ``estimate_visits`` in process:
 each side simulates a ``no_effect`` trial of n=2000 at the seed and fits it
@@ -189,10 +189,13 @@ def main(argv=None) -> int:
     if args.workload == "study_workers":
         command = (f"tbd study --config <{json.dumps(STUDY)} with master_seed <seed>> "
                    f"--workers <{' then '.join(map(str, STUDY_WORKERS))}>")
-        same = sum(len({h for s in trees for h in p[s]["cells_sha256"].values()}) == 1
-                   for p in pairs)
-        extra = {"seeds_with_the_same_cells_on_both_sides_and_worker_counts":
-                 f"{same}/{len(pairs)}"}
+        across_workers = {s: sum(len(set(p[s]["cells_sha256"].values())) == 1 for p in pairs)
+                          for s in trees}
+        across_sides = sum(p["parent"]["cells_sha256"] == p["change"]["cells_sha256"]
+                           for p in pairs)
+        extra = {"seeds_with_the_same_cells_across_worker_counts":
+                 {s: f"{n}/{len(pairs)}" for s, n in across_workers.items()},
+                 "seeds_with_the_same_cells_across_sides": f"{across_sides}/{len(pairs)}"}
     elif args.workload == "estimate_n2000":
         command = (f"tbd simulate --scenario {ESTIMATE['scenario']} --n {ESTIMATE['n']} "
                    f"--seed <seed>; tbd fit --seed <seed>; then in a fresh process "

@@ -1,4 +1,4 @@
-"""Check that two source trees of ``tbd`` write the same bytes.
+"""Check that two source trees of ``tbd`` write the same bytes, the change also on one BLAS thread.
 
 Runs one fixed command set against each tree, with ``PYTHONPATH`` set to the
 tree's ``src``, and compares every file the commands write, byte for byte.
@@ -30,6 +30,12 @@ Each tree also reads every ``observed.json`` it wrote back through
 ``science.observed_to_json`` and ``science.dump_json``: the bytes must be
 the ones ``tbd simulate`` wrote, since ``tbd fit`` and ``tbd estimate`` only
 read the file. A file that does not round-trip exits 1 as well.
+
+The change's command set then runs once more under
+``OPENBLAS_NUM_THREADS=1``, and every file that differs from its default run
+is listed as depending on the BLAS thread count and exits 1: the same inputs
+and seeds must write the same bytes on any number of cores. (On a one-core
+machine both runs use one thread, and this check passes trivially.)
 
 Usage, with ``DIR`` a checkout or a ``git archive`` of each side::
 
@@ -87,9 +93,10 @@ print(json.dumps({"files": len(files), "changed": changed}))
 """
 
 
-def run_commands(tree: Path, out: Path) -> None:
-    """Run the command set with ``tree``'s sources, writing under ``out``."""
-    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
+def run_commands(tree: Path, out: Path, env_extra: dict | None = None) -> None:
+    """Run the command set with ``tree``'s sources, writing under ``out``,
+    with ``env_extra`` added to the environment."""
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), **(env_extra or {})}
 
     def tbd(*args: str) -> None:
         cmd = [sys.executable, "-m", "tbd.cli", *args]
@@ -150,7 +157,11 @@ def main(argv=None) -> int:
             run_commands(getattr(args, side), work / side)
             trips[side] = round_trip(getattr(args, side), work / side)
             sides[side] = contents(work / side)
+        run_commands(args.change, work / "change_one_thread", {"OPENBLAS_NUM_THREADS": "1"})
+        one_thread = contents(work / "change_one_thread")
     parent, change = sides["parent"], sides["change"]
+    threads = sorted(k for k in change.keys() | one_thread.keys()
+                     if change.get(k) != one_thread.get(k))
     differ = sorted(k for k in parent.keys() & change.keys() if parent[k] != change[k])
     only = sorted(parent.keys() ^ change.keys())
     left = [f"{side}/{k}" for side, files in sides.items() for k in files if k.endswith(".tmp")]
@@ -167,8 +178,11 @@ def main(argv=None) -> int:
             print(f"{side}: observed.json does not round-trip: {name}")
         print(f"{side}: {trip['files'] - len(trip['changed'])} of {trip['files']} observed.json "
               f"files round-trip to identical bytes")
+    for name in threads:
+        print(f"change: depends on the BLAS thread count: {name}")
+    print(f"change: {len(threads)} files depend on the BLAS thread count")
     changed = any(trip["changed"] for trip in trips.values())
-    return 1 if differ or only or left or changed else 0
+    return 1 if differ or only or left or changed or threads else 0
 
 
 if __name__ == "__main__":

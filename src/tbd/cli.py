@@ -72,7 +72,7 @@ def simulate_cmd(scenario: str, seed: int, out: str, n: int | None) -> None:
             params = simulate.get_scenario(scenario)
         if n is not None:
             params = params.with_updates(n=n)
-    table = simulate.simulate_science_table(params, simulate.child_seed(seed, params.name, "sim"))
+        table = simulate.simulate_science_table(params, simulate.child_seed(seed, params.name, "sim"))
     data = simulate.observe(table)
     out_dir = Path(out)
     science.dump_json(science.science_to_json(table), out_dir / "science.json")

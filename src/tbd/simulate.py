@@ -26,6 +26,10 @@ class ScenarioError(ValueError):
     data-generating process."""
 
 
+# the slope and Weibull scale coefficients of ``ScenarioParams``, each finite
+_COEFFICIENTS = tuple(f"{row}{arm}_{c}" for row in ("a", "th") for arm in (0, 1) for c in "0xu")
+
+
 @dataclass(frozen=True)
 class ScenarioParams:
     """Data-generating parameters for one simulated trial scenario.
@@ -33,7 +37,9 @@ class ScenarioParams:
     Longitudinal slopes (score units per month) and Weibull scales (months)
     are affine in the measured covariate x ~ N(0, 1) and, optionally, an
     unmeasured covariate u ~ N(0, 1): the arm-0 row gives the control arm's
-    coefficients and the arm-1 row the treated arm's.
+    coefficients and the arm-1 row the treated arm's. Every coefficient must
+    be finite; ``simulate_science_table`` refuses a scale row that is not
+    positive for some drawn covariate.
 
     Fields
     ------
@@ -65,6 +71,9 @@ class ScenarioParams:
     n: int
 
     def __post_init__(self) -> None:
+        for name in _COEFFICIENTS:
+            if not math.isfinite(value := getattr(self, name)):
+                raise ScenarioError(f"{name} must be finite, got {value}")
         for name in ("sigma", "rho", "follow_up"):
             if not (math.isfinite(value := getattr(self, name)) and value > 0):
                 raise ScenarioError(f"{name} must be positive and finite, got {value}")

@@ -20,7 +20,10 @@ Beyond the last cutpoint the final segment rate is extended.
 The posterior is sampled collapsed: with the Gamma-prior segment rates
 integrated out, alpha has a concave log marginal, sampled by independence
 Metropolis-Hastings from a multivariate t at its mode; the rates are then
-drawn exactly given alpha.
+drawn exactly given alpha. Every proposal's segment exposures are computed
+in chunks of proposals, each matrix product within ``BLAS_ONE_THREAD``
+multiply-adds, so OpenBLAS runs it on one thread: the draws have the same
+bits on any number of cores, and no idle BLAS thread spins on a second one.
 """
 
 from __future__ import annotations
@@ -117,8 +120,16 @@ class SurvivalPriors:
 
 S_MIS_BLOCK = 256  # posterior draws per block of the counterfactual kernels
 # Patients per tile, at most: a (block x tile) product, exp and column sum
-# stays in L2 cache and is too small to wake a second BLAS thread.
+# stays in L2 cache, and the product is too small to wake a second BLAS
+# thread: within ``BLAS_ONE_THREAD`` on grids of up to 8 segments, and seen
+# on one thread up to 16 (OpenBLAS 0.3.31).
 S_MIS_TILE = 128
+# Multiply-adds (M * N * K) of the largest matrix product that OpenBLAS runs
+# on one thread whatever the core count: its default SMP_THRESHOLD_MIN times
+# GEMM_MULTITHREAD_THRESHOLD. A larger product may wake a second thread,
+# which rounds it differently and then spins between products, taking a
+# core; so ``_exposures`` takes its proposals in chunks of this size.
+BLAS_ONE_THREAD = 2**18
 
 
 def draw_blocks(k: int):
@@ -376,10 +387,23 @@ def _arm(data: ObservedDataset, grid: HazardGrid, w: int) -> _Arm:
 
 def _exposures(arm: _Arm, alpha: np.ndarray) -> np.ndarray:
     """E_j(alpha) = sum_i overlap_ij exp(alpha . x_i) for each row of
-    ``alpha`` (K, p); shape (K, J)."""
-    e = alpha @ arm.x.T
-    np.exp(e, out=e)
-    return e @ arm.overlap
+    ``alpha`` (K, p); shape (K, J).
+
+    The rows of ``alpha`` are taken in chunks small enough that each of the
+    two products, (rows x p) @ (p x patients) and (rows x patients) @
+    (patients x J), stays within ``BLAS_ONE_THREAD``: so the bits do not
+    depend on the core count, and no BLAS thread is left spinning. In arms
+    of up to 200 patients the chunks round as one product over every
+    proposal on one thread does; in arms of 1000, they differ from it by a
+    few ulp (OpenBLAS 0.3.31)."""
+    n, j = arm.overlap.shape
+    rows = max(1, BLAS_ONE_THREAD // max(1, n * max(j, arm.x.shape[1])))
+    out = np.empty((len(alpha), j))
+    for start in range(0, len(alpha), rows):
+        e = alpha[start:start + rows] @ arm.x.T
+        np.exp(e, out=e)
+        np.matmul(e, arm.overlap, out=out[start:start + rows])
+    return out
 
 
 def _log_marginal(arm: _Arm, priors: SurvivalPriors, alpha: np.ndarray, expo: np.ndarray):

@@ -72,10 +72,15 @@ MIXED = json.loads(resources.files("tbd").joinpath("scenarios.json").read_text()
       for name, value, shown in (("follow_up", "inf", "inf"), ("follow_up", 0, "0.0"),
                                  ("sigma", "nan", "nan"), ("sigma", -1, "-1.0"),
                                  ("rho", "inf", "inf"), ("rho", "nan", "nan"))),
+    *((json.dumps({"a": {**MIXED, name: value}}), [],
+       f"scenario 'a': {name} must be finite, got {value}")
+      for name, value in (("th0_0", "nan"), ("a1_0", "inf"))),
+    (json.dumps({"a": {**MIXED, "th1_0": -5.0}}), [],
+     "scenario 'a': non-positive Weibull scale for some sampled covariate"),
 ], ids=["several-none-by-stem", "unknown-key", "malformed-json", "n-zero", "file-not-object",
         "scenario-not-object", "repeated-visit", "unsorted-visits", "nan-visit", "zero-visit",
         "infinite-follow-up", "zero-follow-up", "nan-sigma", "negative-sigma", "infinite-rho",
-        "nan-rho"])
+        "nan-rho", "nan-scale-intercept", "infinite-slope-intercept", "negative-drawn-scale"])
 def test_refused_scenario_is_a_one_line_error(runner, tmp_path, text, extra, refused):
     scenario = tmp_path / "several.json"
     scenario.write_text(text)

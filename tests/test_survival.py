@@ -3,7 +3,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +25,11 @@ from oracles import (
     untiled_rmst_matrix,
     untiled_s_mis_matrix,
 )
+import tbd
 from tbd.mcmc import McmcConfig
 from tbd.simulate import get_scenario, observe, simulate_science_table
 from tbd.survival import (
+    BLAS_ONE_THREAD,
     S_MIS_BLOCK,
     S_MIS_TILE,
     HazardGrid,
@@ -31,7 +37,9 @@ from tbd.survival import (
     SurvivalPriors,
     default_grid,
     draw_blocks,
+    _Arm,
     _arm,
+    _exposures,
     fit_survival,
 )
 
@@ -527,6 +535,58 @@ class TestFitSurvival:
         assert back.converged
         assert math.isnan(back.diagnostics["alpha0[0]"]["rhat"])
         assert back.diagnostics["lambda0_0[0]"] == {"rhat": 1.0, "ess": 400.0}
+
+
+# run in a fresh process with an .npz path as argument: fits no_effect at
+# n=2000 on the default grid and on a grid of 15 visits, and saves each fit's
+# draws, always-survivor weight means, survival rows and restricted means
+CORE_COUNT_SCRIPT = """
+import sys
+import numpy as np
+from tbd.mcmc import McmcConfig
+from tbd.simulate import get_scenario, observe, simulate_science_table
+from tbd.survival import SurvivalPriors, default_grid, fit_survival
+data = observe(simulate_science_table(get_scenario("no_effect").with_updates(n=2000), seed=1))
+visits, arrays = data.visit_times, {}
+for name, grid_visits in (("default", visits), ("visits15", range(1, 16))):
+    post = fit_survival(data, default_grid(data.follow_up, grid_visits), SurvivalPriors(),
+                        McmcConfig(seed=1))
+    idx = post.subsample_indices(300)
+    arrays.update({f"{name}_{key}": value for key, value in (
+        ("lambda0", post.lambda0), ("lambda1", post.lambda1),
+        ("alpha0", post.alpha0), ("alpha1", post.alpha1),
+        ("weights", post.s_mis_matrix(data, visits)),
+        ("s_mis_rows", post.s_mis_matrix(data, visits, idx)),
+        ("rmst", post.rmst_matrix(data, visits, idx)))})
+np.savez(sys.argv[1], **arrays)
+"""
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("p, j", [(1, 5), (2, 15)])
+    def test_exposures_match_one_product(self, p, j):
+        rng = np.random.default_rng(p)
+        x, overlap = rng.standard_normal((1000, p)), rng.uniform(0.0, 3.0, (1000, j))
+        arm = _Arm(x=x, overlap=overlap, events=np.zeros(j), sum_dx=np.zeros(p))
+        alpha = 0.3 * rng.standard_normal((1001, p))
+        assert BLAS_ONE_THREAD < 1001 * 1000 * j  # so the rows are split
+        assert np.allclose(_exposures(arm, alpha), np.exp(alpha @ x.T) @ overlap,
+                           rtol=1e-13, atol=0.0)
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS rounds a product it splits over two threads differently
+        # from one on a single thread; on one core both runs use one thread
+        path = os.pathsep.join([str(Path(tbd.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.npz"
+            subprocess.run([sys.executable, "-c", CORE_COUNT_SCRIPT, str(out)], check=True,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path})
+            with np.load(out) as arrays:
+                runs[threads] = {key: arrays[key] for key in arrays.files}
+        assert len(runs["1"]) == 14
+        differ = [key for key, a in runs["1"].items() if a.tobytes() != runs["2"][key].tobytes()]
+        assert differ == []
 
 
 @pytest.mark.slow
