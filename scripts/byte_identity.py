@@ -17,7 +17,11 @@ The command set:
   OpenBLAS takes its edge kernel for the last columns of a product; and of
   an inline scenario file, ``beneficial`` with the unmeasured covariate u
   loading both arms' slopes (0.5) and Weibull scales (2) at n=300, the one
-  simulator path that draws u;
+  simulator path that draws u; and of ``no_effect`` visited every month,
+  months 1 to 15, at n=200, whose hazard grid of 15 segments is the one
+  grid of the set with more than 7, where the order in which the restricted
+  mean adds its segment terms differs from ``np.sum``'s (its CSV files hold
+  6 significant digits, so a move in the last bits does not show);
 - ``tbd fit`` of each simulated trial, then ``tbd estimate --draws 400`` and
   ``--draws 4000`` on each fit;
 - ``tbd study`` plus ``tbd report`` over three configs: the four scenarios
@@ -59,9 +63,15 @@ U_LOADING = {  # `beneficial` with u in both arms' slopes and scales
     "th0_0": 10.0, "th1_0": 15.0, "th0_x": 1.0, "th1_x": 1.0, "th0_u": 2.0, "th1_u": 2.0,
     "sigma": 2.4, "rho": 3.5, "follow_up": 15.0, "visit_times": [3, 6, 9, 12, 15], "n": 300,
 }
+MONTHLY = {  # `no_effect` visited every month: a hazard grid of 15 segments
+    "a0_0": -2.0, "a1_0": -2.0, "a0_x": 1.0, "a1_x": 1.0, "a0_u": 0.0, "a1_u": 0.0,
+    "th0_0": 15.0, "th1_0": 15.0, "th0_x": 1.0, "th1_x": 1.0, "th0_u": 0.0, "th1_u": 0.0,
+    "sigma": 2.4, "rho": 3.5, "follow_up": 15.0, "visit_times": list(range(1, 16)), "n": 200,
+}
 SIMULATIONS = [(name, name, 200) for name in SCENARIOS] + [
     (f"no_effect_n{n}", "no_effect", n) for n in (2000, 2003)] + [
-    ("beneficial_u", "beneficial_u.json", 300)]
+    ("beneficial_u", "beneficial_u.json", 300),
+    ("no_effect_monthly", "no_effect_monthly.json", 200)]
 LOW_SCALE = {  # `mixed` with treated scale 4: the treated arm dies out before month 12
     "name": "mixed_low_scale",
     "a0_0": -2.0, "a1_0": -1.0, "a0_x": 1.0, "a1_x": 1.0, "a0_u": 0.0, "a1_u": 0.0,
@@ -105,7 +115,8 @@ def run_commands(tree: Path, out: Path, env_extra: dict | None = None) -> None:
             raise SystemExit(f"{tree}: {' '.join(args)} exited {done.returncode}:\n{done.stderr}")
 
     (out / "fits").mkdir(parents=True)
-    (out / "beneficial_u.json").write_text(json.dumps({"beneficial_u": U_LOADING}))
+    for name, doc in (("beneficial_u", U_LOADING), ("no_effect_monthly", MONTHLY)):
+        (out / f"{name}.json").write_text(json.dumps({name: doc}))
     for label, scenario, n in SIMULATIONS:
         tbd("simulate", "--scenario", scenario, "--seed", "1", "--n", str(n), "--out", f"sim/{label}")
         tbd("fit", "--data", f"sim/{label}/observed.json", "--out", f"fits/{label}.json",

@@ -114,20 +114,13 @@ class EstimandSummary:
 
 
 def summarize(draws) -> EstimandSummary:
-    """Median and centered 2.5/97.5 percentiles over the finite draws.
+    """Median and centered 2.5/97.5 percentiles over the finite draws
+    (``summaries_of`` of one row).
 
     Non-finite draws (infinite medians, undefined ratios) are excluded from
     the quantiles and reported through ``frac_undefined``.
     """
-    arr = np.asarray(draws, dtype=float)
-    if arr.size == 0:
-        raise ValueError("no draws to summarize")
-    finite = arr[np.isfinite(arr)]
-    frac_undef = 1.0 - len(finite) / len(arr)
-    if len(finite) == 0:
-        return EstimandSummary(None, None, None, 1.0, len(arr))
-    lo, med, hi = np.percentile(finite, [2.5, 50.0, 97.5])
-    return EstimandSummary(float(med), float(lo), float(hi), frac_undef, len(arr))
+    return summaries_of([draws])[0]
 
 
 @dataclass
@@ -144,17 +137,17 @@ class EstimandDraws:
         return {"sace": self.sace, "pc": self.pc, "sim": self.sim}
 
 
-# the median and the centered 95% interval, scaled as np.percentile scales them
+# the median and the centered 95% interval, as fractions
 _QUANTILES = np.true_divide([2.5, 50.0, 97.5], 100)
 
 
 @functools.lru_cache(maxsize=256)
 def _linear_order_statistics(n: int):
-    """What ``np.percentile`` (method "linear") of n values at ``_QUANTILES``
-    takes: the order statistics it partitions at, the lower and upper
-    neighbours of each quantile's virtual index, and its weight. At or past
-    the last value (n = 1) both neighbours are the last, weighted by the
-    virtual index plus one, as numpy does. Cached by n."""
+    """What the quantiles ``_QUANTILES`` of n values take: the order
+    statistics to partition at, the lower and upper neighbours of each
+    quantile's virtual index (n - 1) * q, and its weight, the index's
+    fraction past the lower. With one value both neighbours are that value.
+    Cached by n."""
     virtual = (n - 1) * _QUANTILES
     lower = np.floor(virtual).astype(np.intp)
     upper = lower + 1
@@ -168,12 +161,14 @@ def _linear_order_statistics(n: int):
 
 
 def summaries_of(rows) -> list[EstimandSummary]:
-    """``summarize`` of each of ``rows``, arrays that all hold one number of
-    draws, with its bits. Rows with the same number of finite draws are
-    partitioned together at the order statistics ``np.percentile`` takes
-    for that number and interpolated with its arithmetic (``_lerp``'s two
-    formulas, split at weight 0.5), which spares a study cell most of
-    ``np.percentile``'s cost per call, about 70 us in argument handling."""
+    """Median and centered 95% interval over the finite draws of each of
+    ``rows``, arrays that all hold one number of draws: the package's one
+    quantile path, ``summarize`` taking one row. Each quantile interpolates
+    linearly between the order statistics a and b around its virtual index,
+    with weight g: a + (b - a) * g below g = 0.5, else b - (b - a) * (1 - g),
+    which are the bits of ``np.percentile``'s default method. Rows with the
+    same number of finite draws are partitioned together, which spares a
+    study cell ``np.percentile``'s argument handling, about 70 us a call."""
     if not rows:
         return []
     rows = np.stack([np.asarray(row, dtype=float) for row in rows])

@@ -14,7 +14,8 @@ thread. No kernel builds an array with a segment axis: the survival mean
 serves every visit time from one traversal, computing each block's
 covariate scales once, and evaluates only the patients alive at each time,
 a prefix of each tile when the tiles are cut in death order; the restricted
-mean computes each segment's term once per block, shared by every visit.
+mean takes the segments in order, keeping one running total of their terms
+and one running cumulative hazard per block, shared by every visit.
 Beyond the last cutpoint the final segment rate is extended.
 
 The posterior is sampled collapsed: with the Gamma-prior segment rates
@@ -149,86 +150,44 @@ def _scaled_blocks(blocks, x_t: np.ndarray):
         yield rows, lam, np.exp(alpha @ x_t)
 
 
-def _add(a, b):
-    """a + b in a new array; None stands for an exact zero."""
-    if a is None or b is None:
-        return b if a is None else a
-    return a + b
-
-
-def _pairwise_sum(terms, n: int):
-    """Sum of the next ``n`` arrays of the iterator ``terms`` (None for an
-    exact zero), added in the order numpy's pairwise summation adds a
-    contiguous axis of length ``n``: sequentially below 8 terms, in 8
-    running sums combined pairwise up to 128, and split in halves (rounded
-    down to a multiple of 8) beyond. So the result has the bits of
-    ``np.sum`` over the stacked terms, without stacking them. The terms are
-    left as they are, so one term may serve several sums."""
-    if n < 8:
-        total = None
-        for _ in range(n):
-            total = _add(total, next(terms))
-        return total
-    if n <= 128:
-        r = [next(terms) for _ in range(8)]
-        for i in range(8, n - n % 8):
-            r[i % 8] = _add(r[i % 8], next(terms))
-        total = _add(_add(_add(r[0], r[1]), _add(r[2], r[3])),
-                     _add(_add(r[4], r[5]), _add(r[6], r[7])))
-        for _ in range(n % 8):
-            total = _add(total, next(terms))
-        return total
-    half = n // 2 - (n // 2) % 8
-    return _add(_pairwise_sum(terms, half), _pairwise_sum(terms, n - half))
-
-
 def _rmst_batch(lam: np.ndarray, scale: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
     """Restricted-mean integral at several times, in closed form.
 
     lam (K, J) segment rates, scale (K, n) covariate multipliers, overlaps
-    (T, J) each time's segment lengths inside [0, t]; returns (T, K, n).
+    (T, J) each time's segment lengths inside [0, t], rows of
+    ``HazardGrid.overlaps``: each time spans a run of segments from the
+    first, all at full length but its last; returns (T, K, n).
     Each segment adds exp(-H(a)) * (1 - exp(-r * dt)) / r, with r the
     segment hazard and H(a) the cumulative hazard at its start, and its full
-    length where r = 0. The segments are taken one at a time on (K, n)
-    arrays, H as a running sum. A term is kept by the segment lengths up to
-    its segment, and times whose lengths agree that far share it and the H
-    after it: each segment's term is computed once per block, shared by
-    every visit, a segment at its full length serving every time beyond it
-    and a partial segment getting its own. A segment past t adds an exact zero
-    and is not evaluated. Each time adds its own terms in the order
-    ``np.sum`` adds a (K, n, J) stack of them (``_pairwise_sum``), so each
-    row has the bits of a call at that time alone, for any J. (A running
-    prefix of the times' totals would not: from 8 segments on ``np.sum``
-    adds pairwise.)
+    length where r = 0. The segments are taken in order on (K, n) arrays,
+    with one running total of the full-length terms and one running H,
+    shared by every time: a time reads the total through the segments it
+    spans in full plus its own last term, so its terms are added in segment
+    order. A time of 0 reads 0; a segment past every time is not evaluated.
     """
-    terms: dict[tuple, tuple] = {}  # segment lengths up to a segment -> its term, H after it
-    out = np.empty((len(overlaps), *scale.shape))
-    for lengths, res in zip(overlaps.tolist(), out):
-        row, prefix = [], None
-        for j, dt in enumerate(lengths):
-            if dt <= 0:
-                row.append(None)
-                continue
-            key = tuple(lengths[:j + 1])
-            if key not in terms:
-                r = lam[:, j, None] * scale
-                seg_haz = r * dt
-                # -(expm1(-h) / r), in one buffer: (-a) / b is -(a / b) exactly
-                piece = np.negative(seg_haz)
-                np.expm1(piece, out=piece)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    piece /= r
-                np.negative(piece, out=piece)
-                piece[~(r > 0)] = dt
-                if prefix is None:  # exp(-0) * piece is piece
-                    terms[key] = piece, seg_haz
-                else:
-                    piece *= np.exp(-prefix)
-                    terms[key] = piece, prefix + seg_haz
-            piece, prefix = terms[key]
-            row.append(piece)
-        total = _pairwise_sum(iter(row), len(row))
-        res[...] = 0.0 if total is None else total
+    out = np.zeros((len(overlaps), *scale.shape))
+    spans = np.count_nonzero(overlaps > 0, axis=1)  # segments each time reaches into
+    # over the segments before j: the sum of full terms, and H; every term
+    # is >= +0.0, so 0.0 + piece and exp(-0.0) * piece are piece, bit for bit
+    total = hazard = 0.0
+    for j in range(spans.max(initial=0)):
+        r = lam[:, j, None] * scale
+        carry = total, hazard
+        for dt in np.unique(overlaps[spans > j, j]).tolist():
+            seg_haz = r * dt
+            # -(expm1(-h) / r), in one buffer: (-a) / b is -(a / b) exactly
+            piece = np.negative(seg_haz)
+            np.expm1(piece, out=piece)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                piece /= r
+            np.negative(piece, out=piece)
+            piece[~(r > 0)] = dt
+            piece *= np.exp(-hazard)
+            at = overlaps[:, j] == dt
+            out[at & (spans == j + 1)] = through = total + piece
+            if (spans[at] > j + 1).any():  # the full length, which later times span
+                carry = through, hazard + seg_haz
+        total, hazard = carry
     return out
 
 
@@ -335,8 +294,9 @@ class SurvivalPosterior:
         """Restricted-mean survival time to t under each patient's unassigned
         arm, one row per listed draw: shape (len(indices), patients). A
         sequence of times ``t`` adds a leading axis of its length, and each
-        block's segment terms then serve all the times (``_rmst_batch``);
-        each time's result has the bits of a call at that time alone."""
+        block's running total over the segments then serves all the times
+        (``_rmst_batch``), each time's terms added in segment order; each
+        time's result has the bits of a call at that time alone."""
         idx = np.asarray(indices)
         overlaps = self.grid.overlaps(np.atleast_1d(np.asarray(t, dtype=float)))  # (T, J)
         out = np.empty((len(overlaps), len(idx), len(data)))

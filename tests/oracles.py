@@ -23,7 +23,9 @@ one coordinate and one chain at a time (``rhat``, ``ess``,
 ``stream_diagnostics``), the reference for ``tbd.mcmc``'s stacked ones. The
 mass median over whole rows, the atoms at -inf and +inf among the others
 (``full_row_mass_median``), is the reference for ``science.mass_median``,
-which takes only the finite atoms' values.
+which takes only the finite atoms' values. A posterior summary by
+``np.percentile`` (``percentile_summary``) is the reference for
+``estimators.summaries_of``, the package's one quantile path.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from scipy.special import ndtr
 
 from tbd import science
 from tbd.codec import encode
+from tbd.estimators import EstimandSummary
 from tbd.longitudinal import LongitudinalPosterior
 from tbd.mcmc import McmcConfig
 from tbd.science import InvariantError, ObservedDataset, ObservedPatient, ScienceTable
@@ -755,6 +758,19 @@ def full_row_mass_median(values: np.ndarray, masses: np.ndarray, half: float) ->
         mid = np.where(np.isinf(lo), lo, np.where(np.isinf(hi), hi, 0.5 * (lo + hi)))
     mid[np.isinf(lo) & np.isinf(hi) & (lo != hi)] = np.nan
     return np.where(at_boundary, mid, lo)
+
+
+def percentile_summary(draws) -> EstimandSummary:
+    """Median and centered 2.5/97.5 percentiles over the finite draws, by
+    ``np.percentile``'s default (linear) method; non-finite draws are left
+    out of the quantiles and counted in ``frac_undefined``."""
+    arr = np.asarray(draws, dtype=float)
+    finite = arr[np.isfinite(arr)]
+    frac_undef = 1.0 - len(finite) / len(arr)
+    if len(finite) == 0:
+        return EstimandSummary(None, None, None, 1.0, len(arr))
+    lo, med, hi = np.percentile(finite, [2.5, 50.0, 97.5])
+    return EstimandSummary(float(med), float(lo), float(hi), frac_undef, len(arr))
 
 
 def sim_draw(

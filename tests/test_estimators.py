@@ -23,6 +23,7 @@ from oracles import (
     observed_dataset,
     patients,
     pc_draw,
+    percentile_summary,
     predict_s_mis,
     rmst_draw,
     sace_draw,
@@ -650,8 +651,8 @@ def _reference_sace_pc(spost, lpost, data, t, k):
     return sace, pc
 
 
-def _reference_rmst_batch(lam, scale, overlaps):
-    """Full (K, n, J) restricted-mean integral, every segment evaluated."""
+def _rmst_terms(lam, scale, overlaps):
+    """Every segment's restricted-mean term, (K, n, J), each evaluated."""
     r = lam[:, None, :] * scale[:, :, None]
     seg_haz = r * overlaps[None, None, :]
     prefix = np.concatenate(
@@ -659,7 +660,12 @@ def _reference_rmst_batch(lam, scale, overlaps):
     )
     with np.errstate(invalid="ignore", divide="ignore"):
         piece = np.where(r > 0, -np.expm1(-seg_haz) / np.where(r > 0, r, 1.0), overlaps)
-    return np.sum(np.exp(-prefix) * piece, axis=2)
+    return np.exp(-prefix) * piece
+
+
+def _reference_rmst_batch(lam, scale, overlaps):
+    """Full (K, n) restricted-mean integral: the terms added in segment order."""
+    return np.cumsum(_rmst_terms(lam, scale, overlaps), axis=2)[..., -1]
 
 
 def _reference_rmst_draws(spost, data, t, k):
@@ -870,27 +876,43 @@ class TestBitIdenticalToPerDrawLoops:
             draws = estimand_draws(spost, lpost, data, T, 25)
             assert _same_bits(draws.sim, _reference_sim_draws(spost, lpost, data, T, 25))
 
-    @pytest.mark.parametrize("n_segments", [8, 16, 17, 130])
+    @pytest.mark.parametrize("n_segments", [*range(1, 21), 130])
     def test_rmst_batch_matches_reference_on_long_grids(self, n_segments):
-        # from 8 segments on, np.sum adds in running sums combined pairwise,
-        # and beyond 128 it splits the axis: the per-segment kernel must
-        # add each time's terms in that order, a dead segment as an exact
-        # zero, however many times share them (a running prefix of the
-        # times' totals would add them in segment order)
+        # every time's terms are added in segment order, a running total that
+        # the times share, however many segments and times there are: each
+        # row has the bits of the reference and of a call at that time alone,
+        # at 0, inside a segment, on a cutpoint, past the last, unsorted and
+        # repeated
         grid = HazardGrid(tuple(float(c) for c in np.linspace(0.0, 15.0, n_segments + 1)))
         rng = np.random.default_rng(n_segments)
         lam = rng.uniform(0.01, 0.3, size=(37, n_segments))
         lam[0] = 0.0  # the full segment length where the hazard is zero
         lam[1, ::3] = 1e300  # survival exactly 0 from the first such segment
         scale = np.exp(rng.normal(0, 0.5, size=(37, 23)))
-        times = (0.1, 2.0, 7.7, 14.9, 15.0, 21.0, *grid.cutpoints[1::3], 0.0, 7.7)
+        times = (0.1, 21.0, 7.7, 2.0, 14.9, 15.0, 0.0, *grid.cutpoints[:0:-3], 7.7, 0.0, 21.0)
         overlaps = grid.overlaps(times)
         every_time = _rmst_batch(lam, scale, overlaps)
         assert every_time.shape == (len(times), *scale.shape)
         for t, ov, got in zip(times, overlaps, every_time):
             assert _same_bits(got, _reference_rmst_batch(lam, scale, ov)), t
             assert _same_bits(got, _rmst_batch(lam, scale, ov[None])[0]), t
-        assert (grid.overlaps(7.7) == 0).any()  # trailing segments are dead
+            assert t > 0 or (got == 0).all()
+        if n_segments > 2:
+            assert (grid.overlaps(7.7) == 0).any()  # trailing segments are dead
+
+    @pytest.mark.parametrize("n_segments", range(1, 8))
+    def test_rmst_batch_is_np_sum_below_eight_segments(self, n_segments):
+        # np.sum adds fewer than 8 terms one by one, as a running total does,
+        # so on such grids, every grid of the library scenarios, the kernel
+        # has the bits of np.sum over the stacked terms
+        grid = HazardGrid(tuple(float(c) for c in np.linspace(0.0, 15.0, n_segments + 1)))
+        rng = np.random.default_rng(100 + n_segments)
+        lam = rng.uniform(0.01, 0.3, size=(29, n_segments))
+        scale = np.exp(rng.normal(0, 0.5, size=(29, 17)))
+        times = (0.5, 3.0, 7.7, 15.0, 21.0, *grid.cutpoints[1:])
+        overlaps = grid.overlaps(times)
+        for ov, got in zip(overlaps, _rmst_batch(lam, scale, overlaps)):
+            assert _same_bits(got, np.sum(_rmst_terms(lam, scale, ov), axis=2))
 
     def test_rmst_batch_where_the_segment_hazard_is_zero(self):
         # a segment rate of exactly 0, and covariate scales that underflow to
@@ -982,7 +1004,7 @@ class TestWmwByCounting:
 
 
 class TestSummariesShareOnePercentileCall:
-    def test_same_as_summarize_per_estimand(self):
+    def test_same_as_percentile_per_estimand(self):
         rng = np.random.default_rng(3)
         for k in (1, 2, 7, 100, 101):
             rows = [rng.normal(size=k) * 10 for _ in range(4)]
@@ -994,7 +1016,7 @@ class TestSummariesShareOnePercentileCall:
                 got = summaries_of(drawn)
                 assert len(got) == len(drawn)
                 for one, row in zip(got, drawn):
-                    want = summarize(row)
+                    want = percentile_summary(row)
                     assert one == want
                     for f in ("median", "lo95", "hi95"):  # == takes -0.0 for 0.0
                         a, b = getattr(one, f), getattr(want, f)
@@ -1014,7 +1036,7 @@ class TestSummariesShareOnePercentileCall:
         got = summaries_of(rows)
         assert len(got) == len(rows)
         for one, row in zip(got, rows):
-            want = summarize(row)
+            want = percentile_summary(row)
             for f in ("median", "lo95", "hi95", "frac_undefined", "n_draws"):
                 assert _same_bits(getattr(one, f), getattr(want, f)), f
         assert summaries_of([]) == []
@@ -1032,7 +1054,7 @@ class TestSummariesShareOnePercentileCall:
                     [np.inf, -np.inf, np.nan])
                 rows.append(row)
             for one, row in zip(summaries_of(rows), rows):
-                want = summarize(row)
+                want = percentile_summary(row)
                 for f in ("median", "lo95", "hi95", "frac_undefined", "n_draws"):
                     a, b = getattr(one, f), getattr(want, f)
                     assert a is None and b is None or _same_bits(a, b), (k, f, row)
