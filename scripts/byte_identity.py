@@ -20,10 +20,15 @@ The command set:
   simulator path that draws u; and of ``no_effect`` visited every month,
   months 1 to 15, at n=200, whose hazard grid of 15 segments is the one
   grid of the set with more than 7, where the order in which the restricted
-  mean adds its segment terms differs from ``np.sum``'s (its CSV files hold
-  6 significant digits, so a move in the last bits does not show);
+  mean adds its segment terms differs from ``np.sum``'s;
 - ``tbd fit`` of each simulated trial, then ``tbd estimate --draws 400`` and
-  ``--draws 4000`` on each fit;
+  ``--draws 4000`` on each fit. ``tbd estimate`` writes 6 significant
+  digits, so a move in the draws' last bits would not show in its CSV
+  files: each tree therefore also evaluates ``study.estimate_visits`` at
+  k=400 on each fit and writes the draws of every estimand at every visit
+  through ``science.dump_json`` (``draws/<trial>.json``), at full
+  precision. That step adds about 4 s a run (three runs: each tree, and the
+  change on one BLAS thread);
 - ``tbd study`` plus ``tbd report`` over three configs: the four scenarios
   (n=200, 2 replicates, seed 5); ``no_effect`` and ``mixed`` (n=2000, seed
   601); and an inline ``mixed`` variant with treated Weibull scale 4 at
@@ -103,6 +108,26 @@ print(json.dumps({"files": len(files), "changed": changed}))
 """
 
 
+# run with a tree's sources: each fits/<trial>.json under argv[1] read with
+# its trial's observed.json, and the estimand draws at k=400 written to
+# draws/<trial>.json at full precision
+DRAWS = """
+import sys
+from pathlib import Path
+from tbd import cli, codec, longitudinal, science, study, survival
+out = Path(sys.argv[1])
+for path in sorted(out.glob("fits/*.json")):
+    data = science.observed_from_json(science.load_json(out / "sim" / path.stem / "observed.json"))
+    fits = codec.decode(cli.PosteriorFile, science.load_json(path))
+    lposts = {t: longitudinal.LongitudinalPosterior.from_json(doc)
+              for t, doc in fits.longitudinal.items()}
+    visits = study.estimate_visits(survival.SurvivalPosterior.from_json(fits.survival), lposts,
+                                   data, 400)
+    science.dump_json(codec.encode({v.time: v.draws for v in visits}),
+                      out / "draws" / f"{path.stem}.json")
+"""
+
+
 def run_commands(tree: Path, out: Path, env_extra: dict | None = None) -> None:
     """Run the command set with ``tree``'s sources, writing under ``out``,
     with ``env_extra`` added to the environment."""
@@ -129,6 +154,10 @@ def run_commands(tree: Path, out: Path, env_extra: dict | None = None) -> None:
         config.write_text(json.dumps(doc))
         tbd("study", "--config", config.name, "--out", f"studies/{label}", "--workers", "1")
         tbd("report", "--results", f"studies/{label}", "--out", f"reports/{label}")
+    done = subprocess.run([sys.executable, "-c", DRAWS, str(out)], env=env,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{tree}: estimand draws exited {done.returncode}:\n{done.stderr}")
 
 
 def round_trip(tree: Path, out: Path) -> dict:

@@ -40,7 +40,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .longitudinal import LongitudinalPosterior, counterfactual_mean
 from .science import ObservedDataset, mass_median
@@ -241,6 +240,11 @@ def _pc(s_surv, s_dead, diff, sigma, treated, surv, dead) -> np.ndarray:
     counterfactual outlived it. Each group's terms are written into its
     columns of one array, so each row sums its patients' terms in patient
     order."""
+    # imported at the first PC, not with the package: scipy.special costs
+    # 0.22 s of the 0.34 s it takes to import tbd (scipy 1.17.1), and no
+    # other command needs it
+    from scipy.special import ndtr
+
     pc = np.empty((len(s_surv), len(treated)))
     pc[:, dead] = np.where(treated[dead], 1.0 - s_dead, s_dead)
     p_fin = np.divide(diff, sigma[:, None])

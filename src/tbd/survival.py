@@ -121,9 +121,8 @@ class SurvivalPriors:
 
 S_MIS_BLOCK = 256  # posterior draws per block of the counterfactual kernels
 # Patients per tile, at most: a (block x tile) product, exp and column sum
-# stays in L2 cache, and the product is too small to wake a second BLAS
-# thread: within ``BLAS_ONE_THREAD`` on grids of up to 8 segments, and seen
-# on one thread up to 16 (OpenBLAS 0.3.31).
+# stays in L2 cache. On grids of more than 8 segments ``tile_width`` takes
+# narrower tiles, so the product stays within ``BLAS_ONE_THREAD``.
 S_MIS_TILE = 128
 # Multiply-adds (M * N * K) of the largest matrix product that OpenBLAS runs
 # on one thread whatever the core count: its default SMP_THRESHOLD_MIN times
@@ -131,6 +130,16 @@ S_MIS_TILE = 128
 # which rounds it differently and then spins between products, taking a
 # core; so ``_exposures`` takes its proposals in chunks of this size.
 BLAS_ONE_THREAD = 2**18
+
+
+def tile_width(j: int, p: int) -> int:
+    """Patients per tile of the counterfactual kernels, at most, on a grid
+    of ``j`` segments with ``p`` covariates: ``S_MIS_TILE``, narrowed so
+    that a block's products, (draws x J) @ (J x tile) and (draws x p) @
+    (p x tile), stay within ``BLAS_ONE_THREAD``: 128 up to 8 segments, 68
+    at 15 and 32 at 32. Never below 2, so a tile holds one patient only
+    when its arm does (``_unassigned_tiles``)."""
+    return max(2, min(S_MIS_TILE, BLAS_ONE_THREAD // (S_MIS_BLOCK * max(j, p))))
 
 
 def draw_blocks(k: int):
@@ -225,7 +234,7 @@ class SurvivalPosterior:
         ties in index order, so the patients alive at any time are a prefix
         of each tile. (Scattering a tile into a (draws x patients) array
         runs faster in index order.) The arm is split into tiles of equal
-        size, up to one, of at most ``S_MIS_TILE``, so no tile holds a
+        size, up to one, of at most ``tile_width``, so no tile holds a
         single patient unless the arm does: a one-column product and column
         sum take other code paths (matrix-vector product, pairwise sum) than
         a wider one. The values keep the bits of one product over the whole
@@ -235,10 +244,11 @@ class SurvivalPosterior:
         differently, by a few ulp after the exponential."""
         order = (np.argsort(np.where(data.d_obs == 1, -data.t_obs, -np.inf), kind="stable")
                  if by_death else np.arange(len(data)))
+        width = tile_width(self.grid.n_segments, data.x.shape[1])
         for arm, lam, alpha in ((0, self.lambda0, self.alpha0), (1, self.lambda1, self.alpha1)):
             sel_arm = order[data.w[order] != arm]
             blocks = [(rows, lam[idx[rows]], alpha[idx[rows]]) for rows in draw_blocks(len(idx))]
-            for sel in np.array_split(sel_arm, max(1, -(-len(sel_arm) // S_MIS_TILE))):
+            for sel in np.array_split(sel_arm, max(1, -(-len(sel_arm) // width))):
                 yield sel, _scaled_blocks(blocks, data.x[sel].T)
 
     def s_mis_matrix(self, data: ObservedDataset, t, indices=None) -> np.ndarray:

@@ -4,8 +4,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -768,3 +772,37 @@ def test_study_refuses_workers_below_one(runner, tmp_path):
     assert result.exit_code == 2
     assert "Invalid value for '--workers': 0 is not in the range x>=1." in result.output
     assert not (tmp_path / "out").exists()
+
+
+SCIPY_SCRIPT = """
+import json, sys
+from pathlib import Path
+import tbd, tbd.cli, tbd.study
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out = Path(sys.argv[1])
+(out / "config.json").write_text(json.dumps({"mcmc": json.loads(sys.argv[2])}))
+tbd.cli.main(["simulate", "--scenario", "no_effect", "--seed", "3", "--n", "40",
+              "--out", str(out)], standalone_mode=False)
+tbd.cli.main(["fit", "--data", str(out / "observed.json"), "--out", str(out / "fits.json"),
+              "--config", str(out / "config.json"), "--seed", "11"], standalone_mode=False)
+assert scipy_modules() == [], scipy_modules()
+fits = tbd.science.load_json(out / "fits.json")
+data = tbd.science.observed_from_json(tbd.science.load_json(out / "observed.json"))
+tbd.estimand_draws(tbd.SurvivalPosterior.from_json(fits["survival"]),
+                   tbd.LongitudinalPosterior.from_json(fits["longitudinal"]["15"]), data, 15.0, 10)
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_scipy_loads_only_when_pc_is_evaluated(tmp_path):
+    # scipy.special is most of the package's import time, and only PC's
+    # Normal cdf needs it: importing tbd, simulating and fitting never load
+    # scipy, and the first estimand evaluation does
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", SCIPY_SCRIPT, str(tmp_path), json.dumps(FAST_MCMC)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "fits.json").is_file()

@@ -3,6 +3,7 @@
 The scalar strata and composite definitions live in ``tests/oracles.py``;
 the package evaluates them as array code."""
 
+import io
 import json
 import math
 import re
@@ -30,6 +31,7 @@ from oracles import (
     records,
     science_table,
 )
+from tbd.cli import PosteriorFile
 from tbd.codec import DecodeError, decode, encode
 from tbd.longitudinal import LongitudinalPosterior
 from tbd.mcmc import McmcConfig
@@ -47,6 +49,8 @@ from tbd.science import (
     ObservedDataset,
     replacing,
 )
+from tbd.simulate import get_scenario, observe, simulate_science_table
+from tbd.study import StudyConfig, fit_posteriors, run_cell
 
 times = st.floats(min_value=0.01, max_value=50, allow_nan=False)
 scores = st.floats(min_value=-60, max_value=60, allow_nan=False)
@@ -589,7 +593,7 @@ class TestFileGate:
         path = tmp_path / "fits.json"
         dump_json({"old": [1.0, 2.0]}, path)
         before = path.read_bytes()
-        with pytest.raises(TypeError):  # json.dump streams part of the file, then fails
+        with pytest.raises(TypeError):  # the encoder fails on the object
             dump_json({"a": list(range(10_000)), "b": object()}, path)
         with pytest.raises(RuntimeError):
             with replacing(path) as fh:
@@ -605,6 +609,51 @@ class TestFileGate:
         assert str(refused.value) == (
             f"output {tmp_path / 't.json'} refused: Is a directory: {tmp_path / 't.json.tmp'}")
         assert (tmp_path / "t.json.tmp").is_dir() and not (tmp_path / "t.json").exists()
+
+    @staticmethod
+    def _json_dump_text(doc, indent=None):
+        # the writer's former body: json.dump streams through the pure
+        # Python encoder, whatever the indent
+        buf = io.StringIO()
+        json.dump(doc, buf, sort_keys=True, indent=indent)
+        return buf.getvalue() + "\n"
+
+    @pytest.fixture(scope="class")
+    def study_docs(self):
+        scenario = get_scenario("no_effect").with_updates(n=40)
+        config = StudyConfig(scenarios=(scenario,), replicates=1, k_draws=20,
+                             mcmc=McmcConfig(chains=2, samples=100, min_ess=5.0,
+                                             rhat_threshold=2.0))
+        table = simulate_science_table(scenario, seed=3)
+        data = observe(table)
+        fits = fit_posteriors(data, config)
+        cell = run_cell(config, scenario, 0)
+        return {"posteriors": (encode(PosteriorFile(fits.survival, fits.longitudinal)), None),
+                "science": (science_to_json(table), None),
+                "observed": (observed_to_json(data), None),
+                "cell": ({"config_hash": config.content_hash(), "cell": cell.to_doc()}, 1)}
+
+    @pytest.mark.parametrize("name", ["posteriors", "science", "observed", "cell"])
+    def test_study_files_keep_json_dump_bytes(self, tmp_path, study_docs, name):
+        doc, indent = study_docs[name]
+        path = tmp_path / f"{name}.json"
+        dump_json(doc, path, indent=indent)
+        assert path.read_bytes() == self._json_dump_text(doc, indent).encode()
+
+    @pytest.mark.parametrize("doc", [
+        encode({"x": [math.nan, math.inf, -math.inf, 1.5], "y": np.array([np.nan, 2.0])}),
+        encode({3.0: [1.0], 4.5: {0.25: -0.0}, 12.0: 1e-300}),
+        {4.5: 1, 3.0: 2, -1.0: 3, 1e20: 4},
+        {"label": "München – α/β ✓", "Ω": ["naïve", "日本"]},
+        {"b": True, "a": None, "c": [0, -7, 2**70], "d": 0.1 + 0.2},
+    ], ids=["non-finite", "float-keys", "raw-float-keys", "non-ascii", "scalars"])
+    @pytest.mark.parametrize("indent", [None, 1])
+    def test_values_keep_json_dump_bytes(self, tmp_path, doc, indent):
+        path = tmp_path / "doc.json"
+        dump_json(doc, path, indent=indent)
+        text = path.read_bytes()
+        assert text == self._json_dump_text(doc, indent).encode()
+        assert text.isascii()  # ensure_ascii escapes every non-ASCII character
 
     def test_writer_creates_the_directory_and_keeps_the_bytes(self, tmp_path):
         doc = {"b": [1.5, "nan"], "a": {"3": -1.0}}

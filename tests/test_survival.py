@@ -37,6 +37,7 @@ from tbd.survival import (
     SurvivalPriors,
     default_grid,
     draw_blocks,
+    tile_width,
     _Arm,
     _arm,
     _exposures,
@@ -205,12 +206,12 @@ class TestPredictSMis:
         assert predict_s_mis(params, p, 9.0) == pytest.approx(math.exp(-0.05 * 9))
 
 
-def _random_posterior(k, seed=0):
+def _random_posterior(k, seed=0, segments=5):
     rng = np.random.default_rng(seed)
     return SurvivalPosterior(
-        grid=default_grid(15.0),
-        lambda0=rng.uniform(0.01, 0.2, size=(k, 5)),
-        lambda1=rng.uniform(0.01, 0.2, size=(k, 5)),
+        grid=default_grid(15.0, [15.0 * i / segments for i in range(1, segments + 1)]),
+        lambda0=rng.uniform(0.01, 0.2, size=(k, segments)),
+        lambda1=rng.uniform(0.01, 0.2, size=(k, segments)),
         alpha0=rng.normal(0, 0.3, size=(k, 1)),
         alpha1=rng.normal(0, 0.3, size=(k, 1)),
         diagnostics={},
@@ -385,6 +386,31 @@ class TestPatientTiles:
         assert not np.any(np.signbit(got) ^ np.signbit(want))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
+    def test_tile_products_stay_on_one_blas_thread(self):
+        # each block's products, (draws x J) @ (J x tile) for the hazards and
+        # (draws x p) @ (p x tile) for the covariate scales, stay within
+        # BLAS_ONE_THREAD, in the fewest tiles of equal size; grids of up to
+        # 8 segments keep S_MIS_TILE, so every five-visit output keeps its bytes
+        data = _arms_dataset(2 * S_MIS_TILE + 37, 300, seed=4)
+        idx = np.arange(S_MIS_BLOCK + 40)
+        p = data.x.shape[1]
+        for j in range(1, 65):
+            width = tile_width(j, p)
+            assert width == S_MIS_TILE if j <= 8 else width < S_MIS_TILE
+            post = _random_posterior(len(idx), seed=j, segments=j)
+            assert post.grid.n_segments == j
+            sizes = {0: [], 1: []}
+            for sel, blocks in post._unassigned_tiles(data, idx, by_death=j % 2 == 0):
+                sizes[data.w[sel[0]]].append(len(sel))
+                for rows, lam, scale in blocks:
+                    assert lam.shape == (len(range(*rows.indices(len(idx)))), j)
+                    assert scale.shape == (lam.shape[0], len(sel))
+                    assert lam.shape[0] * max(j, p) * len(sel) <= BLAS_ONE_THREAD, j
+            for w, n_w in ((0, 300), (1, 2 * S_MIS_TILE + 37)):  # patients by assigned arm
+                assert sum(sizes[w]) == n_w
+                assert len(sizes[w]) == -(-n_w // width), j
+                assert max(sizes[w]) - min(sizes[w]) <= 1
+
     def test_tiles_cover_each_arm_once_in_order(self, case):
         # in index order for rows of draws and the restricted mean; in death
         # order (censored patients first, then deaths, latest first, ties by
@@ -548,7 +574,10 @@ from tbd.simulate import get_scenario, observe, simulate_science_table
 from tbd.survival import SurvivalPriors, default_grid, fit_survival
 data = observe(simulate_science_table(get_scenario("no_effect").with_updates(n=2000), seed=1))
 visits, arrays = data.visit_times, {}
-for name, grid_visits in (("default", visits), ("visits15", range(1, 16))):
+# 32 segments: a 128-patient tile's (256 x 32) @ (32 x 128) product would
+# exceed BLAS_ONE_THREAD and run on two threads
+for name, grid_visits in (("default", visits), ("visits15", range(1, 16)),
+                          ("segments32", [15 * i / 32 for i in range(1, 33)])):
     post = fit_survival(data, default_grid(data.follow_up, grid_visits), SurvivalPriors(),
                         McmcConfig(seed=1))
     idx = post.subsample_indices(300)
@@ -584,7 +613,7 @@ class TestBlasThreads:
                            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path})
             with np.load(out) as arrays:
                 runs[threads] = {key: arrays[key] for key in arrays.files}
-        assert len(runs["1"]) == 14
+        assert len(runs["1"]) == 21
         differ = [key for key, a in runs["1"].items() if a.tobytes() != runs["2"][key].tobytes()]
         assert differ == []
 
