@@ -20,6 +20,13 @@ each side simulates a ``no_effect`` trial of n=2000 at the seed and fits it
 and the fits and evaluates every visit over 4000 paired draws, recording
 the call's wall seconds and the process's peak resident memory.
 
+The pseudo-workload ``analyst_cli`` times the analyst path as separate
+processes: each side simulates the ``analyst_estimate`` trial (``no_effect``,
+n=200) at the seed, then runs ``tbd fit`` and ``tbd estimate --draws 4000``
+on it, recording each command's whole-process wall seconds, the bytes of
+the ``fits.json`` it wrote, and the seeds at which both sides wrote the same
+``estimates.csv`` and ``summary.csv``.
+
 Each call updates one section of ``--out``: ``workloads[W]``, or
 ``held_out[W]`` with ``--held-out`` (seeds not used while the change was
 written). A section holds every run's metrics, each side's median and
@@ -51,6 +58,7 @@ STUDY = {"scenarios": ["no_effect"], "n": 2000, "replicates": 6}
 STUDY_WORKERS = (1, 2)
 CONFIG_HASH = re.compile(rb'"config_hash": "[0-9a-f]+"')
 ESTIMATE = {"scenario": "no_effect", "n": 2000, "draws": 4000}
+ANALYST = {"scenario": "no_effect", "n": 200, "draws": 4000}
 # run in a fresh process with the trial directory and the draws as arguments
 ESTIMATE_IN_PROCESS = """
 import json, resource, sys, time
@@ -129,6 +137,28 @@ def estimate_run(tree: Path, seed: int, work: Path) -> dict:
     return {"metrics": json.loads(done.stdout.splitlines()[-1]), "nproc": os.cpu_count()}
 
 
+def analyst_cli_run(tree: Path, seed: int, work: Path) -> dict:
+    """Whole-process ``tbd fit`` and ``tbd estimate`` over ``ANALYST``, from ``tree``'s sources."""
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
+    tbd = [sys.executable, "-m", "tbd.cli"]
+    data, fits, est = str(work / "sim" / "observed.json"), work / "fits.json", work / "est"
+    subprocess.run(tbd + ["simulate", "--scenario", ANALYST["scenario"], "--seed", str(seed),
+                          "--n", str(ANALYST["n"]), "--out", str(work / "sim")],
+                   env=env, capture_output=True, check=True)
+    metrics = {}
+    for name, cmd in (("fit_s", ["fit", "--data", data, "--out", str(fits), "--seed", str(seed)]),
+                      ("estimate_s", ["estimate", "--data", data, "--fits", str(fits),
+                                      "--out", str(est), "--draws", str(ANALYST["draws"])])):
+        start = time.perf_counter()
+        subprocess.run(tbd + cmd, env=env, capture_output=True, check=True)
+        metrics[name] = time.perf_counter() - start
+    metrics["fits_bytes"] = fits.stat().st_size
+    h = hashlib.sha256()
+    for name in ("estimates.csv", "summary.csv"):
+        h.update((est / name).read_bytes() + b"\0")
+    return {"metrics": metrics, "nproc": os.cpu_count(), "estimates_sha256": h.hexdigest()}
+
+
 def quartiles(values: list[float]) -> dict:
     if len(values) == 1:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -160,7 +190,8 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True, help="source tree of the parent")
     ap.add_argument("--change", type=Path, required=True, help="source tree of the change")
     ap.add_argument("--out", type=Path, required=True, help="BENCH_*.json to create or update")
-    pseudo = {"study_workers": study_run, "estimate_n2000": estimate_run}
+    pseudo = {"study_workers": study_run, "estimate_n2000": estimate_run,
+              "analyst_cli": analyst_cli_run}
     ap.add_argument("--workload", required=True, choices=(*BENCH_WORKLOADS, *pseudo))
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--held-out", action="store_true",
@@ -201,6 +232,14 @@ def main(argv=None) -> int:
                    f"--seed <seed>; tbd fit --seed <seed>; then in a fresh process "
                    f"estimate_visits(..., {ESTIMATE['draws']})")
         extra = {"nproc": sorted({p[s]["nproc"] for p in pairs for s in trees})}
+    elif args.workload == "analyst_cli":
+        command = (f"tbd simulate --scenario {ANALYST['scenario']} --n {ANALYST['n']} "
+                   f"--seed <seed>; then, each timed as a whole process, tbd fit --seed <seed> "
+                   f"and tbd estimate --draws {ANALYST['draws']}")
+        same = sum(p["parent"]["estimates_sha256"] == p["change"]["estimates_sha256"]
+                   for p in pairs)
+        extra = {"nproc": sorted({p[s]["nproc"] for p in pairs for s in trees}),
+                 "seeds_with_the_same_estimate_csvs_across_sides": f"{same}/{len(pairs)}"}
     else:
         command = (f"python3 bench/run.py --workload {args.workload} --seed <seed> "
                    f"--seconds {seconds:g} --trace 0")

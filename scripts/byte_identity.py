@@ -26,9 +26,16 @@ The command set:
   digits, so a move in the draws' last bits would not show in its CSV
   files: each tree therefore also evaluates ``study.estimate_visits`` at
   k=400 on each fit and writes the draws of every estimand at every visit
-  through ``science.dump_json`` (``draws/<trial>.json``), at full
-  precision. That step adds about 4 s a run (three runs: each tree, and the
-  change on one BLAS thread);
+  as JSON numbers through ``science.dump_json`` (``draws/<trial>.json``),
+  at full precision. That step adds about 4 s a run (three runs: each
+  tree, and the change on one BLAS thread);
+- each tree also decodes each ``fits/<trial>.json`` and writes, for every
+  posterior array, its shape and the SHA-256 of its little-endian float64
+  bytes (``arrays/<trial>.json``). These files, and the draws files, do not
+  depend on how the tree encodes an array, so a change of the posterior
+  file's layout reads as ``fits/*.json`` "different" with every
+  ``arrays/*.json`` and ``draws/*.json`` identical: the same draws, written
+  another way;
 - ``tbd study`` plus ``tbd report`` over three configs: the four scenarios
   (n=200, 2 replicates, seed 5); ``no_effect`` and ``mixed`` (n=2000, seed
   601); and an inline ``mixed`` variant with treated Weibull scale 4 at
@@ -109,22 +116,31 @@ print(json.dumps({"files": len(files), "changed": changed}))
 
 
 # run with a tree's sources: each fits/<trial>.json under argv[1] read with
-# its trial's observed.json, and the estimand draws at k=400 written to
-# draws/<trial>.json at full precision
+# its trial's observed.json, and its array digests and estimand draws at
+# k=400 written to arrays/<trial>.json and draws/<trial>.json
 DRAWS = """
-import sys
+import dataclasses, hashlib, sys
 from pathlib import Path
+import numpy as np
 from tbd import cli, codec, longitudinal, science, study, survival
 out = Path(sys.argv[1])
 for path in sorted(out.glob("fits/*.json")):
     data = science.observed_from_json(science.load_json(out / "sim" / path.stem / "observed.json"))
     fits = codec.decode(cli.PosteriorFile, science.load_json(path))
+    spost = survival.SurvivalPosterior.from_json(fits.survival)
     lposts = {t: longitudinal.LongitudinalPosterior.from_json(doc)
               for t, doc in fits.longitudinal.items()}
-    visits = study.estimate_visits(survival.SurvivalPosterior.from_json(fits.survival), lposts,
-                                   data, 400)
-    science.dump_json(codec.encode({v.time: v.draws for v in visits}),
-                      out / "draws" / f"{path.stem}.json")
+    digests = {}
+    posts = [("survival", spost), *((f"longitudinal.{t:g}", p) for t, p in lposts.items())]
+    for where, post in posts:
+        for f in dataclasses.fields(post):
+            if isinstance(a := getattr(post, f.name), np.ndarray):
+                raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+                digests[f"{where}.{f.name}"] = f"{a.shape} " + hashlib.sha256(raw).hexdigest()
+    science.dump_json(digests, out / "arrays" / f"{path.stem}.json", indent=1)
+    visits = study.estimate_visits(spost, lposts, data, 400)
+    science.dump_json(codec.encode({v.time: {k: d.tolist() for k, d in v.draws.items()}
+                                    for v in visits}), out / "draws" / f"{path.stem}.json")
 """
 
 

@@ -171,12 +171,7 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
         t = visit.time
         for name, values in visit.draws.items():
             summ = visit.summaries[name]
-            # the row's leading fields through csv, which quotes a label that needs it;
-            # the draw index, value and flag never need quoting
-            prefix = study.csv_line((label, 0, t, name))
-            est_lines.extend(f"{prefix},{i},{value},{is_inf}" for i, value, is_inf in zip(
-                range(len(values)), study.fmt_floats(values.tolist(), ".6g"),
-                np.isinf(values).astype(int).tolist()))
+            est_lines.append(_draw_rows(study.csv_line((label, 0, t, name)), values))
             summary_rows.append((name, t, _cell(summ.median), _cell(summ.lo95),
                                  _cell(summ.hi95), study.fmt(summ.frac_undefined)))
         for reference, value in (("naive_reference_biased", visit.naive),
@@ -185,6 +180,24 @@ def estimate(data_path: str, fits_path: str, out: str, draws: int, seed: int, la
     study.write_lines(out_dir / "estimates.csv", ESTIMATE_COLUMNS, est_lines)
     study.write_rows(out_dir / "summary.csv", SUMMARY_COLUMNS, summary_rows)
     click.echo(f"wrote estimates.csv and summary.csv to {out_dir}")
+
+
+def _draw_rows(prefix: str, values: np.ndarray) -> str:
+    """The ``estimates.csv`` rows of one series of draws, joined by line
+    ends: the leading fields ``prefix`` (through csv, which quotes a label
+    that needs it), then the draw index, the value as ``format(v, ".6g")``,
+    "-" for NaN, and 1 where it is infinite; those three never need quoting.
+    One ``%`` operation renders the series: ``"%.6g" % v`` is
+    ``format(v, ".6g")``, and a NaN row takes its value with ``%.0s``, which
+    prints nothing."""
+    prefix = prefix.replace("%", "%%")
+    rows = [prefix + ",%d,%.6g,%d"] * len(values)
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        rows[i] = prefix + ",%d,-%.0s,%d"
+    fields = [None] * (3 * len(values))
+    fields[0::3], fields[1::3] = range(len(values)), values.tolist()
+    fields[2::3] = np.isinf(values).astype(int).tolist()
+    return "\r\n".join(rows) % tuple(fields)
 
 
 @main.command(name="study")

@@ -1,17 +1,21 @@
 """One JSON codec for configs, scenarios, cells, posteriors and trial data.
 Non-finite floats are written as "nan", "inf" and "-inf"; float dict keys as
-``format(k, "g")``, so 3.0 and 4.5 key as "3" and "4.5". ``decode`` is the
-one gate a document passes. It casts numbers to the hinted int or float, so
-``5`` and ``5.0`` read alike, and gives absent fields their defaults. It
+``format(k, "g")``, so 3.0 and 4.5 key as "3" and "4.5". An ``np.ndarray``
+is written as ``{"shape": [...], "float64le": "<base64>"}``: its values as
+little-endian float64 in C order, base64-encoded (RFC 4648), so it reads
+back bit for bit, NaN payloads, infinities and -0.0 included. ``decode`` is
+the one gate a document passes. It casts numbers to the hinted int or float,
+so ``5`` and ``5.0`` read alike, and gives absent fields their defaults. It
 refuses, naming the dataclass and field, a key that names no field, a
-non-object for a dataclass or dict, a non-list for a list, tuple or array,
-a non-string for a str, a non-boolean for a bool, and any string but those
-three as a float. An array of numbers is one ``np.asarray`` call, so a
-boolean among its numbers reads as 0 or 1, as numpy reads it.
+non-object for a dataclass, dict or array, a non-list for a list or tuple,
+a non-string for a str, a non-boolean for a bool, any string but those
+three as a float, and an array whose keys, shape or bytes do not fit.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import functools
 import math
 import numbers
@@ -24,7 +28,8 @@ import numpy as np
 
 def encode(v):
     """JSON value of ``v``: dataclasses become objects of their fields,
-    tuples and arrays become lists, non-finite floats become strings."""
+    tuples become lists, arrays their shape and base64 float64 bytes,
+    non-finite floats strings."""
     if type(v) is float and math.isfinite(v):  # the most common value, first
         return v
     if is_dataclass(v):
@@ -32,7 +37,8 @@ def encode(v):
     if isinstance(v, dict):
         return {format(k, "g") if isinstance(k, float) else k: encode(x) for k, x in v.items()}
     if isinstance(v, np.ndarray):
-        return v.tolist() if np.isfinite(v).all() else encode(v.tolist())
+        a = np.asarray(v, dtype="<f8", order="C")
+        return {"shape": list(a.shape), "float64le": base64.b64encode(a).decode("ascii")}
     if isinstance(v, (list, tuple)):
         return [encode(x) for x in v]
     if v is None or isinstance(v, str):
@@ -62,13 +68,28 @@ def _form(hint):
     return typing.get_origin(hint), args, typing.get_type_hints(hint) if is_dataclass(hint) else None
 
 
-def _floats(v) -> np.ndarray:
-    """The nested list ``v`` as a float array: one ``np.asarray`` call for
-    numbers, else element by element through ``decode(float, ...)``."""
-    a = np.asarray(v)
-    if a.dtype.kind not in "fiu":
-        a = np.asarray([_floats(x) if isinstance(x, (list, tuple)) else decode(float, x) for x in v])
-    return a.astype(float, copy=False)
+_ARRAY_KEYS = ["float64le", "shape"]
+
+
+def _array(v) -> np.ndarray:
+    """The writable array of an ``encode``d one; ``ValueError`` unless ``v``
+    holds exactly its two keys, a shape of non-negative integers, and valid
+    base64 of as many float64 values as the shape holds."""
+    if not isinstance(v, dict):
+        raise _refusal(f"an object of {_ARRAY_KEYS}", v)
+    if sorted(v) != _ARRAY_KEYS:
+        raise ValueError(f"expected keys {_ARRAY_KEYS}, got {sorted(v)}")
+    shape = decode(tuple[int, ...], v["shape"])
+    if any(d < 0 for d in shape):
+        raise ValueError(f"expected a shape of non-negative integers, got {list(shape)}")
+    try:
+        raw = bytearray(base64.b64decode(decode(str, v["float64le"]), validate=True))
+    except binascii.Error as exc:
+        raise ValueError(f"invalid base64: {exc}") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{len(raw)} bytes for shape {list(shape)}, "
+                         f"which holds {8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def decode(hint, v):
@@ -79,10 +100,12 @@ def decode(hint, v):
     origin, args, hints = _form(hint)
     if origin in (typing.Union, types.UnionType):  # ``X | None``
         return None if v is None else decode(args[0], v)
-    if origin in (list, tuple) or hint is np.ndarray:
+    if hint is np.ndarray:
+        return _array(v)
+    if origin in (list, tuple):
         if not isinstance(v, (list, tuple)):
             raise _refusal("a list", v)
-        return _floats(v) if hint is np.ndarray else origin(decode(args[0], x) for x in v)
+        return origin(decode(args[0], x) for x in v)
     if (origin is dict or hints is not None) and not isinstance(v, dict):
         exc = _refusal("an object", v)
         raise exc if hints is None else ValueError(f"{hint.__name__}: {exc}")

@@ -372,9 +372,9 @@ def replacing(path):
 def dump_json(doc: dict, path, indent: int | None = None) -> None:
     """Write ``doc`` as JSON with sorted keys, one line unless ``indent`` is
     given. ``json.dumps`` builds the text in one string: one line of it goes
-    through CPython's C encoder, which ``json.dump`` never uses (the 3.2 MB
-    ``fits.json`` of an n=200 trial in a third of the time); an indented one
-    takes the pure Python encoder either way. The bytes are ``json.dump``'s."""
+    through CPython's C encoder, which ``json.dump`` never uses; an indented
+    one takes the pure Python encoder either way. The bytes are
+    ``json.dump``'s."""
     with replacing(path) as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=indent) + "\n")
 

@@ -386,18 +386,14 @@ def load_cells(out_dir) -> list[tuple[str, CellResult]]:
 
 
 def fmt(v, spec: str = ".4f") -> str:
-    """Report-file text of a number: "-" for missing or NaN values."""
+    """Report-file text of a number: "-" for missing or NaN values, else
+    ``format(v, spec)``, which writes the infinities as "inf" and "-inf"."""
     if v is None:
         return "-"
     if isinstance(v, bool):
         return str(int(v))
-    return fmt_floats((float(v),), spec)[0]
-
-
-def fmt_floats(values, spec: str = ".4f") -> list[str]:
-    """``fmt`` of each float in ``values`` in one pass: "-" for NaN, else
-    ``format(v, spec)``, which writes the infinities as "inf" and "-inf"."""
-    return ["-" if v != v else format(v, spec) for v in values]
+    v = float(v)
+    return "-" if v != v else format(v, spec)
 
 
 def _estimand_groups(results: StudyResults):
@@ -550,8 +546,8 @@ def csv_line(row) -> str:
 def write_lines(path: Path, header: tuple[str, ...], lines: list[str]) -> None:
     """CSV under ``header`` of rows already rendered as lines without their
     line end (``csv_line``, or fields that need no quoting joined by
-    commas), in one write: ``write_rows``' bytes, at a fraction of its
-    per-row cost."""
+    commas), or as runs of such lines joined by ``"\\r\\n"``, in one write:
+    ``write_rows``' bytes, at a fraction of its per-row cost."""
     with replacing(path) as fh:
         fh.write("\r\n".join((csv_line(header), *lines)) + "\r\n")
 

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows on tiny configurations."""
 
+import base64
 import csv
 import io
 import json
@@ -17,7 +18,7 @@ from click.testing import CliRunner
 
 from tbd import cli, science, simulate, study
 from tbd.cli import main
-from tbd.codec import encode
+from tbd.codec import decode, encode
 from tbd.study import _seed_int, build_config
 from tbd.survival import default_grid, fit_survival
 
@@ -122,14 +123,18 @@ def test_fit_output_schema(fits_path):
     surv = doc["survival"]
     assert {"grid", "lambda0", "lambda1", "alpha0", "alpha1", "diagnostics", "converged"} <= set(surv)
     n_draws = FAST_MCMC["chains"] * FAST_MCMC["samples"]
-    assert np.shape(surv["lambda0"]) == (n_draws, len(surv["grid"]["cutpoints"]) - 1)
-    assert np.shape(surv["alpha1"]) == (n_draws, 1)
+    assert surv["lambda0"]["shape"] == [n_draws, len(surv["grid"]["cutpoints"]) - 1]
+    assert surv["alpha1"]["shape"] == [n_draws, 1]
     assert set(doc["longitudinal"]) == {"3", "6", "9", "12", "15"}
     long9 = doc["longitudinal"]["9"]
     assert {"t", "beta0", "beta1", "sigma", "diagnostics", "converged"} <= set(long9)
-    assert np.shape(long9["beta0"]) == (n_draws, 2)
-    assert np.shape(long9["beta1"]) == (n_draws, 2, 1)
-    assert np.shape(long9["sigma"]) == (n_draws,)
+    assert long9["beta0"]["shape"] == [n_draws, 2]
+    assert long9["beta1"]["shape"] == [n_draws, 2, 1]
+    assert long9["sigma"]["shape"] == [n_draws]
+    for array in (surv["lambda0"], surv["alpha1"], long9["beta0"], long9["beta1"],
+                  long9["sigma"]):  # raw float64 bytes, base64-encoded
+        assert set(array) == {"shape", "float64le"}
+        assert len(base64.b64decode(array["float64le"])) == 8 * math.prod(array["shape"])
 
 
 def test_written_json_is_one_line_and_parses_as_before(sim_dir, fits_path):
@@ -167,8 +172,8 @@ def test_fit_retries_like_a_study_cell(runner, sim_dir, tmp_path):
     assert result.exit_code == 0, result.output
     assert "warning" not in result.output
     doc = json.loads(out.read_text())
-    assert len(doc["survival"]["lambda0"]) == 800
-    assert {len(ldoc["sigma"]) for ldoc in doc["longitudinal"].values()} == {800}
+    assert doc["survival"]["lambda0"]["shape"][0] == 800
+    assert {ldoc["sigma"]["shape"][0] for ldoc in doc["longitudinal"].values()} == {800}
 
 
 def test_estimate_outputs(runner, sim_dir, fits_path, tmp_path):
@@ -188,8 +193,9 @@ def test_estimate_outputs(runner, sim_dir, fits_path, tmp_path):
 
 
 def test_estimate_rows_are_what_csv_writes(runner, sim_dir, fits_path, tmp_path):
-    # a label with a comma and a quote is quoted in every row, as csv.writer quotes it
-    label = 'a,"b x'
+    # a label with a comma and a quote is quoted in every row, as csv.writer
+    # quotes it; its percent signs are text, not format directives
+    label = 'a,"b %d%% x%'
     result = runner.invoke(main, ["estimate", "--data", str(sim_dir / "observed.json"),
                                   "--fits", str(fits_path), "--out", str(tmp_path),
                                   "--draws", "3", "--label", label])
@@ -234,6 +240,69 @@ def test_estimate_warns_about_unconverged_fits(runner, sim_dir, fits_path, tmp_p
         ).read_bytes()
 
 
+def _per_row(prefix, values):
+    """``estimates.csv`` rows of one series, one f-string a row: the reference
+    ``cli._draw_rows`` renders with one ``%`` operation."""
+    return "\r\n".join(f"{prefix},{i},{study.fmt(v, '.6g')},{int(math.isinf(v))}"
+                         for i, v in enumerate(values.tolist()))
+
+
+@pytest.mark.parametrize("label", ["bench", "50%,a", "%s%d%%", 'q"%.6g'])
+def test_draw_rows_match_per_row_rendering(label):
+    values = np.array([-0.0, math.inf, -math.inf, math.nan, 1e-300, 1e16, 0.1 + 0.2, -123456789.0,
+                       5e-324, math.nan, 1.0, 2.5e-7])
+    prefix = study.csv_line((label, 0, 4.5, "sim"))
+    assert cli._draw_rows(prefix, values) == _per_row(prefix, values)
+    for one in values:
+        assert cli._draw_rows(prefix, np.array([one])) == _per_row(prefix, np.array([one]))
+    assert cli._draw_rows(prefix, np.full(3, math.nan)) == _per_row(prefix, np.full(3, math.nan))
+    row = next(csv.reader([cli._draw_rows(prefix, values[:1])]))
+    assert row == [label, "0", "4.5", "sim", "0", "-0", "0"]
+
+
+def test_fit_then_estimate_is_estimate_visits_in_memory(runner, sim_dir, tmp_path, monkeypatch):
+    # tbd fit, then tbd estimate through the file, in one process: every
+    # posterior array reads back bit for bit, and the estimates are those of
+    # the in-memory posteriors, draws and summaries alike
+    fit_posteriors, estimate_visits, shared, estimated = (
+        study.fit_posteriors, study.estimate_visits, {}, [])
+
+    def fit_once(data, config, *seed_parts):
+        shared["data"], shared["fits"] = data, fit_posteriors(data, config, *seed_parts)
+        return shared["fits"]
+
+    def spy(*args):
+        estimated.extend(estimate_visits(*args))
+        return estimated
+
+    monkeypatch.setattr(study, "fit_posteriors", fit_once)
+    monkeypatch.setattr(study, "estimate_visits", spy)
+    cfg, fits_file = tmp_path / "config.json", tmp_path / "fits.json"
+    cfg.write_text(json.dumps({"mcmc": FAST_MCMC}))
+    main(["fit", "--data", str(sim_dir / "observed.json"), "--out", str(fits_file),
+          "--config", str(cfg), "--seed", "4"], standalone_mode=False)
+    main(["estimate", "--data", str(sim_dir / "observed.json"), "--fits", str(fits_file),
+          "--out", str(tmp_path / "est"), "--draws", "400"], standalone_mode=False)
+    fits = shared["fits"]
+    written = decode(cli.PosteriorFile, science.load_json(fits_file))
+    in_memory = [(fits.survival, written.survival)] + [
+        (post, written.longitudinal[t]) for t, post in fits.longitudinal.items()]
+    for post, doc in in_memory:
+        back = type(post).from_json(doc)
+        for name in ("lambda0", "lambda1", "alpha0", "alpha1", "beta0", "beta1", "sigma"):
+            if hasattr(post, name):
+                want, got = getattr(post, name), getattr(back, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    def bits(visit):  # encode writes every array's and json every float's bits
+        return json.dumps(encode([visit.time, visit.draws, visit.summaries, visit.naive,
+                                  visit.wmw]))
+
+    again = estimate_visits(fits.survival, fits.longitudinal, shared["data"], 400)
+    assert len(estimated) == len(again) == 5
+    assert [bits(v) for v in estimated] == [bits(v) for v in again]
+
+
 def test_estimate_refuses_per_draw_fits_file(runner, sim_dir, tmp_path):
     # the layout tbd fit wrote before posteriors became columnar
     old = {"survival": {"grid": [0.0, 15.0], "converged": True, "diagnostics": {},
@@ -247,6 +316,71 @@ def test_estimate_refuses_per_draw_fits_file(runner, sim_dir, tmp_path):
     assert result.exit_code == 1
     assert len(result.output.strip().splitlines()) == 1
     assert "unknown keys ['draws']" in result.output and "rerun `tbd fit`" in result.output
+
+
+def _listed(doc):
+    """``doc`` with every encoded array written as nested number lists, the
+    layout ``tbd fit`` wrote before arrays became base64 float64 bytes."""
+    if isinstance(doc, dict):
+        if set(doc) == {"shape", "float64le"}:
+            return decode(np.ndarray, doc).tolist()
+        return {k: _listed(v) for k, v in doc.items()}
+    return doc
+
+
+def test_estimate_refuses_a_list_layout_fits_file(runner, sim_dir, fits_path, tmp_path):
+    fits, out = tmp_path / "fits.json", tmp_path / "est"
+    fits.write_text(json.dumps(_listed(json.loads(fits_path.read_text()))))
+    result = runner.invoke(main, ["estimate", "--data", str(sim_dir / "observed.json"),
+                                  "--fits", str(fits), "--out", str(out)])
+    assert result.exit_code == 1
+    [line] = result.output.strip().splitlines()
+    assert line.startswith(f"Error: posteriors {fits} refused: SurvivalPosterior.alpha0: "
+                           "expected an object of ['float64le', 'shape'], got [[")
+    assert line.endswith("; rerun `tbd fit`")
+    assert not out.exists()
+
+
+FOUR = base64.b64encode(np.arange(4.0).tobytes()).decode()  # four float64 values
+
+
+@pytest.mark.parametrize("lambda0, refused", [
+    ([[0.1], [0.2]], "expected an object of ['float64le', 'shape'], got [[0.1], [0.2]]"),
+    ([True, 1.5], "expected an object of ['float64le', 'shape'], got [True, 1.5]"),
+    ("AAAA", "expected an object of ['float64le', 'shape'], got 'AAAA'"),
+    ({"shape": [4, 1], "float64le": FOUR[:-1]}, "invalid base64: Incorrect padding"),
+    ({"shape": [4, 1], "float64le": "*" + FOUR[1:]},
+     "invalid base64: Only base64 data is allowed"),
+    ({"shape": [4, 1], "float64le": FOUR.replace("A", "A\n", 1)},
+     "invalid base64: Only base64 data is allowed"),
+    ({"shape": [5, 1], "float64le": FOUR}, "32 bytes for shape [5, 1], which holds 40"),
+    ({"shape": [2, 1], "float64le": FOUR}, "32 bytes for shape [2, 1], which holds 16"),
+    ({"shape": [-4, -1], "float64le": FOUR},
+     "expected a shape of non-negative integers, got [-4, -1]"),
+    ({"shape": [4, 1.5], "float64le": FOUR}, "expected an integer, got 1.5"),
+    ({"shape": [4, True], "float64le": FOUR}, "expected an integer, got True"),
+    ({"shape": "4", "float64le": FOUR}, "expected a list, got '4'"),
+    ({"shape": [4, 1], "float64le": 7}, "expected a string, got 7"),
+    ({"float64le": FOUR}, "expected keys ['float64le', 'shape'], got ['float64le']"),
+    ({"shape": [4, 1], "float64le": FOUR, "dtype": "<f8"},
+     "expected keys ['float64le', 'shape'], got ['dtype', 'float64le', 'shape']"),
+], ids=["list-layout", "boolean-in-list", "bare-string", "bad-padding", "not-base64",
+        "newline-in-base64", "too-few-bytes", "too-many-bytes", "negative-dimension",
+        "fractional-dimension", "boolean-dimension", "shape-not-list", "bytes-not-string",
+        "missing-key", "extra-key"])
+def test_estimate_refuses_a_misencoded_array(runner, sim_dir, fits_path, tmp_path, lambda0,
+                                             refused):
+    doc = json.loads(fits_path.read_text())
+    doc["survival"]["lambda0"] = lambda0
+    fits, out = tmp_path / "fits.json", tmp_path / "est"
+    fits.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["estimate", "--data", str(sim_dir / "observed.json"),
+                                  "--fits", str(fits), "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [
+        f"Error: posteriors {fits} refused: SurvivalPosterior.lambda0: {refused}; rerun `tbd fit`"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc, refused", [
@@ -277,8 +411,8 @@ def test_refused_study_config_is_a_one_line_error(runner, tmp_path, doc, refused
 
 def test_estimate_refuses_draws_outside_the_pool(runner, sim_dir, fits_path, tmp_path):
     doc = json.loads(fits_path.read_text())
-    pool = min(len(doc["survival"]["lambda0"]),
-               *(len(ldoc["sigma"]) for ldoc in doc["longitudinal"].values()))
+    pool = min(doc["survival"]["lambda0"]["shape"][0],
+               *(ldoc["sigma"]["shape"][0] for ldoc in doc["longitudinal"].values()))
     for draws in (0, -3, pool + 1):
         out = tmp_path / str(draws)
         result = runner.invoke(main, ["estimate", "--data", str(sim_dir / "observed.json"),
@@ -295,9 +429,10 @@ def test_estimate_refuses_draws_outside_the_pool(runner, sim_dir, fits_path, tmp
     assert result.exit_code == 0, result.output
 
 
-def _widened(values):
-    """Nested lists of numbers with a 0.0 appended to each innermost list."""
-    return [*values, 0.0] if not isinstance(values[0], list) else [_widened(v) for v in values]
+def _widened(array_doc):
+    """An encoded array with a column of zeros appended along its last axis."""
+    a = decode(np.ndarray, array_doc)
+    return encode(np.concatenate([a, np.zeros((*a.shape[:-1], 1))], axis=-1))
 
 
 @pytest.mark.parametrize("widen", ["data", "fits", "one-visit"])
@@ -308,7 +443,7 @@ def test_estimate_refuses_fits_of_another_covariate_width(runner, sim_dir, fits_
     fits_doc = json.loads(fits_path.read_text())
     if widen == "data":
         for patient in data_doc["patients"]:
-            patient["x"] = _widened(patient["x"])
+            patient["x"] = [*patient["x"], 0.0]
     else:
         visits = list(fits_doc["longitudinal"].values())
         if widen == "fits":
