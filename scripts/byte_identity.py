@@ -47,6 +47,15 @@ Each tree also reads every ``observed.json`` it wrote back through
 the ones ``tbd simulate`` wrote, since ``tbd fit`` and ``tbd estimate`` only
 read the file. A file that does not round-trip exits 1 as well.
 
+For each file that differs and is JSON or CSV, the report then gives the
+size of the difference per array: the numbers at one JSON path, list
+indices read as ``[*]`` (``3.0.pc[*]``, the PC draws at month 3;
+``times[*].summaries.pc.median``, a cell's PC medians), or one CSV column,
+per estimand where the file has an ``estimand`` column. It prints how many
+of each array's numbers moved, the largest absolute difference and the
+largest relative one (against the parent's value), so a declared last-bit
+change reads as such; it names any text, key or length that differs.
+
 The change's command set then runs once more under
 ``OPENBLAS_NUM_THREADS=1``, and every file that differs from its default run
 is listed as depending on the BLAS thread count and exits 1: the same inputs
@@ -61,7 +70,10 @@ Usage, with ``DIR`` a checkout or a ``git archive`` of each side::
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -199,6 +211,65 @@ def contents(root: Path) -> dict[str, bytes]:
     return files
 
 
+def arrays(name: str, data: bytes):
+    """The numbers of a JSON or CSV file grouped into arrays, and every other
+    value by its exact place; None for another kind of file."""
+    numbers: dict[str, list[float]] = {}
+    other: dict[str, object] = {}
+    if name.endswith(".json"):
+        def walk(value, path, exact):
+            if isinstance(value, dict):
+                for k, v in value.items():
+                    walk(v, f"{path}.{k}" if path else str(k), f"{exact}.{k}" if exact else str(k))
+            elif isinstance(value, list):
+                for i, v in enumerate(value):
+                    walk(v, f"{path}[*]", f"{exact}[{i}]")
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                numbers.setdefault(path, []).append(float(value))
+            else:
+                other[exact] = value
+        walk(json.loads(data), "", "")
+    elif name.endswith(".csv"):
+        for i, row in enumerate(csv.DictReader(io.StringIO(data.decode()))):
+            for col, value in row.items():
+                try:
+                    number = float(value)
+                except ValueError:
+                    other[f"row {i}.{col}"] = value
+                    continue
+                key = f"{row['estimand']}.{col}" if "estimand" in row else col
+                numbers.setdefault(key, []).append(number)
+    else:
+        return None
+    return numbers, other
+
+
+def difference_report(name: str, parent: bytes, change: bytes) -> list[str]:
+    """Per array of a differing file: the numbers that moved, the largest
+    absolute and relative difference; each differing text, key or length."""
+    sides = arrays(name, parent), arrays(name, change)
+    if sides[0] is None:
+        return []
+    (p_num, p_other), (c_num, c_other) = sides
+    lines = [f"{k}: {p_other.get(k)!r} -> {c_other.get(k)!r}"
+             for k in sorted(p_other.keys() | c_other.keys()) if p_other.get(k) != c_other.get(k)]
+    for key in sorted(p_num.keys() | c_num.keys()):
+        a, b = p_num.get(key, []), c_num.get(key, [])
+        if len(a) != len(b):
+            lines.append(f"{key}: {len(a)} numbers -> {len(b)}")
+            continue
+        moved = [(x, y) for x, y in zip(a, b) if x != y and not (x != x and y != y)]
+        if moved:
+            # a number that turned NaN, or came from NaN, moved infinitely far
+            gaps = [abs(x - y) if x == x and y == y else math.inf for x, y in moved]
+            big_abs = max(gaps)
+            big_rel = max(g / abs(x) if x and g < math.inf else math.inf
+                          for g, (x, _) in zip(gaps, moved))
+            lines.append(f"{key}: {len(moved)} of {len(a)} moved, largest absolute "
+                         f"difference {big_abs:.3g}, relative {big_rel:.3g}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="source tree of the parent")
@@ -225,6 +296,8 @@ def main(argv=None) -> int:
         print(f"temporary file left: {name}")
     for name in differ:
         print(f"differs: {name}")
+        for line in difference_report(name, parent[name], change[name]):
+            print(f"  {line}")
     for name in only:
         print(f"only in {'parent' if name in parent else 'change'}: {name}")
     same = len(parent.keys() & change.keys()) - len(differ)

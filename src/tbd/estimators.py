@@ -229,6 +229,100 @@ def _sace(s_surv: np.ndarray, d_surv: np.ndarray) -> np.ndarray:
         return np.where(den > 0, num / den, np.nan)
 
 
+# Hart's double-precision approximation of the Normal cdf (Hart et al. 1968,
+# algorithm 5666, as given by West 2005): Φ(-a) = exp(-a²/2) P(a) / Q(a)
+# for a = |z| below _HART_CUT, a continued fraction from there to _HART_FAR,
+# and 0 past it.
+_HART_P = (0.0352624965998911, 0.700383064443688, 6.37396220353165, 33.912866078383,
+           112.079291497871, 221.213596169931, 220.206867912376)
+_HART_Q = (0.0883883476483184, 1.75566716318264, 16.064177579207, 86.7807322029461,
+           296.564248779674, 637.333633378831, 793.826512519948, 440.413735824752)
+_HART_CUT = 7.07106781186547  # 10 / sqrt(2)
+_HART_FAR = 37.0
+_HART_SQRT_2PI = 2.506628274631
+# elements of Φ's argument evaluated at a time (``normal_cdf``)
+_CDF_CHUNK = 1 << 15
+
+
+def _horner(coefs, a: np.ndarray) -> np.ndarray:
+    """The polynomial with coefficients ``coefs`` (highest power first) at
+    ``a``, in one new array."""
+    acc = coefs[0] * a
+    for c in coefs[1:-1]:
+        acc += c
+        acc *= a
+    acc += coefs[-1]
+    return acc
+
+
+def _hart_tail(a: np.ndarray) -> np.ndarray:
+    """Φ(-a) for a >= _HART_CUT (or NaN) by Hart's continued fraction: 0
+    past _HART_FAR, NaN at NaN."""
+    x = np.minimum(a, _HART_FAR)  # no overflow in x * x; past _HART_FAR Φ is 0
+    cf = x + 0.65
+    for k in (4.0, 3.0, 2.0, 1.0):
+        np.divide(k, cf, out=cf)
+        cf += x
+    x *= x
+    x *= -0.5
+    np.exp(x, out=x)
+    x /= cf
+    x /= _HART_SQRT_2PI
+    x[a > _HART_FAR] = 0.0
+    return x
+
+
+def _normal_cdf_in_place(a: np.ndarray) -> None:
+    """Φ of each element of the 1-D array ``a``, written over it."""
+    upper = a > 0
+    np.abs(a, out=a)
+    tail = None
+    if not a.max(initial=0.0) < _HART_CUT:  # also when a NaN is there
+        tail = ~(a < _HART_CUT)
+        far = _hart_tail(a[tail])
+        a[tail] = 0.0  # no overflow in the rational formula below
+    num, den = _horner(_HART_P, a), _horner(_HART_Q, a)
+    a *= a
+    a *= -0.5
+    np.exp(a, out=a)
+    num *= a
+    np.divide(num, den, out=a)
+    if tail is not None:
+        a[tail] = far
+    np.subtract(1.0, a, out=a, where=upper)
+
+
+def normal_cdf(z, out=None) -> np.ndarray:
+    """The standard Normal cdf Φ of each element of ``z``, written into
+    ``out`` (which may be ``z``; a new array of ``z``'s layout if None).
+
+    Hart's approximation (above): within 2.2e-16 of scipy's ``ndtr`` on a
+    dense grid over [-40, 40], an absolute bound only: the relative error
+    in the lower tail is 2.6e-9 at z = -7 and 8.9e-9 near -7.8. Φ(±0) =
+    0.5, Φ(-inf) = 0, Φ(+inf) = 1 and Φ(NaN) = NaN. Where every |z| of a
+    chunk is below _HART_CUT, the common case, the tail costs one maximum
+    and no mask.
+
+    The elements are taken in memory order, _CDF_CHUNK at a time, so that
+    the formula's passes run over a chunk and its two temporaries while
+    they are in a core's cache: over a whole (256 x 1500) block they took
+    1.6 times as long as ``ndtr``, by chunks 0.9 times (2 vCPUs, 2 MB of
+    L2 each). Each element's bits do not depend on the chunks."""
+    z = np.asarray(z, dtype=float)
+    if out is None:
+        out = np.empty_like(z)
+    contiguous = out.flags.c_contiguous or out.flags.f_contiguous
+    work = out if contiguous else np.empty_like(out)
+    if work is not z:
+        np.copyto(work, z)
+    flat = work.ravel(order="K")  # a view, as work is contiguous
+    for i in range(0, flat.size, _CDF_CHUNK):
+        _normal_cdf_in_place(flat[i:i + _CDF_CHUNK])
+    if work is not out:
+        out[...] = work
+    return out
+
+
 def _pc(s_surv, s_dead, diff, sigma, treated, surv, dead) -> np.ndarray:
     """PC of each row: the probability, averaged over patients, that the
     patient's composite under treatment beats the one under control. The
@@ -240,15 +334,12 @@ def _pc(s_surv, s_dead, diff, sigma, treated, surv, dead) -> np.ndarray:
     counterfactual outlived it. Each group's terms are written into its
     columns of one array, so each row sums its patients' terms in patient
     order."""
-    # imported at the first PC, not with the package: scipy.special costs
-    # 0.22 s of the 0.34 s it takes to import tbd (scipy 1.17.1), and no
-    # other command needs it
-    from scipy.special import ndtr
-
     pc = np.empty((len(s_surv), len(treated)))
     pc[:, dead] = np.where(treated[dead], 1.0 - s_dead, s_dead)
+    # the quotient keeps diff's layout; Φ is elementwise and evaluated in
+    # its buffer, so no C-ordered copy is made
     p_fin = np.divide(diff, sigma[:, None])
-    ndtr(p_fin, out=p_fin)
+    normal_cdf(p_fin, out=p_fin)
     p_fin *= s_surv
     p_fin += (1.0 - s_surv) * treated[surv]
     pc[:, surv] = p_fin

@@ -15,6 +15,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+# numpy loads its random module at the first np.random access, about 6 ms;
+# loaded with the package, that cost does not fall into the first study
+# cell's time, whose first step is a SeedSequence (child_seed)
+import numpy.random  # noqa: F401
 
 from .codec import decode
 from .science import (ObservedDataset, ScienceTable, check_visit_times, composite_metric,

@@ -445,15 +445,16 @@ def _sample_arm(arm: _Arm, priors: SurvivalPriors, rngs, samples: int):
         props = mode + (z @ chol.T) / np.sqrt(mix)[:, None]
         expo = _exposures(arm, props)
         log_q = -0.5 * (T_DF + p) * np.log1p(np.sum(z**2, axis=1) / mix / T_DF)
-        log_w = _log_marginal(arm, priors, props, expo) - log_q
-        log_u = np.log(rng.uniform(size=samples))
-        state = np.empty(samples, dtype=int)
-        cur = 0
-        for k in range(samples):
-            if log_u[k] < log_w[k + 1] - log_w[cur]:
+        # as Python floats: the loop's comparisons and differences are the
+        # same IEEE operations, without a numpy scalar per index
+        log_w = (_log_marginal(arm, priors, props, expo) - log_q).tolist()
+        log_u = np.log(rng.uniform(size=samples)).tolist()
+        state, cur = [], 0
+        for k, u in enumerate(log_u):
+            if u < log_w[k + 1] - log_w[cur]:
                 cur = k + 1
                 accepted += 1
-            state[k] = cur
+            state.append(cur)
         rates = priors.gamma_rate + expo[state]
         lam.append(rng.gamma(priors.gamma_shape + arm.events, size=rates.shape) / rates)
         alpha.append(props[state])

@@ -909,35 +909,57 @@ def test_study_refuses_workers_below_one(runner, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-SCIPY_SCRIPT = """
-import json, sys
+NO_SCIPY_SCRIPT = """
+import importlib.abc, json, sys
 from pathlib import Path
-import tbd, tbd.cli, tbd.study
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is not installed")
+        return None
 
-out = Path(sys.argv[1])
-(out / "config.json").write_text(json.dumps({"mcmc": json.loads(sys.argv[2])}))
-tbd.cli.main(["simulate", "--scenario", "no_effect", "--seed", "3", "--n", "40",
-              "--out", str(out)], standalone_mode=False)
-tbd.cli.main(["fit", "--data", str(out / "observed.json"), "--out", str(out / "fits.json"),
-              "--config", str(out / "config.json"), "--seed", "11"], standalone_mode=False)
-assert scipy_modules() == [], scipy_modules()
-fits = tbd.science.load_json(out / "fits.json")
-data = tbd.science.observed_from_json(tbd.science.load_json(out / "observed.json"))
-tbd.estimand_draws(tbd.SurvivalPosterior.from_json(fits["survival"]),
-                   tbd.LongitudinalPosterior.from_json(fits["longitudinal"]["15"]), data, 15.0, 10)
-assert "scipy.special" in sys.modules
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy.special
+except ImportError:
+    pass
+else:
+    raise AssertionError("the finder let scipy be imported")
+import tbd.cli
+
+out, mcmc = Path(sys.argv[1]), json.loads(sys.argv[2])
+(out / "fit.json").write_text(json.dumps({"mcmc": mcmc}))
+(out / "study.json").write_text(json.dumps({"scenarios": ["no_effect", "mixed"], "n": 40,
+                                            "replicates": 2, "k_draws": 10, "master_seed": 5,
+                                            "mcmc": mcmc}))
+sim, fits = out / "sim", out / "fits.json"
+for argv in (
+    ["simulate", "--scenario", "no_effect", "--seed", "3", "--n", "40", "--out", str(sim)],
+    ["fit", "--data", str(sim / "observed.json"), "--out", str(fits),
+     "--config", str(out / "fit.json"), "--seed", "11"],
+    ["estimate", "--data", str(sim / "observed.json"), "--fits", str(fits),
+     "--draws", "20", "--out", str(out / "estimate")],
+    ["study", "--config", str(out / "study.json"), "--out", str(out / "study")],
+    ["report", "--results", str(out / "study"), "--out", str(out / "report")],
+):
+    try:
+        tbd.cli.main(argv, standalone_mode=False)
+    except SystemExit as exc:  # a study with failed cells exits 1, its files written
+        assert argv[0] == "study" and exc.code == 1, (argv[0], exc.code)
+assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 """
 
 
-def test_scipy_loads_only_when_pc_is_evaluated(tmp_path):
-    # scipy.special is most of the package's import time, and only PC's
-    # Normal cdf needs it: importing tbd, simulating and fitting never load
-    # scipy, and the first estimand evaluation does
+def test_commands_run_where_scipy_cannot_be_imported(tmp_path):
+    # scipy is a test dependency only: with every scipy import refused,
+    # each command runs to the end, PC's Normal cdf included
     path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", SCIPY_SCRIPT, str(tmp_path), json.dumps(FAST_MCMC)],
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path),
+                           json.dumps(FAST_MCMC)],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "fits.json").is_file()
+    with open(tmp_path / "estimate" / "estimates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert "pc" in {row["estimand"] for row in rows}
+    assert (tmp_path / "report" / "coverage_table.csv").is_file()

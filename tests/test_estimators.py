@@ -36,6 +36,7 @@ from tbd.estimators import (
     _sim,
     estimand_draws,
     naive_effect,
+    normal_cdf,
     rmst_estimand_draws,
     summaries_of,
     summarize,
@@ -179,6 +180,46 @@ class TestPcDraw:
         got = pc_draw(s, l_zero, data, T)
         # ties get half credit once sigma collapses
         assert got == pytest.approx((1.0 + 0.5) / 2, abs=1e-6)
+
+
+class TestNormalCdf:
+    """The package's Φ (Hart's approximation) against scipy's ``ndtr``."""
+
+    def test_absolute_error_over_a_dense_grid(self):
+        z = np.linspace(-40.0, 40.0, 2_000_001)
+        assert np.max(np.abs(normal_cdf(z) - ndtr(z))) <= 4.5e-16
+
+    def test_special_values(self):
+        z = np.array([0.0, -0.0, -np.inf, np.inf, np.nan, -1e300, 1e300, -37.5, 37.5])
+        got = normal_cdf(z)
+        assert got[:4].tolist() == [0.5, 0.5, 0.0, 1.0]
+        assert np.isnan(got[4])
+        assert got[5:].tolist() == [0.0, 1.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("chunk", [None, 5])  # 5: chunks that split rows
+    def test_layouts_and_in_place_give_the_same_bits(self, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr("tbd.estimators._CDF_CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        for scale in (2.0, 15.0):  # 15: some |z| past the continued fraction's cut
+            c = rng.normal(0.0, scale, (7, 13))
+            c[2, 3] = np.nan
+            expect = np.array([normal_cdf(np.array([v]))[0] for v in c.ravel()]).reshape(c.shape)
+            f = np.asfortranarray(c)
+            # C-ordered, F-ordered, strided, and F-ordered seen as C-ordered
+            for z, want in ((c, expect), (f, expect), (c[:, ::2], expect[:, ::2]),
+                            (f.T, expect.T)):
+                before = z.copy()
+                got = normal_cdf(z)
+                assert _same_bits(got, want)
+                assert _same_bits(z, before)  # the input is left alone
+                inplace = z.copy(order="K")
+                assert normal_cdf(inplace, out=inplace) is inplace
+                assert _same_bits(inplace, got)
+            strided = np.empty((c.shape[0], 2 * c.shape[1]))[:, ::2]  # a non-contiguous out
+            assert normal_cdf(c, out=strided) is strided
+            assert _same_bits(strided, expect)
+        assert normal_cdf(np.empty((3, 0))).shape == (3, 0)
 
 
 class TestRmstDraw:
@@ -644,7 +685,7 @@ def _reference_sace_pc(spost, lpost, data, t, k):
     num = (s_surv * diff[:, surv]).sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         sace = np.where(den > 0, num / den, np.nan)
-    p_fin = ndtr(diff / sigma[:, None])
+    p_fin = normal_cdf(diff / sigma[:, None])
     pc_surv = s_mis * p_fin + (1.0 - s_mis) * (w == 1)[None, :]
     pc_dead = np.where((w == 1)[None, :], 1.0 - s_mis, s_mis)
     pc = (np.where(surv[None, :], pc_surv, pc_dead)).sum(axis=1) / n
